@@ -22,7 +22,8 @@ from smplab.smp import empirical_success, protocol_cost
 
 n = 64
 seed = 2026
-instances = [random_promise_instance(n, trial_rng(seed, 0)) for _ in range(20)]
+gen = trial_rng(seed, 0)
+instances = [random_promise_instance(n, gen) for _ in range(20)]
 pairs = [(inst.x, inst.bob_input) for inst in instances]
 values = {(inst.x, inst.bob_input): matching_value(inst) for inst in instances}
 

@@ -7,7 +7,8 @@ restating every hard assertion it verified with its margin, and an echo of
 the fully resolved configuration.  Identical configuration and seed produce
 bit-identical output files; wall time goes to stdout only.
 
-Exit codes: 0 success, 2 configuration error, 3 assertion failure,
+Exit codes: 0 success, 2 configuration error (including an undeclared
+--param key), 3 assertion failure or a typed error raised by a broken claim,
 4 resource cap exceeded.
 """
 
@@ -19,12 +20,18 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances, with_overrides
-from .errors import CapExceededError, VanishingProjectionError
+from .errors import (
+    CapExceededError,
+    PromiseViolationError,
+    ReplayMismatchError,
+    VanishingProjectionError,
+)
 from .oracle import (
     det_complexity_function,
     exhaustive_function_search,
@@ -74,22 +81,6 @@ EXIT_CONFIG = 2
 EXIT_ASSERTION = 3
 EXIT_CAP = 4
 
-EXPERIMENTS = (
-    "eq-public",
-    "eq-code",
-    "matching-qc",
-    "matching-classical",
-    "hidden-matching",
-    "compile",
-    "learn-state",
-    "derandomize",
-    "oracle-suite",
-)
-
-# learn-state enforces its own seed requirement in random mode only
-_SAMPLED = {"matching-qc", "matching-classical", "derandomize", "oracle-suite"}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -127,20 +118,11 @@ class ExperimentResult:
         return all(ok for _, ok, _ in self.assertions)
 
 
-def _param(cfg: ExperimentConfig, key: str, default=None, required: bool = False):
-    if key in cfg.params:
-        return cfg.params[key]
-    if required:
-        raise ConfigError(f"experiment {cfg.experiment!r} requires --param {key}=...")
-    return default
-
-
-def _run_eq_public(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
-    n = int(_param(cfg, "n", required=True))
-    k = int(_param(cfg, "k", 1))
+def _run_eq_public(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+    n = prm["n"]
     if n > 5:
         raise CapExceededError("eq-public exhaustive report capped at n <= 5")
-    p = equality_public(n, k)
+    p = equality_public(n, prm["k"])
     f = equality_function(n)
     rows = []
     worst = 0.0
@@ -159,9 +141,8 @@ def _run_eq_public(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
     return ExperimentResult(["x", "y", "f", "acceptance", "error"], rows, summary, [])
 
 
-def _run_eq_code(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
-    n = int(_param(cfg, "n", required=True))
-    reps = int(_param(cfg, "reps", 1))
+def _run_eq_code(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+    n, reps = prm["n"], prm["reps"]
     if n > 5:
         raise CapExceededError("eq-code exhaustive report capped at n <= 5")
     code = hadamard_code(n)
@@ -198,22 +179,18 @@ def _run_eq_code(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
     )
 
 
-def _run_matching(cfg: ExperimentConfig, tol: Tolerances, quantum: bool) -> ExperimentResult:
-    n = int(_param(cfg, "n", 64))
-    instances = int(_param(cfg, "instances", 20))
+def _run_matching(
+    cfg: ExperimentConfig, prm: dict, tol: Tolerances, quantum: bool
+) -> ExperimentResult:
+    n = prm["n"]
     trials = cfg.trials if cfg.trials is not None else 2000
     seed = cfg.require_seed()
     if quantum:
-        p = matching_qc(
-            n,
-            subset_size=_opt_int(_param(cfg, "subset_size")),
-            copies=_opt_int(_param(cfg, "copies")),
-            edges_sent=_opt_int(_param(cfg, "edges_sent")),
-        )
+        p = matching_qc(n, prm["subset_size"], prm["copies"], prm["edges_sent"])
     else:
-        p = matching_classical(n, subset_size=_opt_int(_param(cfg, "subset_size")))
+        p = matching_classical(n, prm["subset_size"])
     gen = trial_rng(seed, 0)
-    fixture = [random_promise_instance(n, gen) for _ in range(instances)]
+    fixture = [random_promise_instance(n, gen) for _ in range(prm["instances"])]
     pairs = [(inst.x, inst.bob_input) for inst in fixture]
     values = {(inst.x, inst.bob_input): matching_value(inst) for inst in fixture}
     report = empirical_success(
@@ -240,8 +217,8 @@ def _run_matching(cfg: ExperimentConfig, tol: Tolerances, quantum: bool) -> Expe
     )
 
 
-def _run_hidden_matching(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
-    n = int(_param(cfg, "n", 4))
+def _run_hidden_matching(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+    n = prm["n"]
     if n > 8:
         raise CapExceededError("hidden-matching exhaustive report capped at n <= 8")
     protocol, relation = hidden_matching_relation(n)
@@ -266,11 +243,7 @@ def _run_hidden_matching(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentRe
     return ExperimentResult(["x", "k", "valid_mass"], rows, summary, assertions)
 
 
-def _learn_fixture(cfg: ExperimentConfig, tol: Tolerances):
-    q = int(_param(cfg, "q", 1))
-    c = int(_param(cfg, "c", 1))
-    if (q, c) != (1, 1):
-        raise ConfigError("the built-in learn-state fixture is q=1, c=1; use mode=random otherwise")
+def _learn_fixture():
     rho = DensityMatrix.pure([1, 0])
     ops = [
         MeasurementOperator(np.diag([1.0, 0.0]).astype(complex)),
@@ -290,41 +263,50 @@ def _load_matrix_file(path: str) -> np.ndarray:
     return matrix_from_text(p.read_text())
 
 
-def _learn_from_files(cfg: ExperimentConfig):
-    rho_path = _param(cfg, "rho", required=True)
-    ops_paths = str(_param(cfg, "operators", required=True)).split(",")
-    rho = DensityMatrix(_load_matrix_file(str(rho_path)))
-    ops = [MeasurementOperator(_load_matrix_file(p)) for p in ops_paths]
+def _learn_from_files(prm: dict):
+    for key in ("rho", "operators"):
+        if prm[key] is None:
+            raise ConfigError(f"learn-state mode=file requires --param {key}=...")
+    rho = DensityMatrix(_load_matrix_file(prm["rho"]))
+    ops = [MeasurementOperator(_load_matrix_file(p)) for p in prm["operators"].split(",")]
     return rho, ops
 
 
-def _run_learn_state(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
-    mode = str(_param(cfg, "mode", "fixture"))
-    delta = float(_param(cfg, "delta", 0.1))
+def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
+    """Learn ``rho`` against ``ops``, replay the record and measure the claims.
+
+    Returns the record, its diagnostics, the true and the replayed acceptance
+    per operator, the largest deviation between them, the correction-count
+    bound and the largest projection trace (the Markov step).
+    """
+    record, diag = learn_state_message(rho, ops, delta, r, tol)
+    estimates = reconstruct_estimates(record, ops, tol=tol)
+    true = np.array([acceptance_probability(e, rho, tol) for e in ops])
+    dev = float(np.max(np.abs(estimates - true)))
+    bound = bad_count_bound(r * record.q, delta)
+    markov = max(diag.projection_traces, default=0.0)
+    return record, diag, true, estimates, dev, bound, markov
+
+
+def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+    mode, delta = prm["mode"], prm["delta"]
     eta = 1.0 - delta / 4.0
-    assertions = []
     if mode in ("fixture", "file"):
         if mode == "fixture":
-            rho, ops = _learn_fixture(cfg, tol)
-            r = _opt_int(_param(cfg, "r")) or 2
+            rho, ops = _learn_fixture()
+            r = prm["r"] or 2
         else:
-            rho, ops = _learn_from_files(cfg)
-            r = _opt_int(_param(cfg, "r")) or default_copies(rho.num_qubits, delta, tol)
-        record, diag = learn_state_message(rho, ops, delta, r, tol)
-        estimates = reconstruct_estimates(record, ops, tol=tol)
+            rho, ops = _learn_from_files(prm)
+            r = prm["r"] or default_copies(rho.num_qubits, delta, tol)
+        record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
+            rho, ops, delta, r, tol
+        )
         corrected = dict(record.entries)
-        rows = []
-        max_dev = 0.0
-        for b, e in enumerate(ops):
-            p_true = acceptance_probability(e, rho, tol)
-            dev = float(abs(estimates[b] - p_true))
-            max_dev = max(max_dev, dev)
-            rows.append(
-                [b, repr(p_true), repr(float(estimates[b])),
-                 "bad" if b in corrected else "good"]
-            )
-        bound = bad_count_bound(r * record.q, delta)
-        markov_max = max(diag.projection_traces, default=0.0)
+        rows = [
+            [b, repr(float(true[b])), repr(float(estimates[b])),
+             "bad" if b in corrected else "good"]
+            for b in range(len(ops))
+        ]
         summary = {
             "T": diag.bad_count,
             "bound": bound,
@@ -345,8 +327,9 @@ def _run_learn_state(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult
     if mode != "random":
         raise ConfigError("learn-state mode must be 'fixture', 'file', or 'random'")
     seed = cfg.require_seed()
-    instances = int(_param(cfg, "instances", 50))
+    instances = prm["instances"]
     rows = []
+    assertions = []
     worst_dev = 0.0
     worst_markov = 0.0
     degenerate = 0
@@ -356,20 +339,15 @@ def _run_learn_state(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult
         c = int(g.integers(2, 4))
         rho = random_density(2**q, g)
         ops = [random_measurement_operator(2**q, g) for _ in range(2**c)]
-        r = _opt_int(_param(cfg, "r")) or default_copies(q, delta, tol)
+        r = prm["r"] or default_copies(q, delta, tol)
         try:
-            record, diag = learn_state_message(rho, ops, delta, r, tol)
+            _, diag, _, _, dev, bound, markov = _learn_round_trip(rho, ops, delta, r, tol)
         except VanishingProjectionError:
             degenerate += 1
             rows.append([i, q, c, r, "", "", "", "degenerate"])
             continue
-        estimates = reconstruct_estimates(record, ops, tol=tol)
-        true = np.array([acceptance_probability(e, rho, tol) for e in ops])
-        dev = float(np.max(np.abs(estimates - true)))
-        markov = max(diag.projection_traces, default=0.0)
         worst_dev = max(worst_dev, dev)
         worst_markov = max(worst_markov, markov)
-        bound = bad_count_bound(r * q, delta)
         ok = diag.bad_count <= bound
         rows.append([i, q, c, r, diag.bad_count, bound, repr(dev), "ok" if ok else "over-bound"])
         assertions.append((f"instance_{i}_corrections_within_bound", ok, bound - diag.bad_count))
@@ -394,14 +372,12 @@ _COMPILE_FIXTURES = {
 }
 
 
-def _run_compile(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
-    name = str(_param(cfg, "fixture", "toy-q1"))
+def _run_compile(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+    name, delta = prm["fixture"], prm["delta"]
     if name not in _COMPILE_FIXTURES:
         raise ConfigError(f"compile fixture must be one of {sorted(_COMPILE_FIXTURES)}")
-    delta = float(_param(cfg, "delta", 0.1))
-    r = _opt_int(_param(cfg, "r"))
     p = _COMPILE_FIXTURES[name]()
-    result = compile_qc_to_cc(p, delta, r, tol)
+    result = compile_qc_to_cc(p, delta, prm["r"], tol)
     rows = []
     worst = 0.0
     for x in p.alice_inputs:
@@ -428,25 +404,17 @@ def _run_compile(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
     )
 
 
-def _run_derandomize(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
-    n = int(_param(cfg, "n", 2))
-    reps = int(_param(cfg, "reps", 1))
-    s = int(_param(cfg, "s", 12))
+def _run_derandomize(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+    s = prm["s"]
     seed = cfg.require_seed()
-    p = equality_code(n, reps=reps)
+    p = equality_code(prm["n"], reps=prm["reps"])
     compiled, table = derandomize_alice(p, s=s, seed=seed, tol=tol)
-    c_b = p.bob_cost.bits
     rows = []
-    max_dev = 0.0
     for x in p.alice_inputs:
-        dist = p.alice_strategy(x, None)
-        for v in range(2**c_b):
-            b = format(v, f"0{c_b}b")
-            target = sum(pa * p.referee.accept_probability(a, b) for a, pa in dist.items())
-            got = sum(p.referee.accept_probability(a, b) for a in table.messages[x]) / table.multiplicity
-            dev = abs(got - target)
-            max_dev = max(max_dev, dev)
-            rows.append([x, b, repr(target), repr(got), repr(dev)])
+        for b, target in table.targets[x].items():
+            got = table.empirical[x][b]
+            rows.append([x, b, repr(target), repr(got), repr(abs(got - target))])
+    max_dev = table.max_deviation
     worst_increase = max(
         abs(exact_acceptance(compiled, x, y, tol) - exact_acceptance(p, x, y, tol))
         for x in p.alice_inputs
@@ -469,11 +437,11 @@ def _run_derandomize(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult
     )
 
 
-def _run_oracle_suite(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResult:
+def _run_oracle_suite(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
     from fractions import Fraction
 
     seed = cfg.require_seed()
-    chain_instances = int(_param(cfg, "instances", 100))
+    chain_instances = prm["instances"]
     rows = []
     assertions = []
 
@@ -522,27 +490,67 @@ def _run_oracle_suite(cfg: ExperimentConfig, tol: Tolerances) -> ExperimentResul
     )
 
 
-_RUNNERS = {
-    "eq-public": _run_eq_public,
-    "eq-code": _run_eq_code,
-    "matching-qc": lambda cfg, tol: _run_matching(cfg, tol, quantum=True),
-    "matching-classical": lambda cfg, tol: _run_matching(cfg, tol, quantum=False),
-    "hidden-matching": _run_hidden_matching,
-    "compile": _run_compile,
-    "learn-state": _run_learn_state,
-    "derandomize": _run_derandomize,
-    "oracle-suite": _run_oracle_suite,
+def _opt_int(v) -> int | None:
+    return None if v in (None, "") else int(v)
+
+
+_REQUIRED = object()
+
+# experiment -> (runner, {param: (cast, default)}); a runner receives the
+# resolved params, and one that samples asks the config for its seed itself
+_TABLE = {
+    "eq-public": (_run_eq_public, {"n": (int, _REQUIRED), "k": (int, 1)}),
+    "eq-code": (_run_eq_code, {"n": (int, _REQUIRED), "reps": (int, 1)}),
+    "matching-qc": (partial(_run_matching, quantum=True), {
+        "n": (int, 64), "instances": (int, 20), "subset_size": (_opt_int, None),
+        "copies": (_opt_int, None), "edges_sent": (_opt_int, None),
+    }),
+    "matching-classical": (partial(_run_matching, quantum=False), {
+        "n": (int, 64), "instances": (int, 20), "subset_size": (_opt_int, None),
+    }),
+    "hidden-matching": (_run_hidden_matching, {"n": (int, 4)}),
+    "compile": (_run_compile, {
+        "fixture": (str, "toy-q1"), "delta": (float, 0.1), "r": (_opt_int, None),
+    }),
+    "learn-state": (_run_learn_state, {
+        "mode": (str, "fixture"), "delta": (float, 0.1), "r": (_opt_int, None),
+        "rho": (str, None), "operators": (str, None), "instances": (int, 50),
+    }),
+    "derandomize": (_run_derandomize, {"n": (int, 2), "reps": (int, 1), "s": (int, 12)}),
+    "oracle-suite": (_run_oracle_suite, {"instances": (int, 100)}),
 }
+EXPERIMENTS = tuple(_TABLE)
+
+
+def _resolve_params(cfg: ExperimentConfig, schema: dict) -> dict:
+    """Cast the declared params, fill in defaults, reject missing and unknown keys."""
+    unknown = sorted(set(cfg.params) - set(schema))
+    if unknown:
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} has no param {', '.join(unknown)}; "
+            f"it accepts {', '.join(schema)}"
+        )
+    out = {}
+    for key, (cast, default) in schema.items():
+        if key not in cfg.params:
+            if default is _REQUIRED:
+                raise ConfigError(f"experiment {cfg.experiment!r} requires --param {key}=...")
+            out[key] = default
+            continue
+        try:
+            out[key] = cast(cfg.params[key])
+        except (TypeError, ValueError) as ex:
+            raise ConfigError(f"--param {key}: {ex}") from None
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one experiment and write its report files under ``cfg.out``."""
-    if cfg.experiment not in _RUNNERS:
+    if cfg.experiment not in _TABLE:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
+    run, schema = _TABLE[cfg.experiment]
     tol = cfg.resolved_tolerances()
-    if cfg.experiment in _SAMPLED:
-        cfg.require_seed()
-    result = _RUNNERS[cfg.experiment](cfg, tol)
+    result = run(cfg, _resolve_params(cfg, schema), tol)
     _write_reports(cfg, result)
     return result
 
@@ -607,10 +615,6 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
                 + [result.summary.get(k, "") for k in seen_summary_keys]
             )
     return path
-
-
-def _opt_int(v) -> int | None:
-    return None if v in (None, "") else int(v)
 
 
 def _parse_value(raw: str):
@@ -696,8 +700,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as ex:
         print(f"cap exceeded: {ex}", file=sys.stderr)
         return EXIT_CAP
-    except VanishingProjectionError as ex:
-        print(f"degenerate instance: {ex}", file=sys.stderr)
+    except (VanishingProjectionError, ReplayMismatchError, PromiseViolationError) as ex:
+        # the run's own data broke a checked claim
+        print(f"check failed: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_ASSERTION
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)

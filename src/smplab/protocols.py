@@ -48,8 +48,6 @@ __all__ = [
     "hidden_matching_relation",
     "toy_quantum_equality",
     "hidden_matching_verification",
-    "build_fixture",
-    "FIXTURE_NAMES",
 ]
 
 
@@ -699,41 +697,3 @@ def hidden_matching_verification(n: int = 4) -> SmpProtocol:
         bob_inputs=tuple(ys),
         quantum=True,
     )
-
-
-FIXTURE_NAMES = (
-    "eq-public",
-    "eq-code",
-    "matching-qc",
-    "matching-classical",
-    "hidden-matching",
-)
-
-
-def build_fixture(name: str, params: dict):
-    """Construct a named protocol fixture from a parameter record."""
-    p = dict(params)
-    if name == "eq-public":
-        return equality_public(int(p.pop("n")), int(p.pop("k", 1)))
-    if name == "eq-code":
-        n = int(p.pop("n"))
-        reps = int(p.pop("reps", 1))
-        return equality_code(n, reps=reps)
-    if name == "matching-qc":
-        return matching_qc(
-            int(p.pop("n")),
-            subset_size=_opt_int(p.pop("subset_size", None)),
-            copies=_opt_int(p.pop("copies", None)),
-            edges_sent=_opt_int(p.pop("edges_sent", None)),
-        )
-    if name == "matching-classical":
-        return matching_classical(
-            int(p.pop("n")), subset_size=_opt_int(p.pop("subset_size", None))
-        )
-    if name == "hidden-matching":
-        return hidden_matching_relation(int(p.pop("n")))
-    raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
-
-
-def _opt_int(v) -> int | None:
-    return None if v is None else int(v)

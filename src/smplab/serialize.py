@@ -1,4 +1,4 @@
-"""File formats for matrices and fixture descriptions.
+"""File formats for matrices.
 
 Matrices travel in a small versioned binary container (magic, version, dim,
 then row-major (re, im) float64 pairs) or in a human-readable text form.
@@ -6,7 +6,6 @@ then row-major (re, im) float64 pairs) or in a human-readable text form.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
@@ -76,15 +75,3 @@ def matrix_from_text(text: str) -> np.ndarray:
             re, im = cell.split(",")
             out[i, j] = complex(float(re), float(im))
     return out
-
-
-def save_fixture(path: str | Path, name: str, params: dict) -> None:
-    """Declarative protocol fixture: a name plus a parameter record."""
-    Path(path).write_text(json.dumps({"name": name, "params": params}, indent=2))
-
-
-def load_fixture(path: str | Path) -> tuple[str, dict]:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "name" not in doc:
-        raise ValueError("fixture file must be an object with a 'name' field")
-    return str(doc["name"]), dict(doc.get("params", {}))

@@ -44,7 +44,6 @@ __all__ = [
     "empirical_success",
     "SuccessReport",
     "wilson_interval",
-    "fix_coin",
     "uniform_int_coin",
     "subset_coin",
     "validate_distribution",
@@ -148,11 +147,10 @@ class Cost:
 class TableReferee:
     """Classical referee: acceptance probability per message pair."""
 
-    fn: Callable[..., float]
-    needs_coin: bool = False
+    fn: Callable[[str, str], float]
 
     def accept_probability(self, a: str, b: str, coin=None) -> float:
-        return self.fn(a, b, coin) if self.needs_coin else self.fn(a, b)
+        return self.fn(a, b)
 
 
 @dataclass(frozen=True)
@@ -201,10 +199,6 @@ class SmpProtocol:
     alice_inputs: tuple | None = None
     bob_inputs: tuple | None = None
     quantum: bool = False
-
-    @property
-    def coin_mode(self) -> str:
-        return "public" if self.coin is not None else "private"
 
 
 @dataclass(frozen=True)
@@ -405,40 +399,3 @@ def empirical_success(
     total = len(pair_list) * trials_per_pair
     rate, lo, hi = wilson_interval(successes, total)
     return SuccessReport(successes, total, rate, lo, hi, tuple(per_pair), abstained)
-
-
-class _BoundReferee:
-    """Referee with the public coin already filled in; mirrors the inner surface."""
-
-    def __init__(self, inner, coin_value):
-        if hasattr(inner, "accept_probability"):
-            self.accept_probability = (
-                lambda a, b, coin=None: inner.accept_probability(a, b, coin_value)
-            )
-        if hasattr(inner, "output_distribution"):
-            self.output_distribution = (
-                lambda a, b, coin=None: inner.output_distribution(a, b, coin_value)
-            )
-        if hasattr(inner, "sample_output"):
-            self.sample_output = lambda a, b, rng, coin=None, info=None: inner.sample_output(
-                a, b, rng, coin_value, info=info
-            )
-
-
-def fix_coin(p: SmpProtocol, coin_value) -> SmpProtocol:
-    """Condition a public-coin protocol on one coin outcome."""
-    if p.coin is None:
-        raise ValueError("protocol has no public coin")
-    bound = _BoundReferee(p.referee, coin_value)
-    return SmpProtocol(
-        name=f"{p.name}|coin",
-        alice_strategy=lambda x, _coin, _v=coin_value: p.alice_strategy(x, _v),
-        bob_strategy=lambda y, _coin, _v=coin_value: p.bob_strategy(y, _v),
-        referee=bound,
-        alice_cost=p.alice_cost,
-        bob_cost=p.bob_cost,
-        coin=None,
-        alice_inputs=p.alice_inputs,
-        bob_inputs=p.bob_inputs,
-        quantum=p.quantum,
-    )

@@ -40,7 +40,14 @@ from .qcore import (
     maximally_mixed,
     project_renormalize,
 )
-from .smp import Cost, SmpProtocol, TableReferee, bitstring, validate_distribution
+from .smp import (
+    Cost,
+    SmpProtocol,
+    TableReferee,
+    bitstring,
+    sample_from_distribution,
+    validate_distribution,
+)
 from .rng import derive_seed, trial_rng
 
 __all__ = [
@@ -129,12 +136,16 @@ class LearnRecord:
     def from_bytes(cls, data: bytes) -> "LearnRecord":
         if data[:4] != b"LRN1":
             raise ValueError("not a learning record (bad magic)")
+        if len(data) < 28:
+            raise ValueError(f"truncated learning record header ({len(data)} of 28 bytes)")
         q, c, r, delta = struct.unpack("<IIId", data[4:24])
         (count,) = struct.unpack("<I", data[24:28])
-        entries = []
-        for t in range(count):
-            b, p = struct.unpack("<Id", data[28 + 12 * t : 40 + 12 * t])
-            entries.append((b, p))
+        if len(data) != 28 + 12 * count:
+            raise ValueError(
+                f"learning record of {count} entries needs {28 + 12 * count} bytes, "
+                f"got {len(data)}"
+            )
+        entries = [struct.unpack("<Id", data[28 + 12 * t : 40 + 12 * t]) for t in range(count)]
         return cls(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
 
     def text_dump(self) -> str:
@@ -336,14 +347,19 @@ class DeterministicMessageTable:
     For every Alice input the table holds ``multiplicity`` messages whose
     empirical referee response is within 1/10 of the randomized expectation
     for every possible Bob message; verification is part of construction.
+    ``targets[x][b]`` and ``empirical[x][b]`` are the expectation and the
+    multiset's average response that the verification compared.
     """
 
     multiplicity: int
     messages: Mapping[object, tuple[str, ...]]
     max_deviation: float
+    targets: Mapping[object, Mapping[str, float]]
+    empirical: Mapping[object, Mapping[str, float]]
 
     def __post_init__(self):
-        object.__setattr__(self, "messages", dict(self.messages))
+        for name in ("messages", "targets", "empirical"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
 
 
 def derandomize_alice(
@@ -367,8 +383,8 @@ def derandomize_alice(
         raise ValueError("only private-coin protocols can be derandomized this way")
     if p.quantum:
         raise ValueError("Alice must be classical; compile quantum messages first")
-    if s < 1:
-        raise ValueError("need s >= 1")
+    if s < 1 or max_attempts < 1:
+        raise ValueError("need s >= 1 and max_attempts >= 1")
     if p.alice_inputs is None:
         raise ValueError("needs an explicit Alice input set")
 
@@ -382,6 +398,8 @@ def derandomize_alice(
         return sum(pa * referee.accept_probability(a, b, None) for a, pa in dist.items())
 
     table: dict[object, tuple[str, ...]] = {}
+    all_targets: dict[object, dict[str, float]] = {}
+    all_empirical: dict[object, dict[str, float]] = {}
     worst_dev = 0.0
     for xi, x in enumerate(p.alice_inputs):
         dist = p.alice_strategy(x, None)
@@ -391,30 +409,35 @@ def derandomize_alice(
         for attempt in range(max_attempts):
             rng = trial_rng(derive_seed(seed, xi), attempt)
             candidate = tuple(
-                _draw(dist, rng) for _ in range(multiplicity)
+                sample_from_distribution(dist, rng) for _ in range(multiplicity)
             )
-            dev = max(
-                abs(
-                    sum(referee.accept_probability(a, b, None) for a in candidate)
-                    / multiplicity
-                    - targets[b]
-                )
+            empirical = {
+                b: sum(referee.accept_probability(a, b, None) for a in candidate)
+                / multiplicity
                 for b in all_b
-            )
+            }
+            devs = {b: abs(empirical[b] - targets[b]) for b in all_b}
+            dev = max(devs.values())
             if dev <= 0.1:
                 chosen = candidate
                 worst_dev = max(worst_dev, dev)
                 break
         if chosen is None:
-            bad_b = max(all_b, key=lambda b: abs(targets[b]))
+            bad_b = max(devs, key=devs.get)
             raise ValueError(
                 f"no verified multiset within {max_attempts} attempts for input {x!r} "
-                f"(hardest Bob message {bad_b}); increase s"
+                f"(largest deviation {devs[bad_b]:.4f} at Bob message {bad_b}); increase s"
             )
         table[x] = chosen
+        all_targets[x] = targets
+        all_empirical[x] = empirical
 
     message_table = DeterministicMessageTable(
-        multiplicity=multiplicity, messages=table, max_deviation=worst_dev
+        multiplicity=multiplicity,
+        messages=table,
+        max_deviation=worst_dev,
+        targets=all_targets,
+        empirical=all_empirical,
     )
 
     def new_alice(x, _coin) -> dict[str, float]:
@@ -435,12 +458,6 @@ def derandomize_alice(
         bob_inputs=p.bob_inputs,
     )
     return compiled, message_table
-
-
-def _draw(dist: Mapping[str, float], rng: np.random.Generator) -> str:
-    keys = list(dist)
-    probs = np.fromiter(dist.values(), dtype=float)
-    return keys[rng.choice(len(keys), p=probs / probs.sum())]
 
 
 @dataclass(frozen=True)
@@ -517,7 +534,7 @@ def compile_qc_to_cc(
         key = x if p.coin is None else (x, coin)
         return {messages[key]: 1.0}
 
-    def new_accept(a: str, b: str, coin=None) -> float:
+    def new_accept(a: str, b: str) -> float:
         return float(reconstruct(a)[int(b, 2) if b else 0])
 
     compiled = SmpProtocol(

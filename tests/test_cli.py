@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from smplab.cli import (
+    EXIT_ASSERTION,
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
@@ -12,8 +13,7 @@ from smplab.cli import (
     run_experiment,
     sweep,
 )
-from smplab.protocols import build_fixture
-from smplab.serialize import load_fixture, save_fixture
+from smplab.errors import PromiseViolationError, ReplayMismatchError
 
 
 def read_summary(path: Path) -> dict:
@@ -149,15 +149,39 @@ class TestMainExitCodes:
     def test_failed_assertion_maps_to_exit_3(self, tmp_path, monkeypatch):
         import smplab.cli as cli
 
-        def failing_runner(cfg, tol):
+        def failing_runner(cfg, prm, tol):
             return cli.ExperimentResult(
                 columns=["x"], rows=[[0]], summary={"value": 1},
                 assertions=[("forced", False, -1.0)],
             )
 
-        monkeypatch.setitem(cli._RUNNERS, "eq-public", failing_runner)
+        monkeypatch.setitem(cli._TABLE, "eq-public", (failing_runner, {}))
         code = cli.main(["--experiment", "eq-public", "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("error", [ReplayMismatchError, PromiseViolationError])
+    def test_broken_claim_errors_map_to_exit_3(self, tmp_path, monkeypatch, error):
+        import smplab.cli as cli
+
+        def raising_runner(cfg, prm, tol):
+            raise error("forced")
+
+        monkeypatch.setitem(cli._TABLE, "eq-public", (raising_runner, {}))
+        code = cli.main(["--experiment", "eq-public", "--out", str(tmp_path)])
+        assert code == EXIT_ASSERTION
+
+    def test_unknown_param_names_key_and_accepted_keys(self, tmp_path, capsys):
+        code = main([
+            "--experiment", "learn-state", "--param", "q=1", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'learn-state' has no param q" in err
+        assert "mode, delta, r, rho, operators, instances" in err
+
+    def test_uncastable_param_is_config_error(self, tmp_path):
+        code = main(["--experiment", "eq-public", "--param", "n=two", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
 
     def test_config_file_mirrors_flags(self, tmp_path):
         doc = {
@@ -251,11 +275,3 @@ class TestReproducibility:
         run_experiment(cfg)
         for name, data in first.items():
             assert (tmp_path / name).read_bytes() == data
-
-
-def test_fixture_file_roundtrip(tmp_path):
-    path = tmp_path / "fixture.json"
-    save_fixture(path, "eq-public", {"n": 3, "k": 2})
-    name, params = load_fixture(path)
-    protocol = build_fixture(name, params)
-    assert protocol.name == "eq-public(n=3,k=2)"

@@ -1,0 +1,29 @@
+"""Smoke test: every narrative demo runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if demo.stem == "05_matching_problem":
+        # twenty distinct instances, not one instance scored twenty times
+        assert "(value 0)" in proc.stdout and "(value 1)" in proc.stdout
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 6

@@ -1,0 +1,84 @@
+"""Byte identity of CLI reports for commands the benchmark does not pin.
+
+The digests were recorded before the CLI was reworked around one experiment
+table; a change that alters any report byte must say so and re-record them.
+Each run writes to a relative ``--out`` inside a fresh working directory, so
+the ``_config.json`` echo (which records the output path) hashes the same on
+every machine.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from smplab.cli import EXIT_OK, main
+
+REPORTS = ("_rows.csv", "_summary.txt", "_config.json")
+
+GOLDEN = {
+    "hidden-matching": (
+        ["--experiment", "hidden-matching", "--param", "n=4"],
+        {
+            "hidden-matching_rows.csv": "9fe10e659e21cb42ce00319b84c4a2eb4890c71c2592146594bf3119110606b2",
+            "hidden-matching_summary.txt": "1fa74813e89f42dbd5df0f2a227219e1f17bd34266ad54d9dd796a20cfda1877",
+            "hidden-matching_config.json": "02111073e59258a9ea25c092da78218a21ef7b3f89d693fe3dad14d20348357f",
+        },
+    ),
+    "compile-toy-q1": (
+        ["--experiment", "compile", "--param", "fixture=toy-q1", "--param", "r=3"],
+        {
+            "compile_rows.csv": "5a71b9600309da8ef9d776ee56ee5add26bb9ceea3ecd0acd76dec8887f75e4b",
+            "compile_summary.txt": "c4808fd36b8e35cc4fdfede2af76fbed480a3fe695e53bbc81627fd65b1becef",
+            "compile_config.json": "76f7d9613ded62470a30ba606f789622560f950da131e3374b0c5359efc6d5da",
+        },
+    ),
+    "compile-toy-q2": (
+        ["--experiment", "compile", "--param", "fixture=toy-q2"],
+        {
+            "compile_rows.csv": "9774b2650ae2579adc31244c6f042ecf356eb8bb6bb11373ec7612aaa8827045",
+            "compile_summary.txt": "002e5d40c063b61ef3af75df18babb925ba7721142e71194a6b24fa1233a7fd0",
+            "compile_config.json": "88b27567e0cfe2ea19a6918263bbfec7cd9956e3224807bbc8c9c010db3201a2",
+        },
+    ),
+    "learn-state-fixture": (
+        ["--experiment", "learn-state"],
+        {
+            "learn-state_rows.csv": "8efda4d70841ba1c95f58f73d812c917e63730559c86f7fb69cd3042d2affd2c",
+            "learn-state_summary.txt": "a78ccc7f012ea25e41fd3bc6a7bd553f8eaca2e23d3f4fcdb867212240601b73",
+            "learn-state_config.json": "56994f461948b4527f21b2d0a821fe753ba65719e4d7446e3a458fcf8f493dc0",
+        },
+    ),
+    "derandomize": (
+        ["--experiment", "derandomize", "--param", "n=2", "--param", "s=12", "--seed", "3"],
+        {
+            "derandomize_rows.csv": "dc10e3ea548f86be5ea61a66bc873c6c4dd9d9d32dd1bd6dc4857d1272dcb971",
+            "derandomize_summary.txt": "53b130d0894950536a9ce1af667170425d01a017187dc50aee31ba7894ed05f1",
+            "derandomize_config.json": "07adf731bfa0b3a07f6db310664ce508c1a7fc639f023b9fe6d86491ce9e8d4c",
+        },
+    ),
+    "matching-classical": (
+        ["--experiment", "matching-classical", "--param", "n=16", "--param", "instances=3",
+         "--trials", "40", "--seed", "77"],
+        {
+            "matching-classical_rows.csv": "d98cefa7d79cb1a4800e3ede93b633d323ff29c5b6be0174e9c31ef908f8602b",
+            "matching-classical_summary.txt": "a201266ecced2b84c1585a2f392c61f005611873fd4031dd896b7ff17802f5c1",
+            "matching-classical_config.json": "c0f1e3ca08eb882902140b49afca2ca8723cb61cb609fef65ddf71bfcf845d33",
+        },
+    ),
+    "eq-public-sweep": (
+        ["--experiment", "eq-public", "--param", "n=2", "--sweep-param", "k",
+         "--sweep-values", "1,2,3"],
+        {"eq-public_sweep.csv": "0fe3571801957767bb8b4e7033e745f3a9f77d6c001d8b3c317ffdecedcb0895"},
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_report_bytes_unchanged(label, tmp_path, monkeypatch):
+    argv, digests = GOLDEN[label]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out"]) == EXIT_OK
+    got = {name: hashlib.sha256((Path("out") / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from smplab.codes import encode, hadamard_code
 from smplab.errors import PromiseViolationError
 from smplab.protocols import (
     MatchingInstance,
-    build_fixture,
     equality_code,
     equality_code_acceptance,
     equality_function,
@@ -22,7 +23,7 @@ from smplab.protocols import (
 )
 from smplab.qcore import acceptance_probability
 from smplab.rng import trial_rng
-from smplab.smp import exact_acceptance, fix_coin, worst_case_error
+from smplab.smp import CoinSpace, exact_acceptance, worst_case_error
 
 
 class TestEqualityPublic:
@@ -167,7 +168,10 @@ class TestMatchingProtocols:
         # output distribution is exactly enumerable
         p = matching_qc(4, subset_size=4, copies=2, edges_sent=2)
         inst = MatchingInstance(4, (1, 0, 0, 1), ((0, 1), (2, 3)), (1, 1))
-        fixed = fix_coin(p, (0, 1, 2, 3))
+        subset = (0, 1, 2, 3)
+        fixed = replace(p, coin=CoinSpace(
+            sampler=lambda rng: subset, size=1, outcomes=lambda: [(subset, 1.0)]
+        ))
         acc = exact_acceptance(fixed, inst.x, inst.bob_input)
         dist = p.referee.output_distribution(
             p.alice_strategy(inst.x, (0, 1, 2, 3)),
@@ -288,14 +292,3 @@ class TestToyFixtures:
         assert exact_acceptance(p, 1, 2) == pytest.approx(
             acceptance_probability(e, rho), abs=1e-12
         )
-
-
-def test_build_fixture_names():
-    assert build_fixture("eq-public", {"n": 2, "k": 1}).name.startswith("eq-public")
-    assert build_fixture("eq-code", {"n": 2}).name.startswith("eq-code")
-    assert build_fixture("matching-qc", {"n": 8}).quantum
-    assert not build_fixture("matching-classical", {"n": 8}).quantum
-    protocol, relation = build_fixture("hidden-matching", {"n": 4})
-    assert protocol.quantum and relation is not None
-    with pytest.raises(ValueError, match="unknown fixture"):
-        build_fixture("nope", {})

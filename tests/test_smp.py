@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,13 @@ from smplab.protocols import (
 )
 from smplab.rng import trial_rng
 from smplab.smp import (
+    CoinSpace,
     Cost,
     FunctionTable,
     RelationTable,
     SmpProtocol,
     TableReferee,
     exact_acceptance,
-    fix_coin,
     protocol_cost,
     sampled_acceptance,
     uniform_int_coin,
@@ -169,7 +171,11 @@ class TestPublicCoinConditioning:
             joint = exact_acceptance(p, x, y)
             conditioned = 0.0
             for coin_value, prob in p.coin.enumerate():
-                conditioned += prob * exact_acceptance(fix_coin(p, coin_value), x, y)
+                one = CoinSpace(
+                    sampler=lambda rng, v=coin_value: v, size=1,
+                    outcomes=lambda v=coin_value: [(v, 1.0)],
+                )
+                conditioned += prob * exact_acceptance(replace(p, coin=one), x, y)
             assert abs(joint - conditioned) <= 1e-12
 
 

@@ -209,6 +209,18 @@ class TestRecordEncoding:
         rec = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 1.0),))
         assert LearnRecord.from_bytes(rec.to_bytes()) == rec
 
+    @pytest.mark.parametrize("cut", [3, 10, 27, 28, 30, 45, -1])
+    def test_truncated_bytes_raise_value_error(self, cut):
+        data = LearnRecord(q=1, c=2, r=2, delta=0.1, entries=((0, 1.0), (3, 0.25))).to_bytes()
+        assert len(data) == 28 + 2 * 12
+        with pytest.raises(ValueError):
+            LearnRecord.from_bytes(data[:cut])
+
+    def test_trailing_bytes_raise_value_error(self):
+        data = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 1.0),)).to_bytes()
+        with pytest.raises(ValueError, match="needs 40 bytes, got 41"):
+            LearnRecord.from_bytes(data + b"\x00")
+
     def test_text_dump_mentions_every_entry(self):
         rec = LearnRecord(q=1, c=2, r=2, delta=0.1, entries=((1, 0.5), (2, 0.25)))
         dump = rec.text_dump()
@@ -251,6 +263,7 @@ class TestDerandomizeAlice:
                     p.referee.accept_probability(a, b) for a in table.messages[x]
                 ) / table.multiplicity
                 assert abs(got - target) <= 0.1
+                assert (table.targets[x][b], table.empirical[x][b]) == (target, got)
         worst = max(
             abs(exact_acceptance(compiled, x, y) - exact_acceptance(p, x, y))
             for x in range(4)
@@ -266,6 +279,24 @@ class TestDerandomizeAlice:
         assert compiled.alice_cost.bits == 12 * c_b * c_a
         (msg,) = compiled.alice_strategy(0, None)
         assert len(msg) == compiled.alice_cost.bits
+
+    def test_failure_names_largest_deviation(self):
+        # hand computation: Alice sends a fair bit and s * c_B = 1 copy is
+        # drawn.  Bob message 0 is always accepted (target 1, deviation 0);
+        # Bob message 1 is accepted iff Alice's bit is 1 (target 1/2, empirical
+        # 0 or 1), so its deviation is 1/2 on every draw and no multiset passes
+        p = SmpProtocol(
+            name="fair-bit",
+            alice_strategy=lambda x, c: {"0": 0.5, "1": 0.5},
+            bob_strategy=lambda y, c: {"1": 1.0},
+            referee=TableReferee(fn=lambda a, b: 1.0 if b == "0" else float(a == "1")),
+            alice_cost=Cost(bits=1),
+            bob_cost=Cost(bits=1),
+            alice_inputs=(0,),
+            bob_inputs=(0,),
+        )
+        with pytest.raises(ValueError, match=r"largest deviation 0\.5000 at Bob message 1\)"):
+            derandomize_alice(p, s=1, max_attempts=3)
 
     def test_rejects_public_coin_and_quantum(self):
         from smplab.protocols import equality_public, toy_quantum_equality
