@@ -63,8 +63,8 @@ from .qcore import (
 from .rng import derive_seed, trial_rng
 from .smp import (
     RelationTable,
+    acceptance_table,
     empirical_success,
-    exact_acceptance,
     protocol_cost,
 )
 from .transforms import (
@@ -118,16 +118,23 @@ class ExperimentResult:
         return all(ok for _, ok, _ in self.assertions)
 
 
+def _pair_table(p, xs, ys, tol: Tolerances) -> dict:
+    """Exact acceptance of every (x, y) in xs x ys, as Python floats keyed by pair."""
+    rows = acceptance_table(p, xs, ys, tol).tolist()
+    return {(x, y): acc for x, row in zip(xs, rows) for y, acc in zip(ys, row)}
+
+
 def _run_eq_public(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
     n = prm["n"]
     if n > 5:
         raise CapExceededError("eq-public exhaustive report capped at n <= 5")
     p = equality_public(n, prm["k"])
     f = equality_function(n)
+    table = _pair_table(p, f.alice_inputs, f.bob_inputs, tol)
     rows = []
     worst = 0.0
     for x, y in f.domain:
-        acc = exact_acceptance(p, x, y, tol)
+        acc = table[x, y]
         err = abs(f(x, y) - acc)
         worst = max(worst, err)
         rows.append([x, y, f(x, y), repr(acc), repr(err)])
@@ -149,6 +156,8 @@ def _run_eq_code(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Experimen
     p = equality_code(n, code, reps)
     f = equality_function(n)
     enumerable = (code.grid_cols**reps) * (code.grid_rows**reps) <= tol.enum_cap
+    if enumerable:
+        table = _pair_table(p, f.alice_inputs, f.bob_inputs, tol)
     rows = []
     worst = 0.0
     cross_gap = 0.0
@@ -157,7 +166,7 @@ def _run_eq_code(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Experimen
         worst = max(worst, abs(f(x, y) - closed))
         enum_cell = ""
         if enumerable:
-            enum_acc = exact_acceptance(p, x, y, tol)
+            enum_acc = table[x, y]
             cross_gap = max(cross_gap, abs(enum_acc - closed))
             enum_cell = repr(enum_acc)
         rows.append([x, y, f(x, y), repr(closed), enum_cell])
@@ -378,12 +387,15 @@ def _run_compile(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Experimen
         raise ConfigError(f"compile fixture must be one of {sorted(_COMPILE_FIXTURES)}")
     p = _COMPILE_FIXTURES[name]()
     result = compile_qc_to_cc(p, delta, prm["r"], tol)
+    xs, ys = p.alice_inputs, p.bob_inputs
+    table_before = _pair_table(p, xs, ys, tol)
+    table_after = _pair_table(result.protocol, xs, ys, tol)
     rows = []
     worst = 0.0
-    for x in p.alice_inputs:
-        for y in p.bob_inputs:
-            before = exact_acceptance(p, x, y, tol)
-            after = exact_acceptance(result.protocol, x, y, tol)
+    for x in xs:
+        for y in ys:
+            before = table_before[x, y]
+            after = table_after[x, y]
             inc = abs(after - before)
             worst = max(worst, inc)
             rows.append([repr(x), repr(y), repr(before), repr(after), repr(inc)])
@@ -415,11 +427,10 @@ def _run_derandomize(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
             got = table.empirical[x][b]
             rows.append([x, b, repr(target), repr(got), repr(abs(got - target))])
     max_dev = table.max_deviation
-    worst_increase = max(
-        abs(exact_acceptance(compiled, x, y, tol) - exact_acceptance(p, x, y, tol))
-        for x in p.alice_inputs
-        for y in p.bob_inputs
-    )
+    xs, ys = p.alice_inputs, p.bob_inputs
+    before = _pair_table(p, xs, ys, tol)
+    after = _pair_table(compiled, xs, ys, tol)
+    worst_increase = max(abs(after[x, y] - before[x, y]) for x in xs for y in ys)
     summary = {
         "s": s,
         "multiset_size": table.multiplicity,
@@ -490,8 +501,15 @@ def _run_oracle_suite(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Expe
     )
 
 
+def _int(v) -> int:
+    """``v`` as an int; a float must be integral (2.0 is 2, 2.7 is an error)."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _opt_int(v) -> int | None:
-    return None if v in (None, "") else int(v)
+    return None if v in (None, "") else _int(v)
 
 
 _REQUIRED = object()
@@ -499,25 +517,25 @@ _REQUIRED = object()
 # experiment -> (runner, {param: (cast, default)}); a runner receives the
 # resolved params, and one that samples asks the config for its seed itself
 _TABLE = {
-    "eq-public": (_run_eq_public, {"n": (int, _REQUIRED), "k": (int, 1)}),
-    "eq-code": (_run_eq_code, {"n": (int, _REQUIRED), "reps": (int, 1)}),
+    "eq-public": (_run_eq_public, {"n": (_int, _REQUIRED), "k": (_int, 1)}),
+    "eq-code": (_run_eq_code, {"n": (_int, _REQUIRED), "reps": (_int, 1)}),
     "matching-qc": (partial(_run_matching, quantum=True), {
-        "n": (int, 64), "instances": (int, 20), "subset_size": (_opt_int, None),
+        "n": (_int, 64), "instances": (_int, 20), "subset_size": (_opt_int, None),
         "copies": (_opt_int, None), "edges_sent": (_opt_int, None),
     }),
     "matching-classical": (partial(_run_matching, quantum=False), {
-        "n": (int, 64), "instances": (int, 20), "subset_size": (_opt_int, None),
+        "n": (_int, 64), "instances": (_int, 20), "subset_size": (_opt_int, None),
     }),
-    "hidden-matching": (_run_hidden_matching, {"n": (int, 4)}),
+    "hidden-matching": (_run_hidden_matching, {"n": (_int, 4)}),
     "compile": (_run_compile, {
         "fixture": (str, "toy-q1"), "delta": (float, 0.1), "r": (_opt_int, None),
     }),
     "learn-state": (_run_learn_state, {
         "mode": (str, "fixture"), "delta": (float, 0.1), "r": (_opt_int, None),
-        "rho": (str, None), "operators": (str, None), "instances": (int, 50),
+        "rho": (str, None), "operators": (str, None), "instances": (_int, 50),
     }),
-    "derandomize": (_run_derandomize, {"n": (int, 2), "reps": (int, 1), "s": (int, 12)}),
-    "oracle-suite": (_run_oracle_suite, {"instances": (int, 100)}),
+    "derandomize": (_run_derandomize, {"n": (_int, 2), "reps": (_int, 1), "s": (_int, 12)}),
+    "oracle-suite": (_run_oracle_suite, {"instances": (_int, 100)}),
 }
 EXPERIMENTS = tuple(_TABLE)
 

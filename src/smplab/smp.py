@@ -37,6 +37,7 @@ __all__ = [
     "OperatorReferee",
     "FunctionTable",
     "RelationTable",
+    "acceptance_table",
     "exact_acceptance",
     "sampled_acceptance",
     "worst_case_error",
@@ -256,20 +257,194 @@ class RelationTable:
         return [pair for pair, w in self.mu.items() if w]
 
 
-def _accept_for_terms(p: SmpProtocol, payload, b: str, coin) -> float:
+def _accept_for_terms(p: SmpProtocol) -> Callable[[object, str, object], float]:
+    """The referee's acceptance probability; a relational referee accepts on output 1."""
     ref = p.referee
     if hasattr(ref, "accept_probability"):
-        return ref.accept_probability(payload, b, coin)
-    dist = ref.output_distribution(payload, b, coin)
-    return float(dist.get(1, 0.0))
+        return ref.accept_probability
+    return lambda payload, b, coin: float(ref.output_distribution(payload, b, coin).get(1, 0.0))
 
 
-def exact_acceptance(p: SmpProtocol, x, y, tol: Tolerances = DEFAULT) -> float:
-    """Exact acceptance probability: full expectation over coin and messages.
+# Terms one numpy step of ``acceptance_table`` holds in an array (at least one
+# (coin, Alice message) row of them), so its memory does not grow with pairs
+# times coins.
+_BLOCK_TERMS = 1 << 14
 
-    Deterministic; raises :class:`EnumerationCapError` when the coin space is
-    not enumerable or the term count would exceed ``tol.enum_cap``.
+
+class _Side:
+    """One party's supports over the pending coins, flat in (coin, input) order."""
+
+    def __init__(self, strategy, inputs: list, bits: int, tol: Tolerances, quantum: bool):
+        self.strategy, self.inputs, self.bits, self.tol = strategy, inputs, bits, tol
+        self.quantum = quantum
+        self.clear()
+
+    def clear(self) -> None:
+        self.sizes: list[int] = []
+        self.probs: list = []
+        self.ids: list[int] = []
+        self.distinct: list[int] = []
+
+    def add(self, coin) -> tuple[list, int]:
+        """Run the strategy once per input at ``coin`` and validate each distribution.
+
+        Returns the coin's distinct messages (indexed by the stored ids) and
+        its largest support.  When ``quantum`` is set, a payload that is not
+        a distribution is a message of its own with probability 1.0.
+        """
+        ids: dict = {}
+        payloads: dict[int, object] = {}
+        sizes, probs, idx = self.sizes, self.probs, self.ids
+        widest = 1
+        for v in self.inputs:
+            dist = self.strategy(v, coin)
+            if self.quantum and not isinstance(dist, (dict, Mapping)):
+                # a message of its own, keyed by a tuple, which no string equals
+                i = ids[(len(sizes),)] = len(ids)
+                payloads[i] = dist
+                idx.append(i)
+                probs.append(1.0)
+                sizes.append(1)
+                continue
+            validate_distribution(dist, self.bits, self.tol)
+            for msg, pr in dist.items():
+                idx.append(ids.setdefault(msg, len(ids)))
+                probs.append(pr)
+            sizes.append(len(dist))
+            if len(dist) > widest:
+                widest = len(dist)
+        self.distinct.append(len(ids))
+        msgs = list(ids)
+        for i, payload in payloads.items():
+            msgs[i] = payload
+        return msgs, widest
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-coin counts and (coin, slot, input) probability and message-id arrays.
+
+        Slots past an input's support get probability 0 and message id 0.
+        """
+        coins, k = len(self.distinct), len(self.inputs)
+        sizes = np.array(self.sizes)
+        width = int(sizes.max())
+        prob = np.zeros((len(sizes), width))
+        idx = np.zeros((len(sizes), width), dtype=np.int64)
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        col = np.arange(len(self.ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        prob[row, col] = self.probs
+        idx[row, col] = self.ids
+        return (
+            sizes.reshape(coins, k),
+            prob.reshape(coins, k, width).transpose(0, 2, 1),
+            idx.reshape(coins, k, width).transpose(0, 2, 1),
+        )
+
+
+class _Tabulation:
+    """Running sums of one ``acceptance_table`` call, fed one coin at a time.
+
+    ``add_coin`` runs both strategies once per input, validates every
+    distribution and calls the referee once per distinct (Alice message, Bob
+    message) pair of the coin; ``flush`` adds the pending coins' terms to the
+    sums in numpy, in the order coin, Alice message, Bob message, so every
+    sum equals the scalar loop over the same terms.
     """
+
+    def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances):
+        self.xs, self.ys, self.cap = xs, ys, tol.enum_cap
+        self.alice = _Side(p.alice_strategy, xs, p.alice_cost.bits, tol, True)
+        self.bob = _Side(p.bob_strategy, ys, p.bob_cost.bits, tol, False)
+        self.accept = _accept_for_terms(p)
+        self.total = np.zeros((1, len(xs) * len(ys)))
+        self.terms = np.zeros((len(xs), len(ys)), dtype=np.int64)
+        self.terms_max = 0
+        self.cp: list[float] = []
+        self.acc: list[float] = []
+        self.bound = 0  # sum over pending coins of their largest per-pair term count
+
+    def _check_cap(self) -> None:
+        """Raise when some pair's term count, pending coins included, passes the cap."""
+        la = np.array(self.alice.sizes).reshape(-1, len(self.xs))
+        lb = np.array(self.bob.sizes).reshape(-1, len(self.ys))
+        over = np.argwhere(self.terms + la.T @ lb > self.cap)
+        if len(over):
+            i, j = over[0]
+            raise EnumerationCapError(
+                f"term count exceeds budget {self.cap} at ({self.xs[i]!r}, {self.ys[j]!r})"
+            )
+
+    def add_coin(self, coin, cp: float) -> None:
+        a_msgs, wa = self.alice.add(coin)
+        b_msgs, wb = self.bob.add(coin)
+        self.bound += wa * wb
+        near_cap = self.terms_max + self.bound > self.cap
+        if near_cap:
+            self._check_cap()
+        accept = self.accept
+        self.acc += [accept(a, b, coin) for a in a_msgs for b in b_msgs]
+        self.cp.append(cp)
+        if near_cap or len(self.acc) + len(self.alice.ids) + len(self.bob.ids) >= _BLOCK_TERMS:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.cp:
+            return
+        n, nx, ny = len(self.cp), len(self.xs), len(self.ys)
+        la, pa, ia = self.alice.padded()
+        lb, pb, ib = self.bob.padded()
+        ma, mb = pa.shape[1], pb.shape[1]
+        # the referee's answers, coin by coin, each a row-major na x nb table;
+        # a padded slot has probability 0 and reads message 0's answer, so
+        # while every answer is finite its term is a zero, which leaves the
+        # sum unchanged
+        table = np.array(self.acc, dtype=float)
+        if not np.isfinite(table).all():
+            raise ValueError("referee returned a non-finite acceptance probability")
+        na, nb = np.array(self.alice.distinct), np.array(self.bob.distinct)
+        offset = np.cumsum(na * nb) - na * nb
+        # rows are (coin, Alice slot): per row and x, the weight cp * pa and
+        # the start of the Alice message's row in the referee table
+        cpa = (np.array(self.cp)[:, None, None] * pa).reshape(n * ma, nx)
+        start = (offset[:, None, None] + ia * nb[:, None, None]).reshape(n * ma, nx)
+        row_coin = np.repeat(np.arange(n), ma)
+        step = max(1, _BLOCK_TERMS // (mb * nx * ny))
+        total = self.total
+        for r in range(0, n * ma, step):
+            rc = row_coin[r : r + step]
+            block = cpa[r : r + step, None, :, None] * pb[rc][:, :, None, :]
+            block *= table[start[r : r + step, None, :, None] + ib[rc][:, :, None, :]]
+            seq = block.reshape(-1, nx * ny)
+            seq[0] += total[0]
+            np.add.accumulate(seq, axis=0, out=seq)
+            total = seq[-1:].copy()
+        self.total = total
+        self.terms += la.T @ lb
+        self.terms_max = int(self.terms.max())
+        self.alice.clear()
+        self.bob.clear()
+        self.cp, self.acc = [], []
+        self.bound = 0
+
+
+def acceptance_table(
+    p: SmpProtocol, xs: Iterable, ys: Iterable, tol: Tolerances = DEFAULT
+) -> np.ndarray:
+    """Exact acceptance probability of every pair in ``xs`` x ``ys``.
+
+    Each strategy runs once per (input, coin) and each distribution is
+    validated once; the referee runs once per distinct (Alice message, Bob
+    message) pair of a coin.  Entry (i, j) sums the terms of (xs[i], ys[j])
+    in the order coin, Alice message, Bob message, each term
+    ``((cp * pa) * pb) * acc`` with ``pa = 1.0`` for a quantum payload, so
+    it is bit for bit the plain loop over those terms.  Memory is bounded by
+    a fixed block of terms, not by pairs times coins.
+
+    Raises :class:`EnumerationCapError` when the coin space is not enumerable
+    or some pair's term count would exceed ``tol.enum_cap``, and ValueError
+    when an entry lies outside [0, 1] by more than ``tol.distribution``;
+    entries within that slack are clamped to [0, 1].
+    """
+    xs, ys = list(xs), list(ys)
     if p.coin is not None:
         if p.coin.size is not None and p.coin.size > tol.enum_cap:
             raise EnumerationCapError(
@@ -278,28 +453,28 @@ def exact_acceptance(p: SmpProtocol, x, y, tol: Tolerances = DEFAULT) -> float:
         coin_terms: Iterable[tuple[object, float]] = p.coin.enumerate()
     else:
         coin_terms = [(None, 1.0)]
+    if not xs or not ys:
+        return np.zeros((len(xs), len(ys)))
 
-    total = 0.0
-    terms = 0
+    run = _Tabulation(p, xs, ys, tol)
     for coin, cp in coin_terms:
-        a_payload = p.alice_strategy(x, coin)
-        b_dist = p.bob_strategy(y, coin)
-        validate_distribution(b_dist, p.bob_cost.bits, tol)
-        if isinstance(a_payload, Mapping):
-            validate_distribution(a_payload, p.alice_cost.bits, tol)
-            terms += len(a_payload) * len(b_dist)
-            if terms > tol.enum_cap:
-                raise EnumerationCapError(f"term count exceeds budget {tol.enum_cap}")
-            for a, pa in a_payload.items():
-                for b, pb in b_dist.items():
-                    total += cp * pa * pb * p.referee.accept_probability(a, b, coin)
-        else:
-            terms += len(b_dist)
-            if terms > tol.enum_cap:
-                raise EnumerationCapError(f"term count exceeds budget {tol.enum_cap}")
-            for b, pb in b_dist.items():
-                total += cp * pb * _accept_for_terms(p, a_payload, b, coin)
-    return min(1.0, max(0.0, total))
+        run.add_coin(coin, cp)
+    run.flush()
+    total = run.total.reshape(len(xs), len(ys))
+    slack = tol.distribution
+    outside = np.argwhere(~((total >= -slack) & (total <= 1.0 + slack)))
+    if len(outside):
+        i, j = outside[0]
+        raise ValueError(
+            f"acceptance {float(total[i, j])!r} at ({xs[i]!r}, {ys[j]!r}) lies outside "
+            f"[0, 1] by more than {slack}"
+        )
+    return np.minimum(1.0, np.maximum(0.0, total))
+
+
+def exact_acceptance(p: SmpProtocol, x, y, tol: Tolerances = DEFAULT) -> float:
+    """Exact acceptance probability of one pair: a one-entry :func:`acceptance_table`."""
+    return float(acceptance_table(p, (x,), (y,), tol)[0, 0])
 
 
 def _sample_output_once(p: SmpProtocol, x, y, rng: np.random.Generator, info: dict | None = None):
@@ -344,10 +519,20 @@ def sampled_acceptance(
 
 
 def worst_case_error(p: SmpProtocol, f: FunctionTable, tol: Tolerances = DEFAULT) -> float:
-    """Largest |f(x,y) - acceptance| over the promise domain, exactly."""
+    """Largest |f(x,y) - acceptance| over the promise domain, exactly.
+
+    One table covers the domain's distinct Alice and Bob inputs; only domain
+    pairs enter the maximum.
+    """
+    domain = f.domain
+    xs = list(dict.fromkeys(x for x, _ in domain))
+    ys = list(dict.fromkeys(y for _, y in domain))
+    table = acceptance_table(p, xs, ys, tol).tolist()
+    row = {x: i for i, x in enumerate(xs)}
+    col = {y: j for j, y in enumerate(ys)}
     worst = 0.0
-    for x, y in f.domain:
-        worst = max(worst, abs(float(f(x, y)) - exact_acceptance(p, x, y, tol)))
+    for x, y in domain:
+        worst = max(worst, abs(float(f(x, y)) - table[row[x]][col[y]]))
     return worst
 
 

@@ -42,6 +42,7 @@ from smplab.qcore import (
 from smplab.rng import trial_rng
 from smplab.smp import (
     RelationTable,
+    acceptance_table,
     empirical_success,
     exact_acceptance,
 )
@@ -188,11 +189,11 @@ def test_criterion_05_equality_exactness():
     for n in (1, 2, 3, 4):
         for k in (1, 2, 3):
             p = equality_public(n, k)
+            table = acceptance_table(p, range(2**n), range(2**n)).tolist()
             for x in range(2**n):
                 for y in range(2**n):
-                    acc = exact_acceptance(p, x, y)
                     want = 1.0 if x == y else 2.0**-k
-                    worst_gap = max(worst_gap, abs(acc - want))
+                    worst_gap = max(worst_gap, abs(table[x][y] - want))
     # code-based protocol at 6 repetitions: exact via per-repetition
     # independence, cross-checked against full enumeration at <= 2 repetitions
     code = hadamard_code(4)

@@ -183,6 +183,25 @@ class TestMainExitCodes:
         code = main(["--experiment", "eq-public", "--param", "n=two", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, key", [
+        (["--experiment", "eq-public", "--param", "n=2.7", "--param", "k=1"], "n"),
+        (["--experiment", "eq-public", "--param", "n=2", "--param", "k=1.9"], "k"),
+        (["--experiment", "compile", "--param", "r=2.5"], "r"),
+    ])
+    def test_non_integral_int_param_is_config_error(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--param {key}:" in err
+        assert "is not an integer" in err
+
+    def test_integral_float_int_param_is_accepted(self, tmp_path):
+        code = main([
+            "--experiment", "eq-public", "--param", "n=2.0", "--param", "k=2.0",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        assert read_summary(tmp_path / "eq-public_summary.txt")["worst_case_error"] == "0.25"
+
     def test_config_file_mirrors_flags(self, tmp_path):
         doc = {
             "experiment": "eq-public",

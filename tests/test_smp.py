@@ -1,8 +1,10 @@
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from smplab.config import DEFAULT, with_overrides
 from smplab.errors import EnumerationCapError
 from smplab.protocols import (
     equality_code,
@@ -10,6 +12,7 @@ from smplab.protocols import (
     equality_public,
     matching_qc,
     random_promise_instance,
+    toy_quantum_equality,
 )
 from smplab.rng import trial_rng
 from smplab.smp import (
@@ -19,6 +22,7 @@ from smplab.smp import (
     RelationTable,
     SmpProtocol,
     TableReferee,
+    acceptance_table,
     exact_acceptance,
     protocol_cost,
     sampled_acceptance,
@@ -27,6 +31,7 @@ from smplab.smp import (
     wilson_interval,
     worst_case_error,
 )
+from smplab.transforms import compile_qc_to_cc, derandomize_alice
 
 
 def constant_accept_protocol() -> SmpProtocol:
@@ -76,6 +81,173 @@ class TestExactAcceptance:
         for _ in range(10):
             x, y = rng.integers(0, 8, size=2)
             assert 0.0 <= exact_acceptance(p, int(x), int(y)) <= 1.0
+
+
+def reference_exact_acceptance(p: SmpProtocol, x, y, tol=DEFAULT) -> float:
+    """The one-pair enumeration loop ``acceptance_table`` replaced, kept as an oracle."""
+    if p.coin is not None:
+        if p.coin.size is not None and p.coin.size > tol.enum_cap:
+            raise EnumerationCapError("coin space exceeds term budget")
+        coin_terms = p.coin.enumerate()
+    else:
+        coin_terms = [(None, 1.0)]
+
+    total = 0.0
+    terms = 0
+    for coin, cp in coin_terms:
+        a_payload = p.alice_strategy(x, coin)
+        b_dist = p.bob_strategy(y, coin)
+        validate_distribution(b_dist, p.bob_cost.bits, tol)
+        if isinstance(a_payload, Mapping):
+            validate_distribution(a_payload, p.alice_cost.bits, tol)
+            terms += len(a_payload) * len(b_dist)
+            if terms > tol.enum_cap:
+                raise EnumerationCapError("term count exceeds budget")
+            for a, pa in a_payload.items():
+                for b, pb in b_dist.items():
+                    total += cp * pa * pb * p.referee.accept_probability(a, b, coin)
+        else:
+            terms += len(b_dist)
+            if terms > tol.enum_cap:
+                raise EnumerationCapError("term count exceeds budget")
+            ref = p.referee
+            for b, pb in b_dist.items():
+                if hasattr(ref, "accept_probability"):
+                    acc = ref.accept_probability(a_payload, b, coin)
+                else:
+                    acc = float(ref.output_distribution(a_payload, b, coin).get(1, 0.0))
+                total += cp * pb * acc
+    return min(1.0, max(0.0, total))
+
+
+class _CoinReferee:
+    def __init__(self, fn):
+        self.fn = fn
+
+    def accept_probability(self, a, b, coin=None):
+        return self.fn(a, b, coin)
+
+
+def ragged_protocol() -> SmpProtocol:
+    """Supports of different sizes per input and coin, non-dyadic weights."""
+    alice = {
+        0: {"0": 1.0},
+        1: {"1": 0.3, "0": 0.7},
+        2: {"00": 0.2, "01": 0.3, "10": 0.1, "11": 0.4},
+    }
+    bob = {0: {"1": 1.0}, 1: {"0": 0.7, "1": 0.1, "11": 0.2}}
+
+    def alice_strategy(x, coin):
+        return {"1": 1.0} if (x, coin) == (1, 2) else alice[x]
+
+    def bob_strategy(y, coin):
+        return {"0": 0.6, "1": 0.4} if (y, coin) == (0, 1) else bob[y]
+
+    return SmpProtocol(
+        name="ragged",
+        alice_strategy=alice_strategy,
+        bob_strategy=bob_strategy,
+        referee=_CoinReferee(lambda a, b, coin: ((int(a, 2) + 2 * int(b, 2) + coin) % 5) / 4),
+        alice_cost=Cost(bits=2),
+        bob_cost=Cost(bits=2),
+        coin=uniform_int_coin(3),
+        alice_inputs=(0, 1, 2),
+        bob_inputs=(0, 1),
+    )
+
+
+def _one_coin_matching():
+    p = matching_qc(4, subset_size=4, copies=2, edges_sent=2)
+    subset = (0, 1, 2, 3)
+    fixed = replace(p, coin=CoinSpace(
+        sampler=lambda rng: subset, size=1, outcomes=lambda: [(subset, 1.0)]
+    ))
+    xs = ((1, 0, 0, 1), (0, 0, 0, 0), (1, 1, 0, 1))
+    ys = ((((0, 1), (2, 3)), (1, 1)), (((0, 2), (1, 3)), (0, 1)), (((0, 3), (1, 2)), (1, 0)))
+    return replace(fixed, alice_inputs=xs, bob_inputs=ys)
+
+
+_BIT_IDENTITY_CASES = {
+    "equality_public(3,2)": lambda: equality_public(3, 2),
+    "equality_code(3,reps=2)": lambda: equality_code(3, reps=2),
+    "derandomized": lambda: derandomize_alice(equality_code(2), s=12, seed=3)[0],
+    "toy_quantum_equality(2)": lambda: toy_quantum_equality(2),
+    "compiled toy_quantum_equality(2)": lambda: compile_qc_to_cc(
+        toy_quantum_equality(2), delta=0.1).protocol,
+    "one-coin matching_qc(4)": _one_coin_matching,
+    "ragged supports": ragged_protocol,
+}
+
+
+class TestAcceptanceTable:
+    @pytest.mark.parametrize("case", list(_BIT_IDENTITY_CASES))
+    def test_bit_identical_to_scalar_loop(self, case):
+        p = _BIT_IDENTITY_CASES[case]()
+        xs, ys = p.alice_inputs, p.bob_inputs
+        table = acceptance_table(p, xs, ys)
+        assert table.shape == (len(xs), len(ys))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want = reference_exact_acceptance(p, x, y)
+                assert table[i, j] == want
+                assert exact_acceptance(p, x, y) == want
+
+    @pytest.mark.parametrize("case", ["ragged supports", "toy_quantum_equality(2)"])
+    def test_inputs_in_given_order_with_repeats(self, case):
+        p = _BIT_IDENTITY_CASES[case]()
+        xs, ys = (2, 0, 2), (1, 1, 0)
+        table = acceptance_table(p, xs, ys)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert table[i, j] == reference_exact_acceptance(p, x, y)
+
+    def test_one_pair_over_cap_raises(self):
+        # term counts summed over the 3 coins: (2, 1) has 12 + 12 + 12 = 36,
+        # every other pair at most 16
+        p = ragged_protocol()
+        tol = with_overrides(DEFAULT, enum_cap=20)
+        acceptance_table(p, (0, 1, 2), (0,), tol)
+        acceptance_table(p, (0, 1), (0, 1), tol)
+        exact_acceptance(p, 2, 0, tol)
+        with pytest.raises(EnumerationCapError, match=r"\(2, 1\)"):
+            acceptance_table(p, (0, 1, 2), (0, 1), tol)
+        with pytest.raises(EnumerationCapError):
+            exact_acceptance(p, 2, 1, tol)
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "outside"), (-0.5, "outside"), (float("nan"), "non-finite"),
+    ])
+    def test_out_of_range_acceptance_raises(self, value, message):
+        p = replace(constant_accept_protocol(), referee=TableReferee(fn=lambda a, b: value))
+        with pytest.raises(ValueError, match=message):
+            acceptance_table(p, (0, 1), (0, 1))
+        with pytest.raises(ValueError, match=message):
+            exact_acceptance(p, 0, 0)
+
+    def test_in_tolerance_acceptance_is_clamped(self):
+        p = constant_accept_protocol()
+        above = replace(p, referee=TableReferee(fn=lambda a, b: 1.0 + 1e-13))
+        below = replace(p, referee=TableReferee(fn=lambda a, b: -1e-13))
+        assert exact_acceptance(above, 0, 0) == 1.0
+        assert exact_acceptance(below, 0, 0) == 0.0
+
+    def test_strategies_run_once_per_input_and_coin(self):
+        p = equality_public(2, 2)
+        calls = {"alice": 0, "bob": 0}
+
+        def counted(side, strategy):
+            def run(v, coin):
+                calls[side] += 1
+                return strategy(v, coin)
+            return run
+
+        counted_p = replace(
+            p,
+            alice_strategy=counted("alice", p.alice_strategy),
+            bob_strategy=counted("bob", p.bob_strategy),
+        )
+        acceptance_table(counted_p, range(4), range(4))
+        assert calls == {"alice": 4 * 16, "bob": 4 * 16}
 
 
 class TestSampledAcceptance:
