@@ -57,6 +57,7 @@ from .qcore import (
     DensityMatrix,
     MeasurementOperator,
     acceptance_probability,
+    average_observable,
     random_density,
     random_measurement_operator,
 )
@@ -69,6 +70,7 @@ from .smp import (
 )
 from .transforms import (
     bad_count_bound,
+    check_learn_inputs,
     compile_qc_to_cc,
     default_copies,
     derandomize_alice,
@@ -272,12 +274,15 @@ def _load_matrix_file(path: str) -> np.ndarray:
     return matrix_from_text(p.read_text())
 
 
-def _learn_from_files(prm: dict):
+def _learn_from_files(prm: dict, tol: Tolerances):
     for key in ("rho", "operators"):
         if prm[key] is None:
             raise ConfigError(f"learn-state mode=file requires --param {key}=...")
-    rho = DensityMatrix(_load_matrix_file(prm["rho"]))
-    ops = [MeasurementOperator(_load_matrix_file(p)) for p in prm["operators"].split(",")]
+    rho = DensityMatrix(_load_matrix_file(prm["rho"]), tol=tol)
+    ops = [
+        MeasurementOperator(_load_matrix_file(p), tol=tol)
+        for p in prm["operators"].split(",")
+    ]
     return rho, ops
 
 
@@ -288,8 +293,11 @@ def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
     per operator, the largest deviation between them, the correction-count
     bound and the largest projection trace (the Markov step).
     """
-    record, diag = learn_state_message(rho, ops, delta, r, tol)
-    estimates = reconstruct_estimates(record, ops, tol=tol)
+    check_learn_inputs(rho, ops, delta, r, tol)
+    # one spectral build per operator, shared by the sender and the receiver
+    observables = [average_observable(e, r, tol) for e in ops]
+    record, diag = learn_state_message(rho, ops, delta, r, tol, observables=observables)
+    estimates = reconstruct_estimates(record, ops, tol=tol, observables=observables)
     true = np.array([acceptance_probability(e, rho, tol) for e in ops])
     dev = float(np.max(np.abs(estimates - true)))
     bound = bad_count_bound(r * record.q, delta)
@@ -305,7 +313,7 @@ def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
             rho, ops = _learn_fixture()
             r = prm["r"] or 2
         else:
-            rho, ops = _learn_from_files(prm)
+            rho, ops = _learn_from_files(prm, tol)
             r = prm["r"] or default_copies(rho.num_qubits, delta, tol)
         record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
             rho, ops, delta, r, tol
@@ -539,6 +547,17 @@ _TABLE = {
 }
 EXPERIMENTS = tuple(_TABLE)
 
+# experiment -> the config fields besides the params that its runner reads
+# (none when absent), or a map from the resolved params to them
+_SEED, _SEED_TRIALS = ("seed",), ("seed", "trials")
+_READS = {
+    "matching-qc": _SEED_TRIALS,
+    "matching-classical": _SEED_TRIALS,
+    "learn-state": lambda prm: _SEED if prm["mode"] == "random" else (),
+    "derandomize": _SEED,
+    "oracle-suite": _SEED,
+}
+
 
 def _resolve_params(cfg: ExperimentConfig, schema: dict) -> dict:
     """Cast the declared params, fill in defaults, reject missing and unknown keys."""
@@ -562,13 +581,27 @@ def _resolve_params(cfg: ExperimentConfig, schema: dict) -> dict:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment and write its report files under ``cfg.out``."""
+def _resolve(cfg: ExperimentConfig):
+    """The experiment's runner, its resolved params and the config fields it reads."""
     if cfg.experiment not in _TABLE:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
     run, schema = _TABLE[cfg.experiment]
-    tol = cfg.resolved_tolerances()
-    result = run(cfg, _resolve_params(cfg, schema), tol)
+    prm = _resolve_params(cfg, schema)
+    reads = _READS.get(cfg.experiment, ())
+    return run, prm, reads(prm) if callable(reads) else reads
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run one experiment and write its report files under ``cfg.out``.
+
+    A ``seed`` or ``trials`` the experiment does not read is a configuration
+    error, so that ``_config.json`` never echoes a setting that had no effect.
+    """
+    run, prm, reads = _resolve(cfg)
+    for name in ("seed", "trials"):
+        if getattr(cfg, name) is not None and name not in reads:
+            raise ConfigError(f"experiment {cfg.experiment!r} does not read --{name}")
+    result = run(cfg, prm, cfg.resolved_tolerances())
     _write_reports(cfg, result)
     return result
 
@@ -603,7 +636,12 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult) -> None:
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
-    """Run the experiment once per value with derived seeds; one CSV row per run."""
+    """Run the experiment once per value; one CSV row per run.
+
+    A run that reads a seed gets one derived from ``cfg.seed`` and its index,
+    and a run that reads ``trials`` gets ``cfg.trials``; other runs get
+    neither.
+    """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -613,11 +651,14 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
         sub = ExperimentConfig(
             experiment=cfg.experiment,
             params={**cfg.params, parameter: value},
-            seed=derive_seed(cfg.seed, i) if cfg.seed is not None else None,
-            trials=cfg.trials,
             out=out / f"run{i:03d}",
             tolerance=dict(cfg.tolerance),
         )
+        _, _, reads = _resolve(sub)
+        if cfg.seed is not None and "seed" in reads:
+            sub.seed = derive_seed(cfg.seed, i)
+        if "trials" in reads:
+            sub.trials = cfg.trials
         result = run_experiment(sub)
         for key in result.summary:
             if key not in seen_summary_keys:

@@ -1,6 +1,6 @@
 """Exact complex linear algebra for small quantum registers.
 
-Density matrices, measurement operators, observables with explicit spectral
+Density matrices, measurement operators, observables with factored spectral
 decompositions, tensor powers, band projectors, and the renormalized
 projection update.  Everything is dense complex double precision and
 immutable; dimensions are powers of two and capped (default 2**12) so that
@@ -61,6 +61,28 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
+def _check_finite(a: np.ndarray) -> None:
+    # every comparison with NaN is False, so the checks after this one would pass
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+
+
+def _cholesky_accepts(a: np.ndarray, shift: float) -> bool:
+    """True when A + shift*I has a Cholesky factor.
+
+    Success proves min eig(A) > -shift - O(n * eps * ||A||); failure proves
+    nothing, so callers fall back to an eigenvalue test.  Reads the lower
+    triangle, as ``eigvalsh`` does.
+    """
+    shifted = a.copy()
+    shifted.flat[:: a.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite, trace-one matrix on 2**k dimensions.
@@ -71,21 +93,24 @@ class DensityMatrix:
 
     entries: np.ndarray
     validate: InitVar[bool] = True
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, validate: bool, tol: Tolerances = DEFAULT):
+    def __post_init__(self, validate: bool, tol: Tolerances):
         a = _as_square_complex(self.entries)
         object.__setattr__(self, "entries", a)
         _num_qubits_of(a.shape[0])
         if validate:
+            _check_finite(a)
             defect = hermiticity_defect(a)
             if defect > tol.hermitian:
                 raise ValueError(f"not Hermitian: defect {defect:.3e}")
             tr = complex(np.trace(a))
             if abs(tr - 1.0) > tol.trace_one:
                 raise ValueError(f"trace {tr} is not 1")
-            lo = float(np.linalg.eigvalsh(a).min())
-            if lo < -tol.psd:
-                raise ValueError(f"not PSD: minimum eigenvalue {lo:.3e}")
+            if not _cholesky_accepts(a, tol.psd / 2.0):
+                lo = float(np.linalg.eigvalsh(a).min())
+                if lo < -tol.psd:
+                    raise ValueError(f"not PSD: minimum eigenvalue {lo:.3e}")
 
     @property
     def dim(self) -> int:
@@ -112,12 +137,14 @@ class MeasurementOperator:
 
     entries: np.ndarray
     validate: InitVar[bool] = True
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, validate: bool, tol: Tolerances = DEFAULT):
+    def __post_init__(self, validate: bool, tol: Tolerances):
         a = _as_square_complex(self.entries)
         object.__setattr__(self, "entries", a)
         _num_qubits_of(a.shape[0])
         if validate:
+            _check_finite(a)
             defect = hermiticity_defect(a)
             if defect > tol.hermitian:
                 raise ValueError(f"not Hermitian: defect {defect:.3e}")
@@ -192,49 +219,76 @@ class Observable:
     """Hermitian matrix described by its eigenvalues and eigenprojectors.
 
     ``eigenvalues`` are sorted ascending and pairwise distinct beyond the
-    grouping tolerance used to build the observable.  Eigenspaces are stored
-    as orthonormal column blocks of ``vectors`` (``blocks[i]`` is the column
-    range of eigenvalue i); the dense projectors are realized on demand.
+    grouping tolerance used to build the observable.  The orthonormal
+    eigenbasis is the ``copies``-fold tensor power of ``factor`` with its
+    columns gathered by ``order`` (default: kept in place); ``blocks[i]`` is
+    the column range of eigenvalue i in that basis.  Only the factor is
+    stored: the basis is rebuilt whenever the dense matrix or a projector is
+    realized, so an averaged observable on r copies holds O(d) data besides
+    its cached matrix.
     """
 
     eigenvalues: tuple[float, ...]
-    vectors: np.ndarray
+    factor: np.ndarray
     blocks: tuple[tuple[int, int], ...]
+    copies: int = 1
+    order: np.ndarray | None = None
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.eigenvalues)
-        vecs = np.array(self.vectors, dtype=np.complex128)
+        factor = np.array(self.factor, dtype=np.complex128)
         blocks = tuple((int(a), int(b)) for a, b in self.blocks)
-        if vecs.ndim != 2 or not vals or len(vals) != len(blocks):
+        copies = int(self.copies)
+        if factor.ndim != 2 or not vals or len(vals) != len(blocks):
             raise ValueError("need one column block per eigenvalue")
+        if copies < 1:
+            raise ValueError("need copies >= 1")
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
             raise ValueError("eigenvalues must be sorted ascending")
+        cols = factor.shape[1] ** copies
+        order = np.arange(cols) if self.order is None else np.array(self.order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(cols)):
+            raise ValueError("order must be a permutation of the basis columns")
         edges = [a for a, _ in blocks] + [blocks[-1][1]]
-        if edges != sorted(set(edges)) or blocks[0][0] != 0 or blocks[-1][1] != vecs.shape[1]:
+        if edges != sorted(set(edges)) or blocks[0][0] != 0 or blocks[-1][1] != cols:
             raise ValueError("blocks must partition the columns in order")
-        vecs.setflags(write=False)
+        factor.setflags(write=False)
+        order.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "order", order)
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return self.factor.shape[0] ** self.copies
+
+    def basis(self) -> np.ndarray:
+        """The eigenvectors as columns, grouped by ``blocks`` (a fresh d x d array)."""
+        vectors = np.array([[1.0 + 0.0j]])
+        for _ in range(self.copies):
+            vectors = np.kron(vectors, self.factor)
+        return vectors[:, self.order]
 
     @cached_property
     def projectors(self) -> tuple[np.ndarray, ...]:
+        vectors = self.basis()
         out = []
         for a, b in self.blocks:
-            cols = self.vectors[:, a:b]
+            cols = vectors[:, a:b]
             out.append(cols @ cols.conj().T)
         return tuple(out)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        weights = np.empty(self.vectors.shape[1])
+        vectors = self.basis()
+        adjoint = vectors.conj().T
+        weights = np.empty(vectors.shape[1])
         for (a, b), val in zip(self.blocks, self.eigenvalues):
             weights[a:b] = val
-        m = (self.vectors * weights) @ self.vectors.conj().T
+        vectors *= weights  # in place: the basis is a fresh array
+        m = vectors @ adjoint
         m.setflags(write=False)
         return m
 
@@ -248,14 +302,19 @@ def acceptance_probability(
 ) -> float:
     """Probability that the two-outcome measurement (E, I-E) accepts ``rho``.
 
-    Raises if dimensions differ or the trace has a non-negligible imaginary
-    part, which signals a corrupted operator.
+    Raises if dimensions differ, or if the trace has a non-negligible
+    imaginary part or a real part outside [0, 1] by more than
+    ``tol.operator_spectrum``: both signal a corrupted operator or state.
+    Within that slack the value is clamped to [0, 1].
     """
     if e.dim != rho.dim:
         raise ValueError(f"dimension mismatch: operator {e.dim}, state {rho.dim}")
     tr = complex(np.sum(e.entries * rho.entries.T))
     if abs(tr.imag) > tol.imag_trace:
         raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
+    slack = tol.operator_spectrum
+    if not -slack <= tr.real <= 1.0 + slack:
+        raise ValueError(f"acceptance probability {tr.real!r} is outside [0, 1]")
     return min(1.0, max(0.0, tr.real))
 
 
@@ -314,17 +373,16 @@ def average_observable(
     spectral decomposition is computed exactly from the decomposition of E:
     eigenvectors are tensor products of E's eigenvectors and eigenvalues are
     the means of the chosen eigenvalue tuples, so ``Tr(F rho^(x) r) = Tr(E rho)``
-    holds to machine precision.
+    holds to machine precision.  Only E's eigenvectors and the eigenvalue
+    order are kept; the product basis is rebuilt on demand.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     _check_dim(e.dim**r, tol)
     w, v = np.linalg.eigh(e.entries)
 
-    vectors = np.array([[1.0 + 0.0j]])
     sums = np.zeros(1)
     for _ in range(r):
-        vectors = np.kron(vectors, v)
         sums = (sums[:, None] + w[None, :]).ravel()
     means = sums / r
 
@@ -334,7 +392,7 @@ def average_observable(
     for idx in _cluster(sorted_means, tol.group_tol):
         vals.append(float(np.mean(sorted_means[idx])))
         blocks.append((int(idx[0]), int(idx[-1]) + 1))
-    return Observable(tuple(vals), vectors[:, order], tuple(blocks))
+    return Observable(tuple(vals), v, tuple(blocks), copies=r, order=order)
 
 
 def band_projector(
@@ -354,7 +412,7 @@ def band_projector(
     selected = [blk for val, blk in zip(f.eigenvalues, f.blocks) if lo <= val <= hi]
     if not selected:
         return np.zeros((f.dim, f.dim), dtype=np.complex128)
-    cols = f.vectors[:, selected[0][0] : selected[-1][1]]
+    cols = f.basis()[:, selected[0][0] : selected[-1][1]]
     return cols @ cols.conj().T
 
 
@@ -385,7 +443,8 @@ def project_renormalize(
     trace = float(np.trace(projected).real)
     if trace <= tol.zero_projection:
         raise VanishingProjectionError(step=-1, trace=trace)
-    return DensityMatrix(projected / trace)
+    projected /= trace
+    return DensityMatrix(projected, tol=tol)
 
 
 def maximally_mixed(num_qubits: int, tol: Tolerances = DEFAULT) -> DensityMatrix:

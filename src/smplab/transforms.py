@@ -56,6 +56,7 @@ __all__ = [
     "DeterministicMessageTable",
     "CompileResult",
     "default_copies",
+    "check_learn_inputs",
     "learn_state_message",
     "reconstruct_estimates",
     "bad_count_bound",
@@ -211,6 +212,35 @@ def _family_observables(
     return [average_observable(e, r, tol) for e in operators]
 
 
+def check_learn_inputs(
+    rho: DensityMatrix,
+    operators: Sequence[MeasurementOperator],
+    delta: float,
+    r: int | None = None,
+    tol: Tolerances = DEFAULT,
+) -> tuple[int, int, int]:
+    """Raise as :func:`learn_state_message` does on invalid inputs.
+
+    Returns ``(c, q, r)``: the family's index bits, the state's qubits and the
+    copy count with its default filled in.  A caller that builds the
+    family's observables itself calls this first, so that invalid inputs fail
+    before the spectral work and with the learner's own errors.
+    """
+    if not 0.0 < delta < 0.5:
+        raise ValueError("need delta in (0, 1/2)")
+    c, dim = _validated_family(operators)
+    q = dim.bit_length() - 1
+    if rho.dim != dim:
+        raise ValueError(f"state dimension {rho.dim} != operator dimension {dim}")
+    if r is None:
+        r = default_copies(q, delta, tol)
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if 2 ** (r * q) > tol.dim_cap:
+        raise DimensionCapError(f"r*q = {r * q} qubits exceeds the dimension cap")
+    return c, q, r
+
+
 def learn_state_message(
     rho: DensityMatrix,
     operators: Sequence[MeasurementOperator],
@@ -231,23 +261,11 @@ def learn_state_message(
     ``observables`` may carry precomputed averaged observables for the family
     (they are a pure function of (operators, r)); otherwise they are built here.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError("need delta in (0, 1/2)")
-    c, dim = _validated_family(operators)
-    q = dim.bit_length() - 1
-    if rho.dim != dim:
-        raise ValueError(f"state dimension {rho.dim} != operator dimension {dim}")
-    if r is None:
-        r = default_copies(q, delta, tol)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    K = r * q
-    if 2**K > tol.dim_cap:
-        raise DimensionCapError(f"r*q = {K} qubits exceeds the dimension cap")
+    c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
     if observables is None:
         observables = _family_observables(operators, r, tol)
 
-    hypothesis = maximally_mixed(K, tol)
+    hypothesis = maximally_mixed(r * q, tol)
     entries: list[tuple[int, float]] = []
     traces: list[float] = []
     margins: list[float] = []

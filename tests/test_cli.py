@@ -294,3 +294,76 @@ class TestReproducibility:
         run_experiment(cfg)
         for name, data in first.items():
             assert (tmp_path / name).read_bytes() == data
+
+
+class TestFlagsRead:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--experiment", "eq-public", "--param", "n=2", "--trials", "5", "--seed", "9"], "--seed"),
+        (["--experiment", "eq-public", "--param", "n=2", "--trials", "5"], "--trials"),
+        (["--experiment", "eq-code", "--param", "n=2", "--seed", "1"], "--seed"),
+        (["--experiment", "compile", "--seed", "1"], "--seed"),
+        (["--experiment", "hidden-matching", "--seed", "1"], "--seed"),
+        (["--experiment", "learn-state", "--seed", "1"], "--seed"),
+        (["--experiment", "learn-state", "--param", "mode=random", "--seed", "1",
+          "--trials", "3"], "--trials"),
+        (["--experiment", "derandomize", "--seed", "1", "--trials", "3"], "--trials"),
+        (["--experiment", "oracle-suite", "--seed", "1", "--trials", "3"], "--trials"),
+    ])
+    def test_unread_flag_is_config_error(self, tmp_path, capsys, argv, flag):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"does not read {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_learn_state_reads_seed_in_random_mode(self, tmp_path):
+        code = main([
+            "--experiment", "learn-state", "--param", "mode=random",
+            "--param", "instances=2", "--seed", "4", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "learn-state_config.json").read_text())["seed"] == 4
+
+    def test_sweep_passes_seed_and_trials_only_to_runs_that_read_them(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="eq-public", params={"n": 2}, seed=1, trials=5, out=tmp_path
+        )
+        path = sweep(cfg, "k", [1, 2])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["", ""]
+        echo = json.loads((tmp_path / "run000" / "eq-public_config.json").read_text())
+        assert echo["seed"] is None and echo["trials"] is None
+
+
+class TestLearnRoundTrip:
+    def test_one_spectral_build_per_operator(self, monkeypatch):
+        import numpy as np
+
+        import smplab.cli as cli
+        import smplab.transforms as transforms
+        from smplab.config import DEFAULT
+        from smplab.qcore import average_observable, random_density, random_measurement_operator
+
+        calls = []
+
+        def counted(e, r, tol=DEFAULT):
+            calls.append(r)
+            return average_observable(e, r, tol)
+
+        for module in (cli, transforms):
+            monkeypatch.setattr(module, "average_observable", counted)
+        g = np.random.default_rng(2)
+        rho = random_density(2, g)
+        ops = [random_measurement_operator(2, g) for _ in range(8)]
+        record, diag, true, estimates, dev, bound, markov = cli._learn_round_trip(
+            rho, ops, 0.1, 6, DEFAULT
+        )
+        assert calls == [6] * len(ops)
+        assert dev <= 0.1
+
+    def test_invalid_delta_reported_before_the_cap(self):
+        import smplab.cli as cli
+        from smplab.config import DEFAULT
+
+        rho, ops = cli._learn_fixture()
+        with pytest.raises(ValueError, match="need delta"):
+            cli._learn_round_trip(rho, ops, 0.7, 13, DEFAULT)

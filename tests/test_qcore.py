@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smplab.config import with_overrides
 from smplab.errors import DimensionCapError, VanishingProjectionError
 from smplab.qcore import (
     DensityMatrix,
@@ -293,3 +294,201 @@ def test_observable_projectors_realized_from_blocks():
     for p in obs.projectors:
         assert np.max(np.abs(p @ p - p)) <= 1e-9
     assert np.max(np.abs(obs.projectors[0] + obs.projectors[1] - np.eye(4))) <= 1e-9
+
+
+def eager_average_basis(e: MeasurementOperator, r: int) -> np.ndarray:
+    """The product eigenbasis exactly as it was built and stored before it became lazy."""
+    w, v = np.linalg.eigh(e.entries)
+    vectors = np.array([[1.0 + 0.0j]])
+    sums = np.zeros(1)
+    for _ in range(r):
+        vectors = np.kron(vectors, v)
+        sums = (sums[:, None] + w[None, :]).ravel()
+    return vectors[:, np.argsort(sums / r, kind="stable")]
+
+
+def eager_matrix(f: Observable, vectors: np.ndarray) -> np.ndarray:
+    """The dense observable exactly as it was computed from a stored basis."""
+    weights = np.empty(vectors.shape[1])
+    for (a, b), val in zip(f.blocks, f.eigenvalues):
+        weights[a:b] = val
+    return (vectors * weights) @ vectors.conj().T
+
+
+# q = 1 and q = 2 at every copy count up to 2**10 dimensions (d = 2048 and
+# 4096 take the same code path at up to ~0.8 GB per comparison)
+LAZY_CASES = [(1, r) for r in range(1, 11)] + [(2, r) for r in range(1, 6)]
+
+
+class TestLazyProductBasis:
+    @pytest.mark.parametrize("q, r", LAZY_CASES)
+    def test_basis_equals_eager_kron_chain(self, q, r):
+        e = random_measurement_operator(2**q, np.random.default_rng(100 * q + r))
+        f = average_observable(e, r)
+        assert f.dim == 2 ** (q * r)
+        basis, eager = f.basis(), eager_average_basis(e, r)
+        assert np.array_equal(basis, eager)
+        assert basis.tobytes() == eager.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("q, r", [(1, 1), (1, 4), (1, 8), (1, 10), (2, 2), (2, 4)])
+    def test_matrix_and_band_equal_eager(self, q, r):
+        rng = np.random.default_rng(7 * q + r)
+        e = random_measurement_operator(2**q, rng)
+        f = average_observable(e, r)
+        vectors = eager_average_basis(e, r)
+        assert f.matrix.tobytes() == eager_matrix(f, vectors).tobytes()
+        center = float(rng.uniform(0.2, 0.8))
+        lo, hi = center - 0.15 - 1e-9, center + 0.15 + 1e-9
+        selected = [blk for val, blk in zip(f.eigenvalues, f.blocks) if lo <= val <= hi]
+        band = band_projector(f, center, 0.15)
+        if selected:
+            cols = vectors[:, selected[0][0] : selected[-1][1]]
+            assert band.tobytes() == (cols @ cols.conj().T).tobytes()
+        else:
+            assert not band.any()
+
+    def test_stores_only_the_factor(self):
+        f = average_observable(random_measurement_operator(2, np.random.default_rng(3)), 10)
+        assert f.factor.shape == (2, 2)
+        assert f.order.shape == (1024,)
+        assert f.copies == 10
+
+    def test_order_must_permute_columns(self):
+        with pytest.raises(ValueError, match="permutation"):
+            Observable((0.0, 1.0), np.eye(2, dtype=complex), ((0, 2), (2, 4)), 2, [0, 1, 1, 3])
+        with pytest.raises(ValueError, match="copies"):
+            Observable((0.0,), np.eye(2, dtype=complex), ((0, 1),), 0)
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_matrix_rejects(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.full((2, 2), bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_measurement_operator_rejects(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementOperator(np.full((2, 2), bad))
+
+    def test_single_entry_is_enough(self):
+        a = np.eye(2, dtype=complex) / 2
+        a[1, 0] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(a)
+
+
+def rotated_diag(diag, seed: int) -> np.ndarray:
+    """U diag(...) U^dagger for a Haar-ish U: a Hermitian matrix with a known spectrum."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(len(diag), len(diag))) + 1j * rng.normal(size=(len(diag), len(diag)))
+    u, _ = np.linalg.qr(g)
+    a = (u * np.asarray(diag)) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the eigenvalue fallbacks the PSD check takes."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestPsdCheck:
+    PSD = 1e-9
+
+    def spectrum(self, lowest: float, dim: int = 8) -> list[float]:
+        rest = (1.0 - lowest) / (dim - 1)
+        return [lowest] + [rest] * (dim - 1)
+
+    def test_twice_the_slack_below_zero_raises_eigvalsh_message(self, eigvalsh_calls):
+        a = rotated_diag(self.spectrum(-2 * self.PSD), 1)
+        lo = float(np.linalg.eigvalsh(a).min())
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(a)
+        assert str(err.value) == f"not PSD: minimum eigenvalue {lo:.3e}"
+
+    def test_within_slack_passes_through_the_fallback(self, eigvalsh_calls):
+        DensityMatrix(rotated_diag(self.spectrum(-0.75 * self.PSD), 2))
+        assert eigvalsh_calls == [(8, 8)]
+
+    def test_rank_deficient_projection_passes_through_cholesky(self, eigvalsh_calls):
+        rho = random_density(16, np.random.default_rng(5))
+        m = rotated_diag([1.0] * 5 + [0.0] * 11, 6)
+        m = np.round(m @ m, 15)  # still a projector to rounding, rank 5 of 16
+        out = project_renormalize(rho, m)
+        assert np.linalg.matrix_rank(out.entries, tol=1e-9) == 5
+        assert eigvalsh_calls == []
+
+    def test_maximally_mixed_band_projection_skips_eigvalsh(self, eigvalsh_calls):
+        f = average_observable(random_measurement_operator(2, np.random.default_rng(9)), 8)
+        center = f.eigenvalues[len(f.eigenvalues) // 2]
+        eigvalsh_calls.clear()  # the operator's own spectrum check
+        out = project_renormalize(maximally_mixed(8), band_projector(f, center, 0.05))
+        assert abs(np.trace(out.entries).real - 1.0) <= 1e-12
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accepts_only_what_eigvalsh_accepts(self, seed):
+        # around the boundary the Cholesky route may defer to eigvalsh, but any
+        # state it accepts has eigvalsh minimum >= -psd, and rejections match
+        rng = np.random.default_rng(seed)
+        for lowest in rng.uniform(-3 * self.PSD, self.PSD, size=8):
+            a = rotated_diag(self.spectrum(float(lowest), 16), int(rng.integers(1 << 30)))
+            lo = float(np.linalg.eigvalsh(a).min())
+            if lo < -self.PSD:
+                with pytest.raises(ValueError, match=f"minimum eigenvalue {lo:.3e}"):
+                    DensityMatrix(a)
+            else:
+                DensityMatrix(a)
+
+
+class TestCallerTolerances:
+    def test_tightened_psd_is_honoured(self):
+        a = rotated_diag([-1e-10, 0.5 + 5e-11, 0.5 + 5e-11, 0.0], 11)
+        DensityMatrix(a)
+        tight = with_overrides(psd=1e-12)
+        with pytest.raises(ValueError, match="not PSD"):
+            DensityMatrix(a, tol=tight)
+
+    def test_project_renormalize_validates_with_caller_tolerances(self):
+        a = rotated_diag([-1e-10, 0.5 + 5e-11, 0.5 + 5e-11, 0.0], 12)
+        rho = DensityMatrix(a, validate=False)
+        project_renormalize(rho, np.eye(4))
+        with pytest.raises(ValueError, match="not PSD"):
+            project_renormalize(rho, np.eye(4), with_overrides(psd=1e-12))
+
+    def test_tightened_operator_spectrum_is_honoured(self):
+        e = np.diag([1.0 + 5e-10, 0.0]).astype(complex)
+        MeasurementOperator(e)
+        with pytest.raises(ValueError, match="eigenvalues"):
+            MeasurementOperator(e, tol=with_overrides(operator_spectrum=1e-12))
+
+
+class TestAcceptanceRange:
+    def test_above_one_raises(self):
+        e = MeasurementOperator(2.0 * np.eye(2, dtype=complex), validate=False)
+        with pytest.raises(ValueError, match="outside"):
+            acceptance_probability(e, DensityMatrix.pure(KET0))
+
+    def test_below_zero_raises(self):
+        e = MeasurementOperator(-0.5 * np.eye(2, dtype=complex), validate=False)
+        with pytest.raises(ValueError, match="outside"):
+            acceptance_probability(e, DensityMatrix.pure(KET0))
+
+    def test_nan_raises(self):
+        e = MeasurementOperator(np.full((2, 2), np.nan, dtype=complex), validate=False)
+        with pytest.raises(ValueError, match="outside"):
+            acceptance_probability(e, DensityMatrix.pure(KET0))
+
+    @pytest.mark.parametrize("value, clamped", [(1.0 + 5e-10, 1.0), (-5e-10, 0.0), (0.25, 0.25)])
+    def test_within_slack_is_clamped(self, value, clamped):
+        e = MeasurementOperator(value * np.eye(2, dtype=complex), validate=False)
+        assert acceptance_probability(e, DensityMatrix.pure(KET0)) == clamped

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smplab.errors import ReplayMismatchError, VanishingProjectionError
+from smplab.errors import DimensionCapError, ReplayMismatchError, VanishingProjectionError
 from smplab.protocols import (
     equality_code,
     hidden_matching_verification,
@@ -13,6 +13,7 @@ from smplab.qcore import (
     DensityMatrix,
     MeasurementOperator,
     acceptance_probability,
+    average_observable,
     random_density,
     random_measurement_operator,
 )
@@ -21,6 +22,7 @@ from smplab.smp import Cost, SmpProtocol, TableReferee, exact_acceptance, unifor
 from smplab.transforms import (
     LearnRecord,
     bad_count_bound,
+    check_learn_inputs,
     compile_qc_to_cc,
     default_copies,
     derandomize_alice,
@@ -397,3 +399,59 @@ class TestCompileQcToCc:
     def test_rejects_non_canonical_protocols(self):
         with pytest.raises(ValueError, match="canonical"):
             compile_qc_to_cc(equality_code(2), delta=0.1)
+
+
+class TestSharedObservables:
+    """One spectral build per family serves the sender and the receiver bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_diagnostics_and_estimates_identical(self, seed):
+        g = np.random.default_rng(seed)
+        q = 1 + seed % 2
+        rho = random_density(2**q, g)
+        ops = [random_measurement_operator(2**q, g) for _ in range(8)]
+        r = 8 // q
+        shared = [average_observable(e, r) for e in ops]
+        fresh = learn_state_message(rho, ops, 0.1, r)
+        reused = learn_state_message(rho, ops, 0.1, r, observables=shared)
+        assert reused == fresh
+        record = fresh[0]
+        assert np.array_equal(
+            reconstruct_estimates(record, ops, observables=shared),
+            reconstruct_estimates(record, ops),
+        )
+
+    def test_some_instance_corrects(self):
+        # the comparison above must cover correction steps, not only skips
+        g = np.random.default_rng(0)
+        rho = random_density(2, g)
+        ops = [random_measurement_operator(2, g) for _ in range(8)]
+        record, _ = learn_state_message(rho, ops, 0.1, 8)
+        assert record.entries
+
+
+class TestCheckLearnInputs:
+    def test_returns_resolved_shape(self):
+        ops = [proj([1, 0]), proj([0, 1])]
+        assert check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1) == (
+            1, 1, default_copies(1, 0.1),
+        )
+
+    @pytest.mark.parametrize("delta, r, ops, match", [
+        (0.7, 13, [proj([1, 0]), proj([0, 1])], "delta"),
+        (0.1, 13, [proj([1, 0])] * 3, "power-of-two"),
+        (0.1, 13, [proj([1, 0]), proj([1, 0, 0, 0])], "mixed dimensions"),
+        (0.1, 13, [proj([1, 0, 0, 0])] * 2, "state dimension"),
+    ])
+    def test_first_fault_wins_as_in_the_learner(self, delta, r, ops, match):
+        # r = 13 would also exceed the dimension cap; the earlier fault is reported
+        rho = DensityMatrix.pure([1, 0])
+        for fn in (check_learn_inputs, learn_state_message):
+            with pytest.raises(ValueError, match=match) as err:
+                fn(rho, ops, delta, r)
+            assert not isinstance(err.value, DimensionCapError)
+
+    def test_cap(self):
+        ops = [proj([1, 0]), proj([0, 1])]
+        with pytest.raises(DimensionCapError, match="r\\*q = 13"):
+            check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1, 13)
