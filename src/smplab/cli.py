@@ -8,8 +8,9 @@ the fully resolved configuration.  Identical configuration and seed produce
 bit-identical output files; wall time goes to stdout only.
 
 Exit codes: 0 success, 2 configuration error (including an undeclared
---param key), 3 assertion failure or a typed error raised by a broken claim,
-4 resource cap exceeded.
+--param key, a --seed or --trials the experiment does not read, and a
+non-positive count), 3 assertion failure or a typed error raised by a broken
+claim, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ class ExperimentConfig:
         except TypeError as ex:
             raise ConfigError(f"unknown tolerance override: {ex}") from None
 
-    def require_seed(self) -> int:
-        if self.seed is None:
-            raise ConfigError(f"experiment {self.experiment!r} samples and needs --seed")
-        return self.seed
-
 
 @dataclass
 class ExperimentResult:
@@ -120,13 +116,18 @@ class ExperimentResult:
         return all(ok for _, ok, _ in self.assertions)
 
 
+def _at_most(name: str, value, bound) -> tuple[str, bool, float]:
+    """The claim ``value <= bound``, with its margin ``bound - value``."""
+    return name, value <= bound, bound - value
+
+
 def _pair_table(p, xs, ys, tol: Tolerances) -> dict:
     """Exact acceptance of every (x, y) in xs x ys, as Python floats keyed by pair."""
     rows = acceptance_table(p, xs, ys, tol).tolist()
     return {(x, y): acc for x, row in zip(xs, rows) for y, acc in zip(ys, row)}
 
 
-def _run_eq_public(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_eq_public(prm: dict, tol: Tolerances) -> ExperimentResult:
     n = prm["n"]
     if n > 5:
         raise CapExceededError("eq-public exhaustive report capped at n <= 5")
@@ -150,7 +151,7 @@ def _run_eq_public(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Experim
     return ExperimentResult(["x", "y", "f", "acceptance", "error"], rows, summary, [])
 
 
-def _run_eq_code(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_eq_code(prm: dict, tol: Tolerances) -> ExperimentResult:
     n, reps = prm["n"], prm["reps"]
     if n > 5:
         raise CapExceededError("eq-code exhaustive report capped at n <= 5")
@@ -183,19 +184,15 @@ def _run_eq_code(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Experimen
     }
     assertions = []
     if enumerable:
-        assertions.append(("closed_form_matches_enumeration", cross_gap <= 1e-12, 1e-12 - cross_gap))
+        assertions.append(_at_most("closed_form_matches_enumeration", cross_gap, 1e-12))
     return ExperimentResult(
         ["x", "y", "f", "acceptance_closed_form", "acceptance_enumerated"],
         rows, summary, assertions,
     )
 
 
-def _run_matching(
-    cfg: ExperimentConfig, prm: dict, tol: Tolerances, quantum: bool
-) -> ExperimentResult:
-    n = prm["n"]
-    trials = cfg.trials if cfg.trials is not None else 2000
-    seed = cfg.require_seed()
+def _run_matching(prm: dict, tol: Tolerances, quantum: bool) -> ExperimentResult:
+    n, trials, seed = prm["n"], prm["trials"], prm["seed"]
     if quantum:
         p = matching_qc(n, prm["subset_size"], prm["copies"], prm["edges_sent"])
     else:
@@ -228,7 +225,7 @@ def _run_matching(
     )
 
 
-def _run_hidden_matching(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
     n = prm["n"]
     if n > 8:
         raise CapExceededError("hidden-matching exhaustive report capped at n <= 8")
@@ -250,7 +247,7 @@ def _run_hidden_matching(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> E
         "bob_cost": b,
         "total_cost": total,
     }
-    assertions = [("success_probability_one", min_mass >= 1.0 - 1e-9, min_mass - (1.0 - 1e-9))]
+    assertions = [_at_most("success_probability_one", 1.0 - 1e-9, min_mass)]
     return ExperimentResult(["x", "k", "valid_mass"], rows, summary, assertions)
 
 
@@ -305,16 +302,16 @@ def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
     return record, diag, true, estimates, dev, bound, markov
 
 
-def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
     mode, delta = prm["mode"], prm["delta"]
     eta = 1.0 - delta / 4.0
     if mode in ("fixture", "file"):
         if mode == "fixture":
             rho, ops = _learn_fixture()
-            r = prm["r"] or 2
+            r = 2 if prm["r"] is None else prm["r"]
         else:
             rho, ops = _learn_from_files(prm, tol)
-            r = prm["r"] or default_copies(rho.num_qubits, delta, tol)
+            r = default_copies(rho.num_qubits, delta, tol) if prm["r"] is None else prm["r"]
         record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
             rho, ops, delta, r, tol
         )
@@ -333,9 +330,9 @@ def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
             "flagged_band_edges": len(diag.flagged_steps),
         }
         assertions = [
-            ("roundtrip_within_delta", max_dev <= delta, delta - max_dev),
-            ("corrections_within_bound", diag.bad_count <= bound, bound - diag.bad_count),
-            ("markov_direction", markov_max <= eta + 1e-6, eta + 1e-6 - markov_max),
+            _at_most("roundtrip_within_delta", max_dev, delta),
+            _at_most("corrections_within_bound", diag.bad_count, bound),
+            _at_most("markov_direction", markov_max, eta + 1e-6),
         ]
         return ExperimentResult(
             ["b", "p_true", "p_reconstructed", "status"], rows, summary, assertions
@@ -343,8 +340,7 @@ def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
 
     if mode != "random":
         raise ConfigError("learn-state mode must be 'fixture', 'file', or 'random'")
-    seed = cfg.require_seed()
-    instances = prm["instances"]
+    seed, instances = prm["seed"], prm["instances"]
     rows = []
     assertions = []
     worst_dev = 0.0
@@ -356,7 +352,7 @@ def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
         c = int(g.integers(2, 4))
         rho = random_density(2**q, g)
         ops = [random_measurement_operator(2**q, g) for _ in range(2**c)]
-        r = prm["r"] or default_copies(q, delta, tol)
+        r = default_copies(q, delta, tol) if prm["r"] is None else prm["r"]
         try:
             _, diag, _, _, dev, bound, markov = _learn_round_trip(rho, ops, delta, r, tol)
         except VanishingProjectionError:
@@ -365,17 +361,18 @@ def _run_learn_state(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
             continue
         worst_dev = max(worst_dev, dev)
         worst_markov = max(worst_markov, markov)
-        ok = diag.bad_count <= bound
-        rows.append([i, q, c, r, diag.bad_count, bound, repr(dev), "ok" if ok else "over-bound"])
-        assertions.append((f"instance_{i}_corrections_within_bound", ok, bound - diag.bad_count))
+        claim = _at_most(f"instance_{i}_corrections_within_bound", diag.bad_count, bound)
+        rows.append([i, q, c, r, diag.bad_count, bound, repr(dev),
+                     "ok" if claim[1] else "over-bound"])
+        assertions.append(claim)
     summary = {
         "instances": instances,
         "degenerate_instances": degenerate,
         "max_deviation": repr(worst_dev),
         "markov_max_trace": repr(worst_markov),
     }
-    assertions.insert(0, ("roundtrip_within_delta", worst_dev <= delta, delta - worst_dev))
-    assertions.insert(1, ("markov_direction", worst_markov <= eta + 1e-6, eta + 1e-6 - worst_markov))
+    assertions.insert(0, _at_most("roundtrip_within_delta", worst_dev, delta))
+    assertions.insert(1, _at_most("markov_direction", worst_markov, eta + 1e-6))
     return ExperimentResult(
         ["instance", "q", "c", "r", "T", "bound", "max_deviation", "status"],
         rows, summary, assertions,
@@ -389,7 +386,7 @@ _COMPILE_FIXTURES = {
 }
 
 
-def _run_compile(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
     name, delta = prm["fixture"], prm["delta"]
     if name not in _COMPILE_FIXTURES:
         raise ConfigError(f"compile fixture must be one of {sorted(_COMPILE_FIXTURES)}")
@@ -417,18 +414,17 @@ def _run_compile(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Experimen
         "max_record_bits": max(record_bits.values(), default=0),
         "total_corrections": sum(len(rec.entries) for rec in result.records.values()),
     }
-    assertions = [("error_increase_within_delta", worst <= delta + 1e-9, delta + 1e-9 - worst)]
+    assertions = [_at_most("error_increase_within_delta", worst, delta + 1e-9)]
     return ExperimentResult(
         ["x", "y", "acceptance_before", "acceptance_after", "increase"],
         rows, summary, assertions,
     )
 
 
-def _run_derandomize(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_derandomize(prm: dict, tol: Tolerances) -> ExperimentResult:
     s = prm["s"]
-    seed = cfg.require_seed()
     p = equality_code(prm["n"], reps=prm["reps"])
-    compiled, table = derandomize_alice(p, s=s, seed=seed, tol=tol)
+    compiled, table = derandomize_alice(p, s=s, seed=prm["seed"], tol=tol)
     rows = []
     for x in p.alice_inputs:
         for b, target in table.targets[x].items():
@@ -448,19 +444,18 @@ def _run_derandomize(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> Exper
         "alice_bits_after": compiled.alice_cost.bits,
     }
     assertions = [
-        ("deviation_within_tenth", max_dev <= 0.1, 0.1 - max_dev),
-        ("error_increase_within_tenth", worst_increase <= 0.1 + 1e-12, 0.1 + 1e-12 - worst_increase),
+        _at_most("deviation_within_tenth", max_dev, 0.1),
+        _at_most("error_increase_within_tenth", worst_increase, 0.1 + 1e-12),
     ]
     return ExperimentResult(
         ["x", "b", "target", "empirical", "deviation"], rows, summary, assertions
     )
 
 
-def _run_oracle_suite(cfg: ExperimentConfig, prm: dict, tol: Tolerances) -> ExperimentResult:
+def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
     from fractions import Fraction
 
-    seed = cfg.require_seed()
-    chain_instances = prm["instances"]
+    seed, chain_instances = prm["seed"], prm["instances"]
     rows = []
     assertions = []
 
@@ -520,88 +515,91 @@ def _opt_int(v) -> int | None:
     return None if v in (None, "") else _int(v)
 
 
-_REQUIRED = object()
+def _pos_int(v) -> int:
+    """``v`` as an int of at least 1."""
+    n = _int(v)
+    if n < 1:
+        raise ValueError(f"{v!r} is not a positive integer")
+    return n
 
-# experiment -> (runner, {param: (cast, default)}); a runner receives the
-# resolved params, and one that samples asks the config for its seed itself
+
+_REQUIRED = object()
+_SEED = {"seed": _REQUIRED}
+_SEED_TRIALS = {"seed": _REQUIRED, "trials": 2000}
+
+# experiment -> (runner, {param: (cast, default)}, {flag: default}), where the
+# flags are the --seed/--trials the runner reads (or a map from the resolved
+# params to them); the runner finds them among its params
 _TABLE = {
-    "eq-public": (_run_eq_public, {"n": (_int, _REQUIRED), "k": (_int, 1)}),
-    "eq-code": (_run_eq_code, {"n": (_int, _REQUIRED), "reps": (_int, 1)}),
+    "eq-public": (_run_eq_public, {"n": (_int, _REQUIRED), "k": (_int, 1)}, {}),
+    "eq-code": (_run_eq_code, {"n": (_int, _REQUIRED), "reps": (_int, 1)}, {}),
     "matching-qc": (partial(_run_matching, quantum=True), {
-        "n": (_int, 64), "instances": (_int, 20), "subset_size": (_opt_int, None),
+        "n": (_int, 64), "instances": (_pos_int, 20), "subset_size": (_opt_int, None),
         "copies": (_opt_int, None), "edges_sent": (_opt_int, None),
-    }),
+    }, _SEED_TRIALS),
     "matching-classical": (partial(_run_matching, quantum=False), {
-        "n": (_int, 64), "instances": (_int, 20), "subset_size": (_opt_int, None),
-    }),
-    "hidden-matching": (_run_hidden_matching, {"n": (_int, 4)}),
+        "n": (_int, 64), "instances": (_pos_int, 20), "subset_size": (_opt_int, None),
+    }, _SEED_TRIALS),
+    "hidden-matching": (_run_hidden_matching, {"n": (_int, 4)}, {}),
     "compile": (_run_compile, {
         "fixture": (str, "toy-q1"), "delta": (float, 0.1), "r": (_opt_int, None),
-    }),
+    }, {}),
     "learn-state": (_run_learn_state, {
         "mode": (str, "fixture"), "delta": (float, 0.1), "r": (_opt_int, None),
-        "rho": (str, None), "operators": (str, None), "instances": (_int, 50),
-    }),
-    "derandomize": (_run_derandomize, {"n": (_int, 2), "reps": (_int, 1), "s": (_int, 12)}),
-    "oracle-suite": (_run_oracle_suite, {"instances": (_int, 100)}),
+        "rho": (str, None), "operators": (str, None), "instances": (_pos_int, 50),
+    }, lambda prm: _SEED if prm["mode"] == "random" else {}),
+    "derandomize": (_run_derandomize, {
+        "n": (_int, 2), "reps": (_int, 1), "s": (_int, 12),
+    }, _SEED),
+    "oracle-suite": (_run_oracle_suite, {"instances": (_pos_int, 100)}, _SEED),
 }
 EXPERIMENTS = tuple(_TABLE)
 
-# experiment -> the config fields besides the params that its runner reads
-# (none when absent), or a map from the resolved params to them
-_SEED, _SEED_TRIALS = ("seed",), ("seed", "trials")
-_READS = {
-    "matching-qc": _SEED_TRIALS,
-    "matching-classical": _SEED_TRIALS,
-    "learn-state": lambda prm: _SEED if prm["mode"] == "random" else (),
-    "derandomize": _SEED,
-    "oracle-suite": _SEED,
-}
 
+def _resolve(cfg: ExperimentConfig):
+    """The experiment's runner and its params, with the flags it reads filled in.
 
-def _resolve_params(cfg: ExperimentConfig, schema: dict) -> dict:
-    """Cast the declared params, fill in defaults, reject missing and unknown keys."""
+    Params are cast and defaulted.  An unknown or missing param, a missing
+    ``--seed`` and a ``--seed`` or ``--trials`` the runner does not read are
+    configuration errors, so that ``_config.json`` never echoes a setting
+    that had no effect.
+    """
+    if cfg.experiment not in _TABLE:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
+    run, schema, flags = _TABLE[cfg.experiment]
     unknown = sorted(set(cfg.params) - set(schema))
     if unknown:
         raise ConfigError(
             f"experiment {cfg.experiment!r} has no param {', '.join(unknown)}; "
             f"it accepts {', '.join(schema)}"
         )
-    out = {}
+    prm = {}
     for key, (cast, default) in schema.items():
         if key not in cfg.params:
             if default is _REQUIRED:
                 raise ConfigError(f"experiment {cfg.experiment!r} requires --param {key}=...")
-            out[key] = default
+            prm[key] = default
             continue
         try:
-            out[key] = cast(cfg.params[key])
+            prm[key] = cast(cfg.params[key])
         except (TypeError, ValueError) as ex:
             raise ConfigError(f"--param {key}: {ex}") from None
-    return out
-
-
-def _resolve(cfg: ExperimentConfig):
-    """The experiment's runner, its resolved params and the config fields it reads."""
-    if cfg.experiment not in _TABLE:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
-    run, schema = _TABLE[cfg.experiment]
-    prm = _resolve_params(cfg, schema)
-    reads = _READS.get(cfg.experiment, ())
-    return run, prm, reads(prm) if callable(reads) else reads
+    if callable(flags):
+        flags = flags(prm)
+    for name in ("seed", "trials"):
+        if getattr(cfg, name) is not None and name not in flags:
+            raise ConfigError(f"experiment {cfg.experiment!r} does not read --{name}")
+    for name, default in flags.items():
+        prm[name] = default if getattr(cfg, name) is None else getattr(cfg, name)
+        if prm[name] is _REQUIRED:
+            raise ConfigError(f"experiment {cfg.experiment!r} samples and needs --{name}")
+    return run, prm
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment and write its report files under ``cfg.out``.
-
-    A ``seed`` or ``trials`` the experiment does not read is a configuration
-    error, so that ``_config.json`` never echoes a setting that had no effect.
-    """
-    run, prm, reads = _resolve(cfg)
-    for name in ("seed", "trials"):
-        if getattr(cfg, name) is not None and name not in reads:
-            raise ConfigError(f"experiment {cfg.experiment!r} does not read --{name}")
-    result = run(cfg, prm, cfg.resolved_tolerances())
+    """Run one experiment and write its report files under ``cfg.out``."""
+    run, prm = _resolve(cfg)
+    result = run(prm, cfg.resolved_tolerances())
     _write_reports(cfg, result)
     return result
 
@@ -638,9 +636,8 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult) -> None:
 def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     """Run the experiment once per value; one CSV row per run.
 
-    A run that reads a seed gets one derived from ``cfg.seed`` and its index,
-    and a run that reads ``trials`` gets ``cfg.trials``; other runs get
-    neither.
+    Run ``i`` gets the seed derived from ``cfg.seed`` and ``i``, and
+    ``cfg.trials``; like a single run, it refuses a flag it does not read.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -651,14 +648,11 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
         sub = ExperimentConfig(
             experiment=cfg.experiment,
             params={**cfg.params, parameter: value},
+            seed=None if cfg.seed is None else derive_seed(cfg.seed, i),
+            trials=cfg.trials,
             out=out / f"run{i:03d}",
             tolerance=dict(cfg.tolerance),
         )
-        _, _, reads = _resolve(sub)
-        if cfg.seed is not None and "seed" in reads:
-            sub.seed = derive_seed(cfg.seed, i)
-        if "trials" in reads:
-            sub.trials = cfg.trials
         result = run_experiment(sub)
         for key in result.summary:
             if key not in seen_summary_keys:

@@ -17,8 +17,6 @@ class Tolerances:
     trace_one: float = 1e-9          # |Tr(rho) - 1|
     psd: float = 1e-9                # eigenvalues >= -psd
     operator_spectrum: float = 1e-9  # measurement-operator eigenvalues in [-tol, 1+tol]
-    projector: float = 1e-9          # idempotence / orthogonality / completeness
-    reconstruction: float = 1e-8     # ||sum_i lambda_i P_i - F||
     imag_trace: float = 1e-9         # allowed imaginary part of Tr(E rho)
     group_tol: float = 1e-9          # eigenvalue clustering width
     band_pad: float = 1e-9           # closed-interval padding for band projectors

@@ -567,6 +567,10 @@ def empirical_success(
     """
     lookup = f if callable(f) else f.__call__
     pair_list = list(pairs)
+    if trials_per_pair < 1:
+        raise ValueError(f"need trials_per_pair >= 1, got {trials_per_pair}")
+    if not pair_list:
+        raise ValueError("need at least one pair")
     successes = 0
     abstained = 0
     per_pair = []

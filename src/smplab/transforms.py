@@ -176,6 +176,8 @@ class LearnDiagnostics:
 
 def default_copies(q: int, delta: float, tol: Tolerances = DEFAULT) -> int:
     """Default copy count: generous in log(q)/delta^2, capped by the qubit budget."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError("need delta in (0, 1/2)")
     want = max(2, math.ceil(8.0 * math.log(max(q, 2)) / delta**2))
     budget = max(2, tol.learn_qubit_budget // q)
     return min(want, budget)

@@ -149,13 +149,13 @@ class TestMainExitCodes:
     def test_failed_assertion_maps_to_exit_3(self, tmp_path, monkeypatch):
         import smplab.cli as cli
 
-        def failing_runner(cfg, prm, tol):
+        def failing_runner(prm, tol):
             return cli.ExperimentResult(
                 columns=["x"], rows=[[0]], summary={"value": 1},
                 assertions=[("forced", False, -1.0)],
             )
 
-        monkeypatch.setitem(cli._TABLE, "eq-public", (failing_runner, {}))
+        monkeypatch.setitem(cli._TABLE, "eq-public", (failing_runner, {}, {}))
         code = cli.main(["--experiment", "eq-public", "--out", str(tmp_path)])
         assert code == 3
 
@@ -163,10 +163,10 @@ class TestMainExitCodes:
     def test_broken_claim_errors_map_to_exit_3(self, tmp_path, monkeypatch, error):
         import smplab.cli as cli
 
-        def raising_runner(cfg, prm, tol):
+        def raising_runner(prm, tol):
             raise error("forced")
 
-        monkeypatch.setitem(cli._TABLE, "eq-public", (raising_runner, {}))
+        monkeypatch.setitem(cli._TABLE, "eq-public", (raising_runner, {}, {}))
         code = cli.main(["--experiment", "eq-public", "--out", str(tmp_path)])
         assert code == EXIT_ASSERTION
 
@@ -235,9 +235,7 @@ class TestSweep:
         assert lines[0].startswith("run_index,k,seed,ok")
 
     def test_single_value_matches_direct_run(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="eq-public", params={"n": 2}, seed=1, out=tmp_path / "s"
-        )
+        cfg = ExperimentConfig(experiment="eq-public", params={"n": 2}, out=tmp_path / "s")
         sweep(cfg, "k", [2])
         direct = ExperimentConfig(
             experiment="eq-public", params={"n": 2, "k": 2}, out=tmp_path / "d"
@@ -323,15 +321,50 @@ class TestFlagsRead:
         assert code == EXIT_OK
         assert json.loads((tmp_path / "learn-state_config.json").read_text())["seed"] == 4
 
-    def test_sweep_passes_seed_and_trials_only_to_runs_that_read_them(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="eq-public", params={"n": 2}, seed=1, trials=5, out=tmp_path
-        )
-        path = sweep(cfg, "k", [1, 2])
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        assert [row[2] for row in rows] == ["", ""]
-        echo = json.loads((tmp_path / "run000" / "eq-public_config.json").read_text())
-        assert echo["seed"] is None and echo["trials"] is None
+    def test_sweep_refuses_unread_flag(self, tmp_path, capsys):
+        code = main([
+            "--experiment", "eq-public", "--param", "n=2", "--seed", "1",
+            "--sweep-param", "k", "--sweep-values", "1,2", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_CONFIG
+        assert "does not read --seed" in capsys.readouterr().err
+        assert not (tmp_path / "eq-public_sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "matching-qc"],
+        ["--experiment", "matching-classical", "--trials", "5"],
+        ["--experiment", "learn-state", "--param", "mode=random"],
+        ["--experiment", "derandomize"],
+        ["--experiment", "oracle-suite"],
+    ])
+    def test_missing_seed_is_config_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "samples and needs --seed" in capsys.readouterr().err
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "learn-state", "--param", "mode=random", "--param", "delta=0",
+          "--seed", "1"], "need delta in (0, 1/2)"),
+        (["--experiment", "compile", "--param", "delta=0"], "need delta in (0, 1/2)"),
+        (["--experiment", "matching-classical", "--param", "n=16", "--trials", "0",
+          "--seed", "1"], "need trials_per_pair >= 1"),
+        (["--experiment", "matching-classical", "--param", "n=16", "--trials", "-3",
+          "--seed", "1"], "need trials_per_pair >= 1"),
+        (["--experiment", "matching-classical", "--param", "instances=0", "--seed", "1"],
+         "--param instances: 0 is not a positive integer"),
+        (["--experiment", "learn-state", "--param", "mode=random", "--param", "instances=0",
+          "--seed", "1"], "--param instances: 0 is not a positive integer"),
+        (["--experiment", "oracle-suite", "--param", "instances=-1", "--seed", "1"],
+         "--param instances: -1 is not a positive integer"),
+        (["--experiment", "learn-state", "--param", "r=0"], "need r >= 1"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "projector=1"],
+         "unknown tolerance override"),
+    ])
+    def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestLearnRoundTrip:

@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from smplab.cli import EXIT_OK, main
+from smplab.qcore import random_density, random_measurement_operator
+from smplab.rng import trial_rng
+from smplab.serialize import save_matrix
 
 REPORTS = ("_rows.csv", "_summary.txt", "_config.json")
 
@@ -71,13 +74,76 @@ GOLDEN = {
          "--sweep-values", "1,2,3"],
         {"eq-public_sweep.csv": "0fe3571801957767bb8b4e7033e745f3a9f77d6c001d8b3c317ffdecedcb0895"},
     ),
+    "eq-code-n2": (
+        ["--experiment", "eq-code", "--param", "n=2", "--param", "reps=2"],
+        {
+            "eq-code_rows.csv": "f3ce75ba1ac30ee5d1ad186eb78e159a95b67e821b82a18bb91ad393671e67a9",
+            "eq-code_summary.txt": "19dbf6bba7b14b151154d6871b50872cd272570909bb10b127da62b14a7ecc42",
+            "eq-code_config.json": "15d79c53f41d8deda74301a209ffbe2459b82a344c9fe5409d2b1ee5c379ae58",
+        },
+    ),
+    "eq-code-n5": (  # over the enumeration budget: closed form only
+        ["--experiment", "eq-code", "--param", "n=5", "--param", "reps=5"],
+        {
+            "eq-code_rows.csv": "6f4e65112d43ae8414f880a62042d5db27274d1f2c0e4e9592f93f651b4ba752",
+            "eq-code_summary.txt": "1ff46ea0f85292ecafd04716ea9edf335cea76f020d6f92fd832e0a4fa5ca906",
+            "eq-code_config.json": "628d263e01a23bef13fc11db7dd074a6cf97e61e575f0275eafcbd2b53ff5263",
+        },
+    ),
+    "matching-qc": (
+        ["--experiment", "matching-qc", "--param", "n=16", "--param", "instances=3",
+         "--trials", "40", "--seed", "77"],
+        {
+            "matching-qc_rows.csv": "7d362b8ec548267b6f275e8a86f8c9fdecfd8fd792c17d8baa849a1e718b20a9",
+            "matching-qc_summary.txt": "e881585bd67ad91b3634140c81d2548bdaba9d921f1260b8b92532e4d82e8180",
+            "matching-qc_config.json": "fcbd9fc9a837502309c938b85772e8f51849f523ab27e4c25628c3605459223e",
+        },
+    ),
+    "learn-state-random": (
+        ["--experiment", "learn-state", "--param", "mode=random", "--param", "instances=3",
+         "--seed", "4"],
+        {
+            "learn-state_rows.csv": "9f11b092989b3e35983818ceba7f2a772a89161c6eca6c7b33d881ea429eeac7",
+            "learn-state_summary.txt": "aa4f30d98b64f928d351f5a825d87b2cc7467e24d47096fd496617636d5b4a9f",
+            "learn-state_config.json": "65e5f7a7064c5600454d71c2757ba70869f36d7f332fdc5e17788535fdbaa488",
+        },
+    ),
+    "learn-state-file": (
+        ["--experiment", "learn-state", "--param", "mode=file", "--param", "rho=rho.qmat",
+         "--param", "operators=e0.qmat,e1.qmat"],
+        {
+            "learn-state_rows.csv": "fdfc9ba83d92845507b7413cdeb6df88ff3b0b3bb1d7eace57d9230d4edd567d",
+            "learn-state_summary.txt": "40b991825bb6a05bad275eb6c00d24a842359b89317f6ebd45d90de666e95997",
+            "learn-state_config.json": "64555bbf803650bea1b69a9eb2d4f1ec39fc9af983d0c291944d8edcaf19c661",
+        },
+    ),
+    "oracle-suite": (
+        ["--experiment", "oracle-suite", "--param", "instances=20", "--seed", "5"],
+        {
+            "oracle-suite_rows.csv": "27c482b5230e435ecf40b8fad5d41623c116c7e25202288e9ebc488266654fdb",
+            "oracle-suite_summary.txt": "de5ce379230514e32c18d9778127534467b3c4307b5d280257f4e8420a7a5a92",
+            "oracle-suite_config.json": "e92ba1cfe1419a9a8ecd8dd381c95af99d610cafaa769089040a3fedb104951b",
+        },
+    ),
 }
+
+
+def _write_learn_inputs():
+    """A 1-qubit state and two operators, drawn so that the walk corrects once."""
+    g = trial_rng(3, 0)
+    save_matrix("rho.qmat", random_density(2, g).entries)
+    for i in range(2):
+        save_matrix(f"e{i}.qmat", random_measurement_operator(2, g).entries)
+
+
+SETUP = {"learn-state-file": _write_learn_inputs}
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_report_bytes_unchanged(label, tmp_path, monkeypatch):
     argv, digests = GOLDEN[label]
     monkeypatch.chdir(tmp_path)
+    SETUP.get(label, lambda: None)()
     assert main(argv + ["--out", "out"]) == EXIT_OK
     got = {name: hashlib.sha256((Path("out") / name).read_bytes()).hexdigest()
            for name in digests}

@@ -23,6 +23,7 @@ from smplab.smp import (
     SmpProtocol,
     TableReferee,
     acceptance_table,
+    empirical_success,
     exact_acceptance,
     protocol_cost,
     sampled_acceptance,
@@ -292,6 +293,16 @@ class TestSampledAcceptance:
         exact = exact_acceptance(p, inst.x, inst.bob_input)
         est, half = sampled_acceptance(p, inst.x, inst.bob_input, trials=3000, seed=23)
         assert abs(est - exact) <= 4 * half
+
+    @pytest.mark.parametrize("pairs, trials, message", [
+        ([(0, 0)], 0, "need trials_per_pair >= 1"),
+        ([(0, 0)], -3, "need trials_per_pair >= 1"),
+        ([], 5, "need at least one pair"),
+    ])
+    def test_empirical_success_rejects_non_positive_counts(self, pairs, trials, message):
+        p = constant_accept_protocol()
+        with pytest.raises(ValueError, match=message):
+            empirical_success(p, lambda x, y: 1, pairs, trials_per_pair=trials, seed=1)
 
 
 class TestWorstCaseError:

@@ -128,6 +128,11 @@ class TestLearnStateMessage:
         assert default_copies(3, 0.1) == 2
         assert default_copies(1, 0.45) >= 2
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 0.5])
+    def test_default_copies_rejects_delta_outside_range(self, delta):
+        with pytest.raises(ValueError, match=r"need delta in \(0, 1/2\)"):
+            default_copies(1, delta)
+
 
 class TestReconstruct:
     def test_empty_record_identity_family(self):
