@@ -338,8 +338,6 @@ def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
             ["b", "p_true", "p_reconstructed", "status"], rows, summary, assertions
         )
 
-    if mode != "random":
-        raise ConfigError("learn-state mode must be 'fixture', 'file', or 'random'")
     seed, instances = prm["seed"], prm["instances"]
     rows = []
     assertions = []
@@ -388,8 +386,6 @@ _COMPILE_FIXTURES = {
 
 def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
     name, delta = prm["fixture"], prm["delta"]
-    if name not in _COMPILE_FIXTURES:
-        raise ConfigError(f"compile fixture must be one of {sorted(_COMPILE_FIXTURES)}")
     p = _COMPILE_FIXTURES[name]()
     result = compile_qc_to_cc(p, delta, prm["r"], tol)
     xs, ys = p.alice_inputs, p.bob_inputs
@@ -523,6 +519,17 @@ def _pos_int(v) -> int:
     return n
 
 
+def _choice(*options: str):
+    """A cast that accepts only one of ``options``."""
+
+    def cast(v) -> str:
+        if v not in options:
+            raise ValueError(f"{v!r} is not one of {', '.join(options)}")
+        return v
+
+    return cast
+
+
 _REQUIRED = object()
 _SEED = {"seed": _REQUIRED}
 _SEED_TRIALS = {"seed": _REQUIRED, "trials": 2000}
@@ -542,11 +549,13 @@ _TABLE = {
     }, _SEED_TRIALS),
     "hidden-matching": (_run_hidden_matching, {"n": (_int, 4)}, {}),
     "compile": (_run_compile, {
-        "fixture": (str, "toy-q1"), "delta": (float, 0.1), "r": (_opt_int, None),
+        "fixture": (_choice(*_COMPILE_FIXTURES), "toy-q1"), "delta": (float, 0.1),
+        "r": (_opt_int, None),
     }, {}),
     "learn-state": (_run_learn_state, {
-        "mode": (str, "fixture"), "delta": (float, 0.1), "r": (_opt_int, None),
-        "rho": (str, None), "operators": (str, None), "instances": (_pos_int, 50),
+        "mode": (_choice("fixture", "file", "random"), "fixture"), "delta": (float, 0.1),
+        "r": (_opt_int, None), "rho": (str, None), "operators": (str, None),
+        "instances": (_pos_int, 50),
     }, lambda prm: _SEED if prm["mode"] == "random" else {}),
     "derandomize": (_run_derandomize, {
         "n": (_int, 2), "reps": (_int, 1), "s": (_int, 12),

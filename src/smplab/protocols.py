@@ -9,6 +9,7 @@ answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -278,33 +279,44 @@ def random_promise_instance(
 def _encode_edges(
     edges: list[tuple[int, int, int]], slots: int, log_n: int
 ) -> str:
-    count_bits = _index_bits(slots + 1)
-    msg = bitstring(len(edges), count_bits)
+    """The edge count, then each edge as (i, j, w-bit), zero-padded to ``slots`` edges."""
+    v = len(edges)
     for i, j, wbit in edges:
-        msg += bitstring(i, log_n) + bitstring(j, log_n) + str(wbit)
-    msg += "0" * ((slots - len(edges)) * (2 * log_n + 1))
-    return msg
+        v = (((v << log_n | i) << log_n | j) << 1) | wbit
+    width = 2 * log_n + 1
+    v <<= (slots - len(edges)) * width
+    length = _index_bits(slots + 1) + slots * width
+    return format(v, f"0{length}b") if length else ""
 
 
 def _decode_edges(msg: str, slots: int, log_n: int) -> list[tuple[int, int, int]]:
-    count_bits = _index_bits(slots + 1)
-    count = int(msg[:count_bits], 2) if count_bits else 0
+    """Inverse of :func:`_encode_edges`."""
+    width = 2 * log_n + 1
+    v = int(msg, 2) if msg else 0
+    count = v >> (slots * width)
+    low, edge = (1 << log_n) - 1, (1 << width) - 1
     out = []
-    pos = count_bits
-    for _ in range(count):
-        i = int(msg[pos : pos + log_n], 2)
-        j = int(msg[pos + log_n : pos + 2 * log_n], 2)
-        wbit = int(msg[pos + 2 * log_n])
-        out.append((i, j, wbit))
-        pos += 2 * log_n + 1
+    for shift in range((slots - 1) * width, (slots - 1 - count) * width, -width):
+        e = (v >> shift) & edge
+        out.append((e >> (log_n + 1), (e >> 1) & low, e & 1))
     return out
 
 
 def _available_edges(
-    matching: tuple[tuple[int, int], ...], w: tuple[int, ...], subset: tuple[int, ...]
+    matching: tuple[tuple[int, int], ...],
+    w: tuple[int, ...],
+    subset: tuple[int, ...],
+    limit: int,
 ) -> list[tuple[int, int, int]]:
+    """The first ``limit`` edges of the matching inside ``subset``, with their w-bits."""
     inside = set(subset)
-    return [(i, j, w[t]) for t, (i, j) in enumerate(matching) if i in inside and j in inside]
+    edges = ((i, j, w[t]) for t, (i, j) in enumerate(matching) if i in inside and j in inside)
+    return list(itertools.islice(edges, limit))
+
+
+def _check_subset_size(n: int, subset_size: int) -> None:
+    if not 1 <= subset_size <= n:
+        raise ValueError(f"need 1 <= subset_size <= n = {n}, got {subset_size}")
 
 
 def _majority_output(agreements: list[int], rng: np.random.Generator | None):
@@ -339,22 +351,37 @@ class _MatchingQcReferee:
         amp = psi.amplitudes
         out = []
         for idx, (i, j, _w) in enumerate(edges):
-            p = float(abs(amp[i]) ** 2 + abs(amp[j]) ** 2)
+            ai, aj = amp[i], amp[j]
+            p = float(abs(ai) ** 2 + abs(aj) ** 2)
             if p <= 0.0:
                 continue
-            plus = float(abs(amp[i] + amp[j]) ** 2) / 2.0
-            minus = float(abs(amp[i] - amp[j]) ** 2) / 2.0
+            plus = float(abs(ai + aj) ** 2) / 2.0
+            minus = float(abs(ai - aj) ** 2) / 2.0
             out.append((idx, p, plus / (plus + minus)))
+        return out
+
+    def _copy_outcomes(self, payload: ProductState, edges: list[tuple[int, int, int]]):
+        """``_edge_outcomes`` of each copy, computed once per run of one factor object.
+
+        Alice's copies are one shared ``PureState``, so it is computed once.
+        """
+        out = []
+        last = outcomes = None
+        for psi in payload.factors:
+            if psi is not last:
+                last, outcomes = psi, self._edge_outcomes(psi, edges)
+            out.append(outcomes)
         return out
 
     def output_distribution(self, payload: ProductState, b: str, coin=None) -> dict:
         edges = _decode_edges(b, self.slots, self.log_n)
+        copy_outcomes = self._copy_outcomes(payload, edges)
         dist: dict[int, float] = {}
 
         def walk(copy: int, used: frozenset[int], agreements: tuple[int, ...], weight: float):
             if weight <= 1e-15:
                 return
-            if copy == len(payload.factors):
+            if copy == len(copy_outcomes):
                 out = _majority_output(list(agreements), rng=None)
                 if out is None:
                     dist[0] = dist.get(0, 0.0) + weight / 2
@@ -362,8 +389,7 @@ class _MatchingQcReferee:
                 else:
                     dist[out] = dist.get(out, 0.0) + weight
                 return
-            psi = payload.factors[copy]
-            unused = [e for e in self._edge_outcomes(psi, edges) if e[0] not in used]
+            unused = [e for e in copy_outcomes[copy] if e[0] not in used]
             residual = 1.0 - sum(p for _, p, _ in unused)
             for idx, p, p_even in unused:
                 wbit = edges[idx][2]
@@ -382,8 +408,8 @@ class _MatchingQcReferee:
         edges = _decode_edges(b, self.slots, self.log_n)
         used: set[int] = set()
         agreements: list[int] = []
-        for psi in payload.factors:
-            options = [e for e in self._edge_outcomes(psi, edges) if e[0] not in used]
+        for outcomes in self._copy_outcomes(payload, edges):
+            options = [e for e in outcomes if e[0] not in used]
             if not options:
                 continue
             u = rng.random()
@@ -422,21 +448,30 @@ def matching_qc(
         copies = math.ceil(n ** (1 / 3))
     if edges_sent is None:
         edges_sent = math.ceil(n ** (1 / 3))
+    _check_subset_size(n, subset_size)
+    for name, count in (("copies", copies), ("edges_sent", edges_sent)):
+        if count < 1:
+            raise ValueError(f"need {name} >= 1, got {count}")
     edges_sent = min(edges_sent, subset_size // 2)
 
     coin = subset_coin(n, subset_size)
     inv_sqrt = 1.0 / math.sqrt(subset_size)
 
+    @functools.lru_cache(maxsize=1)
+    def signs(x: tuple) -> np.ndarray:
+        """Alice's signed amplitude on every index; only the last input is kept."""
+        return np.where(np.array(x, dtype=bool), -inv_sqrt, inv_sqrt).astype(np.complex128)
+
     def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> ProductState:
         amp = np.zeros(n, dtype=np.complex128)
-        for i in subset:
-            amp[i] = -inv_sqrt if x[i] else inv_sqrt
+        idx = np.fromiter(subset, dtype=np.intp, count=len(subset))
+        amp[idx] = signs(tuple(x))[idx]
         psi = PureState(amp)
         return ProductState((psi,) * copies)
 
     def bob(by: tuple, subset: tuple[int, ...]) -> dict[str, float]:
         matching, w = by
-        edges = _available_edges(matching, w, subset)[:edges_sent]
+        edges = _available_edges(matching, w, subset, edges_sent)
         return {_encode_edges(edges, edges_sent, log_n): 1.0}
 
     count_bits = _index_bits(edges_sent + 1)
@@ -461,10 +496,9 @@ class _MatchingClassicalReferee:
         self.log_n = _log2_exact(n)
 
     def _agreements(self, a: str, b: str, subset: tuple[int, ...]) -> list[int]:
-        position = {v: t for t, v in enumerate(subset)}
         agreements = []
         for i, j, wbit in _decode_edges(b, self.slots, self.log_n):
-            parity = int(a[position[i]]) ^ int(a[position[j]])
+            parity = int(a[subset.index(i)]) ^ int(a[subset.index(j)])
             agreements.append(int(parity == wbit))
         return agreements
 
@@ -489,15 +523,21 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
     log_n = _log2_exact(n)
     if subset_size is None:
         subset_size = 2 * math.ceil(math.sqrt(n))
+    _check_subset_size(n, subset_size)
     coin = subset_coin(n, subset_size)
     slots = subset_size // 2
 
+    @functools.lru_cache(maxsize=1)
+    def bits(x: tuple) -> tuple[str, ...]:
+        return tuple(str(b) for b in x)
+
     def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> dict[str, float]:
-        return {"".join(str(x[i]) for i in subset): 1.0}
+        chars = bits(tuple(x))
+        return {"".join([chars[i] for i in subset]): 1.0}
 
     def bob(by: tuple, subset: tuple[int, ...]) -> dict[str, float]:
         matching, w = by
-        edges = _available_edges(matching, w, subset)[:slots]
+        edges = _available_edges(matching, w, subset, slots)
         return {_encode_edges(edges, slots, log_n): 1.0}
 
     count_bits = _index_bits(slots + 1)

@@ -27,7 +27,7 @@ from .qcore import (
     PureState,
     acceptance_probability,
 )
-from .rng import derive_seed, trial_rng
+from .rng import derive_seed, trial_rngs
 
 __all__ = [
     "CoinSpace",
@@ -120,7 +120,7 @@ def subset_coin(n: int, k: int, enumerate_cap: int = 4096) -> CoinSpace:
     count = math.comb(n, k)
 
     def sampler(rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
+        return tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
 
     if count <= enumerate_cap:
         import itertools
@@ -511,8 +511,8 @@ def sampled_acceptance(
     if trials < 1:
         raise ValueError("need trials >= 1")
     successes = 0
-    for t in range(trials):
-        out = _sample_output_once(p, x, y, trial_rng(seed, t))
+    for rng in trial_rngs(seed, trials):
+        out = _sample_output_once(p, x, y, rng)
         successes += 1 if out == 1 else 0
     phat, lo, hi = wilson_interval(successes, trials)
     return phat, (hi - lo) / 2
@@ -578,9 +578,9 @@ def empirical_success(
         want = lookup(x, y)
         pair_seed = derive_seed(seed, i)
         hits = 0
-        for t in range(trials_per_pair):
+        for rng in trial_rngs(pair_seed, trials_per_pair):
             info: dict = {}
-            out = _sample_output_once(p, x, y, trial_rng(pair_seed, t), info=info)
+            out = _sample_output_once(p, x, y, rng, info=info)
             hits += 1 if out == want else 0
             abstained += info.get("abstained", 0)
         successes += hits

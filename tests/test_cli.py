@@ -360,6 +360,22 @@ class TestRejectedInputs:
         (["--experiment", "learn-state", "--param", "r=0"], "need r >= 1"),
         (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "projector=1"],
          "unknown tolerance override"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "subset_size=0",
+          "--seed", "1"], "need 1 <= subset_size <= n = 16, got 0"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "subset_size=17",
+          "--seed", "1"], "need 1 <= subset_size <= n = 16, got 17"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "copies=0",
+          "--seed", "1"], "need copies >= 1, got 0"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "edges_sent=0",
+          "--seed", "1"], "need edges_sent >= 1, got 0"),
+        (["--experiment", "matching-classical", "--param", "n=16", "--param", "subset_size=0",
+          "--seed", "1"], "need 1 <= subset_size <= n = 16, got 0"),
+        (["--experiment", "matching-classical", "--param", "n=16", "--param", "subset_size=17",
+          "--seed", "1"], "need 1 <= subset_size <= n = 16, got 17"),
+        (["--experiment", "learn-state", "--param", "mode=bogus", "--seed", "1"],
+         "--param mode: 'bogus' is not one of fixture, file, random"),
+        (["--experiment", "compile", "--param", "fixture=toy-q3"],
+         "--param fixture: 'toy-q3' is not one of toy-q1, toy-q2, hm-verify"),
     ])
     def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

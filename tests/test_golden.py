@@ -99,6 +99,24 @@ GOLDEN = {
             "matching-qc_config.json": "fcbd9fc9a837502309c938b85772e8f51849f523ab27e4c25628c3605459223e",
         },
     ),
+    "matching-qc-n32": (
+        ["--experiment", "matching-qc", "--param", "n=32", "--param", "subset_size=9",
+         "--param", "copies=3", "--param", "edges_sent=2", "--seed", "7", "--trials", "50"],
+        {
+            "matching-qc_rows.csv": "90939e38c44214bfca4efdda663a57f5381f2579cb91f06df7ca87a477da1ca4",
+            "matching-qc_summary.txt": "0e3009964b8703f492dde4921e5d47daa2cd45261ea71f03b22ab1ca2b83bc26",
+            "matching-qc_config.json": "33755617366351d23a4c4776036b9931e25bfd53a4e3f6436d059762ff1ab157",
+        },
+    ),
+    "matching-classical-n64": (
+        ["--experiment", "matching-classical", "--param", "n=64", "--param", "instances=2",
+         "--seed", "7", "--trials", "50"],
+        {
+            "matching-classical_rows.csv": "64d6fbc1dc46b425fe5fccf7d088c599cef4f9848cb1c57dcaf6cb4be399cdb1",
+            "matching-classical_summary.txt": "63232a716071fd04749fa296d67d415ca5fb3849f4dde4649c31f409b5260b70",
+            "matching-classical_config.json": "f7e76a36d5f19913d17787bce0a32ca42f0ad408abcada106e9704f2abaeb7dc",
+        },
+    ),
     "learn-state-random": (
         ["--experiment", "learn-state", "--param", "mode=random", "--param", "instances=3",
          "--seed", "4"],

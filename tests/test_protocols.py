@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smplab.codes import encode, hadamard_code
 from smplab.errors import PromiseViolationError
@@ -20,8 +22,10 @@ from smplab.protocols import (
     random_promise_instance,
     toy_quantum_equality,
     xor_matching,
+    _decode_edges,
+    _encode_edges,
 )
-from smplab.qcore import acceptance_probability
+from smplab.qcore import ProductState, PureState, acceptance_probability
 from smplab.rng import trial_rng
 from smplab.smp import CoinSpace, exact_acceptance, worst_case_error
 
@@ -204,6 +208,106 @@ class TestMatchingProtocols:
         dist = p.referee.output_distribution(a_msg, b_msg, subset)
         want = int(inst.w[0] == (inst.x[i] ^ inst.x[j]))
         assert dist == {want: 1.0}
+
+
+def _bits(value: int, width: int) -> str:
+    return format(value, f"0{width}b") if width else ""
+
+
+def _count_bits(slots: int) -> int:
+    return slots.bit_length()  # enough for every count 0 .. slots
+
+
+def _string_encode_edges(edges, slots, log_n):
+    """Bob's edge message built character by character: the codec's oracle."""
+    msg = _bits(len(edges), _count_bits(slots))
+    for i, j, wbit in edges:
+        msg += _bits(i, log_n) + _bits(j, log_n) + str(wbit)
+    return msg + "0" * ((slots - len(edges)) * (2 * log_n + 1))
+
+
+def _string_decode_edges(msg, slots, log_n):
+    count_bits = _count_bits(slots)
+    count = int(msg[:count_bits], 2) if count_bits else 0
+    out = []
+    pos = count_bits
+    for _ in range(count):
+        i = int(msg[pos : pos + log_n], 2)
+        j = int(msg[pos + log_n : pos + 2 * log_n], 2)
+        out.append((i, j, int(msg[pos + 2 * log_n])))
+        pos += 2 * log_n + 1
+    return out
+
+
+@st.composite
+def _edge_messages(draw):
+    log_n = draw(st.integers(1, 7))
+    slots = draw(st.integers(0, 6))
+    vertex = st.integers(0, (1 << log_n) - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 1)), max_size=slots))
+    return edges, slots, log_n
+
+
+class TestMatchingMessages:
+    """The matching protocols' messages equal those of their per-character builds."""
+
+    def test_count_bits_oracle_matches_protocol_costs(self):
+        for slots in range(8):
+            p = matching_classical(16, subset_size=2 * slots + 1)
+            assert p.bob_cost.bits == _count_bits(slots) + slots * 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_messages())
+    @example(([], 0, 3))
+    @example(([], 1, 3))
+    @example(([(5, 2, 1)], 1, 3))
+    @example(([(0, 63, 1), (63, 0, 0), (7, 7, 1)], 3, 6))
+    @example(([], 4, 1))
+    def test_codec_equals_string_oracle_and_round_trips(self, case):
+        edges, slots, log_n = case
+        msg = _encode_edges(edges, slots, log_n)
+        assert msg == _string_encode_edges(edges, slots, log_n)
+        assert _decode_edges(msg, slots, log_n) == _string_decode_edges(msg, slots, log_n)
+        assert _decode_edges(msg, slots, log_n) == edges
+
+    @pytest.mark.parametrize("n, size, copies, sent", [(8, 4, 2, 2), (16, 7, 3, 2), (64, 16, 4, 4)])
+    def test_strategies_equal_per_index_builds(self, n, size, copies, sent):
+        qc = matching_qc(n, subset_size=size, copies=copies, edges_sent=sent)
+        classical = matching_classical(n, subset_size=size)
+        g = trial_rng(8, n)
+        instances = [random_promise_instance(n, g) for _ in range(3)]
+        for t in range(12):
+            inst = instances[t % 3]  # alternate inputs through the one-input caches
+            subset = qc.coin.sampler(g)
+            amp = np.zeros(n, dtype=np.complex128)
+            for i in subset:
+                amp[i] = -1.0 / np.sqrt(size) if inst.x[i] else 1.0 / np.sqrt(size)
+            payload = qc.alice_strategy(list(inst.x), subset)
+            assert len(payload.factors) == copies
+            assert all(f is payload.factors[0] for f in payload.factors)
+            assert payload.factors[0].amplitudes.tobytes() == PureState(amp).amplitudes.tobytes()
+            assert classical.alice_strategy(inst.x, subset) == {
+                "".join(str(inst.x[i]) for i in subset): 1.0
+            }
+            inside = [(i, j, inst.w[k]) for k, (i, j) in enumerate(inst.matching)
+                      if i in subset and j in subset]
+            for p, slots in ((qc, min(sent, size // 2)), (classical, size // 2)):
+                want = _string_encode_edges(inside[:slots], slots, n.bit_length() - 1)
+                assert p.bob_strategy(inst.bob_input, subset) == {want: 1.0}
+
+    def test_referee_measures_each_distinct_copy(self):
+        # two edges inside S; copy 1 sits on edge (2, 3) only and uses it, so
+        # copy 2 can only hit edge (0, 1), where w disagrees with x
+        p = matching_qc(4, subset_size=4, copies=2, edges_sent=2)
+        inst = MatchingInstance(4, (0, 0, 0, 0), ((0, 1), (2, 3)), (1, 0))
+        (b_msg,) = p.bob_strategy(inst.bob_input, (0, 1, 2, 3))
+        on_edge = PureState(np.array([0, 0, 1, 1], dtype=np.complex128))
+        spread = p.alice_strategy(inst.x, (0, 1, 2, 3)).factors[0]
+        payload = ProductState((on_edge, spread))
+        dist = p.referee.output_distribution(payload, b_msg)
+        assert dist == pytest.approx({1: 0.75, 0: 0.25})
+        outs = [p.referee.sample_output(payload, b_msg, trial_rng(2, t)) for t in range(400)]
+        assert 0.65 <= np.mean(outs) <= 0.85
 
 
 class TestHiddenMatching:

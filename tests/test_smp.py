@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smplab.config import DEFAULT, with_overrides
 from smplab.errors import EnumerationCapError
@@ -10,23 +12,28 @@ from smplab.protocols import (
     equality_code,
     equality_function,
     equality_public,
+    matching_classical,
     matching_qc,
+    matching_value,
     random_promise_instance,
     toy_quantum_equality,
 )
-from smplab.rng import trial_rng
+from smplab.rng import derive_seed, trial_rng, trial_rngs
 from smplab.smp import (
     CoinSpace,
     Cost,
     FunctionTable,
     RelationTable,
     SmpProtocol,
+    SuccessReport,
     TableReferee,
+    _sample_output_once,
     acceptance_table,
     empirical_success,
     exact_acceptance,
     protocol_cost,
     sampled_acceptance,
+    subset_coin,
     uniform_int_coin,
     validate_distribution,
     wilson_interval,
@@ -397,8 +404,94 @@ def test_trial_rng_is_order_independent():
     assert a == b[::-1]
 
 
+def test_subset_coin_samples_sorted_python_ints():
+    coin = subset_coin(64, 16)
+    for t in range(20):
+        got = coin.sampler(trial_rng(5, t))
+        drawn = trial_rng(5, t).choice(64, size=16, replace=False)
+        assert got == tuple(sorted(int(i) for i in drawn))
+        assert all(type(i) is int for i in got)
+
+
 def test_uniform_int_coin_enumerates_exactly():
     coin = uniform_int_coin(8)
     pairs = list(coin.enumerate())
     assert len(pairs) == 8
     assert abs(sum(p for _, p in pairs) - 1.0) <= 1e-12
+
+
+# Draws of every kind the library makes, plus a float32 draw that leaves half
+# of a 64-bit output in the Philox buffer for the next trial to (not) use.
+_DRAWS = {
+    "random": lambda g: g.random(),
+    "random32": lambda g: float(g.random(dtype=np.float32)),
+    "integers": lambda g: int(g.integers(0, 7)),
+    "wide": lambda g: int(g.integers(0, 1 << 62)),
+    "choice": lambda g: g.choice(64, size=16, replace=False).tolist(),
+    "permutation": lambda g: g.permutation(10).tolist(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(-(1 << 70), 1 << 70),
+    count=st.integers(0, 6),
+    ops=st.lists(st.sampled_from(sorted(_DRAWS)), max_size=8),
+)
+@example(seed=-1, count=3, ops=["random32", "choice", "random"])
+@example(seed=(1 << 64) + 5, count=3, ops=["choice", "integers", "permutation"])
+def test_trial_rngs_draw_as_fresh_trial_rngs(seed, count, ops):
+    def draw_all(g):
+        return [_DRAWS[op](g) for op in ops]
+
+    got = [draw_all(g) for g in trial_rngs(seed, count)]
+    assert got == [draw_all(trial_rng(seed, t)) for t in range(count)]
+
+
+def _per_trial_reference(p, f, pairs, trials_per_pair, seed) -> SuccessReport:
+    """``empirical_success`` with a fresh ``trial_rng`` per trial: the stream it keeps."""
+    successes = abstained = 0
+    per_pair = []
+    for i, (x, y) in enumerate(pairs):
+        pair_seed = derive_seed(seed, i)
+        hits = 0
+        for t in range(trials_per_pair):
+            info: dict = {}
+            out = _sample_output_once(p, x, y, trial_rng(pair_seed, t), info=info)
+            hits += 1 if out == f(x, y) else 0
+            abstained += info.get("abstained", 0)
+        successes += hits
+        per_pair.append(hits / trials_per_pair)
+    total = len(pairs) * trials_per_pair
+    rate, lo, hi = wilson_interval(successes, total)
+    return SuccessReport(successes, total, rate, lo, hi, tuple(per_pair), abstained)
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: matching_qc(16), 16),
+    (lambda: matching_qc(16, subset_size=10, copies=3, edges_sent=4), 16),
+    (lambda: matching_qc(32), 32),
+    (lambda: matching_qc(32, subset_size=9, copies=2, edges_sent=2), 32),
+    (lambda: matching_classical(16), 16),
+    (lambda: matching_classical(16, subset_size=5), 16),
+    (lambda: matching_classical(32), 32),
+    (lambda: matching_classical(32, subset_size=14), 32),
+])
+def test_empirical_success_equals_per_trial_generators_on_matching(make, n):
+    g = trial_rng(12, n)
+    fixture = [random_promise_instance(n, g) for _ in range(3)]
+    values = {(inst.x, inst.bob_input): matching_value(inst) for inst in fixture}
+    pairs = list(values)
+    f = lambda x, y: values[(x, y)]  # noqa: E731
+    got = empirical_success(make(), f, pairs, trials_per_pair=60, seed=31)
+    assert got == _per_trial_reference(make(), f, pairs, 60, seed=31)
+
+
+def test_empirical_success_equals_per_trial_generators_on_sampled_messages():
+    # private coin; Alice's strategy is a distribution sampled by rng.choice
+    p = equality_code(2, reps=2)
+    assert isinstance(p.alice_strategy(1, None), Mapping)
+    f = equality_function(2)
+    pairs = [(0, 0), (1, 2), (3, 3), (2, 1)]
+    got = empirical_success(p, f, pairs, trials_per_pair=50, seed=-4)
+    assert got == _per_trial_reference(p, f, pairs, 50, seed=-4)
