@@ -9,22 +9,15 @@ intersection bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "LinearCode",
     "hadamard_code",
-    "repetition_code",
     "cyclic_mask_code",
-    "random_linear_code",
     "encode",
     "min_distance_bruteforce",
-    "grid_cell",
-    "relative_distance",
-    "load_generator_text",
-    "save_generator_text",
 ]
 
 _BRUTE_FORCE_N_CAP = 12
@@ -84,11 +77,6 @@ def hadamard_code(n: int) -> LinearCode:
     return LinearCode(gen, rows, cols)
 
 
-def repetition_code(m: int) -> LinearCode:
-    """One message bit repeated m times."""
-    return LinearCode(np.ones((m, 1), dtype=np.uint8), *_balanced_grid(m))
-
-
 def cyclic_mask_code(k: int, m: int) -> LinearCode:
     """Length-m code whose rows cycle through the nonzero parity masks on k bits.
 
@@ -99,11 +87,6 @@ def cyclic_mask_code(k: int, m: int) -> LinearCode:
         raise ValueError("need k >= 1 and m >= 1")
     masks = [s for s in range(1, 2**k)]
     gen = np.array([int_to_bits(masks[i % len(masks)], k) for i in range(m)], dtype=np.uint8)
-    return LinearCode(gen, *_balanced_grid(m))
-
-
-def random_linear_code(n: int, m: int, rng: np.random.Generator) -> LinearCode:
-    gen = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
     return LinearCode(gen, *_balanced_grid(m))
 
 
@@ -131,37 +114,3 @@ def min_distance_bruteforce(code: LinearCode) -> int:
     for x in range(1, 2**code.n):
         best = min(best, int(encode(code, x).sum()))
     return best
-
-
-def relative_distance(code: LinearCode) -> float:
-    return min_distance_bruteforce(code) / code.m
-
-
-def grid_cell(code: LinearCode, codeword: np.ndarray, row: int, col: int) -> int:
-    """Bit at grid position (row, col) of a codeword laid out row-major."""
-    if not (0 <= row < code.grid_rows and 0 <= col < code.grid_cols):
-        raise ValueError(f"cell ({row}, {col}) outside {code.grid_rows}x{code.grid_cols} grid")
-    return int(codeword[row * code.grid_cols + col])
-
-
-def save_generator_text(path: str | Path, code: LinearCode) -> None:
-    lines = ["".join(str(b) for b in row) for row in code.generator]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_generator_text(
-    path: str | Path, grid: tuple[int, int] | None = None
-) -> LinearCode:
-    """Read a plain text bit matrix, one codeword row of 0/1 characters per line."""
-    rows = []
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if set(ln) - {"0", "1"}:
-            raise ValueError(f"bad generator row: {ln!r}")
-        rows.append([int(ch) for ch in ln])
-    gen = np.array(rows, dtype=np.uint8)
-    if grid is None:
-        grid = _balanced_grid(gen.shape[0])
-    return LinearCode(gen, *grid)

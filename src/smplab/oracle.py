@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -38,10 +37,6 @@ __all__ = [
     "UnionBoundReport",
     "booleanize",
     "decode_booleanized",
-    "load_function_table",
-    "save_function_table",
-    "load_relation_table",
-    "save_relation_table",
 ]
 
 
@@ -312,64 +307,3 @@ def decode_booleanized(
         if d < best_dist:
             best, best_dist = msg, d
     return best
-
-
-# ---------------------------------------------------------------------------
-# Plain text table formats: header "|X| |Y| k", then |X| rows of outputs
-# (functions; '*' marks pairs outside the promise) or valid-set bitmasks
-# (relations), then |X| rows of mu as rationals.
-
-
-def save_function_table(path: str | Path, f: FunctionTable) -> None:
-    lines = [f"{len(f.alice_inputs)} {len(f.bob_inputs)} 1"]
-    for x in f.alice_inputs:
-        cells = [
-            str(f.values[(x, y)]) if (x, y) in f.values else "*" for y in f.bob_inputs
-        ]
-        lines.append(" ".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_function_table(path: str | Path) -> FunctionTable:
-    lines = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    nx, ny, _k = (int(v) for v in lines[0])
-    xs, ys = tuple(range(nx)), tuple(range(ny))
-    values = {}
-    for i, row in enumerate(lines[1 : nx + 1]):
-        if len(row) != ny:
-            raise ValueError(f"row {i} has {len(row)} cells, expected {ny}")
-        for j, cell in enumerate(row):
-            if cell != "*":
-                values[(i, j)] = int(cell)
-    return FunctionTable(xs, ys, values)
-
-
-def save_relation_table(path: str | Path, relation: RelationTable) -> None:
-    xs = sorted({x for x, _ in relation.valid})
-    ys = sorted({y for _, y in relation.valid})
-    k = max(int(z) for v in relation.valid.values() for z in v).bit_length()
-    lines = [f"{len(xs)} {len(ys)} {k}"]
-    for x in xs:
-        lines.append(
-            " ".join(
-                str(sum(1 << int(z) for z in relation.valid[(x, y)])) for y in ys
-            )
-        )
-    for x in xs:
-        lines.append(" ".join(str(Fraction(relation.mu[(x, y)])) for y in ys))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_relation_table(path: str | Path) -> RelationTable:
-    lines = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    nx, ny, _k = (int(v) for v in lines[0])
-    valid = {}
-    for i, row in enumerate(lines[1 : nx + 1]):
-        for j, cell in enumerate(row):
-            mask = int(cell)
-            valid[(i, j)] = frozenset(z for z in range(mask.bit_length()) if mask >> z & 1)
-    mu = {}
-    for i, row in enumerate(lines[nx + 1 : 2 * nx + 1]):
-        for j, cell in enumerate(row):
-            mu[(i, j)] = Fraction(cell)
-    return RelationTable(valid, mu)

@@ -25,6 +25,7 @@ from .smp import (
     Cost,
     FunctionTable,
     OperatorReferee,
+    Referee,
     RelationTable,
     SmpProtocol,
     TableReferee,
@@ -317,6 +318,8 @@ def _available_edges(
 def _check_subset_size(n: int, subset_size: int) -> None:
     if not 1 <= subset_size <= n:
         raise ValueError(f"need 1 <= subset_size <= n = {n}, got {subset_size}")
+    if subset_size < 2:
+        raise ValueError(f"need subset_size >= 2 so that an edge fits, got {subset_size}")
 
 
 def _majority_output(agreements: list[int], rng: np.random.Generator | None):
@@ -333,7 +336,7 @@ def _majority_output(agreements: list[int], rng: np.random.Generator | None):
     return int(rng.integers(0, 2))
 
 
-class _MatchingQcReferee:
+class _MatchingQcReferee(Referee):
     """Measures each received copy with the projectors of still-unused edges.
 
     Per copy, the projective measurement has one two-dimensional outcome per
@@ -446,13 +449,16 @@ def matching_qc(
         subset_size = math.ceil(n ** (2 / 3))
     if copies is None:
         copies = math.ceil(n ** (1 / 3))
-    if edges_sent is None:
-        edges_sent = math.ceil(n ** (1 / 3))
     _check_subset_size(n, subset_size)
+    if edges_sent is None:
+        edges_sent = min(math.ceil(n ** (1 / 3)), subset_size // 2)
     for name, count in (("copies", copies), ("edges_sent", edges_sent)):
         if count < 1:
             raise ValueError(f"need {name} >= 1, got {count}")
-    edges_sent = min(edges_sent, subset_size // 2)
+    if edges_sent > subset_size // 2:
+        raise ValueError(
+            f"need edges_sent <= subset_size // 2 = {subset_size // 2}, got {edges_sent}"
+        )
 
     coin = subset_coin(n, subset_size)
     inv_sqrt = 1.0 / math.sqrt(subset_size)
@@ -483,11 +489,10 @@ def matching_qc(
         alice_cost=Cost(qubits=copies * log_n),
         bob_cost=Cost(bits=count_bits + edges_sent * (2 * log_n + 1)),
         coin=coin,
-        quantum=True,
     )
 
 
-class _MatchingClassicalReferee:
+class _MatchingClassicalReferee(Referee):
     """Compares edge parities read off Alice's restricted bits with the w-bits."""
 
     def __init__(self, n: int, slots: int):
@@ -507,9 +512,6 @@ class _MatchingClassicalReferee:
         if out is None:
             return {0: 0.5, 1: 0.5}
         return {out: 1.0}
-
-    def accept_probability(self, a: str, b: str, coin=None) -> float:
-        return self.output_distribution(a, b, coin).get(1, 0.0)
 
     def sample_output(self, a: str, b: str, rng, coin=None, info=None) -> int:
         agreements = self._agreements(a, b, coin)
@@ -579,7 +581,7 @@ def _sign_superposition(x: int, n: int) -> PureState:
     return PureState(amp / math.sqrt(n))
 
 
-class _HiddenMatchingReferee:
+class _HiddenMatchingReferee(Referee):
     """Projects onto the two-dimensional edge spaces of the named matching.
 
     The surviving two amplitudes determine the edge parity with certainty for
@@ -635,7 +637,6 @@ def hidden_matching_relation(n: int) -> tuple[SmpProtocol, RelationTable]:
         bob_cost=Cost(bits=log_n),
         alice_inputs=xs,
         bob_inputs=ks,
-        quantum=True,
     )
 
     relation = None
@@ -689,7 +690,6 @@ def toy_quantum_equality(q: int = 1) -> SmpProtocol:
         bob_cost=Cost(bits=2),
         alice_inputs=(0, 1, 2, 3),
         bob_inputs=(0, 1, 2, 3),
-        quantum=True,
     )
 
 
@@ -735,5 +735,4 @@ def hidden_matching_verification(n: int = 4) -> SmpProtocol:
         bob_cost=Cost(bits=bob_bits),
         alice_inputs=tuple(range(2**n)),
         bob_inputs=tuple(ys),
-        quantum=True,
     )

@@ -272,15 +272,6 @@ class Observable:
         return vectors[:, self.order]
 
     @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        vectors = self.basis()
-        out = []
-        for a, b in self.blocks:
-            cols = vectors[:, a:b]
-            out.append(cols @ cols.conj().T)
-        return tuple(out)
-
-    @cached_property
     def matrix(self) -> np.ndarray:
         vectors = self.basis()
         adjoint = vectors.conj().T

@@ -33,13 +33,13 @@ __all__ = [
     "CoinSpace",
     "Cost",
     "SmpProtocol",
+    "Referee",
     "TableReferee",
     "OperatorReferee",
     "FunctionTable",
     "RelationTable",
     "acceptance_table",
     "exact_acceptance",
-    "sampled_acceptance",
     "worst_case_error",
     "protocol_cost",
     "empirical_success",
@@ -144,8 +144,24 @@ class Cost:
         return self.bits + self.qubits
 
 
+class Referee:
+    """Turns Alice's message (or quantum payload) and Bob's message into an output.
+
+    A decision referee overrides ``accept_probability``; a relational one
+    overrides ``output_distribution(a, b, coin)`` (a mapping from outputs to
+    probabilities) and accepts on output 1.  ``sample_output`` draws one
+    output; by default it accepts with the acceptance probability.
+    """
+
+    def accept_probability(self, a, b: str, coin=None) -> float:
+        return float(self.output_distribution(a, b, coin).get(1, 0.0))
+
+    def sample_output(self, a, b: str, rng: np.random.Generator, coin=None, info=None):
+        return 1 if rng.random() < self.accept_probability(a, b, coin) else 0
+
+
 @dataclass(frozen=True)
-class TableReferee:
+class TableReferee(Referee):
     """Classical referee: acceptance probability per message pair."""
 
     fn: Callable[[str, str], float]
@@ -155,7 +171,7 @@ class TableReferee:
 
 
 @dataclass(frozen=True)
-class OperatorReferee:
+class OperatorReferee(Referee):
     """Canonical quantum referee: one two-outcome measurement operator per Bob message."""
 
     operators: Mapping[str, MeasurementOperator]
@@ -184,22 +200,29 @@ class SmpProtocol:
     """One simultaneous message passing protocol.
 
     ``alice_strategy(x, coin)`` returns a message distribution or a quantum
-    payload; ``bob_strategy(y, coin)`` returns a message distribution.  The
-    referee exposes ``accept_probability(a, b, coin)`` for decision protocols
-    and/or ``output_distribution(a, b, coin)`` / ``sample_output(a, b, rng,
-    coin)`` for relational ones.  ``coin`` is None in private-coin protocols.
+    payload; ``bob_strategy(y, coin)`` returns a message distribution; the
+    :class:`Referee` maps the two messages to an output.  ``coin`` is None in
+    private-coin protocols.  The protocol is quantum when Alice's message
+    costs qubits.
     """
 
     name: str
     alice_strategy: Callable[[object, object], Distribution | QuantumPayload]
     bob_strategy: Callable[[object, object], Distribution]
-    referee: object
+    referee: Referee
     alice_cost: Cost
     bob_cost: Cost
     coin: CoinSpace | None = None
     alice_inputs: tuple | None = None
     bob_inputs: tuple | None = None
-    quantum: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.referee, Referee):
+            raise TypeError(f"referee must be a Referee, got {type(self.referee).__name__}")
+
+    @property
+    def quantum(self) -> bool:
+        return self.alice_cost.qubits > 0
 
 
 @dataclass(frozen=True)
@@ -255,14 +278,6 @@ class RelationTable:
     @property
     def support(self) -> list[tuple]:
         return [pair for pair, w in self.mu.items() if w]
-
-
-def _accept_for_terms(p: SmpProtocol) -> Callable[[object, str, object], float]:
-    """The referee's acceptance probability; a relational referee accepts on output 1."""
-    ref = p.referee
-    if hasattr(ref, "accept_probability"):
-        return ref.accept_probability
-    return lambda payload, b, coin: float(ref.output_distribution(payload, b, coin).get(1, 0.0))
 
 
 # Terms one numpy step of ``acceptance_table`` holds in an array (at least one
@@ -354,7 +369,7 @@ class _Tabulation:
         self.xs, self.ys, self.cap = xs, ys, tol.enum_cap
         self.alice = _Side(p.alice_strategy, xs, p.alice_cost.bits, tol, True)
         self.bob = _Side(p.bob_strategy, ys, p.bob_cost.bits, tol, False)
-        self.accept = _accept_for_terms(p)
+        self.accept = p.referee.accept_probability
         self.total = np.zeros((1, len(xs) * len(ys)))
         self.terms = np.zeros((len(xs), len(ys)), dtype=np.int64)
         self.terms_max = 0
@@ -483,11 +498,7 @@ def _sample_output_once(p: SmpProtocol, x, y, rng: np.random.Generator, info: di
     if isinstance(a_payload, Mapping):
         a_payload = sample_from_distribution(a_payload, rng)
     b = sample_from_distribution(p.bob_strategy(y, coin), rng)
-    ref = p.referee
-    if hasattr(ref, "sample_output"):
-        return ref.sample_output(a_payload, b, rng, coin, info=info)
-    accept = ref.accept_probability(a_payload, b, coin)
-    return 1 if rng.random() < accept else 0
+    return p.referee.sample_output(a_payload, b, rng, coin, info=info)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
@@ -498,24 +509,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
     return phat, max(0.0, center - half), min(1.0, center + half)
-
-
-def sampled_acceptance(
-    p: SmpProtocol, x, y, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo acceptance estimate and its 95% Wilson half-width.
-
-    Trial ``t`` draws from a generator keyed by (seed, t), so estimates are
-    reproducible and independent of evaluation order.
-    """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    successes = 0
-    for rng in trial_rngs(seed, trials):
-        out = _sample_output_once(p, x, y, rng)
-        successes += 1 if out == 1 else 0
-    phat, lo, hi = wilson_interval(successes, trials)
-    return phat, (hi - lo) / 2
 
 
 def worst_case_error(p: SmpProtocol, f: FunctionTable, tol: Tolerances = DEFAULT) -> float:

@@ -42,6 +42,7 @@ from .qcore import (
 )
 from .smp import (
     Cost,
+    OperatorReferee,
     SmpProtocol,
     TableReferee,
     bitstring,
@@ -507,7 +508,7 @@ def compile_qc_to_cc(
     error grows by at most ``delta``.  Public-coin protocols are compiled one
     coin value at a time.
     """
-    if not p.quantum or not hasattr(p.referee, "operator_list"):
+    if not p.quantum or not isinstance(p.referee, OperatorReferee):
         raise ValueError("needs a canonical quantum protocol with an operator family")
     if p.alice_inputs is None:
         raise ValueError("needs an explicit Alice input set")

@@ -376,6 +376,16 @@ class TestRejectedInputs:
          "--param mode: 'bogus' is not one of fixture, file, random"),
         (["--experiment", "compile", "--param", "fixture=toy-q3"],
          "--param fixture: 'toy-q3' is not one of toy-q1, toy-q2, hm-verify"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "subset_size=1",
+          "--seed", "1"], "need subset_size >= 2 so that an edge fits, got 1"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "subset_size=4",
+          "--param", "edges_sent=9", "--seed", "1"],
+         "need edges_sent <= subset_size // 2 = 2, got 9"),
+        (["--experiment", "matching-qc", "--param", "n=16", "--param", "subset_size=5",
+          "--param", "edges_sent=3", "--seed", "1"],
+         "need edges_sent <= subset_size // 2 = 2, got 3"),
+        (["--experiment", "matching-classical", "--param", "n=16", "--param", "subset_size=1",
+          "--seed", "1"], "need subset_size >= 2 so that an edge fits, got 1"),
     ])
     def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smplab.codes import cyclic_mask_code, repetition_code
+from smplab.codes import LinearCode, cyclic_mask_code
 from smplab.errors import CapExceededError
 from smplab.oracle import (
     DeterministicSmpProtocol,
@@ -13,10 +13,6 @@ from smplab.oracle import (
     det_complexity_relation,
     exhaustive_function_search,
     extract_function,
-    load_function_table,
-    load_relation_table,
-    save_function_table,
-    save_relation_table,
     search_relation_protocol,
     union_bound_check,
 )
@@ -240,7 +236,8 @@ class TestUnionBound:
 class TestBooleanize:
     def test_repetition_gives_identical_copies(self):
         f = equality_function(1)
-        tables = booleanize(f, repetition_code(10), min_relative_distance=0.5)
+        repetition = LinearCode(np.ones((10, 1), dtype=np.uint8), 2, 5)
+        tables = booleanize(f, repetition, min_relative_distance=0.5)
         assert len(tables) == 10
         for t in tables:
             assert t.values == f.values
@@ -283,24 +280,3 @@ class TestBooleanize:
         with pytest.raises(ValueError, match="fit"):
             booleanize(f, cyclic_mask_code(2, 20))
 
-
-class TestTableFiles:
-    def test_function_table_roundtrip(self, tmp_path):
-        xs, ys = (0, 1), (0, 1, 2)
-        f = FunctionTable(xs, ys, {(0, 0): 1, (0, 2): 0, (1, 1): 1})
-        path = tmp_path / "f.txt"
-        save_function_table(path, f)
-        g = load_function_table(path)
-        assert g.values == f.values
-
-    def test_relation_table_roundtrip(self, tmp_path):
-        pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
-        r = RelationTable(
-            valid={p: frozenset([0, 2]) if p[0] else frozenset([1]) for p in pairs},
-            mu=uniform_mu(pairs),
-        )
-        path = tmp_path / "r.txt"
-        save_relation_table(path, r)
-        back = load_relation_table(path)
-        assert back.valid == r.valid
-        assert back.mu == r.mu

@@ -14,6 +14,7 @@ from smplab.protocols import (
     equality_function,
     equality_public,
     hidden_matching_relation,
+    hidden_matching_verification,
     matching_classical,
     matching_qc,
     matching_times_x,
@@ -27,7 +28,8 @@ from smplab.protocols import (
 )
 from smplab.qcore import ProductState, PureState, acceptance_probability
 from smplab.rng import trial_rng
-from smplab.smp import CoinSpace, exact_acceptance, worst_case_error
+from smplab.smp import CoinSpace, TableReferee, exact_acceptance, worst_case_error
+from smplab.transforms import compile_qc_to_cc
 
 
 class TestEqualityPublic:
@@ -248,11 +250,29 @@ def _edge_messages(draw):
     return edges, slots, log_n
 
 
+class TestMatchingBounds:
+    def test_default_edges_sent_fits_the_subset(self):
+        # n=4: ceil(4^(1/3)) = 2 edges, but a 3-vertex subset holds only one
+        p = matching_qc(4)
+        assert p.bob_cost.bits == _count_bits(1) + 1 * 5
+        assert matching_qc(4, subset_size=4).bob_cost.bits == _count_bits(2) + 2 * 5
+
+    @pytest.mark.parametrize("n, sent", [(8, 2), (16, 3), (64, 4), (1024, 11)])
+    def test_default_edges_sent_unclamped_from_n_8(self, n, sent):
+        # oracle: ceil(n^(1/3)) by hand; each default subset holds that many edges
+        log_n = n.bit_length() - 1
+        assert matching_qc(n).bob_cost.bits == _count_bits(sent) + sent * (2 * log_n + 1)
+
+    def test_largest_edges_sent_accepted(self):
+        p = matching_qc(16, subset_size=9, edges_sent=4)
+        assert p.bob_cost.bits == _count_bits(4) + 4 * 9
+
+
 class TestMatchingMessages:
     """The matching protocols' messages equal those of their per-character builds."""
 
     def test_count_bits_oracle_matches_protocol_costs(self):
-        for slots in range(8):
+        for slots in range(1, 8):
             p = matching_classical(16, subset_size=2 * slots + 1)
             assert p.bob_cost.bits == _count_bits(slots) + slots * 9
 
@@ -369,6 +389,34 @@ class TestHiddenMatching:
             assert flat == list(range(8))
             seen.add(m)
         assert len(seen) == 7
+
+
+_CONSTRUCTORS = {
+    "equality_public": lambda: equality_public(3, 2),
+    "equality_code": lambda: equality_code(3, reps=2),
+    "matching_qc": lambda: matching_qc(16),
+    "matching_classical": lambda: matching_classical(16),
+    "hidden_matching_relation": lambda: hidden_matching_relation(4)[0],
+    "toy_quantum_equality(1)": lambda: toy_quantum_equality(1),
+    "toy_quantum_equality(2)": lambda: toy_quantum_equality(2),
+    "hidden_matching_verification": lambda: hidden_matching_verification(4),
+}
+_QUANTUM = {"matching_qc", "hidden_matching_relation", "toy_quantum_equality(1)",
+            "toy_quantum_equality(2)", "hidden_matching_verification"}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_quantum_means_alice_sends_qubits(name):
+    p = _CONSTRUCTORS[name]()
+    assert p.quantum == (p.alice_cost.qubits > 0)
+    assert p.quantum == (name in _QUANTUM)
+
+
+def test_compile_needs_an_operator_referee():
+    p = replace(toy_quantum_equality(1), referee=TableReferee(fn=lambda a, b: 1.0))
+    assert p.quantum
+    with pytest.raises(ValueError, match="needs a canonical quantum protocol"):
+        compile_qc_to_cc(p, delta=0.1, r=3)
 
 
 class TestToyFixtures:

@@ -135,7 +135,7 @@ class TestAverageObservable:
         # accepted copies: |00> -> 2/2, |01>,|10> -> 1/2, |11> -> 0/2.
         f = average_observable(op(np.diag([1.0, 0.0])), 2)
         assert np.allclose(f.eigenvalues, [0.0, 0.5, 1.0])
-        mults = [int(round(np.trace(p).real)) for p in f.projectors]
+        mults = [b - a for a, b in f.blocks]
         assert mults == [1, 2, 1]
 
     def test_expectation_identity_random(self):
@@ -162,13 +162,13 @@ class TestSpectralDecompose:
         obs = spectral_decompose(np.diag([0.3, 0.3, 0.7, 0.7]).astype(complex)[:3, :3])
         # 3x3 is not power-of-two constrained: spectral_decompose takes raw Hermitian input
         assert len(obs.eigenvalues) == 2
-        dims = [int(round(np.trace(p).real)) for p in obs.projectors]
+        dims = [b - a for a, b in obs.blocks]
         assert dims == [2, 1]
 
     def test_identity_single_space(self):
         obs = spectral_decompose(np.eye(4, dtype=complex))
         assert len(obs.eigenvalues) == 1
-        assert np.allclose(obs.projectors[0], np.eye(4))
+        assert np.allclose(band_projector(obs, obs.eigenvalues[0], 0.0), np.eye(4))
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(23)
@@ -181,10 +181,11 @@ class TestSpectralDecompose:
         rng = np.random.default_rng(29)
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         obs = spectral_decompose((g + g.conj().T) / 2)
+        projectors = [band_projector(obs, val, 0.0) for val in obs.eigenvalues]
         total = np.zeros((8, 8), dtype=complex)
-        for i, p in enumerate(obs.projectors):
+        for i, p in enumerate(projectors):
             total += p
-            for j, q in enumerate(obs.projectors):
+            for j, q in enumerate(projectors):
                 if i != j:
                     assert np.max(np.abs(p @ q)) <= 1e-9
         assert np.max(np.abs(total - np.eye(8))) <= 1e-9
@@ -290,10 +291,11 @@ def test_observable_requires_sorted_eigenvalues():
 
 def test_observable_projectors_realized_from_blocks():
     obs = spectral_decompose(np.diag([0.2, 0.2, 0.9, 0.9]).astype(complex))
-    assert len(obs.projectors) == 2
-    for p in obs.projectors:
+    projectors = [band_projector(obs, val, 0.0) for val in obs.eigenvalues]
+    assert len(projectors) == 2
+    for p in projectors:
         assert np.max(np.abs(p @ p - p)) <= 1e-9
-    assert np.max(np.abs(obs.projectors[0] + obs.projectors[1] - np.eye(4))) <= 1e-9
+    assert np.max(np.abs(projectors[0] + projectors[1] - np.eye(4))) <= 1e-9
 
 
 def eager_average_basis(e: MeasurementOperator, r: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 from collections.abc import Mapping
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from smplab.smp import (
     CoinSpace,
     Cost,
     FunctionTable,
+    Referee,
     RelationTable,
     SmpProtocol,
     SuccessReport,
@@ -32,7 +33,6 @@ from smplab.smp import (
     empirical_success,
     exact_acceptance,
     protocol_cost,
-    sampled_acceptance,
     subset_coin,
     uniform_int_coin,
     validate_distribution,
@@ -118,17 +118,12 @@ def reference_exact_acceptance(p: SmpProtocol, x, y, tol=DEFAULT) -> float:
             terms += len(b_dist)
             if terms > tol.enum_cap:
                 raise EnumerationCapError("term count exceeds budget")
-            ref = p.referee
             for b, pb in b_dist.items():
-                if hasattr(ref, "accept_probability"):
-                    acc = ref.accept_probability(a_payload, b, coin)
-                else:
-                    acc = float(ref.output_distribution(a_payload, b, coin).get(1, 0.0))
-                total += cp * pb * acc
+                total += cp * pb * p.referee.accept_probability(a_payload, b, coin)
     return min(1.0, max(0.0, total))
 
 
-class _CoinReferee:
+class _CoinReferee(Referee):
     def __init__(self, fn):
         self.fn = fn
 
@@ -256,6 +251,12 @@ class TestAcceptanceTable:
         )
         acceptance_table(counted_p, range(4), range(4))
         assert calls == {"alice": 4 * 16, "bob": 4 * 16}
+
+
+def sampled_acceptance(p: SmpProtocol, x, y, trials: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo acceptance of one pair and its 95% Wilson half-width."""
+    report = empirical_success(p, lambda x, y: 1, [(x, y)], trials, seed)
+    return report.rate, (report.wilson_high - report.wilson_low) / 2
 
 
 class TestSampledAcceptance:
@@ -495,3 +496,51 @@ def test_empirical_success_equals_per_trial_generators_on_sampled_messages():
     pairs = [(0, 0), (1, 2), (3, 3), (2, 1)]
     got = empirical_success(p, f, pairs, trials_per_pair=50, seed=-4)
     assert got == _per_trial_reference(p, f, pairs, 50, seed=-4)
+
+
+class _XorDistributionReferee(Referee):
+    """Defines only ``output_distribution``: outputs 1 w.p. 1/4 + (a xor b)/2."""
+
+    def output_distribution(self, a, b, coin=None):
+        p1 = 0.25 + 0.5 * (int(a) ^ int(b))
+        return {0: 1.0 - p1, 1: p1}
+
+
+def _one_bit_protocol(referee) -> SmpProtocol:
+    alice = {0: {"0": 1.0}, 1: {"1": 1.0}, 2: {"0": 0.5, "1": 0.5}}
+    return SmpProtocol(
+        name="one-bit",
+        alice_strategy=lambda x, c: alice[x],
+        bob_strategy=lambda y, c: {str(y): 1.0},
+        referee=referee,
+        alice_cost=Cost(bits=1),
+        bob_cost=Cost(bits=1),
+    )
+
+
+class TestRefereeInterface:
+    def test_distribution_only_referee_tabulates_its_output_1_mass(self):
+        p = _one_bit_protocol(_XorDistributionReferee())
+        # oracle: (a, b) agree -> 1/4, differ -> 3/4; input 2 is a fair mix
+        want = [[0.25, 0.75], [0.75, 0.25], [0.5, 0.5]]
+        assert acceptance_table(p, [0, 1, 2], [0, 1]).tolist() == want
+
+    def test_distribution_only_referee_samples_like_its_acceptance(self):
+        p = _one_bit_protocol(_XorDistributionReferee())
+        same = _one_bit_protocol(TableReferee(fn=lambda a, b: 0.25 + 0.5 * (int(a) ^ int(b))))
+        pairs = [(0, 1), (1, 1), (2, 0)]
+        got = empirical_success(p, lambda x, y: 1, pairs, trials_per_pair=2000, seed=3)
+        # the default draws accept exactly as the table referee's do
+        assert got == empirical_success(same, lambda x, y: 1, pairs, 2000, seed=3)
+        for rate, want in zip(got.per_pair_rates, (0.75, 0.25, 0.5)):
+            est, lo, hi = wilson_interval(round(rate * 2000), 2000)
+            assert abs(est - want) <= 2 * (hi - lo)
+
+    def test_protocol_rejects_a_non_referee(self):
+        with pytest.raises(TypeError, match="referee must be a Referee, got object"):
+            _one_bit_protocol(object())
+
+    def test_quantum_is_not_a_field(self):
+        assert "quantum" not in {f.name for f in fields(SmpProtocol)}
+        assert not _one_bit_protocol(_XorDistributionReferee()).quantum
+        assert replace(constant_accept_protocol(), alice_cost=Cost(qubits=1)).quantum

@@ -390,7 +390,6 @@ class TestCompileQcToCc:
             coin=uniform_int_coin(2),
             alice_inputs=(0, 1, 2, 3),
             bob_inputs=(0, 1, 2, 3),
-            quantum=True,
         )
         result = compile_qc_to_cc(p, delta=0.1, r=3)
         assert set(result.records) == {(x, c) for x in range(4) for c in range(2)}
