@@ -229,7 +229,7 @@ def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
     n = prm["n"]
     if n > 8:
         raise CapExceededError("hidden-matching exhaustive report capped at n <= 8")
-    protocol, relation = hidden_matching_relation(n)
+    protocol, relation = hidden_matching_relation(n, tol)
     rows = []
     min_mass = 1.0
     for x in protocol.alice_inputs:
@@ -477,7 +477,7 @@ def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
             for p in pairs
         }
         w = Fraction(1, len(pairs))
-        relation = RelationTable(valid, {p: w for p in pairs})
+        relation = RelationTable(valid, {p: w for p in pairs}, tol)
         found = search_relation_protocol(relation, tol=tol)
         if found is None:
             continue

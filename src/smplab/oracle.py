@@ -195,6 +195,7 @@ def exhaustive_function_search(
     relation = RelationTable(
         valid={pair: frozenset([f(*pair)]) for pair in f.domain},
         mu={pair: weight for pair in f.domain},
+        tol=tol,
     )
     return det_complexity_relation(relation, max_bits, tol)
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import LinearCode, encode, hadamard_code
+from .config import DEFAULT, Tolerances
 from .errors import PromiseViolationError
 from .qcore import MeasurementOperator, ProductState, PureState
 from .smp import (
@@ -615,12 +616,15 @@ class _HiddenMatchingReferee(Referee):
         return outs[idx]
 
 
-def hidden_matching_relation(n: int) -> tuple[SmpProtocol, RelationTable]:
+def hidden_matching_relation(
+    n: int, tol: Tolerances = DEFAULT
+) -> tuple[SmpProtocol, RelationTable]:
     """Relational protocol: output any (i, j, x_i xor x_j) with (i, j) in Bob's matching.
 
     Alice sends one sign superposition (log n qubits); Bob names his matching
     (log n bits); the referee's edge measurement yields a uniformly random
-    edge whose parity it then extracts with certainty.
+    edge whose parity it then extracts with certainty.  The relation's
+    uniform input distribution is checked against ``tol``.
     """
     log_n = _log2_exact(n)
     if n < 4:
@@ -649,7 +653,7 @@ def hidden_matching_relation(n: int) -> tuple[SmpProtocol, RelationTable]:
                     for i, j in xor_matching(n, k)
                 )
         weight = Fraction(1, len(xs) * len(ks))
-        relation = RelationTable(valid, {pair: weight for pair in valid})
+        relation = RelationTable(valid, {pair: weight for pair in valid}, tol)
     return protocol, relation
 
 

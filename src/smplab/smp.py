@@ -12,7 +12,7 @@ generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -258,16 +258,20 @@ class FunctionTable:
 
 @dataclass(frozen=True)
 class RelationTable:
-    """Nonempty valid-output sets per input pair, plus an input distribution."""
+    """Nonempty valid-output sets per input pair, plus an input distribution.
+
+    ``mu`` must sum to 1 within ``tol.distribution``.
+    """
 
     valid: Mapping[tuple, frozenset]
     mu: Mapping[tuple, Fraction | float]
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerances):
         valid = {k: frozenset(v) for k, v in self.valid.items()}
         mu = dict(self.mu)
         total = sum(mu.values())
-        if abs(float(total) - 1.0) > DEFAULT.distribution:
+        if abs(float(total) - 1.0) > tol.distribution:
             raise ValueError(f"mu sums to {total}, not 1")
         for pair, weight in mu.items():
             if weight and not valid.get(pair):

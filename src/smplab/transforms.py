@@ -20,8 +20,10 @@ Three ways to shrink what Alice must send:
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -244,6 +246,115 @@ def check_learn_inputs(
     return c, q, r
 
 
+def _correct(
+    hypothesis: DensityMatrix, f: Observable, p_tilde: float, delta: float, tol: Tolerances
+) -> tuple[float, DensityMatrix | None]:
+    """Trace of ``f``'s band around ``p_tilde`` on the hypothesis, and the
+    projected, renormalized hypothesis (None when that trace vanishes)."""
+    band = band_projector(f, p_tilde, delta / 2.0, tol)
+    trace = float(np.sum(band * hypothesis.entries.T).real)
+    if trace <= tol.zero_projection:
+        return trace, None
+    return trace, project_renormalize(hypothesis, band, tol)
+
+
+class _Trail:
+    """One state's decisions along the sender's walk."""
+
+    __slots__ = ("entries", "traces", "margins", "flagged", "estimates", "trues")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+    def result(self, c: int, q: int, r: int, delta: float) -> tuple[LearnRecord, LearnDiagnostics]:
+        record = LearnRecord(q=q, c=c, r=r, delta=delta, entries=tuple(self.entries))
+        diags = LearnDiagnostics(
+            bad_count=len(self.entries),
+            projection_traces=tuple(self.traces),
+            band_edge_margins=tuple(self.margins),
+            flagged_steps=tuple(self.flagged),
+            estimates_before=tuple(self.estimates),
+            true_probabilities=tuple(self.trues),
+        )
+        return record, diags
+
+
+def _learn_states(
+    states: Sequence[DensityMatrix],
+    operators: Sequence[MeasurementOperator],
+    observables: Sequence[Observable],
+    delta: float,
+    shape: tuple[int, int, int],
+    tol: Tolerances,
+) -> list[tuple[LearnRecord, LearnDiagnostics]]:
+    """The learning walk of every state in ``states`` against one family.
+
+    ``shape`` is ``(c, q, r)`` as :func:`check_learn_inputs` returns it.
+    States that have made the same corrections so far share one hypothesis:
+    each group costs one expectation per step, and splits by its members'
+    decisions, each distinct (group, truncated value) correction costing one
+    band projection.  A group's hypothesis is the one each member's own walk
+    would hold, bit for bit, and only the current step's groups are kept.
+    Raises the error of the first state, in the order given, whose own walk
+    fails, and stops walking the states after it.
+    """
+    c, q, r = shape
+    trails = [_Trail() for _ in states]
+    first_bad, error = len(states), None
+
+    def fail(i: int, err: Exception) -> None:
+        nonlocal first_bad, error
+        if i < first_bad:
+            first_bad, error = i, err
+
+    # the groups of the current step, each dropped once split into the next
+    groups = deque([(maximally_mixed(r * q, tol), list(range(len(states))))])
+    for b, (e, f) in enumerate(zip(operators, observables)):
+        for _ in range(len(groups)):
+            hypothesis, members = groups.popleft()
+            members = [i for i in members if i < first_bad]
+            if not members:
+                continue
+            estimate = f.expectation(hypothesis)
+            stay: list[int] = []
+            moves: dict[float, list[int]] = {}
+            for i in members:
+                try:
+                    p_true = acceptance_probability(e, states[i], tol)
+                except ValueError as err:
+                    fail(i, err)
+                    continue
+                trails[i].estimates.append(estimate)
+                trails[i].trues.append(p_true)
+                if abs(estimate - p_true) <= delta:
+                    stay.append(i)
+                else:
+                    moves.setdefault(_truncate(p_true, delta), []).append(i)
+            if stay:
+                groups.append((hypothesis, stay))
+            for p_tilde, movers in moves.items():
+                margin = band_edge_margin(f, p_tilde, delta / 2.0)
+                try:
+                    trace, projected = _correct(hypothesis, f, p_tilde, delta, tol)
+                    if projected is None:
+                        raise VanishingProjectionError(step=b, trace=trace)
+                except (ValueError, VanishingProjectionError) as err:
+                    fail(movers[0], err)
+                    continue
+                for i in movers:
+                    trail = trails[i]
+                    trail.entries.append((b, p_tilde))
+                    trail.traces.append(trace)
+                    trail.margins.append(margin)
+                    if margin < tol.band_edge_flag:
+                        trail.flagged.append(b)
+                groups.append((projected, movers))
+    if error is not None:
+        raise error
+    return [trail.result(c, q, r, delta) for trail in trails]
+
+
 def learn_state_message(
     rho: DensityMatrix,
     operators: Sequence[MeasurementOperator],
@@ -267,45 +378,64 @@ def learn_state_message(
     c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
     if observables is None:
         observables = _family_observables(operators, r, tol)
+    (learned,) = _learn_states([rho], operators, observables, delta, (c, q, r), tol)
+    return learned
 
-    hypothesis = maximally_mixed(r * q, tol)
-    entries: list[tuple[int, float]] = []
-    traces: list[float] = []
-    margins: list[float] = []
-    flagged: list[int] = []
-    estimates: list[float] = []
-    trues: list[float] = []
 
-    for b, (e, f) in enumerate(zip(operators, observables)):
-        p_true = acceptance_probability(e, rho, tol)
-        estimate = f.expectation(hypothesis)
-        estimates.append(estimate)
-        trues.append(p_true)
-        if abs(estimate - p_true) <= delta:
-            continue
-        p_tilde = _truncate(p_true, delta)
-        band = band_projector(f, p_tilde, delta / 2.0, tol)
-        margin = band_edge_margin(f, p_tilde, delta / 2.0)
-        trace = float(np.sum(band * hypothesis.entries.T).real)
-        if trace <= tol.zero_projection:
-            raise VanishingProjectionError(step=b, trace=trace)
-        hypothesis = project_renormalize(hypothesis, band, tol)
-        entries.append((b, p_tilde))
-        traces.append(trace)
-        margins.append(margin)
-        if margin < tol.band_edge_flag:
-            flagged.append(b)
+def _replay_records(
+    records: Sequence[LearnRecord], observables: Sequence[Observable], tol: Tolerances
+) -> list:
+    """Replay every record in ``records``, all of one (q, r, delta), against one family.
 
-    record = LearnRecord(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
-    diags = LearnDiagnostics(
-        bad_count=len(entries),
-        projection_traces=tuple(traces),
-        band_edge_margins=tuple(margins),
-        flagged_steps=tuple(flagged),
-        estimates_before=tuple(estimates),
-        true_probabilities=tuple(trues),
-    )
-    return record, diags
+    Records with the same entries so far share one hypothesis, as the
+    sender's states do in :func:`_learn_states`; the receiver recomputes its
+    hypotheses from the records alone.  Each outcome is the record's
+    estimates, or the error its own replay raises.
+    """
+    if not records:
+        return []
+    head = records[0]
+    delta = head.delta
+    # a genuinely corrected index must disagree by more than
+    # delta - delta/16 with the truncated value it recorded
+    predicted = delta - delta / 16.0 - tol.replay_slack
+    corrected = [dict(rec.entries) for rec in records]
+    outcomes: list = [np.empty(len(observables)) for _ in records]
+    groups = deque([(maximally_mixed(head.r * head.q, tol), list(range(len(records))))])
+    for b, f in enumerate(observables):
+        for _ in range(len(groups)):
+            hypothesis, members = groups.popleft()
+            estimate = f.expectation(hypothesis)
+            stay: list[int] = []
+            moves: dict[float, list[int]] = {}
+            for i in members:
+                if b not in corrected[i]:
+                    outcomes[i][b] = min(1.0, max(0.0, estimate))
+                    stay.append(i)
+                elif abs(estimate - corrected[i][b]) <= predicted:
+                    outcomes[i] = ReplayMismatchError(
+                        f"recorded index {b} replays as already-predicted; "
+                        "record does not match this operator family"
+                    )
+                else:
+                    moves.setdefault(corrected[i][b], []).append(i)
+            if stay:
+                groups.append((hypothesis, stay))
+            for p_tilde, movers in moves.items():
+                try:
+                    _, projected = _correct(hypothesis, f, p_tilde, delta, tol)
+                    if projected is None:
+                        raise ReplayMismatchError(
+                            f"projection at recorded index {b} vanishes on replay"
+                        )
+                except (ValueError, VanishingProjectionError) as err:
+                    for i in movers:
+                        outcomes[i] = err
+                    continue
+                for i in movers:
+                    outcomes[i][b] = corrected[i][b]
+                groups.append((projected, movers))
+    return outcomes
 
 
 def reconstruct_estimates(
@@ -330,35 +460,12 @@ def reconstruct_estimates(
         raise ValueError(f"record was built for q={record.q}, caller says q={q}")
     if dim != 2**record.q:
         raise ValueError("operator dimension does not match the record")
-    delta, r = record.delta, record.r
     if observables is None:
-        observables = _family_observables(operators, r, tol)
-
-    corrected: Mapping[int, float] = dict(record.entries)
-    hypothesis = maximally_mixed(r * record.q, tol)
-    out = np.empty(len(operators))
-    for b, f in enumerate(observables):
-        estimate = f.expectation(hypothesis)
-        if b in corrected:
-            p_tilde = corrected[b]
-            # a genuinely corrected index must disagree by more than
-            # delta - delta/16 with the truncated value it recorded
-            if abs(estimate - p_tilde) <= delta - delta / 16.0 - 1e-9:
-                raise ReplayMismatchError(
-                    f"recorded index {b} replays as already-predicted; "
-                    "record does not match this operator family"
-                )
-            band = band_projector(f, p_tilde, delta / 2.0, tol)
-            trace = float(np.sum(band * hypothesis.entries.T).real)
-            if trace <= tol.zero_projection:
-                raise ReplayMismatchError(
-                    f"projection at recorded index {b} vanishes on replay"
-                )
-            hypothesis = project_renormalize(hypothesis, band, tol)
-            out[b] = p_tilde
-        else:
-            out[b] = min(1.0, max(0.0, estimate))
-    return out
+        observables = _family_observables(operators, record.r, tol)
+    (outcome,) = _replay_records([record], observables, tol)
+    if not isinstance(outcome, np.ndarray):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -517,31 +624,51 @@ def compile_qc_to_cc(
     q = operators[0].num_qubits
     if r is None:
         r = default_copies(q, delta, tol)
-    observables = _family_observables(operators, r, tol)
+    record_c = (len(operators) - 1).bit_length() if len(operators) > 1 else 0
 
     coin_values: list = [None]
     if p.coin is not None:
         coin_values = [v for v, _ in p.coin.enumerate()]
 
-    records: dict[object, LearnRecord] = {}
-    diagnostics: dict[object, LearnDiagnostics] = {}
-    messages: dict[object, str] = {}
-    for x in p.alice_inputs:
-        for coin in coin_values:
+    # every state is checked before the spectral work; an invalid one is
+    # reported only if the walk of the states before it succeeds
+    keys: list = []
+    states: list[DensityMatrix] = []
+    invalid = None
+    for x, coin in itertools.product(p.alice_inputs, coin_values):
+        try:
             rho = p.alice_strategy(x, coin)
             if not isinstance(rho, DensityMatrix):
                 raise ValueError("canonical protocols send density matrices")
-            key = x if p.coin is None else (x, coin)
-            record, diag = learn_state_message(
-                rho, operators, delta, r, tol, observables=observables
-            )
-            records[key] = record
-            diagnostics[key] = diag
-            messages[key] = record.to_bits()
+            check_learn_inputs(rho, operators, delta, r, tol)
+        except ValueError as err:
+            invalid = err
+            break
+        keys.append(x if p.coin is None else (x, coin))
+        states.append(rho)
+    if invalid is not None and not states:
+        raise invalid
+    observables = _family_observables(operators, r, tol)
+    learned = _learn_states(states, operators, observables, delta, (record_c, q, r), tol)
+    if invalid is not None:
+        raise invalid
 
+    records = {key: record for key, (record, _) in zip(keys, learned)}
+    diagnostics = {key: diag for key, (_, diag) in zip(keys, learned)}
+    messages = {key: record.to_bits() for key, record in records.items()}
     max_bits = max((len(m) for m in messages.values()), default=0)
-    record_c = (len(operators) - 1).bit_length() if len(operators) > 1 else 0
-    estimate_cache: dict[str, np.ndarray] = {}
+
+    # the receiver replays every message Alice can send in one walk; a
+    # message whose replay fails, or one she never sends, is replayed alone
+    # when the referee first reads it, and raises there
+    sent = list(dict.fromkeys(messages.values()))
+    replays = _replay_records(
+        [LearnRecord.from_bits(bits, q=q, c=record_c, r=r, delta=delta) for bits in sent],
+        observables, tol,
+    )
+    estimate_cache: dict[str, np.ndarray] = {
+        bits: out for bits, out in zip(sent, replays) if isinstance(out, np.ndarray)
+    }
 
     def reconstruct(bits: str) -> np.ndarray:
         if bits not in estimate_cache:

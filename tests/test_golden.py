@@ -44,6 +44,15 @@ GOLDEN = {
             "compile_config.json": "88b27567e0cfe2ea19a6918263bbfec7cd9956e3224807bbc8c9c010db3201a2",
         },
     ),
+    # r = 2 because at r = 3 the first input's correction vanishes and the run exits 3
+    "compile-hm-verify-r2": (
+        ["--experiment", "compile", "--param", "fixture=hm-verify", "--param", "r=2"],
+        {
+            "compile_rows.csv": "32c37ac2ba25adf4ed0730035ef312a63335d0eb958605814dddf819d54de8a3",
+            "compile_summary.txt": "0eebb1a3a9f0bf580b68329056e31c433ba3553860318d653d1eb1c2aac87bb8",
+            "compile_config.json": "193b0cd02d2277df28c11602d49e94ecb22493a85153f2d5e04eb14328acba33",
+        },
+    ),
     "learn-state-fixture": (
         ["--experiment", "learn-state"],
         {

@@ -386,6 +386,19 @@ class TestTables:
         with pytest.raises(ValueError, match="sums"):
             RelationTable({(0, 0): frozenset({1})}, {(0, 0): 0.25})
 
+    def test_relation_table_checks_mu_with_the_callers_tolerance(self):
+        import smplab.cli as cli
+
+        args = cli.build_parser().parse_args(
+            ["--experiment", "oracle-suite", "--tolerance", "distribution=1e-3"]
+        )
+        loose = cli._config_from_args(args).resolved_tolerances()
+        valid = {(0, 0): frozenset({1}), (0, 1): frozenset({0})}
+        mu = {(0, 0): 0.5, (0, 1): 0.5005}
+        with pytest.raises(ValueError, match="sums"):
+            RelationTable(valid, mu)
+        assert RelationTable(valid, mu, loose).mu == mu
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sums"):
             validate_distribution({"0": 0.4, "1": 0.4}, 1)

@@ -1,8 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smplab.transforms as transforms
+from smplab.config import DEFAULT, with_overrides
 from smplab.errors import DimensionCapError, ReplayMismatchError, VanishingProjectionError
 from smplab.protocols import (
     equality_code,
@@ -12,14 +17,29 @@ from smplab.protocols import (
 from smplab.qcore import (
     DensityMatrix,
     MeasurementOperator,
+    Observable,
     acceptance_probability,
     average_observable,
+    band_edge_margin,
+    band_projector,
+    maximally_mixed,
+    project_renormalize,
     random_density,
     random_measurement_operator,
 )
 from smplab.rng import trial_rng
-from smplab.smp import Cost, SmpProtocol, TableReferee, exact_acceptance, uniform_int_coin
+from smplab.smp import (
+    Cost,
+    OperatorReferee,
+    SmpProtocol,
+    TableReferee,
+    acceptance_table,
+    bitstring,
+    exact_acceptance,
+    uniform_int_coin,
+)
 from smplab.transforms import (
+    LearnDiagnostics,
     LearnRecord,
     bad_count_bound,
     check_learn_inputs,
@@ -314,6 +334,21 @@ class TestDerandomizeAlice:
             derandomize_alice(toy_quantum_equality(1), s=2)
 
 
+def _coin_flipped_toy() -> SmpProtocol:
+    base = toy_quantum_equality(1)
+    return SmpProtocol(
+        name="coin-flipped-toy",
+        alice_strategy=lambda x, coin: base.alice_strategy(x ^ coin, None),
+        bob_strategy=lambda y, coin: {format(y ^ coin, "02b"): 1.0},
+        referee=base.referee,
+        alice_cost=base.alice_cost,
+        bob_cost=base.bob_cost,
+        coin=uniform_int_coin(2),
+        alice_inputs=(0, 1, 2, 3),
+        bob_inputs=(0, 1, 2, 3),
+    )
+
+
 class TestCompileQcToCc:
     def test_toy_q1_error_increase_within_delta(self):
         p = toy_quantum_equality(1)
@@ -374,23 +409,7 @@ class TestCompileQcToCc:
     def test_public_coin_compiled_per_coin_value(self):
         # coin flips which basis encodes the input; compiling fixes each coin
         # value separately and the referee still sees only (message, b)
-        states = toy_quantum_equality(1).alice_strategy
-        base = toy_quantum_equality(1)
-
-        def alice(x, coin):
-            return base.alice_strategy(x ^ coin, None)
-
-        p = SmpProtocol(
-            name="coin-flipped-toy",
-            alice_strategy=alice,
-            bob_strategy=lambda y, coin: {format(y ^ coin, "02b"): 1.0},
-            referee=base.referee,
-            alice_cost=base.alice_cost,
-            bob_cost=base.bob_cost,
-            coin=uniform_int_coin(2),
-            alice_inputs=(0, 1, 2, 3),
-            bob_inputs=(0, 1, 2, 3),
-        )
+        p = _coin_flipped_toy()
         result = compile_qc_to_cc(p, delta=0.1, r=3)
         assert set(result.records) == {(x, c) for x in range(4) for c in range(2)}
         worst = max(
@@ -459,3 +478,269 @@ class TestCheckLearnInputs:
         ops = [proj([1, 0]), proj([0, 1])]
         with pytest.raises(DimensionCapError, match="r\\*q = 13"):
             check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1, 13)
+
+
+# The per-state loops the compiler ran before it grouped states by decision
+# prefix, kept as the oracle for the grouped walks: one walk per (x, coin) on
+# the sender's side, one replay per record on the receiver's.
+
+
+def _per_state_learn(rho, operators, observables, delta, r, tol=DEFAULT):
+    c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
+    hypothesis = maximally_mixed(r * q, tol)
+    entries, traces, margins, flagged, estimates, trues = [], [], [], [], [], []
+    for b, (e, f) in enumerate(zip(operators, observables)):
+        p_true = acceptance_probability(e, rho, tol)
+        estimate = f.expectation(hypothesis)
+        estimates.append(estimate)
+        trues.append(p_true)
+        if abs(estimate - p_true) <= delta:
+            continue
+        step = delta / 8.0
+        p_tilde = min(1.0, max(0.0, round(p_true / step) * step))
+        band = band_projector(f, p_tilde, delta / 2.0, tol)
+        margin = band_edge_margin(f, p_tilde, delta / 2.0)
+        trace = float(np.sum(band * hypothesis.entries.T).real)
+        if trace <= tol.zero_projection:
+            raise VanishingProjectionError(step=b, trace=trace)
+        hypothesis = project_renormalize(hypothesis, band, tol)
+        entries.append((b, p_tilde))
+        traces.append(trace)
+        margins.append(margin)
+        if margin < tol.band_edge_flag:
+            flagged.append(b)
+    record = LearnRecord(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
+    diags = LearnDiagnostics(
+        bad_count=len(entries),
+        projection_traces=tuple(traces),
+        band_edge_margins=tuple(margins),
+        flagged_steps=tuple(flagged),
+        estimates_before=tuple(estimates),
+        true_probabilities=tuple(trues),
+    )
+    return record, diags
+
+
+def _per_record_replay(record, observables, tol=DEFAULT):
+    delta = record.delta
+    corrected = dict(record.entries)
+    hypothesis = maximally_mixed(record.r * record.q, tol)
+    out = np.empty(len(observables))
+    for b, f in enumerate(observables):
+        estimate = f.expectation(hypothesis)
+        if b not in corrected:
+            out[b] = min(1.0, max(0.0, estimate))
+            continue
+        p_tilde = corrected[b]
+        if abs(estimate - p_tilde) <= delta - delta / 16.0 - 1e-9:
+            raise ReplayMismatchError(f"recorded index {b} replays as already-predicted")
+        band = band_projector(f, p_tilde, delta / 2.0, tol)
+        if float(np.sum(band * hypothesis.entries.T).real) <= tol.zero_projection:
+            raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
+        hypothesis = project_renormalize(hypothesis, band, tol)
+        out[b] = p_tilde
+    return out
+
+
+def _per_state_compile(p, delta, r):
+    """Records, diagnostics, replayed estimates and compiled protocol, one state at a time."""
+    operators = p.referee.operator_list(p.bob_cost.bits)
+    q = operators[0].num_qubits
+    r = default_copies(q, delta) if r is None else r
+    observables = [average_observable(e, r) for e in operators]
+    coins = [None] if p.coin is None else [v for v, _ in p.coin.enumerate()]
+    records, diagnostics = {}, {}
+    for x in p.alice_inputs:
+        for coin in coins:
+            key = x if p.coin is None else (x, coin)
+            records[key], diagnostics[key] = _per_state_learn(
+                p.alice_strategy(x, coin), operators, observables, delta, r
+            )
+    messages = {key: rec.to_bits() for key, rec in records.items()}
+    c = len(operators).bit_length() - 1
+    replayed = {
+        bits: _per_record_replay(LearnRecord.from_bits(bits, q, c, r, delta), observables)
+        for bits in messages.values()
+    }
+    protocol = SmpProtocol(
+        name="per-state",
+        alice_strategy=lambda x, coin: {messages[x if p.coin is None else (x, coin)]: 1.0},
+        bob_strategy=p.bob_strategy,
+        referee=TableReferee(fn=lambda a, b: float(replayed[a][int(b, 2) if b else 0])),
+        alice_cost=Cost(bits=max(len(m) for m in messages.values())),
+        bob_cost=p.bob_cost,
+        coin=p.coin,
+        alice_inputs=p.alice_inputs,
+        bob_inputs=p.bob_inputs,
+    )
+    return records, diagnostics, replayed, protocol
+
+
+def _assert_matches_per_state(p, delta, r) -> bool:
+    """Compile ``p`` and check it against the per-state loops; False when both raise."""
+    try:
+        records, diagnostics, replayed, reference = _per_state_compile(p, delta, r)
+    except (ValueError, VanishingProjectionError) as err:
+        with pytest.raises(type(err)) as got:
+            compile_qc_to_cc(p, delta, r)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        assert getattr(got.value, "step", None) == getattr(err, "step", None)
+        assert getattr(got.value, "trace", None) == getattr(err, "trace", None)
+        return False
+    result = compile_qc_to_cc(p, delta, r)
+    assert result.records == records
+    assert result.diagnostics == diagnostics
+    c = p.bob_cost.bits
+    for bits, estimates in replayed.items():
+        got = [result.protocol.referee.accept_probability(bits, bitstring(b, c))
+               for b in range(2**c)]
+        assert got == estimates.tolist()
+    xs, ys = p.alice_inputs, p.bob_inputs
+    assert np.array_equal(
+        acceptance_table(result.protocol, xs, ys), acceptance_table(reference, xs, ys)
+    )
+    return True
+
+
+def _canonical(states, picks, operators) -> SmpProtocol:
+    """Alice sends ``states[picks[x]]``; Bob names the operator."""
+    c = len(operators).bit_length() - 1
+    return SmpProtocol(
+        name="canonical",
+        alice_strategy=lambda x, _c: states[picks[x]],
+        bob_strategy=lambda y, _c: {bitstring(y, c): 1.0},
+        referee=OperatorReferee({bitstring(b, c): e for b, e in enumerate(operators)}),
+        alice_cost=Cost(qubits=operators[0].num_qubits),
+        bob_cost=Cost(bits=c),
+        alice_inputs=tuple(range(len(picks))),
+        bob_inputs=tuple(range(len(operators))),
+    )
+
+
+def _plus(weight: float) -> DensityMatrix:
+    """weight |+><+| + (1 - weight) |-><-|."""
+    return DensityMatrix(np.array([[0.5, weight - 0.5], [weight - 0.5, 0.5]], dtype=complex))
+
+
+class TestGroupedWalk:
+    """One walk per family on each side, equal bit for bit to the per-state loops."""
+
+    @pytest.mark.parametrize("make, r, completes", [
+        pytest.param(lambda: toy_quantum_equality(1), 3, True, id="toy-q1-r3"),
+        pytest.param(lambda: toy_quantum_equality(1), 8, True, id="toy-q1-r8"),
+        pytest.param(lambda: toy_quantum_equality(2), None, True, id="toy-q2"),
+        pytest.param(lambda: hidden_matching_verification(4), 2, True, id="hm-verify-r2"),
+        # input 0's first correction vanishes at step 0
+        pytest.param(lambda: hidden_matching_verification(4), 3, False, id="hm-verify-r3"),
+        pytest.param(_coin_flipped_toy, 3, True, id="public-coin"),
+    ])
+    def test_fixtures_equal_per_state_loop(self, make, r, completes):
+        assert _assert_matches_per_state(make(), 0.1, r) == completes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(1, 2),
+        c=st.integers(1, 3),
+        picks=st.lists(st.integers(0, 2), min_size=2, max_size=7),
+    )
+    def test_random_families_with_repeated_states(self, seed, q, c, picks):
+        # three states over up to seven inputs: equal states share every
+        # decision, distinct ones split where their decisions first differ
+        g = np.random.default_rng(seed)
+        states = [random_density(2**q, g) for _ in range(3)]
+        operators = [random_measurement_operator(2**q, g) for _ in range(2**c)]
+        r = int(g.integers(2, 6 // q + 1))
+        _assert_matches_per_state(_canonical(states, picks, operators), 0.1, r)
+
+    def test_hm_verify_one_call_per_distinct_prefix_on_each_side(self, monkeypatch):
+        counts = Counter()
+        side = ["sender"]
+        project, expectation, replay = (
+            transforms.project_renormalize, Observable.expectation, transforms._replay_records
+        )
+
+        def counted_project(*args, **kwargs):
+            counts[side[0], "project"] += 1
+            return project(*args, **kwargs)
+
+        def counted_expectation(self, rho):
+            counts[side[0], "expectation"] += 1
+            return expectation(self, rho)
+
+        def receiver(*args, **kwargs):
+            side[0] = "receiver"
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "project_renormalize", counted_project)
+        monkeypatch.setattr(Observable, "expectation", counted_expectation)
+        monkeypatch.setattr(transforms, "_replay_records", receiver)
+        result = compile_qc_to_cc(hidden_matching_verification(4), delta=0.1)
+
+        distinct = {rec.entries for rec in result.records.values()}
+        steps = 2 ** next(iter(result.records.values())).c
+        corrections = len({ent[:t] for ent in distinct for t in range(1, len(ent) + 1)})
+        groups = sum(
+            len({tuple(e for e in ent if e[0] < b) for ent in distinct}) for b in range(steps)
+        )
+        assert counts == {
+            ("sender", "project"): corrections, ("receiver", "project"): corrections,
+            ("sender", "expectation"): groups, ("receiver", "expectation"): groups,
+        }
+        # one walk per state and per record made 192 projections and 384 estimates
+        assert (2 * corrections, 2 * groups) == (96, 202)
+
+    def test_earliest_input_error_wins(self):
+        # input 0 skips |+><+| and the identity, then its truncated 0.3 on
+        # |0><0| falls in the gap of the two-copy spectrum {0, 1/2, 1} at
+        # step 2; input 1 falls in the same gap at step 0, so the grouped
+        # walk meets input 1's failure first but must report input 0's
+        zero = MeasurementOperator(DIAG([1.0, 0.0]).astype(complex))
+        operators = [MeasurementOperator(_plus(1.0).entries), MeasurementOperator.identity(2),
+                     zero, MeasurementOperator.identity(2)]
+        states = [DensityMatrix(DIAG([0.3, 0.7]).astype(complex)), _plus(0.3)]
+        with pytest.raises(VanishingProjectionError) as alone:
+            learn_state_message(states[1], operators, 0.1, r=2)
+        assert alone.value.step == 0
+        p = _canonical(states, [0, 1], operators)
+        with pytest.raises(VanishingProjectionError) as err:
+            compile_qc_to_cc(p, 0.1, r=2)
+        assert (err.value.step, err.value.trace) == (2, 0.0)
+        assert not _assert_matches_per_state(p, 0.1, 2)
+
+    def test_invalid_state_waits_for_the_inputs_before_it(self):
+        # a wrong-sized state at input 1 is reported only when input 0 walks cleanly
+        operators = [proj([1, 0]), proj([0, 1])]
+        wrong = DensityMatrix.pure([1, 0, 0, 0])
+        vanishing = DensityMatrix(DIAG([0.3, 0.7]).astype(complex))
+        with pytest.raises(VanishingProjectionError):
+            compile_qc_to_cc(_canonical([vanishing, wrong], [0, 1], operators), 0.1, r=2)
+        with pytest.raises(ValueError, match="state dimension 4 != operator dimension 2"):
+            compile_qc_to_cc(_canonical([DensityMatrix.pure([1, 0]), wrong], [0, 1],
+                                        operators), 0.1, r=2)
+
+    def test_foreign_record_raises_after_warm_replay(self):
+        p = toy_quantum_equality(1)
+        result = compile_qc_to_cc(p, delta=0.1, r=3)
+        referee = result.protocol.referee
+        for x in p.alice_inputs:
+            (bits,) = result.protocol.alice_strategy(x, None)
+            referee.accept_probability(bits, "00")
+        # against E = diag(0.8, 0.2) the state |0> records 0.8 at index 0,
+        # which toy-q1's |0><0| family cannot reach on three copies
+        other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
+        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
+        assert foreign.entries == ((0, 0.8),)
+        with pytest.raises(ReplayMismatchError, match="vanishes on replay"):
+            referee.accept_probability(foreign.to_bits(), "00")
+
+    def test_replay_slack_is_read(self):
+        # delta 1/8 keeps the arithmetic exact: the mixed hypothesis predicts
+        # 1/2, and 1/2 + (delta - delta/16) sits exactly on the mismatch
+        # bound, so only the slack keeps this recorded correction
+        ops = [proj([1, 0]), proj([0, 1])]
+        rec = LearnRecord(q=1, c=1, r=8, delta=0.125, entries=((0, 0.5 + 0.1171875),))
+        assert reconstruct_estimates(rec, ops)[0] == 0.6171875
+        with pytest.raises(ReplayMismatchError, match="already-predicted"):
+            reconstruct_estimates(rec, ops, tol=with_overrides(replay_slack=0.0))
