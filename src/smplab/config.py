@@ -22,7 +22,6 @@ class Tolerances:
     band_pad: float = 1e-9           # closed-interval padding for band projectors
     band_edge_flag: float = 1e-6     # flag eigenvalues this close to a band edge
     zero_projection: float = 1e-12   # Tr(M rho M) at or below this is degenerate
-    replay_slack: float = 1e-9       # a replayed correction must miss by delta - delta/16 - this
     distribution: float = 1e-12      # message / coin distributions must sum to 1
     dim_cap: int = 4096              # largest allowed matrix dimension (2**12)
     enum_cap: int = 1 << 20          # exact-acceptance term budget

@@ -25,7 +25,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -246,6 +246,11 @@ def check_learn_inputs(
     return c, q, r
 
 
+# slack of the replay's already-predicted test, so that a correction landing
+# exactly on the bound delta - delta/16 still replays
+_REPLAY_SLACK = 1e-9
+
+
 def _correct(
     hypothesis: DensityMatrix, f: Observable, p_tilde: float, delta: float, tol: Tolerances
 ) -> tuple[float, DensityMatrix | None]:
@@ -280,6 +285,67 @@ class _Trail:
         return record, diags
 
 
+def _grouped_walk(
+    start: DensityMatrix,
+    count: int,
+    observables: Sequence[Observable],
+    decide: Callable[[int, int, float], float | None],
+    record: Callable[[list[int], int, float, float, DensityMatrix | None], None],
+    fail: Callable[[int, Exception], int],
+    delta: float,
+    tol: Tolerances,
+) -> None:
+    """Walk ``count`` members against one family, grouped by decision prefix.
+
+    Members that have made the same corrections so far share one hypothesis,
+    beginning at ``start``: each group costs one expectation per step, and
+    splits by its members' decisions, each distinct (group, truncated value)
+    correction costing one band projection.  A group's hypothesis is the one
+    each member's own walk would hold, bit for bit, and only the current
+    step's groups are kept.
+
+    ``decide(i, b, estimate)`` returns None when member ``i`` skips index
+    ``b`` and the truncated value when it corrects there.
+    ``record(movers, b, p_tilde, trace, projected)`` takes each correction,
+    ``projected`` being None when the band's trace vanishes.  Either may
+    raise the error that ends its members' walks; ``fail(i, err)`` takes it
+    and returns the bound below which members keep walking.
+    """
+    horizon = count
+    # the groups of the current step, each dropped once split into the next
+    groups = deque([(start, list(range(count)))])
+    for b, f in enumerate(observables):
+        for _ in range(len(groups)):
+            hypothesis, members = groups.popleft()
+            members = [i for i in members if i < horizon]
+            if not members:
+                continue
+            estimate = f.expectation(hypothesis)
+            stay: list[int] = []
+            moves: dict[float, list[int]] = {}
+            for i in members:
+                try:
+                    p_tilde = decide(i, b, estimate)
+                except ValueError as err:
+                    horizon = min(horizon, fail(i, err))
+                    continue
+                if p_tilde is None:
+                    stay.append(i)
+                else:
+                    moves.setdefault(p_tilde, []).append(i)
+            if stay:
+                groups.append((hypothesis, stay))
+            for p_tilde, movers in moves.items():
+                try:
+                    trace, projected = _correct(hypothesis, f, p_tilde, delta, tol)
+                    record(movers, b, p_tilde, trace, projected)
+                except (ValueError, VanishingProjectionError) as err:
+                    for i in movers:
+                        horizon = min(horizon, fail(i, err))
+                    continue
+                groups.append((projected, movers))
+
+
 def _learn_states(
     states: Sequence[DensityMatrix],
     operators: Sequence[MeasurementOperator],
@@ -291,65 +357,41 @@ def _learn_states(
     """The learning walk of every state in ``states`` against one family.
 
     ``shape`` is ``(c, q, r)`` as :func:`check_learn_inputs` returns it.
-    States that have made the same corrections so far share one hypothesis:
-    each group costs one expectation per step, and splits by its members'
-    decisions, each distinct (group, truncated value) correction costing one
-    band projection.  A group's hypothesis is the one each member's own walk
-    would hold, bit for bit, and only the current step's groups are kept.
-    Raises the error of the first state, in the order given, whose own walk
-    fails, and stops walking the states after it.
+    Every state makes its own ``acceptance_probability`` calls along
+    :func:`_grouped_walk`.  Raises the error of the first state, in the order
+    given, whose own walk fails, and stops walking the states after it.
     """
     c, q, r = shape
     trails = [_Trail() for _ in states]
     first_bad, error = len(states), None
 
-    def fail(i: int, err: Exception) -> None:
+    def decide(i: int, b: int, estimate: float) -> float | None:
+        p_true = acceptance_probability(operators[b], states[i], tol)
+        trails[i].estimates.append(estimate)
+        trails[i].trues.append(p_true)
+        return None if abs(estimate - p_true) <= delta else _truncate(p_true, delta)
+
+    def record(movers, b, p_tilde, trace, projected) -> None:
+        if projected is None:
+            raise VanishingProjectionError(step=b, trace=trace)
+        margin = band_edge_margin(observables[b], p_tilde, delta / 2.0)
+        for i in movers:
+            trail = trails[i]
+            trail.entries.append((b, p_tilde))
+            trail.traces.append(trace)
+            trail.margins.append(margin)
+            if margin < tol.band_edge_flag:
+                trail.flagged.append(b)
+
+    def fail(i: int, err: Exception) -> int:
         nonlocal first_bad, error
         if i < first_bad:
             first_bad, error = i, err
+        return first_bad
 
-    # the groups of the current step, each dropped once split into the next
-    groups = deque([(maximally_mixed(r * q, tol), list(range(len(states))))])
-    for b, (e, f) in enumerate(zip(operators, observables)):
-        for _ in range(len(groups)):
-            hypothesis, members = groups.popleft()
-            members = [i for i in members if i < first_bad]
-            if not members:
-                continue
-            estimate = f.expectation(hypothesis)
-            stay: list[int] = []
-            moves: dict[float, list[int]] = {}
-            for i in members:
-                try:
-                    p_true = acceptance_probability(e, states[i], tol)
-                except ValueError as err:
-                    fail(i, err)
-                    continue
-                trails[i].estimates.append(estimate)
-                trails[i].trues.append(p_true)
-                if abs(estimate - p_true) <= delta:
-                    stay.append(i)
-                else:
-                    moves.setdefault(_truncate(p_true, delta), []).append(i)
-            if stay:
-                groups.append((hypothesis, stay))
-            for p_tilde, movers in moves.items():
-                margin = band_edge_margin(f, p_tilde, delta / 2.0)
-                try:
-                    trace, projected = _correct(hypothesis, f, p_tilde, delta, tol)
-                    if projected is None:
-                        raise VanishingProjectionError(step=b, trace=trace)
-                except (ValueError, VanishingProjectionError) as err:
-                    fail(movers[0], err)
-                    continue
-                for i in movers:
-                    trail = trails[i]
-                    trail.entries.append((b, p_tilde))
-                    trail.traces.append(trace)
-                    trail.margins.append(margin)
-                    if margin < tol.band_edge_flag:
-                        trail.flagged.append(b)
-                groups.append((projected, movers))
+    _grouped_walk(
+        maximally_mixed(r * q, tol), len(states), observables, decide, record, fail, delta, tol
+    )
     if error is not None:
         raise error
     return [trail.result(c, q, r, delta) for trail in trails]
@@ -387,9 +429,9 @@ def _replay_records(
 ) -> list:
     """Replay every record in ``records``, all of one (q, r, delta), against one family.
 
-    Records with the same entries so far share one hypothesis, as the
-    sender's states do in :func:`_learn_states`; the receiver recomputes its
-    hypotheses from the records alone.  Each outcome is the record's
+    Records with the same entries so far share one hypothesis along
+    :func:`_grouped_walk`, as the sender's states do; the receiver recomputes
+    its hypotheses from the records alone.  Each outcome is the record's
     estimates, or the error its own replay raises.
     """
     if not records:
@@ -398,43 +440,35 @@ def _replay_records(
     delta = head.delta
     # a genuinely corrected index must disagree by more than
     # delta - delta/16 with the truncated value it recorded
-    predicted = delta - delta / 16.0 - tol.replay_slack
+    predicted = delta - delta / 16.0 - _REPLAY_SLACK
     corrected = [dict(rec.entries) for rec in records]
     outcomes: list = [np.empty(len(observables)) for _ in records]
-    groups = deque([(maximally_mixed(head.r * head.q, tol), list(range(len(records))))])
-    for b, f in enumerate(observables):
-        for _ in range(len(groups)):
-            hypothesis, members = groups.popleft()
-            estimate = f.expectation(hypothesis)
-            stay: list[int] = []
-            moves: dict[float, list[int]] = {}
-            for i in members:
-                if b not in corrected[i]:
-                    outcomes[i][b] = min(1.0, max(0.0, estimate))
-                    stay.append(i)
-                elif abs(estimate - corrected[i][b]) <= predicted:
-                    outcomes[i] = ReplayMismatchError(
-                        f"recorded index {b} replays as already-predicted; "
-                        "record does not match this operator family"
-                    )
-                else:
-                    moves.setdefault(corrected[i][b], []).append(i)
-            if stay:
-                groups.append((hypothesis, stay))
-            for p_tilde, movers in moves.items():
-                try:
-                    _, projected = _correct(hypothesis, f, p_tilde, delta, tol)
-                    if projected is None:
-                        raise ReplayMismatchError(
-                            f"projection at recorded index {b} vanishes on replay"
-                        )
-                except (ValueError, VanishingProjectionError) as err:
-                    for i in movers:
-                        outcomes[i] = err
-                    continue
-                for i in movers:
-                    outcomes[i][b] = corrected[i][b]
-                groups.append((projected, movers))
+
+    def decide(i: int, b: int, estimate: float) -> float | None:
+        if b not in corrected[i]:
+            outcomes[i][b] = min(1.0, max(0.0, estimate))
+            return None
+        if abs(estimate - corrected[i][b]) <= predicted:
+            raise ReplayMismatchError(
+                f"recorded index {b} replays as already-predicted; "
+                "record does not match this operator family"
+            )
+        return corrected[i][b]
+
+    def record(movers, b, p_tilde, trace, projected) -> None:
+        if projected is None:
+            raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
+        for i in movers:
+            outcomes[i][b] = p_tilde
+
+    def fail(i: int, err: Exception) -> int:
+        outcomes[i] = err
+        return len(records)
+
+    _grouped_walk(
+        maximally_mixed(head.r * head.q, tol), len(records), observables,
+        decide, record, fail, delta, tol,
+    )
     return outcomes
 
 

@@ -170,15 +170,6 @@ class TestMainExitCodes:
         code = cli.main(["--experiment", "eq-public", "--out", str(tmp_path)])
         assert code == EXIT_ASSERTION
 
-    @pytest.mark.parametrize("slack, code", [("1e-9", EXIT_OK), ("-0.5", EXIT_ASSERTION)])
-    def test_replay_slack_override_reaches_the_replay(self, tmp_path, capsys, slack, code):
-        # a slack of -1/2 makes the fixture's genuine correction replay as
-        # already predicted
-        argv = ["--experiment", "learn-state", "--tolerance", f"replay_slack={slack}"]
-        assert main(argv + ["--out", str(tmp_path)]) == code
-        if code == EXIT_ASSERTION:
-            assert "ReplayMismatchError" in capsys.readouterr().err
-
     def test_unknown_param_names_key_and_accepted_keys(self, tmp_path, capsys):
         code = main([
             "--experiment", "learn-state", "--param", "q=1", "--out", str(tmp_path),

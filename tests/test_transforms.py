@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smplab.transforms as transforms
-from smplab.config import DEFAULT, with_overrides
+from smplab.config import DEFAULT
 from smplab.errors import DimensionCapError, ReplayMismatchError, VanishingProjectionError
 from smplab.protocols import (
     equality_code,
@@ -735,12 +735,10 @@ class TestGroupedWalk:
         with pytest.raises(ReplayMismatchError, match="vanishes on replay"):
             referee.accept_probability(foreign.to_bits(), "00")
 
-    def test_replay_slack_is_read(self):
+    def test_correction_on_the_mismatch_bound_replays(self):
         # delta 1/8 keeps the arithmetic exact: the mixed hypothesis predicts
         # 1/2, and 1/2 + (delta - delta/16) sits exactly on the mismatch
-        # bound, so only the slack keeps this recorded correction
+        # bound, so only the replay's slack keeps this recorded correction
         ops = [proj([1, 0]), proj([0, 1])]
         rec = LearnRecord(q=1, c=1, r=8, delta=0.125, entries=((0, 0.5 + 0.1171875),))
         assert reconstruct_estimates(rec, ops)[0] == 0.6171875
-        with pytest.raises(ReplayMismatchError, match="already-predicted"):
-            reconstruct_estimates(rec, ops, tol=with_overrides(replay_slack=0.0))
