@@ -286,7 +286,7 @@ class _Trail:
 
 
 def _grouped_walk(
-    start: DensityMatrix,
+    qubits: int,
     count: int,
     observables: Sequence[Observable],
     decide: Callable[[int, int, float], float | None],
@@ -298,7 +298,7 @@ def _grouped_walk(
     """Walk ``count`` members against one family, grouped by decision prefix.
 
     Members that have made the same corrections so far share one hypothesis,
-    beginning at ``start``: each group costs one expectation per step, and
+    maximally mixed on ``qubits`` at first: each group costs one expectation per step, and
     splits by its members' decisions, each distinct (group, truncated value)
     correction costing one band projection.  A group's hypothesis is the one
     each member's own walk would hold, bit for bit, and only the current
@@ -313,7 +313,7 @@ def _grouped_walk(
     """
     horizon = count
     # the groups of the current step, each dropped once split into the next
-    groups = deque([(start, list(range(count)))])
+    groups = deque([(maximally_mixed(qubits, tol), list(range(count)))])
     for b, f in enumerate(observables):
         for _ in range(len(groups)):
             hypothesis, members = groups.popleft()
@@ -389,9 +389,7 @@ def _learn_states(
             first_bad, error = i, err
         return first_bad
 
-    _grouped_walk(
-        maximally_mixed(r * q, tol), len(states), observables, decide, record, fail, delta, tol
-    )
+    _grouped_walk(r * q, len(states), observables, decide, record, fail, delta, tol)
     if error is not None:
         raise error
     return [trail.result(c, q, r, delta) for trail in trails]
@@ -465,10 +463,7 @@ def _replay_records(
         outcomes[i] = err
         return len(records)
 
-    _grouped_walk(
-        maximally_mixed(head.r * head.q, tol), len(records), observables,
-        decide, record, fail, delta, tol,
-    )
+    _grouped_walk(head.r * head.q, len(records), observables, decide, record, fail, delta, tol)
     return outcomes
 
 

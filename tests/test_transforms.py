@@ -735,6 +735,17 @@ class TestGroupedWalk:
         with pytest.raises(ReplayMismatchError, match="vanishes on replay"):
             referee.accept_probability(foreign.to_bits(), "00")
 
+    def test_records_sharing_a_vanishing_projection_all_fail(self):
+        # two copies of a foreign record share one group on replay, so the
+        # projection that vanishes must end both replays, not only the first
+        p = toy_quantum_equality(1)
+        family = p.referee.operator_list(p.bob_cost.bits)
+        other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
+        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
+        observables = transforms._family_observables(family, 3, DEFAULT)
+        outcomes = transforms._replay_records([foreign, foreign], observables, DEFAULT)
+        assert [type(out) for out in outcomes] == [ReplayMismatchError] * 2
+
     def test_correction_on_the_mismatch_bound_replays(self):
         # delta 1/8 keeps the arithmetic exact: the mixed hypothesis predicts
         # 1/2, and 1/2 + (delta - delta/16) sits exactly on the mismatch
