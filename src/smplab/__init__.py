@@ -20,7 +20,6 @@ from .qcore import (
     band_projector,
     maximally_mixed,
     project_renormalize,
-    spectral_decompose,
     tensor_power,
 )
 

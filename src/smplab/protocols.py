@@ -337,6 +337,10 @@ def _majority_output(agreements: list[int], rng: np.random.Generator | None):
     return int(rng.integers(0, 2))
 
 
+# paths of the matching referee's exact walk at or below this weight are pruned
+_NEGLIGIBLE_WEIGHT = 1e-15
+
+
 class _MatchingQcReferee(Referee):
     """Measures each received copy with the projectors of still-unused edges.
 
@@ -383,7 +387,7 @@ class _MatchingQcReferee(Referee):
         dist: dict[int, float] = {}
 
         def walk(copy: int, used: frozenset[int], agreements: tuple[int, ...], weight: float):
-            if weight <= 1e-15:
+            if weight <= _NEGLIGIBLE_WEIGHT:
                 return
             if copy == len(copy_outcomes):
                 out = _majority_output(list(agreements), rng=None)
@@ -582,12 +586,18 @@ def _sign_superposition(x: int, n: int) -> PureState:
     return PureState(amp / math.sqrt(n))
 
 
+# an edge's mass, or a parity branch's share of it, at or below this is
+# numerical residue and left out of the hidden-matching output distribution
+_EDGE_RESIDUE = 1e-12
+
+
 class _HiddenMatchingReferee(Referee):
     """Projects onto the two-dimensional edge spaces of the named matching.
 
     The surviving two amplitudes determine the edge parity with certainty for
-    sign-superposition messages; tiny numerical residue beyond 1e-9 in the
-    wrong parity branch is kept in the distribution rather than hidden.
+    sign-superposition messages; numerical residue in the wrong parity branch
+    is kept in the distribution rather than hidden once its share of the edge
+    exceeds ``_EDGE_RESIDUE`` (1e-12).
     """
 
     def __init__(self, n: int):
@@ -599,12 +609,12 @@ class _HiddenMatchingReferee(Referee):
         amp = psi.amplitudes
         for i, j in xor_matching(self.n, k):
             p_edge = float(abs(amp[i]) ** 2 + abs(amp[j]) ** 2)
-            if p_edge <= 1e-12:
+            if p_edge <= _EDGE_RESIDUE:
                 continue
             plus = float(abs(amp[i] + amp[j]) ** 2) / 2.0
             minus = float(abs(amp[i] - amp[j]) ** 2) / 2.0
             for parity, weight in ((0, plus), (1, minus)):
-                if weight / (plus + minus) > 1e-12:
+                if weight / (plus + minus) > _EDGE_RESIDUE:
                     yield HiddenMatchingOutput(i, j, parity), p_edge * weight / (plus + minus)
 
     def output_distribution(self, psi: PureState, b: str, coin=None) -> dict:

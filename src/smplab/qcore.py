@@ -26,7 +26,6 @@ __all__ = [
     "acceptance_probability",
     "tensor_power",
     "average_observable",
-    "spectral_decompose",
     "band_projector",
     "band_edge_margin",
     "project_renormalize",
@@ -329,30 +328,6 @@ def _cluster(sorted_vals: np.ndarray, group_tol: float) -> list[np.ndarray]:
             groups.append(np.arange(start, i))
             start = i
     return groups
-
-
-def spectral_decompose(
-    h, group_tol: float | None = None, tol: Tolerances = DEFAULT
-) -> Observable:
-    """Diagonalize a Hermitian matrix into an Observable.
-
-    Eigenvalues within ``group_tol`` of their neighbor are merged into one
-    eigenspace (default ``tol.group_tol``).
-    """
-    if isinstance(h, (MeasurementOperator, DensityMatrix)):
-        h = h.entries
-    a = _as_square_complex(h)
-    defect = hermiticity_defect(a)
-    if defect > tol.hermitian:
-        raise ValueError(f"not Hermitian: defect {defect:.3e}")
-    if group_tol is None:
-        group_tol = tol.group_tol
-    w, v = np.linalg.eigh(a)
-    vals, blocks = [], []
-    for idx in _cluster(w, group_tol):
-        vals.append(float(np.mean(w[idx])))
-        blocks.append((int(idx[0]), int(idx[-1]) + 1))
-    return Observable(tuple(vals), v, tuple(blocks))
 
 
 def average_observable(

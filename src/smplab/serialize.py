@@ -30,6 +30,8 @@ def matrix_to_bytes(a: np.ndarray) -> bytes:
 def matrix_from_bytes(data: bytes) -> np.ndarray:
     if data[:4] != _MAGIC:
         raise ValueError("not a matrix container (bad magic)")
+    if len(data) < 12:
+        raise ValueError(f"truncated matrix container header ({len(data)} of 12 bytes)")
     version, dim = struct.unpack("<II", data[4:12])
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
@@ -60,6 +62,8 @@ def matrix_to_text(a: np.ndarray) -> str:
 
 def matrix_from_text(text: str) -> np.ndarray:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty text matrix")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "qmat" or not head[2].startswith("dim="):
         raise ValueError("bad text matrix header")

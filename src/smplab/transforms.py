@@ -70,6 +70,8 @@ __all__ = [
 
 def _tilde_bits(delta: float) -> int:
     """Bits reserved per truncated estimate: ceil(log2(8/delta)) + 3."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError("need delta in (0, 1/2)")
     return math.ceil(math.log2(8.0 / delta)) + 3
 
 
@@ -85,7 +87,9 @@ class LearnRecord:
 
     ``entries`` lists, in increasing index order, the operator indices the
     sender had to correct, each with the truncated acceptance probability
-    (a multiple of delta/8).
+    (a multiple of delta/8).  Construction rejects what the encodings cannot
+    hold: an index outside c bits, an estimate outside [0, 1], delta outside
+    (0, 1/2) or r below 1.
     """
 
     q: int
@@ -98,6 +102,14 @@ class LearnRecord:
         object.__setattr__(
             self, "entries", tuple((int(b), float(p)) for b, p in self.entries)
         )
+        _tilde_bits(self.delta)  # rejects delta outside (0, 1/2)
+        if self.r < 1:
+            raise ValueError("need r >= 1")
+        for b, p in self.entries:
+            if b < 0 or b.bit_length() > self.c:
+                raise ValueError(f"index {b} does not fit in {self.c} bits")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"estimate {p!r} is outside [0, 1]")
         for (b1, _), (b2, _) in zip(self.entries, self.entries[1:]):
             if b1 >= b2:
                 raise ValueError("entries must be strictly increasing in index")
@@ -124,7 +136,7 @@ class LearnRecord:
         step = delta / 8.0
         entries = []
         for pos in range(0, len(bits), width):
-            b = int(bits[pos : pos + c], 2)
+            b = int(bits[pos : pos + c] or "0", 2)
             idx = int(bits[pos + c : pos + width], 2)
             entries.append((b, idx * step))
         return cls(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
@@ -211,12 +223,6 @@ def _validated_family(operators: Sequence[MeasurementOperator]) -> tuple[int, in
     return c, dims.pop()
 
 
-def _family_observables(
-    operators: Sequence[MeasurementOperator], r: int, tol: Tolerances
-) -> list[Observable]:
-    return [average_observable(e, r, tol) for e in operators]
-
-
 def check_learn_inputs(
     rho: DensityMatrix,
     operators: Sequence[MeasurementOperator],
@@ -291,10 +297,9 @@ def _grouped_walk(
     observables: Sequence[Observable],
     decide: Callable[[int, int, float], float | None],
     record: Callable[[list[int], int, float, float, DensityMatrix | None], None],
-    fail: Callable[[int, Exception], int],
     delta: float,
     tol: Tolerances,
-) -> None:
+) -> dict[int, Exception]:
     """Walk ``count`` members against one family, grouped by decision prefix.
 
     Members that have made the same corrections so far share one hypothesis,
@@ -308,18 +313,16 @@ def _grouped_walk(
     ``b`` and the truncated value when it corrects there.
     ``record(movers, b, p_tilde, trace, projected)`` takes each correction,
     ``projected`` being None when the band's trace vanishes.  Either may
-    raise the error that ends its members' walks; ``fail(i, err)`` takes it
-    and returns the bound below which members keep walking.
+    raise the error that ends its members' walks.  Returns each failed
+    member's error; groups never depend on which members they hold, so the
+    others walk on as they would alone.
     """
-    horizon = count
+    errors: dict[int, Exception] = {}
     # the groups of the current step, each dropped once split into the next
     groups = deque([(maximally_mixed(qubits, tol), list(range(count)))])
     for b, f in enumerate(observables):
         for _ in range(len(groups)):
             hypothesis, members = groups.popleft()
-            members = [i for i in members if i < horizon]
-            if not members:
-                continue
             estimate = f.expectation(hypothesis)
             stay: list[int] = []
             moves: dict[float, list[int]] = {}
@@ -327,7 +330,7 @@ def _grouped_walk(
                 try:
                     p_tilde = decide(i, b, estimate)
                 except ValueError as err:
-                    horizon = min(horizon, fail(i, err))
+                    errors[i] = err
                     continue
                 if p_tilde is None:
                     stay.append(i)
@@ -340,10 +343,10 @@ def _grouped_walk(
                     trace, projected = _correct(hypothesis, f, p_tilde, delta, tol)
                     record(movers, b, p_tilde, trace, projected)
                 except (ValueError, VanishingProjectionError) as err:
-                    for i in movers:
-                        horizon = min(horizon, fail(i, err))
+                    errors.update(dict.fromkeys(movers, err))
                     continue
                 groups.append((projected, movers))
+    return errors
 
 
 def _learn_states(
@@ -359,11 +362,10 @@ def _learn_states(
     ``shape`` is ``(c, q, r)`` as :func:`check_learn_inputs` returns it.
     Every state makes its own ``acceptance_probability`` calls along
     :func:`_grouped_walk`.  Raises the error of the first state, in the order
-    given, whose own walk fails, and stops walking the states after it.
+    given, whose own walk fails.
     """
     c, q, r = shape
     trails = [_Trail() for _ in states]
-    first_bad, error = len(states), None
 
     def decide(i: int, b: int, estimate: float) -> float | None:
         p_true = acceptance_probability(operators[b], states[i], tol)
@@ -383,15 +385,9 @@ def _learn_states(
             if margin < tol.band_edge_flag:
                 trail.flagged.append(b)
 
-    def fail(i: int, err: Exception) -> int:
-        nonlocal first_bad, error
-        if i < first_bad:
-            first_bad, error = i, err
-        return first_bad
-
-    _grouped_walk(r * q, len(states), observables, decide, record, fail, delta, tol)
-    if error is not None:
-        raise error
+    errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, tol)
+    if errors:
+        raise errors[min(errors)]
     return [trail.result(c, q, r, delta) for trail in trails]
 
 
@@ -417,7 +413,7 @@ def learn_state_message(
     """
     c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
     if observables is None:
-        observables = _family_observables(operators, r, tol)
+        observables = [average_observable(e, r, tol) for e in operators]
     (learned,) = _learn_states([rho], operators, observables, delta, (c, q, r), tol)
     return learned
 
@@ -459,18 +455,15 @@ def _replay_records(
         for i in movers:
             outcomes[i][b] = p_tilde
 
-    def fail(i: int, err: Exception) -> int:
+    errors = _grouped_walk(head.r * head.q, len(records), observables, decide, record, delta, tol)
+    for i, err in errors.items():
         outcomes[i] = err
-        return len(records)
-
-    _grouped_walk(head.r * head.q, len(records), observables, decide, record, fail, delta, tol)
     return outcomes
 
 
 def reconstruct_estimates(
     record: LearnRecord,
     operators: Sequence[MeasurementOperator],
-    q: int | None = None,
     tol: Tolerances = DEFAULT,
     observables: Sequence[Observable] | None = None,
 ) -> np.ndarray:
@@ -485,14 +478,12 @@ def reconstruct_estimates(
     c, dim = _validated_family(operators)
     if c != record.c:
         raise ValueError(f"record indexes {record.c}-bit family, got {c}-bit")
-    if q is not None and q != record.q:
-        raise ValueError(f"record was built for q={record.q}, caller says q={q}")
     if dim != 2**record.q:
         raise ValueError("operator dimension does not match the record")
     if observables is None:
-        observables = _family_observables(operators, record.r, tol)
+        observables = [average_observable(e, record.r, tol) for e in operators]
     (outcome,) = _replay_records([record], observables, tol)
-    if not isinstance(outcome, np.ndarray):
+    if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
@@ -653,7 +644,6 @@ def compile_qc_to_cc(
     q = operators[0].num_qubits
     if r is None:
         r = default_copies(q, delta, tol)
-    record_c = (len(operators) - 1).bit_length() if len(operators) > 1 else 0
 
     coin_values: list = [None]
     if p.coin is not None:
@@ -677,7 +667,8 @@ def compile_qc_to_cc(
         states.append(rho)
     if invalid is not None and not states:
         raise invalid
-    observables = _family_observables(operators, r, tol)
+    record_c, _ = _validated_family(operators)
+    observables = [average_observable(e, r, tol) for e in operators]
     learned = _learn_states(states, operators, observables, delta, (record_c, q, r), tol)
     if invalid is not None:
         raise invalid
@@ -687,25 +678,24 @@ def compile_qc_to_cc(
     messages = {key: record.to_bits() for key, record in records.items()}
     max_bits = max((len(m) for m in messages.values()), default=0)
 
-    # the receiver replays every message Alice can send in one walk; a
-    # message whose replay fails, or one she never sends, is replayed alone
-    # when the referee first reads it, and raises there
+    def decode(bits: str) -> LearnRecord:
+        return LearnRecord.from_bits(bits, q=q, c=record_c, r=r, delta=delta)
+
+    # each message's replay outcome: its estimates, or the error its replay
+    # raised, raised again on every read.  The receiver replays every message
+    # Alice sends in one walk, and any other one alone when first read.
     sent = list(dict.fromkeys(messages.values()))
-    replays = _replay_records(
-        [LearnRecord.from_bits(bits, q=q, c=record_c, r=r, delta=delta) for bits in sent],
-        observables, tol,
-    )
-    estimate_cache: dict[str, np.ndarray] = {
-        bits: out for bits, out in zip(sent, replays) if isinstance(out, np.ndarray)
-    }
+    replays = dict(zip(sent, _replay_records([decode(bits) for bits in sent], observables, tol)))
 
     def reconstruct(bits: str) -> np.ndarray:
-        if bits not in estimate_cache:
-            rec = LearnRecord.from_bits(bits, q=q, c=record_c, r=r, delta=delta)
-            estimate_cache[bits] = reconstruct_estimates(
-                rec, operators, tol=tol, observables=observables
-            )
-        return estimate_cache[bits]
+        if bits not in replays:
+            (replays[bits],) = _replay_records([decode(bits)], observables, tol)
+        outcome = replays[bits]
+        if isinstance(outcome, Exception):
+            # each read's traceback is its own: it neither grows with the reads
+            # before it nor keeps the walk's frames (and hypotheses) alive
+            raise outcome.with_traceback(None)
+        return outcome
 
     def new_alice(x, coin) -> dict[str, float]:
         key = x if p.coin is None else (x, coin)

@@ -392,6 +392,20 @@ class TestRejectedInputs:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, data, message", [
+        ("short.qmat", b"QMAT\x01\x00", "truncated matrix container header (6 of 12 bytes)"),
+        ("empty.txt", b"", "empty text matrix"),
+    ])
+    def test_malformed_matrix_file_exits_2(self, tmp_path, capsys, name, data, message):
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / "out"
+        argv = ["--experiment", "learn-state", "--param", "mode=file",
+                "--param", f"rho={tmp_path / name}",
+                "--param", f"operators={tmp_path / name}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLearnRoundTrip:
     def test_one_spectral_build_per_operator(self, monkeypatch):

@@ -16,7 +16,6 @@ from smplab.qcore import (
     project_renormalize,
     random_density,
     random_measurement_operator,
-    spectral_decompose,
     tensor_power,
 )
 
@@ -158,29 +157,20 @@ class TestAverageObservable:
 
 
 class TestSpectralDecompose:
-    def test_groups_repeated_diagonal(self):
-        obs = spectral_decompose(np.diag([0.3, 0.3, 0.7, 0.7]).astype(complex)[:3, :3])
-        # 3x3 is not power-of-two constrained: spectral_decompose takes raw Hermitian input
-        assert len(obs.eigenvalues) == 2
-        dims = [b - a for a, b in obs.blocks]
-        assert dims == [2, 1]
+    """The spectral decomposition ``average_observable`` builds, at r = 1."""
 
     def test_identity_single_space(self):
-        obs = spectral_decompose(np.eye(4, dtype=complex))
+        obs = average_observable(op(np.eye(4)), 1)
         assert len(obs.eigenvalues) == 1
         assert np.allclose(band_projector(obs, obs.eigenvalues[0], 0.0), np.eye(4))
 
     def test_reconstruction_random(self):
-        rng = np.random.default_rng(23)
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        h = (g + g.conj().T) / 2
-        obs = spectral_decompose(h)
-        assert np.max(np.abs(obs.matrix - h)) <= 1e-8
+        e = random_measurement_operator(8, np.random.default_rng(23))
+        obs = average_observable(e, 1)
+        assert np.max(np.abs(obs.matrix - e.entries)) <= 1e-8
 
     def test_projector_invariants(self):
-        rng = np.random.default_rng(29)
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        obs = spectral_decompose((g + g.conj().T) / 2)
+        obs = average_observable(random_measurement_operator(8, np.random.default_rng(29)), 1)
         projectors = [band_projector(obs, val, 0.0) for val in obs.eigenvalues]
         total = np.zeros((8, 8), dtype=complex)
         for i, p in enumerate(projectors):
@@ -193,7 +183,7 @@ class TestSpectralDecompose:
 
 class TestBandProjector:
     def test_selects_middle_eigenvalue(self):
-        f = spectral_decompose(np.diag([0.1, 0.5, 0.9, 0.9]).astype(complex))
+        f = average_observable(op(np.diag([0.1, 0.5, 0.9, 0.9])), 1)
         m = band_projector(f, 0.5, 0.2)
         expect = np.zeros((4, 4))
         expect[1, 1] = 1.0
@@ -201,7 +191,7 @@ class TestBandProjector:
 
     def test_full_band_is_identity(self):
         rng = np.random.default_rng(31)
-        f = spectral_decompose(random_measurement_operator(4, rng).entries)
+        f = average_observable(random_measurement_operator(4, rng), 1)
         assert np.allclose(band_projector(f, 0.5, 0.5), np.eye(4))
 
     def test_half_success_band_from_average(self):
@@ -211,23 +201,23 @@ class TestBandProjector:
         assert np.max(np.abs(m @ m - m)) <= 1e-9
 
     def test_empty_band_gives_zero(self):
-        f = spectral_decompose(np.diag([0.0, 1.0]).astype(complex))
+        f = average_observable(op(np.diag([0.0, 1.0])), 1)
         assert np.allclose(band_projector(f, 0.5, 0.1), 0.0)
 
     def test_idempotent_and_commutes(self):
         rng = np.random.default_rng(37)
-        f = spectral_decompose(random_measurement_operator(8, rng).entries)
+        f = average_observable(random_measurement_operator(8, rng), 1)
         m = band_projector(f, 0.4, 0.25)
         assert np.max(np.abs(m @ m - m)) <= 1e-9
         assert np.max(np.abs(m @ f.matrix - f.matrix @ m)) <= 1e-8
 
     def test_endpoint_eigenvalue_included(self):
-        f = spectral_decompose(np.diag([0.25, 0.75]).astype(complex))
+        f = average_observable(op(np.diag([0.25, 0.75])), 1)
         m = band_projector(f, 0.5, 0.25)
         assert int(round(np.trace(m).real)) == 2
 
     def test_edge_margin_reports_closest_distance(self):
-        f = spectral_decompose(np.diag([0.25, 0.75]).astype(complex))
+        f = average_observable(op(np.diag([0.25, 0.75])), 1)
         assert band_edge_margin(f, 0.5, 0.2) == pytest.approx(0.05)
         assert band_edge_margin(f, 0.5, 0.25) == pytest.approx(0.0, abs=1e-12)
 
@@ -290,7 +280,7 @@ def test_observable_requires_sorted_eigenvalues():
 
 
 def test_observable_projectors_realized_from_blocks():
-    obs = spectral_decompose(np.diag([0.2, 0.2, 0.9, 0.9]).astype(complex))
+    obs = average_observable(op(np.diag([0.2, 0.2, 0.9, 0.9])), 1)
     projectors = [band_projector(obs, val, 0.0) for val in obs.eigenvalues]
     assert len(projectors) == 2
     for p in projectors:

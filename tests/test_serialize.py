@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab.qcore import random_density
 from smplab.serialize import (
@@ -35,6 +37,32 @@ def test_text_roundtrip_exact():
     a = random_density(4, rng).entries
     back = matrix_from_text(matrix_to_text(a))
     assert np.array_equal(back, a)
+
+
+def test_binary_rejects_short_header():
+    with pytest.raises(ValueError, match="truncated matrix container header \\(6 of 12"):
+        matrix_from_bytes(b"QMAT\x01\x00")
+
+
+def test_text_rejects_empty():
+    for text in ("", " \n\n"):
+        with pytest.raises(ValueError, match="empty text matrix"):
+            matrix_from_text(text)
+
+
+@st.composite
+def _finite_matrices(draw):
+    dim = draw(st.integers(0, 4))
+    cells = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cells, min_size=dim * dim, max_size=dim * dim))
+    return np.array(values, dtype=np.complex128).reshape(dim, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_finite_matrices())
+def test_containers_roundtrip_finite_matrices(a):
+    assert np.array_equal(matrix_from_bytes(matrix_to_bytes(a)), a)
+    assert np.array_equal(matrix_from_text(matrix_to_text(a)), a)
 
 
 def test_text_header_checked():

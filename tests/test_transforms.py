@@ -248,10 +248,86 @@ class TestRecordEncoding:
         with pytest.raises(ValueError, match="needs 40 bytes, got 41"):
             LearnRecord.from_bytes(data + b"\x00")
 
+    def test_zero_bit_family_bits_roundtrip(self):
+        # a one-operator family has c = 0: each entry is its estimate alone
+        rec = LearnRecord(q=1, c=0, r=2, delta=0.125, entries=((0, 0.25),))
+        assert len(rec.to_bits()) == rec.encoded_bit_length == 9
+        assert LearnRecord.from_bits(rec.to_bits(), q=1, c=0, r=2, delta=0.125) == rec
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(c=1, entries=((3, 0.5),)), "index 3 does not fit in 1 bits"),
+        (dict(c=1, entries=((-1, 0.5),)), "index -1 does not fit"),
+        (dict(c=0, entries=((1, 0.5),)), "index 1 does not fit in 0 bits"),
+        (dict(entries=((0, -0.125),)), "outside \\[0, 1\\]"),
+        (dict(entries=((0, 1.0625),)), "outside \\[0, 1\\]"),
+        (dict(entries=((0, math.nan),)), "outside \\[0, 1\\]"),
+        (dict(delta=0.0), "need delta in"),
+        (dict(delta=0.5), "need delta in"),
+        (dict(r=0), "need r >= 1"),
+    ])
+    def test_rejects_entries_the_encodings_cannot_hold(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            LearnRecord(**{**dict(q=1, c=2, r=2, delta=0.125, entries=()), **fields})
+
+    def test_from_bits_rejects_delta_zero(self):
+        with pytest.raises(ValueError, match="need delta in"):
+            LearnRecord.from_bits("", q=1, c=1, r=2, delta=0.0)
+
     def test_text_dump_mentions_every_entry(self):
         rec = LearnRecord(q=1, c=2, r=2, delta=0.1, entries=((1, 0.5), (2, 0.25)))
         dump = rec.text_dump()
         assert "01 0.5" in dump and "10 0.25" in dump
+
+
+@st.composite
+def _grid_records(draw):
+    """Records with estimates on their delta/8 grid; c = 0 included."""
+    c = draw(st.integers(0, 4))
+    delta = draw(st.floats(1e-3, 0.5, exclude_max=True))
+    step = delta / 8.0
+    indices = sorted(draw(st.sets(st.integers(0, 2**c - 1))))
+    grid = st.integers(0, int(1.0 / step)).map(lambda k: k * step).filter(lambda p: p <= 1.0)
+    estimates = draw(st.lists(grid, min_size=len(indices), max_size=len(indices)))
+    return LearnRecord(q=draw(st.integers(1, 3)), c=c, r=draw(st.integers(1, 12)),
+                       delta=delta, entries=tuple(zip(indices, estimates)))
+
+
+class TestRecordProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(rec=_grid_records())
+    def test_bits_roundtrip(self, rec):
+        bits = rec.to_bits()
+        assert len(bits) == rec.encoded_bit_length
+        assert LearnRecord.from_bits(bits, rec.q, rec.c, rec.r, rec.delta) == rec
+
+    @settings(max_examples=200, deadline=None)
+    @given(rec=_grid_records(), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_roundtrip_off_grid(self, rec, seed):
+        # the byte form keeps any estimate in [0, 1], on the grid or not
+        g = np.random.default_rng(seed)
+        moved = LearnRecord(q=rec.q, c=rec.c, r=rec.r, delta=rec.delta,
+                            entries=tuple((b, float(g.random())) for b, _ in rec.entries))
+        for each in (rec, moved):
+            assert LearnRecord.from_bytes(each.to_bytes()) == each
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.integers(0, 3),
+        b=st.integers(-2, 9),
+        p=st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)),
+        delta=st.one_of(st.floats(1e-6, 0.5), st.sampled_from([0.0, -0.1, 0.7, math.nan])),
+        r=st.integers(-1, 3),
+    )
+    def test_constructs_exactly_what_the_encodings_hold(self, c, b, p, delta, r):
+        holds = 0 <= b < 2**c and 0.0 <= p <= 1.0 and 0.0 < delta < 0.5 and r >= 1
+        try:
+            rec = LearnRecord(q=1, c=c, r=r, delta=delta, entries=((b, p),))
+        except ValueError:
+            assert not holds
+            return
+        assert holds
+        assert len(rec.to_bits()) == rec.encoded_bit_length
+        assert LearnRecord.from_bytes(rec.to_bytes()) == rec
 
 
 class TestDerandomizeAlice:
@@ -418,6 +494,43 @@ class TestCompileQcToCc:
             for y in range(4)
         )
         assert worst <= 0.1 + 1e-9
+
+    def test_one_operator_family_sends_zero_bob_bits(self):
+        # c = 0: every record entry is an estimate with no index bits
+        states = [DensityMatrix.pure([1, 0]), DensityMatrix.pure([0, 1])]
+        p = SmpProtocol(
+            name="one-operator",
+            alice_strategy=lambda x, _c: states[x],
+            bob_strategy=lambda _y, _c: {"": 1.0},
+            referee=OperatorReferee({"": proj([1, 0])}),
+            alice_cost=Cost(qubits=1),
+            bob_cost=Cost(bits=0),
+            alice_inputs=(0, 1),
+            bob_inputs=(0,),
+        )
+        result = compile_qc_to_cc(p, delta=0.1, r=2)
+        assert [result.records[x].entries for x in (0, 1)] == [((0, 1.0),), ((0, 0.0),)]
+        worst = max(
+            abs(exact_acceptance(result.protocol, x, 0) - exact_acceptance(p, x, 0))
+            for x in (0, 1)
+        )
+        assert worst <= 0.1
+
+    def test_stored_replay_error_holds_no_walk_frames(self):
+        # a foreign record's replay error is stored and raised on every read,
+        # each time with the read's own traceback: it must neither keep the
+        # walk's frames (and their hypotheses) alive nor grow
+        p = toy_quantum_equality(1)
+        referee = compile_qc_to_cc(p, delta=0.1, r=3).protocol.referee
+        other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
+        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
+        frames = []
+        for _ in range(2):
+            with pytest.raises(ReplayMismatchError) as err:
+                referee.accept_probability(foreign.to_bits(), "00")
+            frames.append([f.name for f in err.traceback])
+        assert frames[0] == frames[1]
+        assert "_grouped_walk" not in frames[0]
 
     def test_rejects_non_canonical_protocols(self):
         with pytest.raises(ValueError, match="canonical"):
@@ -742,7 +855,7 @@ class TestGroupedWalk:
         family = p.referee.operator_list(p.bob_cost.bits)
         other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
         foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
-        observables = transforms._family_observables(family, 3, DEFAULT)
+        observables = [average_observable(e, 3) for e in family]
         outcomes = transforms._replay_records([foreign, foreign], observables, DEFAULT)
         assert [type(out) for out in outcomes] == [ReplayMismatchError] * 2
 
