@@ -70,6 +70,7 @@ from .smp import (
     protocol_cost,
 )
 from .transforms import (
+    ObservableFamily,
     bad_count_bound,
     check_learn_inputs,
     compile_qc_to_cc,
@@ -302,8 +303,9 @@ def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
     bound and the largest projection trace (the Markov step).
     """
     check_learn_inputs(rho, ops, delta, r, tol)
-    # one spectral build per operator, shared by the sender and the receiver
-    observables = [average_observable(e, r, tol) for e in ops]
+    # one spectral build per operator and one walk memo, shared by the sender
+    # and the receiver: the replay reads the sender's numbers
+    observables = ObservableFamily(average_observable(e, r, tol) for e in ops)
     record, diag = learn_state_message(rho, ops, delta, r, tol, observables=observables)
     estimates = reconstruct_estimates(record, ops, tol=tol, observables=observables)
     true = np.array([acceptance_probability(e, rho, tol) for e in ops])

@@ -25,7 +25,8 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .rng import derive_seed, trial_rng
 __all__ = [
     "LearnRecord",
     "LearnDiagnostics",
+    "ObservableFamily",
     "DeterministicMessageTable",
     "CompileResult",
     "default_copies",
@@ -69,10 +71,14 @@ __all__ = [
 
 
 def _tilde_bits(delta: float) -> int:
-    """Bits reserved per truncated estimate: ceil(log2(8/delta)) + 3."""
+    """Bits reserved per truncated estimate: ceil(log2(8/delta)) + 3.
+
+    For delta = m * 2**e with 1/2 <= m < 1 that ceiling is exactly 4 - e,
+    taken from the exponent because 8/delta overflows for a subnormal delta.
+    """
     if not 0.0 < delta < 0.5:
         raise ValueError("need delta in (0, 1/2)")
-    return math.ceil(math.log2(8.0 / delta)) + 3
+    return 4 - math.frexp(delta)[1] + 3
 
 
 def _truncate(p: float, delta: float) -> float:
@@ -119,12 +125,16 @@ class LearnRecord:
         return len(self.entries) * (self.c + _tilde_bits(self.delta))
 
     def to_bits(self) -> str:
-        """The message itself: per entry, the index then the estimate's grid position."""
-        step = self.delta / 8.0
+        """The message itself: per entry, the index then the estimate's grid position.
+
+        Grid positions are taken in exact arithmetic, since p / (delta/8)
+        overflows a float for a subnormal delta.
+        """
+        step = Fraction(self.delta) / 8
         tb = _tilde_bits(self.delta)
         out = []
         for b, p in self.entries:
-            out.append(bitstring(b, self.c) + bitstring(round(p / step), tb))
+            out.append(bitstring(b, self.c) + bitstring(round(Fraction(p) / step), tb))
         return "".join(out)
 
     @classmethod
@@ -133,12 +143,12 @@ class LearnRecord:
         width = c + tb
         if len(bits) % width:
             raise ValueError(f"message length {len(bits)} not a multiple of {width}")
-        step = delta / 8.0
+        step = Fraction(delta) / 8
         entries = []
         for pos in range(0, len(bits), width):
             b = int(bits[pos : pos + c] or "0", 2)
             idx = int(bits[pos + c : pos + width], 2)
-            entries.append((b, idx * step))
+            entries.append((b, float(idx * step)))
         return cls(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
 
     def to_bytes(self) -> bytes:
@@ -258,15 +268,49 @@ _REPLAY_SLACK = 1e-9
 
 
 def _correct(
-    hypothesis: DensityMatrix, f: Observable, p_tilde: float, delta: float, tol: Tolerances
+    hypothesis: DensityMatrix, band: np.ndarray, tol: Tolerances
 ) -> tuple[float, DensityMatrix | None]:
-    """Trace of ``f``'s band around ``p_tilde`` on the hypothesis, and the
-    projected, renormalized hypothesis (None when that trace vanishes)."""
-    band = band_projector(f, p_tilde, delta / 2.0, tol)
+    """Trace of ``band`` on the hypothesis, and the projected, renormalized
+    hypothesis (None when that trace vanishes)."""
     trace = float(np.sum(band * hypothesis.entries.T).real)
     if trace <= tol.zero_projection:
         return trace, None
     return trace, project_renormalize(hypothesis, band, tol)
+
+
+class ObservableFamily(tuple):
+    """The averaged observables of one operator family, and the walk memo
+    every walk over them shares.
+
+    Each hypothesis of the learning walk depends only on the family and the
+    corrections made so far, so a replay retraces hypotheses the sender has
+    already computed.  ``memo`` keeps, per (qubits, delta, tolerances), the
+    expectation of each correction prefix at each step and the band trace of
+    each correction, floats only; every walk over the family reads it before
+    computing anything and writes what it computes.  A plain sequence of
+    observables gets a fresh memo per walk.
+    """
+
+    def __new__(cls, observables: Iterable[Observable]):
+        family = super().__new__(cls, observables)
+        family.memo = {}
+        return family
+
+
+class _Prefix:
+    """One correction prefix of a walk, and its hypothesis once a step needs it.
+
+    An unbuilt prefix keeps its parent, from which it is built by the same
+    :func:`_correct` call the first walk made; a built one lets its parent
+    go, so a walk holds at most one hypothesis per group.
+    """
+
+    __slots__ = ("entries", "parent", "hypothesis")
+
+    def __init__(self, entries, parent, hypothesis):
+        self.entries = entries
+        self.parent = parent
+        self.hypothesis = hypothesis
 
 
 class _Trail:
@@ -296,34 +340,61 @@ def _grouped_walk(
     count: int,
     observables: Sequence[Observable],
     decide: Callable[[int, int, float], float | None],
-    record: Callable[[list[int], int, float, float, DensityMatrix | None], None],
+    record: Callable[[list[int], int, float, float], None],
     delta: float,
     tol: Tolerances,
 ) -> dict[int, Exception]:
-    """Walk ``count`` members against one family, grouped by decision prefix.
+    """Walk ``count`` members against one family, grouped by correction prefix.
 
-    Members that have made the same corrections so far share one hypothesis,
-    maximally mixed on ``qubits`` at first: each group costs one expectation per step, and
-    splits by its members' decisions, each distinct (group, truncated value)
-    correction costing one band projection.  A group's hypothesis is the one
-    each member's own walk would hold, bit for bit, and only the current
-    step's groups are kept.
+    Members that have made the same corrections so far share one group: each
+    group costs one expectation per step and splits by its members'
+    decisions, each distinct (group, truncated value) correction costing one
+    band trace and projection, and the groups correcting to one value at a
+    step sharing one band projector.  Every expectation and trace is first
+    looked up in the family's memo (see :class:`ObservableFamily`) and
+    written there when computed.  A group whose numbers are memoised holds
+    no hypothesis; when a later step misses, its hypothesis is built from the
+    nearest one still held (or from the maximally mixed state on ``qubits``)
+    by the corrections in between, each prefix at most once.  Every number is
+    the one each member's own walk would compute, bit for bit.
 
     ``decide(i, b, estimate)`` returns None when member ``i`` skips index
     ``b`` and the truncated value when it corrects there.
-    ``record(movers, b, p_tilde, trace, projected)`` takes each correction,
-    ``projected`` being None when the band's trace vanishes.  Either may
-    raise the error that ends its members' walks.  Returns each failed
-    member's error; groups never depend on which members they hold, so the
-    others walk on as they would alone.
+    ``record(movers, b, p_tilde, trace)`` takes each correction, the trace
+    vanishing when it is at most ``tol.zero_projection``.  Either may raise
+    the error that ends its members' walks.  Returns each failed member's
+    error; groups never depend on which members they hold, so the others walk
+    on as they would alone.
     """
+    shared = observables.memo if isinstance(observables, ObservableFamily) else {}
+    memo = shared.setdefault((qubits, delta, tol), {})
+
+    def built(node: _Prefix) -> DensityMatrix:
+        chain = []
+        while node.hypothesis is None and node.parent is not None:
+            chain.append(node)
+            node = node.parent
+        if node.hypothesis is None:
+            node.hypothesis = maximally_mixed(qubits, tol)
+        while chain:
+            child = chain.pop()
+            b, p_tilde = child.entries[-1]
+            band = band_projector(observables[b], p_tilde, delta / 2.0, tol)
+            _, child.hypothesis = _correct(node.hypothesis, band, tol)
+            child.parent = None
+            node = child
+        return node.hypothesis
+
     errors: dict[int, Exception] = {}
     # the groups of the current step, each dropped once split into the next
-    groups = deque([(maximally_mixed(qubits, tol), list(range(count)))])
+    groups = deque([(_Prefix((), None, None), list(range(count)))])
     for b, f in enumerate(observables):
+        bands: dict[float, np.ndarray] = {}  # held while step b runs
         for _ in range(len(groups)):
-            hypothesis, members = groups.popleft()
-            estimate = f.expectation(hypothesis)
+            node, members = groups.popleft()
+            estimate = memo.get((node.entries, b))
+            if estimate is None:
+                estimate = memo[node.entries, b] = f.expectation(built(node))
             stay: list[int] = []
             moves: dict[float, list[int]] = {}
             for i in members:
@@ -337,15 +408,23 @@ def _grouped_walk(
                 else:
                     moves.setdefault(p_tilde, []).append(i)
             if stay:
-                groups.append((hypothesis, stay))
+                groups.append((node, stay))
             for p_tilde, movers in moves.items():
+                projected = None
                 try:
-                    trace, projected = _correct(hypothesis, f, p_tilde, delta, tol)
-                    record(movers, b, p_tilde, trace, projected)
+                    trace = memo.get((node.entries, b, p_tilde))
+                    if trace is None:
+                        if p_tilde not in bands:
+                            bands[p_tilde] = band_projector(f, p_tilde, delta / 2.0, tol)
+                        trace, projected = _correct(built(node), bands[p_tilde], tol)
+                        memo[node.entries, b, p_tilde] = trace
+                    record(movers, b, p_tilde, trace)
                 except (ValueError, VanishingProjectionError) as err:
                     errors.update(dict.fromkeys(movers, err))
                     continue
-                groups.append((projected, movers))
+                entries = node.entries + ((b, p_tilde),)
+                parent = node if projected is None else None
+                groups.append((_Prefix(entries, parent, projected), movers))
     return errors
 
 
@@ -373,8 +452,8 @@ def _learn_states(
         trails[i].trues.append(p_true)
         return None if abs(estimate - p_true) <= delta else _truncate(p_true, delta)
 
-    def record(movers, b, p_tilde, trace, projected) -> None:
-        if projected is None:
+    def record(movers, b, p_tilde, trace) -> None:
+        if trace <= tol.zero_projection:
             raise VanishingProjectionError(step=b, trace=trace)
         margin = band_edge_margin(observables[b], p_tilde, delta / 2.0)
         for i in movers:
@@ -410,6 +489,9 @@ def learn_state_message(
 
     ``observables`` may carry precomputed averaged observables for the family
     (they are a pure function of (operators, r)); otherwise they are built here.
+    An :class:`ObservableFamily` also carries the walk memo it shares with
+    every other walk over it, so a later :func:`reconstruct_estimates` of this
+    record through the same family recomputes nothing.
     """
     c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
     if observables is None:
@@ -423,10 +505,12 @@ def _replay_records(
 ) -> list:
     """Replay every record in ``records``, all of one (q, r, delta), against one family.
 
-    Records with the same entries so far share one hypothesis along
-    :func:`_grouped_walk`, as the sender's states do; the receiver recomputes
-    its hypotheses from the records alone.  Each outcome is the record's
-    estimates, or the error its own replay raises.
+    Records with the same entries so far share one group along
+    :func:`_grouped_walk`, as the sender's states do, and read the numbers
+    the family's memo already holds: a record the sender made replays
+    without building a hypothesis, and any other one builds only the
+    prefixes the memo lacks.  Each outcome is the record's estimates, or the
+    error its own replay raises.
     """
     if not records:
         return []
@@ -449,8 +533,8 @@ def _replay_records(
             )
         return corrected[i][b]
 
-    def record(movers, b, p_tilde, trace, projected) -> None:
-        if projected is None:
+    def record(movers, b, p_tilde, trace) -> None:
+        if trace <= tol.zero_projection:
             raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
         for i in movers:
             outcomes[i][b] = p_tilde
@@ -474,6 +558,10 @@ def reconstruct_estimates(
     :class:`ReplayMismatchError` when a recorded index would not have needed a
     correction against this operator family, or when a projection vanishes:
     both mean the record belongs to a different family.
+
+    ``observables`` may carry precomputed averaged observables for the family
+    on ``record.r`` copies; an :class:`ObservableFamily` the sender walked
+    replays from the sender's memo, with the same checks on the same numbers.
     """
     c, dim = _validated_family(operators)
     if c != record.c:
@@ -668,7 +756,9 @@ def compile_qc_to_cc(
     if invalid is not None and not states:
         raise invalid
     record_c, _ = _validated_family(operators)
-    observables = [average_observable(e, r, tol) for e in operators]
+    # one family, and one walk memo, for the sender, the replay of every
+    # message Alice sends and the lazy replay of any other message
+    observables = ObservableFamily(average_observable(e, r, tol) for e in operators)
     learned = _learn_states(states, operators, observables, delta, (record_c, q, r), tol)
     if invalid is not None:
         raise invalid
@@ -683,7 +773,8 @@ def compile_qc_to_cc(
 
     # each message's replay outcome: its estimates, or the error its replay
     # raised, raised again on every read.  The receiver replays every message
-    # Alice sends in one walk, and any other one alone when first read.
+    # Alice sends in one walk, and any other one alone when first read; both
+    # read the sender's memo, so a sent message costs no kernel call.
     sent = list(dict.fromkeys(messages.values()))
     replays = dict(zip(sent, _replay_records([decode(bits) for bits in sent], observables, tol)))
 

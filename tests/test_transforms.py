@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smplab.transforms as transforms
+from smplab import cli
 from smplab.config import DEFAULT
 from smplab.errors import DimensionCapError, ReplayMismatchError, VanishingProjectionError
 from smplab.protocols import (
@@ -41,6 +43,7 @@ from smplab.smp import (
 from smplab.transforms import (
     LearnDiagnostics,
     LearnRecord,
+    ObservableFamily,
     bad_count_bound,
     check_learn_inputs,
     compile_qc_to_cc,
@@ -55,6 +58,23 @@ DIAG = np.diag
 
 def proj(bits) -> MeasurementOperator:
     return MeasurementOperator(DIAG(np.array(bits, dtype=float)).astype(complex))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts every dense kernel call the learning walk makes, by kernel name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Observable, "expectation", counted("expectation", Observable.expectation))
+    for name in ("band_projector", "project_renormalize"):
+        monkeypatch.setattr(transforms, name, counted(name, getattr(transforms, name)))
+    return calls
 
 
 class TestBadCountBound:
@@ -219,6 +239,21 @@ class TestRecordEncoding:
         assert rec.encoded_bit_length == 3 * per_entry
         assert len(rec.to_bits()) == rec.encoded_bit_length
 
+    @pytest.mark.parametrize("delta", [0.1, 0.125, 0.15, 0.2, 0.3, 0.45])
+    def test_estimate_width_kept_at_the_report_deltas(self, delta):
+        rec = LearnRecord(q=1, c=1, r=2, delta=delta, entries=((0, 0.5),))
+        assert rec.encoded_bit_length == 1 + math.ceil(math.log2(8.0 / delta)) + 3
+
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324, 2.0**-1022, 1e-300])
+    def test_tiny_delta_has_a_width(self, delta):
+        # 8/delta overflows a float at the subnormal ones; the width is
+        # still the least w with 2**(w - 3) >= 8/delta
+        rec = LearnRecord(q=1, c=1, r=2, delta=delta, entries=((0, 0.0), (1, 1.0)))
+        w = rec.encoded_bit_length // 2 - 1
+        assert 2 ** (w - 4) < Fraction(8) / Fraction(delta) <= 2 ** (w - 3)
+        assert LearnRecord.from_bits(rec.to_bits(), 1, 1, 2, delta) == rec
+        assert LearnRecord(q=1, c=1, r=2, delta=delta, entries=()).encoded_bit_length == 0
+
     def test_bits_roundtrip_dyadic_grid(self):
         # delta 0.25 puts the estimate grid on multiples of 1/32, exact in floats
         rec = LearnRecord(q=2, c=2, r=3, delta=0.25, entries=((0, 0.25), (3, 0.96875)))
@@ -315,7 +350,10 @@ class TestRecordProperties:
         c=st.integers(0, 3),
         b=st.integers(-2, 9),
         p=st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)),
-        delta=st.one_of(st.floats(1e-6, 0.5), st.sampled_from([0.0, -0.1, 0.7, math.nan])),
+        delta=st.one_of(
+            st.floats(0.0, 0.5, exclude_min=True),
+            st.sampled_from([0.0, -0.1, 0.7, math.nan, 5e-324, 1e-310]),
+        ),
         r=st.integers(-1, 3),
     )
     def test_constructs_exactly_what_the_encodings_hold(self, c, b, p, delta, r):
@@ -540,13 +578,17 @@ class TestCompileQcToCc:
 class TestSharedObservables:
     """One spectral build per family serves the sender and the receiver bit for bit."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_records_diagnostics_and_estimates_identical(self, seed):
+    @staticmethod
+    def _instance(seed):
         g = np.random.default_rng(seed)
         q = 1 + seed % 2
         rho = random_density(2**q, g)
         ops = [random_measurement_operator(2**q, g) for _ in range(8)]
-        r = 8 // q
+        return rho, ops, 8 // q
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_diagnostics_and_estimates_identical(self, seed):
+        rho, ops, r = self._instance(seed)
         shared = [average_observable(e, r) for e in ops]
         fresh = learn_state_message(rho, ops, 0.1, r)
         reused = learn_state_message(rho, ops, 0.1, r, observables=shared)
@@ -556,6 +598,17 @@ class TestSharedObservables:
             reconstruct_estimates(record, ops, observables=shared),
             reconstruct_estimates(record, ops),
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replay_through_the_senders_family_recomputes_nothing(self, seed, kernel_calls):
+        rho, ops, r = self._instance(seed)
+        family = ObservableFamily(average_observable(e, r) for e in ops)
+        record, _ = learn_state_message(rho, ops, 0.1, r, observables=family)
+        fresh = reconstruct_estimates(record, ops)
+        kernel_calls.clear()
+        replayed = reconstruct_estimates(record, ops, observables=family)
+        assert replayed.tobytes() == fresh.tobytes()
+        assert kernel_calls == Counter()
 
     def test_some_instance_corrects(self):
         # the comparison above must cover correction steps, not only skips
@@ -646,7 +699,10 @@ def _per_record_replay(record, observables, tol=DEFAULT):
             continue
         p_tilde = corrected[b]
         if abs(estimate - p_tilde) <= delta - delta / 16.0 - 1e-9:
-            raise ReplayMismatchError(f"recorded index {b} replays as already-predicted")
+            raise ReplayMismatchError(
+                f"recorded index {b} replays as already-predicted; "
+                "record does not match this operator family"
+            )
         band = band_projector(f, p_tilde, delta / 2.0, tol)
         if float(np.sum(band * hypothesis.entries.T).real) <= tol.zero_projection:
             raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
@@ -689,8 +745,8 @@ def _per_state_compile(p, delta, r):
     return records, diagnostics, replayed, protocol
 
 
-def _assert_matches_per_state(p, delta, r) -> bool:
-    """Compile ``p`` and check it against the per-state loops; False when both raise."""
+def _assert_matches_per_state(p, delta, r):
+    """Compile ``p`` and check it against the per-state loops; None when both raise."""
     try:
         records, diagnostics, replayed, reference = _per_state_compile(p, delta, r)
     except (ValueError, VanishingProjectionError) as err:
@@ -700,7 +756,7 @@ def _assert_matches_per_state(p, delta, r) -> bool:
         assert str(got.value) == str(err)
         assert getattr(got.value, "step", None) == getattr(err, "step", None)
         assert getattr(got.value, "trace", None) == getattr(err, "trace", None)
-        return False
+        return None
     result = compile_qc_to_cc(p, delta, r)
     assert result.records == records
     assert result.diagnostics == diagnostics
@@ -713,7 +769,7 @@ def _assert_matches_per_state(p, delta, r) -> bool:
     assert np.array_equal(
         acceptance_table(result.protocol, xs, ys), acceptance_table(reference, xs, ys)
     )
-    return True
+    return result
 
 
 def _canonical(states, picks, operators) -> SmpProtocol:
@@ -749,7 +805,7 @@ class TestGroupedWalk:
         pytest.param(_coin_flipped_toy, 3, True, id="public-coin"),
     ])
     def test_fixtures_equal_per_state_loop(self, make, r, completes):
-        assert _assert_matches_per_state(make(), 0.1, r) == completes
+        assert (_assert_matches_per_state(make(), 0.1, r) is not None) == completes
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -765,29 +821,37 @@ class TestGroupedWalk:
         states = [random_density(2**q, g) for _ in range(3)]
         operators = [random_measurement_operator(2**q, g) for _ in range(2**c)]
         r = int(g.integers(2, 6 // q + 1))
-        _assert_matches_per_state(_canonical(states, picks, operators), 0.1, r)
+        delta = 0.1
+        p = _canonical(states, picks, operators)
+        result = _assert_matches_per_state(p, delta, r)
+        if result is None:
+            return
+        # the paper's claims on every protocol that compiles: the error grows
+        # by at most delta, each state corrects at most bad_count_bound times,
+        # and every projection keeps at most eta of the hypothesis
+        xs, ys = p.alice_inputs, p.bob_inputs
+        increase = np.abs(acceptance_table(result.protocol, xs, ys) - acceptance_table(p, xs, ys))
+        assert increase.max() <= delta + cli._COMPILE_SLACK
+        eta = 1.0 - delta / 4.0
+        for diag in result.diagnostics.values():
+            assert diag.bad_count <= bad_count_bound(r * q, delta)
+            assert max(diag.projection_traces, default=0.0) <= eta
 
-    def test_hm_verify_one_call_per_distinct_prefix_on_each_side(self, monkeypatch):
-        counts = Counter()
-        side = ["sender"]
-        project, expectation, replay = (
-            transforms.project_renormalize, Observable.expectation, transforms._replay_records
-        )
+    def test_hm_verify_one_call_per_distinct_prefix_on_each_side(self, kernel_calls, monkeypatch):
+        # the sender walks each distinct prefix once; the receiver replays
+        # every record Alice sends from the sender's memo, with no kernel call
+        walk, replay = transforms._grouped_walk, transforms._replay_records
+        families, sides = [], []
 
-        def counted_project(*args, **kwargs):
-            counts[side[0], "project"] += 1
-            return project(*args, **kwargs)
-
-        def counted_expectation(self, rho):
-            counts[side[0], "expectation"] += 1
-            return expectation(self, rho)
+        def walked(qubits, count, observables, *args):
+            families.append(observables)
+            return walk(qubits, count, observables, *args)
 
         def receiver(*args, **kwargs):
-            side[0] = "receiver"
+            sides.append(Counter(kernel_calls))
             return replay(*args, **kwargs)
 
-        monkeypatch.setattr(transforms, "project_renormalize", counted_project)
-        monkeypatch.setattr(Observable, "expectation", counted_expectation)
+        monkeypatch.setattr(transforms, "_grouped_walk", walked)
         monkeypatch.setattr(transforms, "_replay_records", receiver)
         result = compile_qc_to_cc(hidden_matching_verification(4), delta=0.1)
 
@@ -797,12 +861,58 @@ class TestGroupedWalk:
         groups = sum(
             len({tuple(e for e in ent if e[0] < b) for ent in distinct}) for b in range(steps)
         )
-        assert counts == {
-            ("sender", "project"): corrections, ("receiver", "project"): corrections,
-            ("sender", "expectation"): groups, ("receiver", "expectation"): groups,
-        }
-        # one walk per state and per record made 192 projections and 384 estimates
+        bands = len({e for ent in distinct for e in ent})
+        (sender,) = sides
+        assert sender == Counter(
+            expectation=groups, project_renormalize=corrections, band_projector=bands
+        )
+        assert kernel_calls - sender == Counter()
+        assert (groups, corrections, bands) == (101, 48, 18)
+        # the grouped walks of both sides made 96 projections and 202
+        # expectations without the memo, one walk per state and per record
+        # 192 and 384
         assert (2 * corrections, 2 * groups) == (96, 202)
+        # both walks share one family, whose memo holds floats only: one
+        # expectation per (prefix, step) and one trace per correction
+        assert len(families) == 2 and families[0] is families[1]
+        assert isinstance(families[0], ObservableFamily)
+        memo = [v for table in families[0].memo.values() for v in table.values()]
+        assert len(memo) == groups + corrections
+        assert all(type(v) is float for v in memo)
+
+    def test_records_alice_never_sends_replay_as_alone(self, kernel_calls):
+        # toy-q2 on four copies sends ((0, 0.0), (1, 1.0)) among its records:
+        # one unsent record shares its first correction and then diverges,
+        # and a foreign one vanishes at its first; each read through the
+        # compiled referee equals the record's own walk
+        p = toy_quantum_equality(2)
+        result = compile_qc_to_cc(p, delta=0.1, r=4)
+        assert ((0, 0.0), (1, 1.0)) in {rec.entries for rec in result.records.values()}
+        observables = [average_observable(e, 4) for e in p.referee.operator_list(2)]
+        diverging = LearnRecord(q=2, c=2, r=4, delta=0.1, entries=((0, 0.0), (1, 0.5)))
+        other = [MeasurementOperator(DIAG([0.8, 0.2, 0.2, 0.2]).astype(complex))] * 4
+        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0, 0, 0]), other, 0.1, r=4)
+        assert foreign.entries == ((0, 0.8),)
+        referee = result.protocol.referee
+        for record in (diverging, foreign):
+            kernel_calls.clear()
+            try:
+                want = _per_record_replay(record, observables).tolist()
+            except ReplayMismatchError as err:
+                want = err
+
+            def read():
+                return [referee.accept_probability(record.to_bits(), bitstring(b, 2))
+                        for b in range(4)]
+
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as got:
+                    read()
+                assert str(got.value) == str(want)
+            else:
+                assert read() == want
+            # no more projections than the record's own walk makes
+            assert kernel_calls["project_renormalize"] <= len(record.entries)
 
     def test_earliest_input_error_wins(self):
         # input 0 skips |+><+| and the identity, then its truncated 0.3 on
@@ -820,7 +930,7 @@ class TestGroupedWalk:
         with pytest.raises(VanishingProjectionError) as err:
             compile_qc_to_cc(p, 0.1, r=2)
         assert (err.value.step, err.value.trace) == (2, 0.0)
-        assert not _assert_matches_per_state(p, 0.1, 2)
+        assert _assert_matches_per_state(p, 0.1, 2) is None
 
     def test_invalid_state_waits_for_the_inputs_before_it(self):
         # a wrong-sized state at input 1 is reported only when input 0 walks cleanly
