@@ -5,6 +5,12 @@ decompositions, tensor powers, band projectors, and the renormalized
 projection update.  Everything is dense complex double precision and
 immutable; dimensions are powers of two and capped (default 2**12) so that
 eigendecompositions stay fast at desk scale.
+
+An observable keeps only its one-register eigenvectors.  Its eigenbasis
+``basis()`` is ``columns(0, dim)``, and a band projector builds only the
+columns of its band.  The dense matrix F is cached on first use; the learning
+walk drops it once the expectations of its step are taken, so at most one
+d x d F is alive at a time.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ __all__ = [
 
 
 def _as_square_complex(entries) -> np.ndarray:
+    """A fresh complex copy of a square matrix, writable until its owner checks it."""
     a = np.array(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a.setflags(write=False)
     return a
 
 
@@ -55,9 +61,23 @@ def _check_dim(dim: int, tol: Tolerances) -> None:
         raise DimensionCapError(f"dimension {dim} exceeds cap {tol.dim_cap}")
 
 
+# entries per row block of hermiticity_defect's temporaries
+_DEFECT_BLOCK = 1 << 16
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-norm of A - A^dagger."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    """Max-norm of A - A^dagger for a square A.
+
+    Taken over blocks of rows, so the temporaries stay small; the maximum is
+    exact, and a NaN anywhere propagates as ``np.max`` propagates it.
+    """
+    if not a.size:
+        return 0.0
+    rows = max(1, _DEFECT_BLOCK // a.shape[0])
+    return float(np.max([
+        np.max(np.abs(a[i : i + rows] - a[:, i : i + rows].conj().T))
+        for i in range(0, a.shape[0], rows)
+    ]))
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -71,15 +91,39 @@ def _cholesky_accepts(a: np.ndarray, shift: float) -> bool:
 
     Success proves min eig(A) > -shift - O(n * eps * ||A||); failure proves
     nothing, so callers fall back to an eigenvalue test.  Reads the lower
-    triangle, as ``eigvalsh`` does.
+    triangle, as ``eigvalsh`` does.  The shift is made on ``a``'s diagonal in
+    place and undone by restoring the saved diagonal, so ``a`` must be a
+    writable array that no one else reads meanwhile; it ends bit for bit as
+    it began.
     """
-    shifted = a.copy()
-    shifted.flat[:: a.shape[0] + 1] += shift
+    diagonal = a.diagonal().copy()
+    a.flat[:: a.shape[0] + 1] += shift
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        a.flat[:: a.shape[0] + 1] = diagonal
     return True
+
+
+def _check_density(a: np.ndarray, tol: Tolerances) -> None:
+    """Raise unless ``a`` is finite, Hermitian, of trace one and PSD within ``tol``.
+
+    ``a`` is a writable array held by the caller alone (see
+    :func:`_cholesky_accepts`); it is left unchanged.
+    """
+    _check_finite(a)
+    defect = hermiticity_defect(a)
+    if defect > tol.hermitian:
+        raise ValueError(f"not Hermitian: defect {defect:.3e}")
+    tr = complex(np.trace(a))
+    if abs(tr - 1.0) > tol.trace_one:
+        raise ValueError(f"trace {tr} is not 1")
+    if not _cholesky_accepts(a, tol.psd / 2.0):
+        lo = float(np.linalg.eigvalsh(a).min())
+        if lo < -tol.psd:
+            raise ValueError(f"not PSD: minimum eigenvalue {lo:.3e}")
 
 
 @dataclass(frozen=True)
@@ -96,20 +140,11 @@ class DensityMatrix:
 
     def __post_init__(self, validate: bool, tol: Tolerances):
         a = _as_square_complex(self.entries)
-        object.__setattr__(self, "entries", a)
         _num_qubits_of(a.shape[0])
         if validate:
-            _check_finite(a)
-            defect = hermiticity_defect(a)
-            if defect > tol.hermitian:
-                raise ValueError(f"not Hermitian: defect {defect:.3e}")
-            tr = complex(np.trace(a))
-            if abs(tr - 1.0) > tol.trace_one:
-                raise ValueError(f"trace {tr} is not 1")
-            if not _cholesky_accepts(a, tol.psd / 2.0):
-                lo = float(np.linalg.eigvalsh(a).min())
-                if lo < -tol.psd:
-                    raise ValueError(f"not PSD: minimum eigenvalue {lo:.3e}")
+            _check_density(a, tol)
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
 
     @property
     def dim(self) -> int:
@@ -130,6 +165,19 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), validate=False)
 
 
+def _owning(a: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix over ``a`` itself, without the defensive copy.
+
+    Only for a square complex array just built by the caller and held by no
+    one else; it is made read-only here.  Checks nothing: a caller that needs
+    the invariants checked runs :func:`_check_density` first.
+    """
+    a.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "entries", a)
+    return rho
+
+
 @dataclass(frozen=True)
 class MeasurementOperator:
     """Hermitian matrix with spectrum in [0, 1] (one half of a two-outcome test)."""
@@ -140,6 +188,7 @@ class MeasurementOperator:
 
     def __post_init__(self, validate: bool, tol: Tolerances):
         a = _as_square_complex(self.entries)
+        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         _num_qubits_of(a.shape[0])
         if validate:
@@ -222,9 +271,11 @@ class Observable:
     eigenbasis is the ``copies``-fold tensor power of ``factor`` with its
     columns gathered by ``order`` (default: kept in place); ``blocks[i]`` is
     the column range of eigenvalue i in that basis.  Only the factor is
-    stored: the basis is rebuilt whenever the dense matrix or a projector is
-    realized, so an averaged observable on r copies holds O(d) data besides
-    its cached matrix.
+    stored: ``columns(a, b)`` builds basis columns a:b on demand, and
+    ``basis()`` is ``columns(0, dim)``.  So an averaged observable on r
+    copies holds O(d) data besides its dense ``matrix``, which is cached on
+    first use until its owner drops it: the learning walk drops F after the
+    step that reads it.
     """
 
     eigenvalues: tuple[float, ...]
@@ -263,12 +314,25 @@ class Observable:
     def dim(self) -> int:
         return self.factor.shape[0] ** self.copies
 
+    def columns(self, a: int, b: int) -> np.ndarray:
+        """Eigenvectors a:b of ``basis()`` as columns (a fresh d x (b - a) array).
+
+        Each entry is the product of one factor entry per copy, multiplied
+        left to right from 1 as ``np.kron``'s chain does, so the columns are
+        bit for bit those of the full basis.
+        """
+        n, m = self.factor.shape
+        picked = self.order[a:b]
+        out = np.ones((1, len(picked)), dtype=np.complex128)
+        for t in reversed(range(self.copies)):
+            digit = picked // m**t % m  # the factor column of this copy
+            out = out[:, None, :] * self.factor[None, :, digit]
+            out = out.reshape(out.shape[0] * n, len(picked))
+        return out
+
     def basis(self) -> np.ndarray:
         """The eigenvectors as columns, grouped by ``blocks`` (a fresh d x d array)."""
-        vectors = np.array([[1.0 + 0.0j]])
-        for _ in range(self.copies):
-            vectors = np.kron(vectors, self.factor)
-        return vectors[:, self.order]
+        return self.columns(0, self.dim)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -378,7 +442,7 @@ def band_projector(
     selected = [blk for val, blk in zip(f.eigenvalues, f.blocks) if lo <= val <= hi]
     if not selected:
         return np.zeros((f.dim, f.dim), dtype=np.complex128)
-    cols = f.basis()[:, selected[0][0] : selected[-1][1]]
+    cols = f.columns(selected[0][0], selected[-1][1])
     return cols @ cols.conj().T
 
 
@@ -396,11 +460,11 @@ def band_edge_margin(f: Observable, center: float, halfwidth: float) -> float:
 def project_renormalize(
     rho: DensityMatrix, m: np.ndarray, tol: Tolerances = DEFAULT
 ) -> DensityMatrix:
-    """M rho M / Tr(M rho M) for a projector M.
+    """M rho M / Tr(M rho M) for a projector M, checked as a density matrix.
 
     Raises :class:`VanishingProjectionError` when the projected trace is at or
     below ``tol.zero_projection``; such instances are degenerate and cannot be
-    renormalized.
+    renormalized.  The result owns its fresh array; nothing is copied.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != rho.entries.shape:
@@ -410,14 +474,17 @@ def project_renormalize(
     if trace <= tol.zero_projection:
         raise VanishingProjectionError(step=-1, trace=trace)
     projected /= trace
-    return DensityMatrix(projected, tol=tol)
+    _check_density(projected, tol)
+    return _owning(projected)
 
 
 def maximally_mixed(num_qubits: int, tol: Tolerances = DEFAULT) -> DensityMatrix:
-    """I / 2**num_qubits."""
+    """I / 2**num_qubits (1/dim is exact: dim is a power of two)."""
     dim = 1 << num_qubits
     _check_dim(dim, tol)
-    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim, validate=False)
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    a.flat[:: dim + 1] = 1.0 / dim
+    return _owning(a)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:

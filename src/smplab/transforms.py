@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,9 +81,22 @@ def _tilde_bits(delta: float) -> int:
 
 
 def _truncate(p: float, delta: float) -> float:
-    """Nearest multiple of delta/8 in [0, 1]; the recorded estimate."""
+    """Nearest multiple of delta/8 in [0, 1]; the recorded estimate.
+
+    Above the last grid point at most 1 it is that point, found in exact
+    arithmetic: 8/delta is rarely an integer, and in floats its floor is
+    fragile.  Raises ValueError when delta is too small for the grid to fit
+    in a float.
+    """
     step = delta / 8.0
-    return min(1.0, max(0.0, round(p / step) * step))
+    if step == 0.0 or 1.0 / step == math.inf:
+        raise ValueError(f"delta {delta!r} is too small for a float grid of delta/8")
+    k = round(p / step)
+    if k * step > 1.0:
+        k = math.floor(1 / Fraction(step))  # k * step <= 1 exactly
+        if (k + 1) * step <= 1.0:  # the next point rounds down to 1
+            k += 1
+    return max(0.0, k * step)
 
 
 @dataclass(frozen=True)
@@ -151,35 +163,6 @@ class LearnRecord:
             entries.append((b, float(idx * step)))
         return cls(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
 
-    def to_bytes(self) -> bytes:
-        head = b"LRN1" + struct.pack("<IIId", self.q, self.c, self.r, self.delta)
-        body = b"".join(
-            struct.pack("<Id", b, p) for b, p in self.entries
-        )
-        return head + struct.pack("<I", len(self.entries)) + body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "LearnRecord":
-        if data[:4] != b"LRN1":
-            raise ValueError("not a learning record (bad magic)")
-        if len(data) < 28:
-            raise ValueError(f"truncated learning record header ({len(data)} of 28 bytes)")
-        q, c, r, delta = struct.unpack("<IIId", data[4:24])
-        (count,) = struct.unpack("<I", data[24:28])
-        if len(data) != 28 + 12 * count:
-            raise ValueError(
-                f"learning record of {count} entries needs {28 + 12 * count} bytes, "
-                f"got {len(data)}"
-            )
-        entries = [struct.unpack("<Id", data[28 + 12 * t : 40 + 12 * t]) for t in range(count)]
-        return cls(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
-
-    def text_dump(self) -> str:
-        lines = [f"learn-record q={self.q} c={self.c} r={self.r} delta={self.delta}"]
-        for b, p in self.entries:
-            lines.append(f"  {bitstring(b, self.c)} {p!r}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class LearnDiagnostics:
@@ -203,9 +186,10 @@ def default_copies(q: int, delta: float, tol: Tolerances = DEFAULT) -> int:
     """Default copy count: generous in log(q)/delta^2, capped by the qubit budget."""
     if not 0.0 < delta < 0.5:
         raise ValueError("need delta in (0, 1/2)")
-    want = max(2, math.ceil(8.0 * math.log(max(q, 2)) / delta**2))
+    # a delta**2 that underflows wants more copies than any budget
+    want = 8.0 * math.log(max(q, 2)) / delta**2 if delta**2 > 0.0 else math.inf
     budget = max(2, tol.learn_qubit_budget // q)
-    return min(want, budget)
+    return budget if want > budget else max(2, math.ceil(want))
 
 
 def bad_count_bound(K: int, delta: float) -> int:
@@ -219,6 +203,8 @@ def bad_count_bound(K: int, delta: float) -> int:
     if not 0.0 < delta < 0.5:
         raise ValueError("need delta in (0, 1/2)")
     eta = 1.0 - delta / 4.0
+    if eta == 1.0:
+        raise ValueError(f"delta {delta!r} is too small: 1 - delta/4 rounds to 1")
     return math.ceil((K + 1) / math.log2(1.0 / eta)) + 1
 
 
@@ -350,13 +336,16 @@ def _grouped_walk(
     group costs one expectation per step and splits by its members'
     decisions, each distinct (group, truncated value) correction costing one
     band trace and projection, and the groups correcting to one value at a
-    step sharing one band projector.  Every expectation and trace is first
-    looked up in the family's memo (see :class:`ObservableFamily`) and
-    written there when computed.  A group whose numbers are memoised holds
-    no hypothesis; when a later step misses, its hypothesis is built from the
-    nearest one still held (or from the maximally mixed state on ``qubits``)
-    by the corrections in between, each prefix at most once.  Every number is
-    the one each member's own walk would compute, bit for bit.
+    step sharing one band projector.  A step takes every group's expectation
+    first, then drops the observable's cached dense matrix (nothing after
+    the step reads it), and only then runs its corrections.  Every
+    expectation and trace is first looked up in the family's memo (see
+    :class:`ObservableFamily`) and written there when computed.  A group
+    whose numbers are memoised holds no hypothesis; when a later step
+    misses, its hypothesis is built from the nearest one still held (or from
+    the maximally mixed state on ``qubits``) by the corrections in between,
+    each prefix at most once.  Every number is the one each member's own
+    walk would compute, bit for bit.
 
     ``decide(i, b, estimate)`` returns None when member ``i`` skips index
     ``b`` and the truncated value when it corrects there.
@@ -390,11 +379,17 @@ def _grouped_walk(
     groups = deque([(_Prefix((), None, None), list(range(count)))])
     for b, f in enumerate(observables):
         bands: dict[float, np.ndarray] = {}  # held while step b runs
-        for _ in range(len(groups)):
-            node, members = groups.popleft()
+        # the expectations of step b, all taken before its corrections so
+        # that the dense F_b lives for this step only
+        estimates = []
+        for node, _ in groups:
             estimate = memo.get((node.entries, b))
             if estimate is None:
                 estimate = memo[node.entries, b] = f.expectation(built(node))
+            estimates.append(estimate)
+        vars(f).pop("matrix", None)  # the cached F; the dataclass is frozen
+        for estimate in estimates:
+            node, members = groups.popleft()
             stay: list[int] = []
             moves: dict[float, list[int]] = {}
             for i in members:

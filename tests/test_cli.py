@@ -128,6 +128,17 @@ class TestMainExitCodes:
         ])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("delta", ["0.3", "0.45"])
+    def test_compile_at_a_delta_off_the_unit_grid(self, tmp_path, delta):
+        # 8/delta is not an integer, so the estimate of an accepting input is
+        # the last delta/8 grid point below 1, which its bits decode to
+        code = main(["--experiment", "compile", "--param", "fixture=toy-q1",
+                     "--param", f"delta={delta}", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        summary = read_summary(tmp_path / "compile_summary.txt")
+        assert float(summary["error_increase"]) <= float(delta)
+        assert summary["assert_error_increase_within_delta"].startswith("pass")
+
     def test_unknown_experiment_is_config_error(self, tmp_path, capsys):
         code = main(["--experiment", "eq-public", "--param", "bogus", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -432,6 +443,33 @@ class TestLearnRoundTrip:
         )
         assert calls == [6] * len(ops)
         assert dev <= 0.1
+
+    def test_walk_holds_one_dense_observable_at_a_time(self):
+        # K = 8: eight one-qubit operators on r = 8 copies, d = 256.  Index 0
+        # is corrected (the mixed hypothesis predicts 1/2, the state accepts
+        # surely) and the rest are skipped.  A walk that kept each F cached
+        # would hold eight d x d matrices by its last step; this one holds at
+        # most the hypothesis, one F or band, and the correction's checks.
+        import tracemalloc
+
+        import numpy as np
+
+        import smplab.cli as cli
+        from smplab.config import DEFAULT
+        from smplab.qcore import DensityMatrix, MeasurementOperator, random_measurement_operator
+
+        g = np.random.default_rng(8)
+        ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
+        ops += [random_measurement_operator(2, g) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            record, *_ = cli._learn_round_trip(DensityMatrix.pure([1, 0]), ops, 0.1, 8, DEFAULT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.entries == ((0, 1.0),)
+        d = 2**8
+        assert peak <= 6 * d * d * 16
 
     def test_invalid_delta_reported_before_the_cap(self):
         import smplab.cli as cli

@@ -1,5 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab.config import with_overrides
 from smplab.errors import DimensionCapError, VanishingProjectionError
@@ -12,6 +17,7 @@ from smplab.qcore import (
     average_observable,
     band_edge_margin,
     band_projector,
+    hermiticity_defect,
     maximally_mixed,
     project_renormalize,
     random_density,
@@ -246,6 +252,18 @@ class TestProjectRenormalize:
         with pytest.raises(VanishingProjectionError):
             project_renormalize(rho, m)
 
+    def test_result_is_read_only_and_its_own(self):
+        # the projected array is not copied into the result, so check that it
+        # is nobody else's
+        rho = random_density(4, np.random.default_rng(44))
+        m = np.diag([1.0, 1.0, 0.0, 1.0]).astype(complex)
+        out = project_renormalize(rho, m)
+        assert not out.entries.flags.writeable
+        assert not np.shares_memory(out.entries, m)
+        assert not np.shares_memory(out.entries, rho.entries)
+        with pytest.raises(ValueError):
+            out.entries[0, 0] = 1.0
+
 
 class TestMaximallyMixed:
     def test_single_qubit(self):
@@ -264,6 +282,38 @@ class TestMaximallyMixed:
     def test_cap(self):
         with pytest.raises(DimensionCapError):
             maximally_mixed(13)
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_bytes_equal_identity_over_dim(self, k):
+        d = 2**k
+        out = maximally_mixed(k).entries
+        assert out.tobytes() == (np.eye(d, dtype=np.complex128) / d).tobytes()
+        assert not out.flags.writeable
+
+
+class TestHermiticityDefect:
+    """The row-blocked defect equals the dense formula, NaN included."""
+
+    @staticmethod
+    def dense(a):
+        return float(np.max(np.abs(a - a.conj().T)))
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 300, 1024])
+    def test_equals_dense_formula(self, n):
+        g = np.random.default_rng(n)
+        a = g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))
+        assert hermiticity_defect(a) == self.dense(a)
+        h = a + a.conj().T
+        assert hermiticity_defect(h) == self.dense(h) == 0.0
+
+    @pytest.mark.parametrize("n, at", [(2, (0, 1)), (300, (299, 3)), (1024, (1000, 17))])
+    def test_nan_propagates_from_any_block(self, n, at):
+        a = np.eye(n, dtype=complex)
+        a[at] = complex(np.nan, 0.0)
+        assert math.isnan(hermiticity_defect(a)) and math.isnan(self.dense(a))
+
+    def test_empty(self):
+        assert hermiticity_defect(np.zeros((0, 0), dtype=complex)) == 0.0
 
 
 def test_pure_state_normalizes_and_converts():
@@ -350,6 +400,37 @@ class TestLazyProductBasis:
             Observable((0.0, 1.0), np.eye(2, dtype=complex), ((0, 2), (2, 4)), 2, [0, 1, 1, 3])
         with pytest.raises(ValueError, match="copies"):
             Observable((0.0,), np.eye(2, dtype=complex), ((0, 1),), 0)
+
+
+@functools.lru_cache(maxsize=1)
+def _observable_and_basis(q: int, r: int):
+    f = average_observable(random_measurement_operator(2**q, np.random.default_rng(q * 16 + r)), r)
+    return f, f.basis()
+
+
+# every q in {1, 2} and every r up to the 12-qubit cap, largest first so that
+# the cached basis held after the last case is the smallest
+COLUMN_CASES = sorted(
+    ((q, r) for q in (1, 2) for r in range(1, 12 // q + 1)), key=lambda c: -c[0] * c[1]
+)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("q, r", COLUMN_CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_columns_equal_basis_slice(self, q, r, data):
+        f, basis = _observable_and_basis(q, r)
+        # every a < b but (0, dim): basis() is columns(0, dim) by definition
+        a = data.draw(st.integers(0, f.dim - 1), label="a")
+        b = data.draw(st.integers(a + 1, f.dim if a else f.dim - 1), label="b")
+        # both are laid out in Fortran order (as the fancy-indexed basis
+        # always was), so their bytes in that order copy fastest
+        assert f.columns(a, b).tobytes("F") == basis[:, a:b].tobytes("F")
+
+    def test_empty_range_has_no_columns(self):
+        f = average_observable(op(np.diag([0.25, 1.0])), 3)
+        assert f.columns(4, 4).shape == (8, 0)
 
 
 class TestNonFiniteEntries:

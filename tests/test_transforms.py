@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ class TestRecordEncoding:
         assert 2 ** (w - 4) < Fraction(8) / Fraction(delta) <= 2 ** (w - 3)
         assert LearnRecord.from_bits(rec.to_bits(), 1, 1, 2, delta) == rec
         assert LearnRecord(q=1, c=1, r=2, delta=delta, entries=()).encoded_bit_length == 0
+        # the helpers a record's delta reaches compute their value or raise
+        # a ValueError naming delta; none divides by zero or overflows
+        assert default_copies(1, delta) == DEFAULT.learn_qubit_budget
+        with pytest.raises(ValueError, match=f"delta {delta!r} is too small"):
+            bad_count_bound(2, delta)
+        try:
+            learned, _ = learn_state_message(
+                DensityMatrix.pure([1, 0]), [proj([1, 0]), proj([0, 1])], delta, r=2
+            )
+        except ValueError as err:
+            assert f"delta {delta!r} is too small" in str(err)
+        else:
+            # the grid fits a float: index 0 is corrected to its last point
+            assert learned.entries == ((0, _last_grid_point(delta)),)
 
     def test_bits_roundtrip_dyadic_grid(self):
         # delta 0.25 puts the estimate grid on multiples of 1/32, exact in floats
@@ -267,21 +282,19 @@ class TestRecordEncoding:
         back = LearnRecord.from_bits(rec.to_bits(), q=1, c=1, r=8, delta=0.1)
         assert back == rec
 
-    def test_bytes_roundtrip(self):
-        rec = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 1.0),))
-        assert LearnRecord.from_bytes(rec.to_bytes()) == rec
-
     @pytest.mark.parametrize("cut", [3, 10, 27, 28, 30, 45, -1])
-    def test_truncated_bytes_raise_value_error(self, cut):
-        data = LearnRecord(q=1, c=2, r=2, delta=0.1, entries=((0, 1.0), (3, 0.25))).to_bytes()
-        assert len(data) == 28 + 2 * 12
-        with pytest.raises(ValueError):
-            LearnRecord.from_bytes(data[:cut])
+    def test_truncated_bits_raise_value_error(self, cut):
+        rec = LearnRecord(q=1, c=2, r=2, delta=0.1,
+                          entries=((0, 1.0), (1, 0.5), (2, 0.0125), (3, 0.25)))
+        bits = rec.to_bits()
+        assert len(bits) == 4 * 12
+        with pytest.raises(ValueError, match="not a multiple of 12"):
+            LearnRecord.from_bits(bits[:cut], q=1, c=2, r=2, delta=0.1)
 
-    def test_trailing_bytes_raise_value_error(self):
-        data = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 1.0),)).to_bytes()
-        with pytest.raises(ValueError, match="needs 40 bytes, got 41"):
-            LearnRecord.from_bytes(data + b"\x00")
+    def test_trailing_bits_raise_value_error(self):
+        bits = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 1.0),)).to_bits()
+        with pytest.raises(ValueError, match="message length 12 not a multiple of 11"):
+            LearnRecord.from_bits(bits + "0", q=1, c=1, r=2, delta=0.1)
 
     def test_zero_bit_family_bits_roundtrip(self):
         # a one-operator family has c = 0: each entry is its estimate alone
@@ -308,10 +321,43 @@ class TestRecordEncoding:
         with pytest.raises(ValueError, match="need delta in"):
             LearnRecord.from_bits("", q=1, c=1, r=2, delta=0.0)
 
-    def test_text_dump_mentions_every_entry(self):
-        rec = LearnRecord(q=1, c=2, r=2, delta=0.1, entries=((1, 0.5), (2, 0.25)))
-        dump = rec.text_dump()
-        assert "01 0.5" in dump and "10 0.25" in dump
+
+def _last_grid_point(delta: float) -> float:
+    """The largest k * (delta/8) at most 1 in floats, by search from above."""
+    step = delta / 8.0
+    k = math.ceil(Fraction(8) / Fraction(delta)) + 1
+    while k * step > 1.0:
+        k -= 1
+    return k * step
+
+
+class TestTruncate:
+    @pytest.mark.parametrize("delta", [0.1, 0.125, 0.15, 0.2, 0.3, 0.45, 0.49, 1e-3, 1e-17])
+    def test_top_is_the_last_grid_point_at_most_one(self, delta):
+        top = transforms._truncate(1.0, delta)
+        assert top == _last_grid_point(delta)
+        assert transforms._truncate(0.9999, delta) <= top <= 1.0
+        if delta >= 1e-3:
+            # the record holds it, and its bits decode to it
+            rec = LearnRecord(q=1, c=1, r=2, delta=delta, entries=((0, top),))
+            assert LearnRecord.from_bits(rec.to_bits(), 1, 1, 2, delta) == rec
+
+    def test_report_deltas_keep_one(self):
+        # at the reports' deltas the top grid point is 1.0 in floats, as the
+        # old clamp gave, so no report byte moves; at 0.3 it is below 1
+        for delta in (0.1, 0.125, 0.2):
+            assert transforms._truncate(1.0, delta) == 1.0
+        assert transforms._truncate(1.0, 0.3) == 26 * 0.0375
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), delta=st.floats(1e-6, 0.5, exclude_max=True))
+    def test_on_the_grid_and_within_half_a_step(self, p, delta):
+        step = delta / 8.0
+        got = transforms._truncate(p, delta)
+        assert 0.0 <= got <= 1.0
+        k = round(Fraction(got) / Fraction(step))
+        assert got == k * step
+        assert abs(got - p) <= step / 2 + 1e-12 or got == _last_grid_point(delta)
 
 
 @st.composite
@@ -335,16 +381,6 @@ class TestRecordProperties:
         assert len(bits) == rec.encoded_bit_length
         assert LearnRecord.from_bits(bits, rec.q, rec.c, rec.r, rec.delta) == rec
 
-    @settings(max_examples=200, deadline=None)
-    @given(rec=_grid_records(), seed=st.integers(0, 2**32 - 1))
-    def test_bytes_roundtrip_off_grid(self, rec, seed):
-        # the byte form keeps any estimate in [0, 1], on the grid or not
-        g = np.random.default_rng(seed)
-        moved = LearnRecord(q=rec.q, c=rec.c, r=rec.r, delta=rec.delta,
-                            entries=tuple((b, float(g.random())) for b, _ in rec.entries))
-        for each in (rec, moved):
-            assert LearnRecord.from_bytes(each.to_bytes()) == each
-
     @settings(max_examples=300, deadline=None)
     @given(
         c=st.integers(0, 3),
@@ -365,7 +401,6 @@ class TestRecordProperties:
             return
         assert holds
         assert len(rec.to_bits()) == rec.encoded_bit_length
-        assert LearnRecord.from_bytes(rec.to_bytes()) == rec
 
 
 class TestDerandomizeAlice:
@@ -879,6 +914,33 @@ class TestGroupedWalk:
         memo = [v for table in families[0].memo.values() for v in table.values()]
         assert len(memo) == groups + corrections
         assert all(type(v) is float for v in memo)
+
+    def test_hm_verify_builds_each_dense_observable_once_and_drops_it(self, monkeypatch):
+        # F_b is built at step b of the sender's walk and dropped before its
+        # corrections; the receiver reads the memo and builds none again
+        builds = Counter()
+        build = Observable.matrix.func
+
+        def counted(f):
+            builds[id(f)] += 1
+            return build(f)
+
+        matrix = cached_property(counted)
+        matrix.__set_name__(Observable, "matrix")
+        monkeypatch.setattr(Observable, "matrix", matrix)
+        walk, families = transforms._grouped_walk, []
+
+        def walked(qubits, count, observables, *args):
+            families.append(observables)
+            return walk(qubits, count, observables, *args)
+
+        monkeypatch.setattr(transforms, "_grouped_walk", walked)
+        compile_qc_to_cc(hidden_matching_verification(4), delta=0.1)
+        family = families[0]
+        assert len(family) == 16
+        assert all("matrix" not in vars(f) for f in family)
+        assert [builds[id(f)] for f in family] == [1] * len(family)
+        assert sum(builds.values()) == len(family)
 
     def test_records_alice_never_sends_replay_as_alone(self, kernel_calls):
         # toy-q2 on four copies sends ((0, 0.0), (1, 1.0)) among its records:
