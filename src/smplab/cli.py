@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -57,8 +58,6 @@ from .codes import hadamard_code
 from .qcore import (
     DensityMatrix,
     MeasurementOperator,
-    acceptance_probability,
-    average_observable,
     random_density,
     random_measurement_operator,
 )
@@ -70,14 +69,12 @@ from .smp import (
     protocol_cost,
 )
 from .transforms import (
-    ObservableFamily,
     bad_count_bound,
-    check_learn_inputs,
     compile_qc_to_cc,
     default_copies,
     derandomize_alice,
-    learn_state_message,
-    reconstruct_estimates,
+    learn_round_trip,
+    paper_copies,
 )
 
 EXIT_OK = 0
@@ -295,6 +292,18 @@ def _learn_from_files(prm: dict, tol: Tolerances):
     return rho, ops
 
 
+@contextmanager
+def _naming_short_r(q: int, delta: float, r: int):
+    """On a vanishing projection at an r below the paper's, note both values
+    for the check-failed line; the error itself is unchanged."""
+    try:
+        yield
+    except VanishingProjectionError as ex:
+        if r < paper_copies(q, delta):
+            ex.__notes__ = [f"r = {r} is below the paper's r = {paper_copies(q, delta)}"]
+        raise
+
+
 def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
     """Learn ``rho`` against ``ops``, replay the record and measure the claims.
 
@@ -302,13 +311,8 @@ def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
     per operator, the largest deviation between them, the correction-count
     bound and the largest projection trace (the Markov step).
     """
-    check_learn_inputs(rho, ops, delta, r, tol)
-    # one spectral build per operator and one walk memo, shared by the sender
-    # and the receiver: the replay reads the sender's numbers
-    observables = ObservableFamily(average_observable(e, r, tol) for e in ops)
-    record, diag = learn_state_message(rho, ops, delta, r, tol, observables=observables)
-    estimates = reconstruct_estimates(record, ops, tol=tol, observables=observables)
-    true = np.array([acceptance_probability(e, rho, tol) for e in ops])
+    record, diag, estimates = learn_round_trip(rho, ops, delta, r, tol)
+    true = np.array(diag.true_probabilities)
     dev = float(np.max(np.abs(estimates - true)))
     bound = bad_count_bound(r * record.q, delta)
     markov = max(diag.projection_traces, default=0.0)
@@ -325,9 +329,10 @@ def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
         else:
             rho, ops = _learn_from_files(prm, tol)
             r = default_copies(rho.num_qubits, delta, tol) if prm["r"] is None else prm["r"]
-        record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
-            rho, ops, delta, r, tol
-        )
+        with _naming_short_r(rho.num_qubits, delta, r):
+            record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
+                rho, ops, delta, r, tol
+            )
         corrected = dict(record.entries)
         rows = [
             [b, repr(float(true[b])), repr(float(estimates[b])),
@@ -400,7 +405,10 @@ _COMPILE_FIXTURES = {
 def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
     name, delta = prm["fixture"], prm["delta"]
     p = _COMPILE_FIXTURES[name]()
-    result = compile_qc_to_cc(p, delta, prm["r"], tol)
+    q = p.alice_cost.qubits
+    r = default_copies(q, delta, tol) if prm["r"] is None else prm["r"]
+    with _naming_short_r(q, delta, r):
+        result = compile_qc_to_cc(p, delta, r, tol)
     xs, ys = p.alice_inputs, p.bob_inputs
     table_before = _pair_table(p, xs, ys, tol)
     table_after = _pair_table(result.protocol, xs, ys, tol)
@@ -777,7 +785,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAP
     except (VanishingProjectionError, ReplayMismatchError, PromiseViolationError) as ex:
         # the run's own data broke a checked claim
-        print(f"check failed: {type(ex).__name__}: {ex}", file=sys.stderr)
+        notes = getattr(ex, "__notes__", ())
+        print(f"check failed: {type(ex).__name__}: {ex}", *notes, sep="; ", file=sys.stderr)
         return EXIT_ASSERTION
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -25,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,13 +56,13 @@ from .rng import derive_seed, trial_rng
 __all__ = [
     "LearnRecord",
     "LearnDiagnostics",
-    "ObservableFamily",
     "DeterministicMessageTable",
     "CompileResult",
+    "paper_copies",
     "default_copies",
-    "check_learn_inputs",
     "learn_state_message",
     "reconstruct_estimates",
+    "learn_round_trip",
     "bad_count_bound",
     "derandomize_alice",
     "compile_qc_to_cc",
@@ -182,14 +182,19 @@ class LearnDiagnostics:
     true_probabilities: tuple[float, ...]
 
 
-def default_copies(q: int, delta: float, tol: Tolerances = DEFAULT) -> int:
-    """Default copy count: generous in log(q)/delta^2, capped by the qubit budget."""
+def paper_copies(q: int, delta: float) -> int | float:
+    """The paper's copy count Θ(log q / δ²) with the code's constant, unclamped:
+    ceil(8 ln(max(q, 2)) / δ²), or ``math.inf`` when that overflows a float."""
     if not 0.0 < delta < 0.5:
         raise ValueError("need delta in (0, 1/2)")
-    # a delta**2 that underflows wants more copies than any budget
     want = 8.0 * math.log(max(q, 2)) / delta**2 if delta**2 > 0.0 else math.inf
+    return math.ceil(want) if want < math.inf else want
+
+
+def default_copies(q: int, delta: float, tol: Tolerances = DEFAULT) -> int:
+    """Default copy count: :func:`paper_copies`, capped by the qubit budget."""
     budget = max(2, tol.learn_qubit_budget // q)
-    return budget if want > budget else max(2, math.ceil(want))
+    return max(2, min(budget, paper_copies(q, delta)))
 
 
 def bad_count_bound(K: int, delta: float) -> int:
@@ -219,20 +224,16 @@ def _validated_family(operators: Sequence[MeasurementOperator]) -> tuple[int, in
     return c, dims.pop()
 
 
-def check_learn_inputs(
+def _check_learn_inputs(
     rho: DensityMatrix,
     operators: Sequence[MeasurementOperator],
     delta: float,
-    r: int | None = None,
-    tol: Tolerances = DEFAULT,
+    r: int | None,
+    tol: Tolerances,
 ) -> tuple[int, int, int]:
-    """Raise as :func:`learn_state_message` does on invalid inputs.
-
-    Returns ``(c, q, r)``: the family's index bits, the state's qubits and the
-    copy count with its default filled in.  A caller that builds the
-    family's observables itself calls this first, so that invalid inputs fail
-    before the spectral work and with the learner's own errors.
-    """
+    """``(c, q, r)``: the family's index bits, the state's qubits and the copy
+    count with its default filled in; raises, before any spectral work, on
+    inputs the learner cannot walk."""
     if not 0.0 < delta < 0.5:
         raise ValueError("need delta in (0, 1/2)")
     c, dim = _validated_family(operators)
@@ -248,9 +249,7 @@ def check_learn_inputs(
     return c, q, r
 
 
-# slack of the replay's already-predicted test, so that a correction landing
-# exactly on the bound delta - delta/16 still replays
-_REPLAY_SLACK = 1e-9
+_REPLAY_SLACK = 1e-9  # so that a correction exactly on the replay's bound replays
 
 
 def _correct(
@@ -262,41 +261,6 @@ def _correct(
     if trace <= tol.zero_projection:
         return trace, None
     return trace, project_renormalize(hypothesis, band, tol)
-
-
-class ObservableFamily(tuple):
-    """The averaged observables of one operator family, and the walk memo
-    every walk over them shares.
-
-    Each hypothesis of the learning walk depends only on the family and the
-    corrections made so far, so a replay retraces hypotheses the sender has
-    already computed.  ``memo`` keeps, per (qubits, delta, tolerances), the
-    expectation of each correction prefix at each step and the band trace of
-    each correction, floats only; every walk over the family reads it before
-    computing anything and writes what it computes.  A plain sequence of
-    observables gets a fresh memo per walk.
-    """
-
-    def __new__(cls, observables: Iterable[Observable]):
-        family = super().__new__(cls, observables)
-        family.memo = {}
-        return family
-
-
-class _Prefix:
-    """One correction prefix of a walk, and its hypothesis once a step needs it.
-
-    An unbuilt prefix keeps its parent, from which it is built by the same
-    :func:`_correct` call the first walk made; a built one lets its parent
-    go, so a walk holds at most one hypothesis per group.
-    """
-
-    __slots__ = ("entries", "parent", "hypothesis")
-
-    def __init__(self, entries, parent, hypothesis):
-        self.entries = entries
-        self.parent = parent
-        self.hypothesis = hypothesis
 
 
 class _Trail:
@@ -328,6 +292,7 @@ def _grouped_walk(
     decide: Callable[[int, int, float], float | None],
     record: Callable[[list[int], int, float, float], None],
     delta: float,
+    memo: dict,
     tol: Tolerances,
 ) -> dict[int, Exception]:
     """Walk ``count`` members against one family, grouped by correction prefix.
@@ -338,14 +303,16 @@ def _grouped_walk(
     band trace and projection, and the groups correcting to one value at a
     step sharing one band projector.  A step takes every group's expectation
     first, then drops the observable's cached dense matrix (nothing after
-    the step reads it), and only then runs its corrections.  Every
-    expectation and trace is first looked up in the family's memo (see
-    :class:`ObservableFamily`) and written there when computed.  A group
-    whose numbers are memoised holds no hypothesis; when a later step
-    misses, its hypothesis is built from the nearest one still held (or from
-    the maximally mixed state on ``qubits``) by the corrections in between,
-    each prefix at most once.  Every number is the one each member's own
-    walk would compute, bit for bit.
+    the step reads it), and only then runs its corrections.
+
+    ``memo``, which the caller shares between the walks of one family, maps
+    each (prefix, step) to its expectation and each (prefix, step, value) to
+    its band trace, floats only; every number is read there first and
+    written there when computed.  A group whose numbers were all read holds
+    no hypothesis, and on its first miss (only a record the sender never
+    made reaches one) folds :func:`_correct` over its entries from the
+    maximally mixed state on ``qubits``.  Every number is the one each
+    member's own walk would compute, bit for bit.
 
     ``decide(i, b, estimate)`` returns None when member ``i`` skips index
     ``b`` and the truncated value when it corrects there.
@@ -355,41 +322,34 @@ def _grouped_walk(
     error; groups never depend on which members they hold, so the others walk
     on as they would alone.
     """
-    shared = observables.memo if isinstance(observables, ObservableFamily) else {}
-    memo = shared.setdefault((qubits, delta, tol), {})
 
-    def built(node: _Prefix) -> DensityMatrix:
-        chain = []
-        while node.hypothesis is None and node.parent is not None:
-            chain.append(node)
-            node = node.parent
-        if node.hypothesis is None:
-            node.hypothesis = maximally_mixed(qubits, tol)
-        while chain:
-            child = chain.pop()
-            b, p_tilde = child.entries[-1]
+    def built(entries) -> DensityMatrix:
+        hypothesis = maximally_mixed(qubits, tol)
+        for b, p_tilde in entries:
             band = band_projector(observables[b], p_tilde, delta / 2.0, tol)
-            _, child.hypothesis = _correct(node.hypothesis, band, tol)
-            child.parent = None
-            node = child
-        return node.hypothesis
+            _, hypothesis = _correct(hypothesis, band, tol)
+        return hypothesis
 
     errors: dict[int, Exception] = {}
-    # the groups of the current step, each dropped once split into the next
-    groups = deque([(_Prefix((), None, None), list(range(count)))])
+    # the groups of the current step, [entries, hypothesis or None, members],
+    # each dropped once split into the next
+    groups = deque([[(), None, list(range(count))]])
     for b, f in enumerate(observables):
         bands: dict[float, np.ndarray] = {}  # held while step b runs
         # the expectations of step b, all taken before its corrections so
         # that the dense F_b lives for this step only
         estimates = []
-        for node, _ in groups:
-            estimate = memo.get((node.entries, b))
+        for group in groups:
+            entries, hypothesis, _ = group
+            estimate = memo.get((entries, b))
             if estimate is None:
-                estimate = memo[node.entries, b] = f.expectation(built(node))
+                if hypothesis is None:
+                    group[1] = hypothesis = built(entries)
+                estimate = memo[entries, b] = f.expectation(hypothesis)
             estimates.append(estimate)
         vars(f).pop("matrix", None)  # the cached F; the dataclass is frozen
         for estimate in estimates:
-            node, members = groups.popleft()
+            entries, hypothesis, members = groups.popleft()
             stay: list[int] = []
             moves: dict[float, list[int]] = {}
             for i in members:
@@ -403,23 +363,23 @@ def _grouped_walk(
                 else:
                     moves.setdefault(p_tilde, []).append(i)
             if stay:
-                groups.append((node, stay))
+                groups.append([entries, hypothesis, stay])
             for p_tilde, movers in moves.items():
                 projected = None
                 try:
-                    trace = memo.get((node.entries, b, p_tilde))
+                    trace = memo.get((entries, b, p_tilde))
                     if trace is None:
                         if p_tilde not in bands:
                             bands[p_tilde] = band_projector(f, p_tilde, delta / 2.0, tol)
-                        trace, projected = _correct(built(node), bands[p_tilde], tol)
-                        memo[node.entries, b, p_tilde] = trace
+                        if hypothesis is None:
+                            hypothesis = built(entries)
+                        trace, projected = _correct(hypothesis, bands[p_tilde], tol)
+                        memo[entries, b, p_tilde] = trace
                     record(movers, b, p_tilde, trace)
                 except (ValueError, VanishingProjectionError) as err:
                     errors.update(dict.fromkeys(movers, err))
                     continue
-                entries = node.entries + ((b, p_tilde),)
-                parent = node if projected is None else None
-                groups.append((_Prefix(entries, parent, projected), movers))
+                groups.append([entries + ((b, p_tilde),), projected, movers])
     return errors
 
 
@@ -429,11 +389,12 @@ def _learn_states(
     observables: Sequence[Observable],
     delta: float,
     shape: tuple[int, int, int],
+    memo: dict,
     tol: Tolerances,
 ) -> list[tuple[LearnRecord, LearnDiagnostics]]:
     """The learning walk of every state in ``states`` against one family.
 
-    ``shape`` is ``(c, q, r)`` as :func:`check_learn_inputs` returns it.
+    ``shape`` is ``(c, q, r)`` as :func:`_check_learn_inputs` returns it.
     Every state makes its own ``acceptance_probability`` calls along
     :func:`_grouped_walk`.  Raises the error of the first state, in the order
     given, whose own walk fails.
@@ -459,10 +420,45 @@ def _learn_states(
             if margin < tol.band_edge_flag:
                 trail.flagged.append(b)
 
-    errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, tol)
+    errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, memo, tol)
     if errors:
         raise errors[min(errors)]
     return [trail.result(c, q, r, delta) for trail in trails]
+
+
+def _replay_record(
+    rec: LearnRecord, observables: Sequence[Observable], memo: dict, tol: Tolerances
+) -> np.ndarray:
+    """The receiver's estimates for ``rec``, walked with ``memo``: a record the
+    sender made with it replays without a kernel call."""
+    delta = rec.delta
+    # the sender corrects an estimate more than delta from the truth and
+    # records a value within delta/8 of the truth, so a genuine correction
+    # disagrees by more than delta - delta/8 with its recorded value
+    predicted = delta - delta / 8.0 - _REPLAY_SLACK
+    corrected = dict(rec.entries)
+    out = np.empty(len(observables))
+
+    def decide(_, b: int, estimate: float) -> float | None:
+        if b not in corrected:
+            out[b] = min(1.0, max(0.0, estimate))
+            return None
+        if abs(estimate - corrected[b]) <= predicted:
+            raise ReplayMismatchError(
+                f"recorded index {b} replays as already-predicted; "
+                "record does not match this operator family"
+            )
+        return corrected[b]
+
+    def record(_, b, p_tilde, trace) -> None:
+        if trace <= tol.zero_projection:
+            raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
+        out[b] = p_tilde
+
+    errors = _grouped_walk(rec.r * rec.q, 1, observables, decide, record, delta, memo, tol)
+    if errors:
+        raise errors[0]
+    return out
 
 
 def learn_state_message(
@@ -471,7 +467,6 @@ def learn_state_message(
     delta: float,
     r: int | None = None,
     tol: Tolerances = DEFAULT,
-    observables: Sequence[Observable] | None = None,
 ) -> tuple[LearnRecord, LearnDiagnostics]:
     """Build the deterministic record that lets a receiver estimate every Tr(E_b rho).
 
@@ -481,70 +476,17 @@ def learn_state_message(
     acceptance probability; otherwise the truncated acceptance is recorded and
     the hypothesis is projected onto the band of eigenvalues within delta/2 of
     it and renormalized.
-
-    ``observables`` may carry precomputed averaged observables for the family
-    (they are a pure function of (operators, r)); otherwise they are built here.
-    An :class:`ObservableFamily` also carries the walk memo it shares with
-    every other walk over it, so a later :func:`reconstruct_estimates` of this
-    record through the same family recomputes nothing.
     """
-    c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
-    if observables is None:
-        observables = [average_observable(e, r, tol) for e in operators]
-    (learned,) = _learn_states([rho], operators, observables, delta, (c, q, r), tol)
+    shape = _check_learn_inputs(rho, operators, delta, r, tol)
+    observables = [average_observable(e, shape[2], tol) for e in operators]
+    (learned,) = _learn_states([rho], operators, observables, delta, shape, {}, tol)
     return learned
-
-
-def _replay_records(
-    records: Sequence[LearnRecord], observables: Sequence[Observable], tol: Tolerances
-) -> list:
-    """Replay every record in ``records``, all of one (q, r, delta), against one family.
-
-    Records with the same entries so far share one group along
-    :func:`_grouped_walk`, as the sender's states do, and read the numbers
-    the family's memo already holds: a record the sender made replays
-    without building a hypothesis, and any other one builds only the
-    prefixes the memo lacks.  Each outcome is the record's estimates, or the
-    error its own replay raises.
-    """
-    if not records:
-        return []
-    head = records[0]
-    delta = head.delta
-    # a genuinely corrected index must disagree by more than
-    # delta - delta/16 with the truncated value it recorded
-    predicted = delta - delta / 16.0 - _REPLAY_SLACK
-    corrected = [dict(rec.entries) for rec in records]
-    outcomes: list = [np.empty(len(observables)) for _ in records]
-
-    def decide(i: int, b: int, estimate: float) -> float | None:
-        if b not in corrected[i]:
-            outcomes[i][b] = min(1.0, max(0.0, estimate))
-            return None
-        if abs(estimate - corrected[i][b]) <= predicted:
-            raise ReplayMismatchError(
-                f"recorded index {b} replays as already-predicted; "
-                "record does not match this operator family"
-            )
-        return corrected[i][b]
-
-    def record(movers, b, p_tilde, trace) -> None:
-        if trace <= tol.zero_projection:
-            raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
-        for i in movers:
-            outcomes[i][b] = p_tilde
-
-    errors = _grouped_walk(head.r * head.q, len(records), observables, decide, record, delta, tol)
-    for i, err in errors.items():
-        outcomes[i] = err
-    return outcomes
 
 
 def reconstruct_estimates(
     record: LearnRecord,
     operators: Sequence[MeasurementOperator],
     tol: Tolerances = DEFAULT,
-    observables: Sequence[Observable] | None = None,
 ) -> np.ndarray:
     """Receiver side: replay the hypothesis walk and output one estimate per index.
 
@@ -553,22 +495,31 @@ def reconstruct_estimates(
     :class:`ReplayMismatchError` when a recorded index would not have needed a
     correction against this operator family, or when a projection vanishes:
     both mean the record belongs to a different family.
-
-    ``observables`` may carry precomputed averaged observables for the family
-    on ``record.r`` copies; an :class:`ObservableFamily` the sender walked
-    replays from the sender's memo, with the same checks on the same numbers.
     """
     c, dim = _validated_family(operators)
     if c != record.c:
         raise ValueError(f"record indexes {record.c}-bit family, got {c}-bit")
     if dim != 2**record.q:
         raise ValueError("operator dimension does not match the record")
-    if observables is None:
-        observables = [average_observable(e, record.r, tol) for e in operators]
-    (outcome,) = _replay_records([record], observables, tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    observables = [average_observable(e, record.r, tol) for e in operators]
+    return _replay_record(record, observables, {}, tol)
+
+
+def learn_round_trip(
+    rho: DensityMatrix,
+    operators: Sequence[MeasurementOperator],
+    delta: float,
+    r: int | None = None,
+    tol: Tolerances = DEFAULT,
+) -> tuple[LearnRecord, LearnDiagnostics, np.ndarray]:
+    """:func:`learn_state_message` then :func:`reconstruct_estimates`, bit for
+    bit, with one spectral build per operator and one walk memo: the replay
+    reads the sender's numbers and makes no kernel call."""
+    shape = _check_learn_inputs(rho, operators, delta, r, tol)
+    observables = [average_observable(e, shape[2], tol) for e in operators]
+    memo: dict = {}
+    ((record, diags),) = _learn_states([rho], operators, observables, delta, shape, memo, tol)
+    return record, diags, _replay_record(record, observables, memo, tol)
 
 
 @dataclass(frozen=True)
@@ -722,11 +673,7 @@ def compile_qc_to_cc(
         raise ValueError("needs a canonical quantum protocol with an operator family")
     if p.alice_inputs is None:
         raise ValueError("needs an explicit Alice input set")
-    c_b = p.bob_cost.bits
-    operators = p.referee.operator_list(c_b)
-    q = operators[0].num_qubits
-    if r is None:
-        r = default_copies(q, delta, tol)
+    operators = p.referee.operator_list(p.bob_cost.bits)
 
     coin_values: list = [None]
     if p.coin is not None:
@@ -742,19 +689,20 @@ def compile_qc_to_cc(
             rho = p.alice_strategy(x, coin)
             if not isinstance(rho, DensityMatrix):
                 raise ValueError("canonical protocols send density matrices")
-            check_learn_inputs(rho, operators, delta, r, tol)
+            shape = _check_learn_inputs(rho, operators, delta, r, tol)
         except ValueError as err:
             invalid = err
             break
         keys.append(x if p.coin is None else (x, coin))
         states.append(rho)
-    if invalid is not None and not states:
-        raise invalid
-    record_c, _ = _validated_family(operators)
-    # one family, and one walk memo, for the sender, the replay of every
-    # message Alice sends and the lazy replay of any other message
-    observables = ObservableFamily(average_observable(e, r, tol) for e in operators)
-    learned = _learn_states(states, operators, observables, delta, (record_c, q, r), tol)
+    if not states:
+        raise invalid or ValueError("no (input, coin) pair to compile")
+    c, q, r = shape
+    # one spectral build per operator, and one walk memo, for the sender and
+    # the replay of every message
+    observables = [average_observable(e, r, tol) for e in operators]
+    memo: dict = {}
+    learned = _learn_states(states, operators, observables, delta, shape, memo, tol)
     if invalid is not None:
         raise invalid
 
@@ -763,19 +711,18 @@ def compile_qc_to_cc(
     messages = {key: record.to_bits() for key, record in records.items()}
     max_bits = max((len(m) for m in messages.values()), default=0)
 
-    def decode(bits: str) -> LearnRecord:
-        return LearnRecord.from_bits(bits, q=q, c=record_c, r=r, delta=delta)
-
-    # each message's replay outcome: its estimates, or the error its replay
-    # raised, raised again on every read.  The receiver replays every message
-    # Alice sends in one walk, and any other one alone when first read; both
-    # read the sender's memo, so a sent message costs no kernel call.
-    sent = list(dict.fromkeys(messages.values()))
-    replays = dict(zip(sent, _replay_records([decode(bits) for bits in sent], observables, tol)))
+    # each message's replay outcome, taken on its first read: its estimates,
+    # or the error its replay raised, raised again on every read.  A message
+    # Alice sends replays from the sender's memo without a kernel call.
+    replays: dict[str, np.ndarray | Exception] = {}
 
     def reconstruct(bits: str) -> np.ndarray:
         if bits not in replays:
-            (replays[bits],) = _replay_records([decode(bits)], observables, tol)
+            rec = LearnRecord.from_bits(bits, q=q, c=c, r=r, delta=delta)
+            try:
+                replays[bits] = _replay_record(rec, observables, memo, tol)
+            except (ValueError, VanishingProjectionError) as err:
+                replays[bits] = err
         outcome = replays[bits]
         if isinstance(outcome, Exception):
             # each read's traceback is its own: it neither grows with the reads

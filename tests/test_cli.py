@@ -139,6 +139,52 @@ class TestMainExitCodes:
         assert float(summary["error_increase"]) <= float(delta)
         assert summary["assert_error_increase_within_delta"].startswith("pass")
 
+    def test_honest_record_replays_when_8_over_delta_is_not_an_integer(self, tmp_path):
+        # rho = |0><0| against diag(1, 0.39) twice: the record truncates 1.0
+        # to 0.975 at the top of the delta/8 grid, and its replay must accept it
+        import numpy as np
+
+        from smplab.serialize import save_matrix
+
+        save_matrix(tmp_path / "rho.qmat", np.diag([1.0, 0.0]).astype(complex))
+        save_matrix(tmp_path / "e.qmat", np.diag([1.0, 0.39]).astype(complex))
+        e = tmp_path / "e.qmat"
+        code = main(["--experiment", "learn-state", "--param", "mode=file",
+                     "--param", f"rho={tmp_path / 'rho.qmat'}", "--param", f"operators={e},{e}",
+                     "--param", "delta=0.3", "--param", "r=2", "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        summary = read_summary(tmp_path / "out" / "learn-state_summary.txt")
+        assert summary["T"] == "1"
+        assert float(summary["max_deviation"]) == pytest.approx(0.025, abs=1e-12)
+
+    @pytest.mark.parametrize("argv, r", [
+        (["--experiment", "compile", "--param", "fixture=hm-verify", "--param", "r=3"], 3),
+        (["--experiment", "learn-state", "--param", "mode=file", "--param", "r=2"], 2),
+    ], ids=["compile-hm-verify-r3", "learn-state-file-r2"])
+    def test_vanishing_projection_below_the_papers_r_names_both(
+        self, tmp_path, capsys, argv, r
+    ):
+        # hm-verify at odd r, and diag(0.3, 0.7) against |0><0| at r = 2, put
+        # the first correction's band in a gap of the r-copy spectrum; the
+        # paper's r at q <= 2 and delta 0.1 is ceil(8 ln 2 / 0.01) = 555
+        import numpy as np
+
+        from smplab.serialize import save_matrix
+
+        save_matrix(tmp_path / "rho.qmat", np.diag([0.3, 0.7]).astype(complex))
+        save_matrix(tmp_path / "e.qmat", np.diag([1.0, 0.0]).astype(complex))
+        e = tmp_path / "e.qmat"
+        if "mode=file" in argv:
+            argv = argv + ["--param", f"rho={tmp_path / 'rho.qmat'}",
+                           "--param", f"operators={e},{e}"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ASSERTION
+        assert capsys.readouterr().err == (
+            "check failed: VanishingProjectionError: projection at step 0 has trace "
+            "0.000e+00; degenerate instance, cannot renormalize; "
+            f"r = {r} is below the paper's r = 555\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_experiment_is_config_error(self, tmp_path, capsys):
         code = main(["--experiment", "eq-public", "--param", "bogus", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -433,8 +479,7 @@ class TestLearnRoundTrip:
             calls.append(r)
             return average_observable(e, r, tol)
 
-        for module in (cli, transforms):
-            monkeypatch.setattr(module, "average_observable", counted)
+        monkeypatch.setattr(transforms, "average_observable", counted)
         g = np.random.default_rng(2)
         rho = random_density(2, g)
         ops = [random_measurement_operator(2, g) for _ in range(8)]

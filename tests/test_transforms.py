@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import smplab.transforms as transforms
@@ -32,6 +33,7 @@ from smplab.qcore import (
 )
 from smplab.rng import trial_rng
 from smplab.smp import (
+    CoinSpace,
     Cost,
     OperatorReferee,
     SmpProtocol,
@@ -44,13 +46,13 @@ from smplab.smp import (
 from smplab.transforms import (
     LearnDiagnostics,
     LearnRecord,
-    ObservableFamily,
     bad_count_bound,
-    check_learn_inputs,
     compile_qc_to_cc,
     default_copies,
     derandomize_alice,
+    learn_round_trip,
     learn_state_message,
+    paper_copies,
     reconstruct_estimates,
 )
 
@@ -76,6 +78,23 @@ def kernel_calls(monkeypatch):
     for name in ("band_projector", "project_renormalize"):
         monkeypatch.setattr(transforms, name, counted(name, getattr(transforms, name)))
     return calls
+
+
+@pytest.fixture
+def replay_calls(kernel_calls, monkeypatch):
+    """The kernel calls of each receiver replay, one Counter per ``_replay_record`` call."""
+    replays = []
+    replay = transforms._replay_record
+
+    def counted(*args):
+        before = Counter(kernel_calls)
+        try:
+            return replay(*args)
+        finally:
+            replays.append(kernel_calls - before)
+
+    monkeypatch.setattr(transforms, "_replay_record", counted)
+    return replays
 
 
 class TestBadCountBound:
@@ -173,6 +192,22 @@ class TestLearnStateMessage:
     def test_default_copies_rejects_delta_outside_range(self, delta):
         with pytest.raises(ValueError, match=r"need delta in \(0, 1/2\)"):
             default_copies(1, delta)
+        with pytest.raises(ValueError, match=r"need delta in \(0, 1/2\)"):
+            paper_copies(1, delta)
+
+    def test_paper_copies_is_the_unclamped_count(self):
+        # oracle: ceil(8 ln(max(q, 2)) / delta^2) evaluated by hand
+        assert paper_copies(1, 0.1) == paper_copies(2, 0.1) == 555
+        assert paper_copies(4, 0.1) == 1110
+        assert paper_copies(2, 0.45) == 28
+        assert paper_copies(1, 1e-310) == math.inf
+        # default_copies keeps its values: the float count, capped by the budget
+        for q in (1, 2, 3, 6, 12):
+            for delta in (1e-310, 1e-160, 1e-3, 0.1, 0.3, 0.45, 0.4999):
+                want = 8.0 * math.log(max(q, 2)) / delta**2 if delta**2 > 0.0 else math.inf
+                budget = max(2, DEFAULT.learn_qubit_budget // q)
+                expect = budget if want > budget else max(2, math.ceil(want))
+                assert default_copies(q, delta) == expect
 
 
 class TestReconstruct:
@@ -609,9 +644,23 @@ class TestCompileQcToCc:
         with pytest.raises(ValueError, match="canonical"):
             compile_qc_to_cc(equality_code(2), delta=0.1)
 
+    @pytest.mark.parametrize("changes, match", [
+        ({"alice_inputs": None}, "explicit Alice input set"),
+        ({"alice_inputs": ()}, "no \\(input, coin\\) pair to compile"),
+        ({"coin": CoinSpace(sampler=lambda g: 0, size=0, outcomes=tuple)},
+         "no \\(input, coin\\) pair to compile"),
+    ], ids=["no-inputs", "empty-inputs", "empty-coin"])
+    def test_rejects_a_protocol_with_no_state_to_compile(self, changes, match):
+        # the records' shape comes from checking Alice's states, so a
+        # protocol with no (input, coin) pair has nothing to compile
+        p = dataclasses.replace(toy_quantum_equality(1), **changes)
+        with pytest.raises(ValueError, match=match):
+            compile_qc_to_cc(p, delta=0.1, r=2)
+
 
 class TestSharedObservables:
-    """One spectral build per family serves the sender and the receiver bit for bit."""
+    """``learn_round_trip`` shares one spectral build and one walk memo between
+    the sender and the receiver, bit for bit."""
 
     @staticmethod
     def _instance(seed):
@@ -624,26 +673,44 @@ class TestSharedObservables:
     @pytest.mark.parametrize("seed", range(4))
     def test_records_diagnostics_and_estimates_identical(self, seed):
         rho, ops, r = self._instance(seed)
-        shared = [average_observable(e, r) for e in ops]
-        fresh = learn_state_message(rho, ops, 0.1, r)
-        reused = learn_state_message(rho, ops, 0.1, r, observables=shared)
-        assert reused == fresh
-        record = fresh[0]
-        assert np.array_equal(
-            reconstruct_estimates(record, ops, observables=shared),
-            reconstruct_estimates(record, ops),
-        )
+        record, diags, estimates = learn_round_trip(rho, ops, 0.1, r)
+        assert (record, diags) == learn_state_message(rho, ops, 0.1, r)
+        assert estimates.tobytes() == reconstruct_estimates(record, ops).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_replay_through_the_senders_family_recomputes_nothing(self, seed, kernel_calls):
+    def test_replay_through_the_senders_family_recomputes_nothing(self, seed, replay_calls):
         rho, ops, r = self._instance(seed)
-        family = ObservableFamily(average_observable(e, r) for e in ops)
-        record, _ = learn_state_message(rho, ops, 0.1, r, observables=family)
-        fresh = reconstruct_estimates(record, ops)
-        kernel_calls.clear()
-        replayed = reconstruct_estimates(record, ops, observables=family)
-        assert replayed.tobytes() == fresh.tobytes()
-        assert kernel_calls == Counter()
+        learn_round_trip(rho, ops, 0.1, r)
+        assert replay_calls == [Counter()]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(1, 2),
+        c=st.integers(1, 3),
+        r=st.integers(1, 3),
+        delta=st.sampled_from([0.1, 0.3]),
+    )
+    def test_round_trip_is_sender_then_receiver(self, replay_calls, seed, q, c, r, delta):
+        # an honest record always replays, so the composition raises only the
+        # sender's error, and the round trip raises the same one
+        g = np.random.default_rng(seed)
+        rho = random_density(2**q, g)
+        ops = [random_measurement_operator(2**q, g) for _ in range(2**c)]
+        try:
+            record, diags = learn_state_message(rho, ops, delta, r)
+        except VanishingProjectionError as err:
+            with pytest.raises(VanishingProjectionError) as got:
+                learn_round_trip(rho, ops, delta, r)
+            assert (got.value.step, got.value.trace) == (err.step, err.trace)
+            return
+        estimates = reconstruct_estimates(record, ops)
+        replay_calls.clear()
+        got = learn_round_trip(rho, ops, delta, r)
+        assert got[:2] == (record, diags)
+        assert got[2].tobytes() == estimates.tobytes()
+        assert replay_calls == [Counter()]
 
     def test_some_instance_corrects(self):
         # the comparison above must cover correction steps, not only skips
@@ -657,9 +724,9 @@ class TestSharedObservables:
 class TestCheckLearnInputs:
     def test_returns_resolved_shape(self):
         ops = [proj([1, 0]), proj([0, 1])]
-        assert check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1) == (
-            1, 1, default_copies(1, 0.1),
-        )
+        assert transforms._check_learn_inputs(
+            DensityMatrix.pure([1, 0]), ops, 0.1, None, DEFAULT
+        ) == (1, 1, default_copies(1, 0.1))
 
     @pytest.mark.parametrize("delta, r, ops, match", [
         (0.7, 13, [proj([1, 0]), proj([0, 1])], "delta"),
@@ -670,15 +737,15 @@ class TestCheckLearnInputs:
     def test_first_fault_wins_as_in_the_learner(self, delta, r, ops, match):
         # r = 13 would also exceed the dimension cap; the earlier fault is reported
         rho = DensityMatrix.pure([1, 0])
-        for fn in (check_learn_inputs, learn_state_message):
+        for fn in (transforms._check_learn_inputs, learn_state_message, learn_round_trip):
             with pytest.raises(ValueError, match=match) as err:
-                fn(rho, ops, delta, r)
+                fn(rho, ops, delta, r, DEFAULT)
             assert not isinstance(err.value, DimensionCapError)
 
     def test_cap(self):
         ops = [proj([1, 0]), proj([0, 1])]
         with pytest.raises(DimensionCapError, match="r\\*q = 13"):
-            check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1, 13)
+            transforms._check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1, 13, DEFAULT)
 
 
 # The per-state loops the compiler ran before it grouped states by decision
@@ -687,7 +754,7 @@ class TestCheckLearnInputs:
 
 
 def _per_state_learn(rho, operators, observables, delta, r, tol=DEFAULT):
-    c, q, r = check_learn_inputs(rho, operators, delta, r, tol)
+    c, q, r = transforms._check_learn_inputs(rho, operators, delta, r, tol)
     hypothesis = maximally_mixed(r * q, tol)
     entries, traces, margins, flagged, estimates, trues = [], [], [], [], [], []
     for b, (e, f) in enumerate(zip(operators, observables)):
@@ -733,7 +800,7 @@ def _per_record_replay(record, observables, tol=DEFAULT):
             out[b] = min(1.0, max(0.0, estimate))
             continue
         p_tilde = corrected[b]
-        if abs(estimate - p_tilde) <= delta - delta / 16.0 - 1e-9:
+        if abs(estimate - p_tilde) <= delta - delta / 8.0 - 1e-9:
             raise ReplayMismatchError(
                 f"recorded index {b} replays as already-predicted; "
                 "record does not match this operator family"
@@ -872,23 +939,23 @@ class TestGroupedWalk:
             assert diag.bad_count <= bad_count_bound(r * q, delta)
             assert max(diag.projection_traces, default=0.0) <= eta
 
-    def test_hm_verify_one_call_per_distinct_prefix_on_each_side(self, kernel_calls, monkeypatch):
+    def test_hm_verify_one_call_per_distinct_prefix_on_each_side(
+        self, kernel_calls, replay_calls, monkeypatch
+    ):
         # the sender walks each distinct prefix once; the receiver replays
-        # every record Alice sends from the sender's memo, with no kernel call
-        walk, replay = transforms._grouped_walk, transforms._replay_records
-        families, sides = [], []
+        # each record Alice sends on its first read through the compiled
+        # referee, from the sender's memo, with no kernel call
+        walk, memos = transforms._grouped_walk, []
 
-        def walked(qubits, count, observables, *args):
-            families.append(observables)
-            return walk(qubits, count, observables, *args)
-
-        def receiver(*args, **kwargs):
-            sides.append(Counter(kernel_calls))
-            return replay(*args, **kwargs)
+        def walked(*args):
+            memos.append(args[6])
+            return walk(*args)
 
         monkeypatch.setattr(transforms, "_grouped_walk", walked)
-        monkeypatch.setattr(transforms, "_replay_records", receiver)
-        result = compile_qc_to_cc(hidden_matching_verification(4), delta=0.1)
+        p = hidden_matching_verification(4)
+        result = compile_qc_to_cc(p, delta=0.1)
+        sender = Counter(kernel_calls)
+        acceptance_table(result.protocol, p.alice_inputs, p.bob_inputs)
 
         distinct = {rec.entries for rec in result.records.values()}
         steps = 2 ** next(iter(result.records.values())).c
@@ -897,23 +964,22 @@ class TestGroupedWalk:
             len({tuple(e for e in ent if e[0] < b) for ent in distinct}) for b in range(steps)
         )
         bands = len({e for ent in distinct for e in ent})
-        (sender,) = sides
         assert sender == Counter(
             expectation=groups, project_renormalize=corrections, band_projector=bands
         )
-        assert kernel_calls - sender == Counter()
+        assert kernel_calls == sender
+        assert replay_calls == [Counter()] * len(distinct)
         assert (groups, corrections, bands) == (101, 48, 18)
         # the grouped walks of both sides made 96 projections and 202
         # expectations without the memo, one walk per state and per record
         # 192 and 384
         assert (2 * corrections, 2 * groups) == (96, 202)
-        # both walks share one family, whose memo holds floats only: one
+        # every walk shares one memo, which holds floats only: one
         # expectation per (prefix, step) and one trace per correction
-        assert len(families) == 2 and families[0] is families[1]
-        assert isinstance(families[0], ObservableFamily)
-        memo = [v for table in families[0].memo.values() for v in table.values()]
-        assert len(memo) == groups + corrections
-        assert all(type(v) is float for v in memo)
+        assert len(memos) == 1 + len(distinct)
+        assert all(memo is memos[0] for memo in memos)
+        assert len(memos[0]) == groups + corrections
+        assert all(type(v) is float for v in memos[0].values())
 
     def test_hm_verify_builds_each_dense_observable_once_and_drops_it(self, monkeypatch):
         # F_b is built at step b of the sender's walk and dropped before its
@@ -935,7 +1001,10 @@ class TestGroupedWalk:
             return walk(qubits, count, observables, *args)
 
         monkeypatch.setattr(transforms, "_grouped_walk", walked)
-        compile_qc_to_cc(hidden_matching_verification(4), delta=0.1)
+        p = hidden_matching_verification(4)
+        result = compile_qc_to_cc(p, delta=0.1)
+        acceptance_table(result.protocol, p.alice_inputs, p.bob_inputs)
+        assert len(families) > 1 and all(f is families[0] for f in families)
         family = families[0]
         assert len(family) == 16
         assert all("matrix" not in vars(f) for f in family)
@@ -1020,21 +1089,29 @@ class TestGroupedWalk:
         with pytest.raises(ReplayMismatchError, match="vanishes on replay"):
             referee.accept_probability(foreign.to_bits(), "00")
 
-    def test_records_sharing_a_vanishing_projection_all_fail(self):
-        # two copies of a foreign record share one group on replay, so the
-        # projection that vanishes must end both replays, not only the first
-        p = toy_quantum_equality(1)
-        family = p.referee.operator_list(p.bob_cost.bits)
-        other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
-        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
-        observables = [average_observable(e, 3) for e in family]
-        outcomes = transforms._replay_records([foreign, foreign], observables, DEFAULT)
-        assert [type(out) for out in outcomes] == [ReplayMismatchError] * 2
-
     def test_correction_on_the_mismatch_bound_replays(self):
         # delta 1/8 keeps the arithmetic exact: the mixed hypothesis predicts
-        # 1/2, and 1/2 + (delta - delta/16) sits exactly on the mismatch
-        # bound, so only the replay's slack keeps this recorded correction
+        # 1/2, and 1/2 + (delta - delta/8) sits exactly on the mismatch
+        # bound, so only the replay's slack keeps this recorded correction;
+        # past the slack, just inside the bound, the record is refused
         ops = [proj([1, 0]), proj([0, 1])]
-        rec = LearnRecord(q=1, c=1, r=8, delta=0.125, entries=((0, 0.5 + 0.1171875),))
-        assert reconstruct_estimates(rec, ops)[0] == 0.6171875
+        rec = LearnRecord(q=1, c=1, r=8, delta=0.125, entries=((0, 0.5 + 7 / 64),))
+        assert reconstruct_estimates(rec, ops)[0] == 0.609375
+        inside = LearnRecord(q=1, c=1, r=8, delta=0.125, entries=((0, 0.609375 - 2e-9),))
+        with pytest.raises(ReplayMismatchError, match="already-predicted"):
+            reconstruct_estimates(inside, ops)
+
+    def test_honest_record_replays_when_8_over_delta_is_not_an_integer(self):
+        # delta 0.3: the state accepts surely, and the top of the delta/8 grid
+        # truncates 1.0 to 0.975, so the correction of the mixed prediction
+        # 0.695 disagrees with its record by 0.28, above 7 delta / 8 = 0.2625
+        # (the sender's guarantee) but below delta - delta/16 = 0.28125
+        ops = [MeasurementOperator(DIAG([1.0, 0.39]).astype(complex))] * 2
+        rho = DensityMatrix.pure([1, 0])
+        record, diags, estimates = learn_round_trip(rho, ops, 0.3, 2)
+        assert record.entries == ((0, 0.975),)
+        assert diags.estimates_before[0] == pytest.approx(0.695, abs=1e-12)
+        assert estimates.tobytes() == reconstruct_estimates(record, ops).tobytes()
+        assert np.max(np.abs(estimates - 1.0)) == pytest.approx(0.025, abs=1e-12)
+        assert (_per_record_replay(record, [average_observable(e, 2) for e in ops])
+                .tobytes() == estimates.tobytes())
