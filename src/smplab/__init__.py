@@ -20,7 +20,6 @@ from .qcore import (
     band_projector,
     maximally_mixed,
     project_renormalize,
-    tensor_power,
 )
 
 __version__ = "0.1.0"

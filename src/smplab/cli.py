@@ -109,6 +109,8 @@ class ExperimentConfig:
             return with_overrides(DEFAULT, **self.tolerance)
         except TypeError as ex:
             raise ConfigError(f"unknown tolerance override: {ex}") from None
+        except ValueError as ex:
+            raise ConfigError(str(ex)) from None
 
 
 @dataclass
@@ -522,8 +524,9 @@ def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
 
 
 def _int(v) -> int:
-    """``v`` as an int; a float must be integral (2.0 is 2, 2.7 is an error)."""
-    if isinstance(v, float) and not v.is_integer():
+    """``v`` as an int; a float must be integral (2.0 is 2, 2.7 is an error),
+    and a bool is an error."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 
@@ -736,6 +739,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what each config-file key must be, and the JSON types that are; a null
+# seed or trials is unset, as the report's _config.json writes it
+_CONFIG_TYPES = {
+    "experiment": ("a string", str, type(None)),
+    "params": ("a JSON object", dict),
+    "tolerance": ("a JSON object", dict),
+    "seed": ("an integer", int, type(None)),
+    "trials": ("an integer", int, type(None)),
+    "out": ("a string", str),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if args.config is not None:
@@ -743,6 +758,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             base = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as ex:
             raise ConfigError(f"cannot read config file: {ex}") from None
+        if not isinstance(base, dict):
+            raise ConfigError(f"config file must hold a JSON object, not {type(base).__name__}")
+    for key, (what, *types) in _CONFIG_TYPES.items():
+        value = base.get(key)
+        if key in base and (isinstance(value, bool) or not isinstance(value, tuple(types))):
+            raise ConfigError(f"config file key {key!r} must be {what}, got {value!r}")
     experiment = args.experiment or base.get("experiment")
     if not experiment:
         raise ConfigError("an experiment is required (flag --experiment or config file)")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -11,6 +12,8 @@ class Tolerances:
 
     Operations take an optional ``tol`` argument defaulting to ``DEFAULT``;
     build a modified copy with :func:`with_overrides` to change values.
+    Construction raises ValueError naming a field whose value is not a finite
+    real >= 0 (a tolerance) or an int >= 1 (a cap); a bool is neither.
     """
 
     hermitian: float = 1e-10         # max-norm of A - A^dagger
@@ -28,6 +31,17 @@ class Tolerances:
     learn_qubit_budget: int = 8      # default total-qubit budget for state learning
     relation_xy_cap: int = 36        # |X|*|Y| cap for exhaustive relation search
     relation_bits_cap: int = 6       # max c_A + c_B for exhaustive relation search
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, int):  # a cap
+                ok, want = isinstance(v, int) and v >= 1, "an int >= 1"
+            else:
+                ok = isinstance(v, (int, float)) and math.isfinite(v) and v >= 0
+                want = "a finite real >= 0"
+            if isinstance(v, bool) or not ok:
+                raise ValueError(f"tolerance {f.name} must be {want}, got {v!r}")
 
 
 DEFAULT = Tolerances()

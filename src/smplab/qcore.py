@@ -1,10 +1,10 @@
 """Exact complex linear algebra for small quantum registers.
 
 Density matrices, measurement operators, observables with factored spectral
-decompositions, tensor powers, band projectors, and the renormalized
-projection update.  Everything is dense complex double precision and
-immutable; dimensions are powers of two and capped (default 2**12) so that
-eigendecompositions stay fast at desk scale.
+decompositions, band projectors, and the renormalized projection update.
+Everything is dense complex double precision and immutable; dimensions are
+powers of two and capped (default 2**12) so that eigendecompositions stay
+fast at desk scale.
 
 An observable keeps only its one-register eigenvectors.  Its eigenbasis
 ``basis()`` is ``columns(0, dim)``, and a band projector builds only the
@@ -30,7 +30,6 @@ __all__ = [
     "PureState",
     "ProductState",
     "acceptance_probability",
-    "tensor_power",
     "average_observable",
     "band_projector",
     "band_edge_margin",
@@ -370,17 +369,6 @@ def acceptance_probability(
     if not -slack <= tr.real <= 1.0 + slack:
         raise ValueError(f"acceptance probability {tr.real!r} is outside [0, 1]")
     return min(1.0, max(0.0, tr.real))
-
-
-def tensor_power(rho: DensityMatrix, r: int, tol: Tolerances = DEFAULT) -> DensityMatrix:
-    """``r`` independent copies of ``rho`` as one density matrix."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    _check_dim(rho.dim**r, tol)
-    out = rho.entries
-    for _ in range(r - 1):
-        out = np.kron(out, rho.entries)
-    return DensityMatrix(out, validate=False)
 
 
 def _cluster(sorted_vals: np.ndarray, group_tol: float) -> list[np.ndarray]:

@@ -252,17 +252,6 @@ def _check_learn_inputs(
 _REPLAY_SLACK = 1e-9  # so that a correction exactly on the replay's bound replays
 
 
-def _correct(
-    hypothesis: DensityMatrix, band: np.ndarray, tol: Tolerances
-) -> tuple[float, DensityMatrix | None]:
-    """Trace of ``band`` on the hypothesis, and the projected, renormalized
-    hypothesis (None when that trace vanishes)."""
-    trace = float(np.sum(band * hypothesis.entries.T).real)
-    if trace <= tol.zero_projection:
-        return trace, None
-    return trace, project_renormalize(hypothesis, band, tol)
-
-
 class _Trail:
     """One state's decisions along the sender's walk."""
 
@@ -292,64 +281,40 @@ def _grouped_walk(
     decide: Callable[[int, int, float], float | None],
     record: Callable[[list[int], int, float, float], None],
     delta: float,
-    memo: dict,
     tol: Tolerances,
 ) -> dict[int, Exception]:
     """Walk ``count`` members against one family, grouped by correction prefix.
 
+    Every member starts from the maximally mixed state on ``qubits``.
     Members that have made the same corrections so far share one group: each
     group costs one expectation per step and splits by its members'
     decisions, each distinct (group, truncated value) correction costing one
     band trace and projection, and the groups correcting to one value at a
     step sharing one band projector.  A step takes every group's expectation
     first, then drops the observable's cached dense matrix (nothing after
-    the step reads it), and only then runs its corrections.
-
-    ``memo``, which the caller shares between the walks of one family, maps
-    each (prefix, step) to its expectation and each (prefix, step, value) to
-    its band trace, floats only; every number is read there first and
-    written there when computed.  A group whose numbers were all read holds
-    no hypothesis, and on its first miss (only a record the sender never
-    made reaches one) folds :func:`_correct` over its entries from the
-    maximally mixed state on ``qubits``.  Every number is the one each
-    member's own walk would compute, bit for bit.
+    the step reads it), and only then runs its corrections.  Every number is
+    the one each member's own walk would compute, bit for bit.
 
     ``decide(i, b, estimate)`` returns None when member ``i`` skips index
     ``b`` and the truncated value when it corrects there.
-    ``record(movers, b, p_tilde, trace)`` takes each correction, the trace
-    vanishing when it is at most ``tol.zero_projection``.  Either may raise
-    the error that ends its members' walks.  Returns each failed member's
-    error; groups never depend on which members they hold, so the others walk
-    on as they would alone.
+    ``record(movers, b, p_tilde, trace)`` takes each correction before its
+    projection, and must raise when the trace vanishes (is at most
+    ``tol.zero_projection``).  Either may raise the error that ends its
+    members' walks.  Returns each failed member's error; groups never depend
+    on which members they hold, so the others walk on as they would alone.
     """
-
-    def built(entries) -> DensityMatrix:
-        hypothesis = maximally_mixed(qubits, tol)
-        for b, p_tilde in entries:
-            band = band_projector(observables[b], p_tilde, delta / 2.0, tol)
-            _, hypothesis = _correct(hypothesis, band, tol)
-        return hypothesis
-
     errors: dict[int, Exception] = {}
-    # the groups of the current step, [entries, hypothesis or None, members],
-    # each dropped once split into the next
-    groups = deque([[(), None, list(range(count))]])
+    # the groups of the current step, (hypothesis, members), each dropped
+    # once split into the next
+    groups = deque([(maximally_mixed(qubits, tol), list(range(count)))])
     for b, f in enumerate(observables):
         bands: dict[float, np.ndarray] = {}  # held while step b runs
         # the expectations of step b, all taken before its corrections so
         # that the dense F_b lives for this step only
-        estimates = []
-        for group in groups:
-            entries, hypothesis, _ = group
-            estimate = memo.get((entries, b))
-            if estimate is None:
-                if hypothesis is None:
-                    group[1] = hypothesis = built(entries)
-                estimate = memo[entries, b] = f.expectation(hypothesis)
-            estimates.append(estimate)
+        estimates = [f.expectation(hypothesis) for hypothesis, _ in groups]
         vars(f).pop("matrix", None)  # the cached F; the dataclass is frozen
         for estimate in estimates:
-            entries, hypothesis, members = groups.popleft()
+            hypothesis, members = groups.popleft()
             stay: list[int] = []
             moves: dict[float, list[int]] = {}
             for i in members:
@@ -363,23 +328,21 @@ def _grouped_walk(
                 else:
                     moves.setdefault(p_tilde, []).append(i)
             if stay:
-                groups.append([entries, hypothesis, stay])
+                groups.append((hypothesis, stay))
             for p_tilde, movers in moves.items():
-                projected = None
                 try:
-                    trace = memo.get((entries, b, p_tilde))
-                    if trace is None:
-                        if p_tilde not in bands:
-                            bands[p_tilde] = band_projector(f, p_tilde, delta / 2.0, tol)
-                        if hypothesis is None:
-                            hypothesis = built(entries)
-                        trace, projected = _correct(hypothesis, bands[p_tilde], tol)
-                        memo[entries, b, p_tilde] = trace
+                    if p_tilde not in bands:
+                        bands[p_tilde] = band_projector(f, p_tilde, delta / 2.0, tol)
+                    trace = float(np.sum(bands[p_tilde] * hypothesis.entries.T).real)
                     record(movers, b, p_tilde, trace)
+                    projected = project_renormalize(hypothesis, bands[p_tilde], tol)
                 except (ValueError, VanishingProjectionError) as err:
                     errors.update(dict.fromkeys(movers, err))
                     continue
-                groups.append([entries + ((b, p_tilde),), projected, movers])
+                groups.append((projected, movers))
+        # a hypothesis no group holds must not outlive its step into the
+        # next step's dense F
+        hypothesis = projected = None
     return errors
 
 
@@ -389,7 +352,6 @@ def _learn_states(
     observables: Sequence[Observable],
     delta: float,
     shape: tuple[int, int, int],
-    memo: dict,
     tol: Tolerances,
 ) -> list[tuple[LearnRecord, LearnDiagnostics]]:
     """The learning walk of every state in ``states`` against one family.
@@ -420,24 +382,22 @@ def _learn_states(
             if margin < tol.band_edge_flag:
                 trail.flagged.append(b)
 
-    errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, memo, tol)
+    errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, tol)
     if errors:
         raise errors[min(errors)]
     return [trail.result(c, q, r, delta) for trail in trails]
 
 
-def _replay_record(
-    rec: LearnRecord, observables: Sequence[Observable], memo: dict, tol: Tolerances
-) -> np.ndarray:
-    """The receiver's estimates for ``rec``, walked with ``memo``: a record the
-    sender made with it replays without a kernel call."""
+def _receiver(rec: LearnRecord, count: int, tol: Tolerances):
+    """The receiver's checks on ``rec`` over ``count`` indices: ``decide`` and
+    ``record`` for a walk, and the estimates array they fill."""
     delta = rec.delta
     # the sender corrects an estimate more than delta from the truth and
     # records a value within delta/8 of the truth, so a genuine correction
     # disagrees by more than delta - delta/8 with its recorded value
     predicted = delta - delta / 8.0 - _REPLAY_SLACK
     corrected = dict(rec.entries)
-    out = np.empty(len(observables))
+    out = np.empty(count)
 
     def decide(_, b: int, estimate: float) -> float | None:
         if b not in corrected:
@@ -455,9 +415,30 @@ def _replay_record(
             raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
         out[b] = p_tilde
 
-    errors = _grouped_walk(rec.r * rec.q, 1, observables, decide, record, delta, memo, tol)
+    return decide, record, out
+
+
+def _replay_record(
+    rec: LearnRecord, observables: Sequence[Observable], tol: Tolerances
+) -> np.ndarray:
+    """The receiver's estimates for ``rec``, from its own walk."""
+    decide, record, out = _receiver(rec, len(observables), tol)
+    errors = _grouped_walk(rec.r * rec.q, 1, observables, decide, record, rec.delta, tol)
     if errors:
         raise errors[0]
+    return out
+
+
+def _replay_sent(record: LearnRecord, diags: LearnDiagnostics, tol: Tolerances) -> np.ndarray:
+    """The receiver's estimates for a record the sender made, its checks fed
+    the sender's own numbers: the replay of that record would take the same
+    expectations and band traces, bit for bit, so it makes no kernel call."""
+    decide, check, out = _receiver(record, len(diags.estimates_before), tol)
+    traces = iter(diags.projection_traces)
+    for b, estimate in enumerate(diags.estimates_before):
+        p_tilde = decide(0, b, estimate)
+        if p_tilde is not None:
+            check([0], b, p_tilde, next(traces))
     return out
 
 
@@ -479,7 +460,7 @@ def learn_state_message(
     """
     shape = _check_learn_inputs(rho, operators, delta, r, tol)
     observables = [average_observable(e, shape[2], tol) for e in operators]
-    (learned,) = _learn_states([rho], operators, observables, delta, shape, {}, tol)
+    (learned,) = _learn_states([rho], operators, observables, delta, shape, tol)
     return learned
 
 
@@ -502,7 +483,7 @@ def reconstruct_estimates(
     if dim != 2**record.q:
         raise ValueError("operator dimension does not match the record")
     observables = [average_observable(e, record.r, tol) for e in operators]
-    return _replay_record(record, observables, {}, tol)
+    return _replay_record(record, observables, tol)
 
 
 def learn_round_trip(
@@ -513,13 +494,9 @@ def learn_round_trip(
     tol: Tolerances = DEFAULT,
 ) -> tuple[LearnRecord, LearnDiagnostics, np.ndarray]:
     """:func:`learn_state_message` then :func:`reconstruct_estimates`, bit for
-    bit, with one spectral build per operator and one walk memo: the replay
-    reads the sender's numbers and makes no kernel call."""
-    shape = _check_learn_inputs(rho, operators, delta, r, tol)
-    observables = [average_observable(e, shape[2], tol) for e in operators]
-    memo: dict = {}
-    ((record, diags),) = _learn_states([rho], operators, observables, delta, shape, memo, tol)
-    return record, diags, _replay_record(record, observables, memo, tol)
+    bit; the receiver's checks read the sender's numbers, with no kernel call."""
+    record, diags = learn_state_message(rho, operators, delta, r, tol)
+    return record, diags, _replay_sent(record, diags, tol)
 
 
 @dataclass(frozen=True)
@@ -698,11 +675,9 @@ def compile_qc_to_cc(
     if not states:
         raise invalid or ValueError("no (input, coin) pair to compile")
     c, q, r = shape
-    # one spectral build per operator, and one walk memo, for the sender and
-    # the replay of every message
+    # one spectral build per operator, for the sender and every replay
     observables = [average_observable(e, r, tol) for e in operators]
-    memo: dict = {}
-    learned = _learn_states(states, operators, observables, delta, shape, memo, tol)
+    learned = _learn_states(states, operators, observables, delta, shape, tol)
     if invalid is not None:
         raise invalid
 
@@ -711,16 +686,18 @@ def compile_qc_to_cc(
     messages = {key: record.to_bits() for key, record in records.items()}
     max_bits = max((len(m) for m in messages.values()), default=0)
 
-    # each message's replay outcome, taken on its first read: its estimates,
-    # or the error its replay raised, raised again on every read.  A message
-    # Alice sends replays from the sender's memo without a kernel call.
-    replays: dict[str, np.ndarray | Exception] = {}
+    # each message's replay outcome: for a message Alice sends, its estimates
+    # from the sender's own numbers, taken now; for any other, its own walk's
+    # estimates or error, taken on its first read and raised on every read
+    replays: dict[str, np.ndarray | Exception] = {
+        messages[key]: _replay_sent(records[key], diagnostics[key], tol) for key in keys
+    }
 
     def reconstruct(bits: str) -> np.ndarray:
         if bits not in replays:
             rec = LearnRecord.from_bits(bits, q=q, c=c, r=r, delta=delta)
             try:
-                replays[bits] = _replay_record(rec, observables, memo, tol)
+                replays[bits] = _replay_record(rec, observables, tol)
             except (ValueError, VanishingProjectionError) as err:
                 replays[bits] = err
         outcome = replays[bits]

@@ -443,6 +443,20 @@ class TestRejectedInputs:
          "need edges_sent <= subset_size // 2 = 2, got 3"),
         (["--experiment", "matching-classical", "--param", "n=16", "--param", "subset_size=1",
           "--seed", "1"], "need subset_size >= 2 so that an edge fits, got 1"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "psd=nan"],
+         "tolerance psd must be a finite real >= 0, got nan"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "psd=inf"],
+         "tolerance psd must be a finite real >= 0, got inf"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "psd=-1"],
+         "tolerance psd must be a finite real >= 0, got -1"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "psd=abc"],
+         "tolerance psd must be a finite real >= 0, got 'abc'"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "enum_cap=0"],
+         "tolerance enum_cap must be an int >= 1, got 0"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "enum_cap=2.5"],
+         "tolerance enum_cap must be an int >= 1, got 2.5"),
+        (["--experiment", "eq-public", "--param", "n=2", "--tolerance", "enum_cap=abc"],
+         "tolerance enum_cap must be an int >= 1, got 'abc'"),
     ])
     def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
@@ -460,6 +474,33 @@ class TestRejectedInputs:
                 "--param", f"rho={tmp_path / name}",
                 "--param", f"operators={tmp_path / name}", "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"experiment": "derandomize", "seed": "abc"}',
+         "config file key 'seed' must be an integer, got 'abc'"),
+        ('{"experiment": "derandomize", "seed": 1.5}',
+         "config file key 'seed' must be an integer, got 1.5"),
+        ('{"experiment": "derandomize", "seed": true}',
+         "config file key 'seed' must be an integer, got True"),
+        ('{"experiment": "matching-classical", "seed": 1, "trials": "5"}',
+         "config file key 'trials' must be an integer, got '5'"),
+        ('[1, 2]', "config file must hold a JSON object, not list"),
+        ('{"experiment": "eq-public", "params": [1, 2]}',
+         "config file key 'params' must be a JSON object, got [1, 2]"),
+        ('{"experiment": "eq-public", "params": {"n": 2}, "tolerance": 1e-9}',
+         "config file key 'tolerance' must be a JSON object, got 1e-09"),
+        ('{"experiment": "eq-public", "params": {"n": 2}, "tolerance": {"enum_cap": null}}',
+         "tolerance enum_cap must be an int >= 1, got None"),
+        ('{"experiment": ["eq-public"]}',
+         "config file key 'experiment' must be a string, got ['eq-public']"),
+        ('{"experiment": "eq-public", "params": {"n": true}}', "--param n: True is not an integer"),
+    ])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, config, message):
+        (tmp_path / "config.json").write_text(config)
+        out = tmp_path / "out"
+        assert main(["--config", str(tmp_path / "config.json"), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -515,6 +556,49 @@ class TestLearnRoundTrip:
         assert record.entries == ((0, 1.0),)
         d = 2**8
         assert peak <= 6 * d * d * 16
+
+    def test_no_stale_hypothesis_outlives_its_step(self, monkeypatch):
+        # the same K = 8 walk: when each dense F is built, the walk holds the
+        # hypotheses of its groups and nothing more.  One hypothesis is d x d,
+        # so a step that kept the one its correction replaced would enter the
+        # next F build holding two (the peak above misses that: the
+        # correction's own checks peak higher)
+        import tracemalloc
+        from functools import cached_property
+
+        import numpy as np
+
+        import smplab.cli as cli
+        from smplab.config import DEFAULT
+        from smplab.qcore import (
+            DensityMatrix,
+            MeasurementOperator,
+            Observable,
+            random_measurement_operator,
+        )
+
+        held = []
+        build = Observable.matrix.func
+
+        def traced(f):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(f)
+
+        matrix = cached_property(traced)
+        matrix.__set_name__(Observable, "matrix")
+        monkeypatch.setattr(Observable, "matrix", matrix)
+        g = np.random.default_rng(8)
+        ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
+        ops += [random_measurement_operator(2, g) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            record, *_ = cli._learn_round_trip(DensityMatrix.pure([1, 0]), ops, 0.1, 8, DEFAULT)
+        finally:
+            tracemalloc.stop()
+        assert record.entries == ((0, 1.0),)
+        d = 2**8
+        assert len(held) == len(ops)
+        assert max(held) <= 1.5 * d * d * 16
 
     def test_invalid_delta_reported_before_the_cap(self):
         import smplab.cli as cli

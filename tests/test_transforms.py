@@ -82,7 +82,7 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def replay_calls(kernel_calls, monkeypatch):
-    """The kernel calls of each receiver replay, one Counter per ``_replay_record`` call."""
+    """The kernel calls of each receiver walk, one Counter per ``_replay_record`` call."""
     replays = []
     replay = transforms._replay_record
 
@@ -95,6 +95,22 @@ def replay_calls(kernel_calls, monkeypatch):
 
     monkeypatch.setattr(transforms, "_replay_record", counted)
     return replays
+
+
+@pytest.fixture
+def sender_calls(kernel_calls, monkeypatch):
+    """The kernel call counts as each sender walk (``_learn_states``) returns."""
+    snapshots = []
+    learn = transforms._learn_states
+
+    def counted(*args):
+        try:
+            return learn(*args)
+        finally:
+            snapshots.append(Counter(kernel_calls))
+
+    monkeypatch.setattr(transforms, "_learn_states", counted)
+    return snapshots
 
 
 class TestBadCountBound:
@@ -659,8 +675,8 @@ class TestCompileQcToCc:
 
 
 class TestSharedObservables:
-    """``learn_round_trip`` shares one spectral build and one walk memo between
-    the sender and the receiver, bit for bit."""
+    """``learn_round_trip`` shares one spectral build between the sender and
+    the receiver, whose checks read the sender's numbers, bit for bit."""
 
     @staticmethod
     def _instance(seed):
@@ -678,10 +694,14 @@ class TestSharedObservables:
         assert estimates.tobytes() == reconstruct_estimates(record, ops).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_replay_through_the_senders_family_recomputes_nothing(self, seed, replay_calls):
+    def test_replay_through_the_senders_family_recomputes_nothing(
+        self, seed, kernel_calls, replay_calls, sender_calls
+    ):
+        # one sender walk, then neither a receiver walk nor a kernel call
         rho, ops, r = self._instance(seed)
         learn_round_trip(rho, ops, 0.1, r)
-        assert replay_calls == [Counter()]
+        assert replay_calls == []
+        assert sender_calls == [kernel_calls]
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -692,7 +712,9 @@ class TestSharedObservables:
         r=st.integers(1, 3),
         delta=st.sampled_from([0.1, 0.3]),
     )
-    def test_round_trip_is_sender_then_receiver(self, replay_calls, seed, q, c, r, delta):
+    def test_round_trip_is_sender_then_receiver(
+        self, kernel_calls, replay_calls, sender_calls, seed, q, c, r, delta
+    ):
         # an honest record always replays, so the composition raises only the
         # sender's error, and the round trip raises the same one
         g = np.random.default_rng(seed)
@@ -707,10 +729,22 @@ class TestSharedObservables:
             return
         estimates = reconstruct_estimates(record, ops)
         replay_calls.clear()
+        sender_calls.clear()
         got = learn_round_trip(rho, ops, delta, r)
         assert got[:2] == (record, diags)
         assert got[2].tobytes() == estimates.tobytes()
-        assert replay_calls == [Counter()]
+        assert replay_calls == []
+        assert sender_calls == [kernel_calls]
+
+    def test_receiver_checks_guard_sent_records(self, monkeypatch):
+        # with a negative slack every recorded correction lies inside the
+        # receiver's mismatch bound, so a sent record fails its own checks:
+        # fed the sender's numbers, those checks still run on it
+        monkeypatch.setattr(transforms, "_REPLAY_SLACK", -1.0)
+        with pytest.raises(ReplayMismatchError, match="already-predicted"):
+            compile_qc_to_cc(toy_quantum_equality(1), 0.1, r=3)
+        with pytest.raises(ReplayMismatchError, match="already-predicted"):
+            learn_round_trip(DensityMatrix.pure([1, 0]), [proj([1, 0]), proj([0, 1])], 0.1, 2)
 
     def test_some_instance_corrects(self):
         # the comparison above must cover correction steps, not only skips
@@ -940,21 +974,13 @@ class TestGroupedWalk:
             assert max(diag.projection_traces, default=0.0) <= eta
 
     def test_hm_verify_one_call_per_distinct_prefix_on_each_side(
-        self, kernel_calls, replay_calls, monkeypatch
+        self, kernel_calls, replay_calls, sender_calls
     ):
-        # the sender walks each distinct prefix once; the receiver replays
-        # each record Alice sends on its first read through the compiled
-        # referee, from the sender's memo, with no kernel call
-        walk, memos = transforms._grouped_walk, []
-
-        def walked(*args):
-            memos.append(args[6])
-            return walk(*args)
-
-        monkeypatch.setattr(transforms, "_grouped_walk", walked)
+        # the sender walks each distinct prefix once; the receiver's checks
+        # read the sender's numbers for every record Alice sends, so reading
+        # the compiled referee makes no receiver walk and no kernel call
         p = hidden_matching_verification(4)
         result = compile_qc_to_cc(p, delta=0.1)
-        sender = Counter(kernel_calls)
         acceptance_table(result.protocol, p.alice_inputs, p.bob_inputs)
 
         distinct = {rec.entries for rec in result.records.values()}
@@ -964,26 +990,22 @@ class TestGroupedWalk:
             len({tuple(e for e in ent if e[0] < b) for ent in distinct}) for b in range(steps)
         )
         bands = len({e for ent in distinct for e in ent})
-        assert sender == Counter(
+        assert sender_calls == [Counter(
             expectation=groups, project_renormalize=corrections, band_projector=bands
-        )
-        assert kernel_calls == sender
-        assert replay_calls == [Counter()] * len(distinct)
+        )]
+        assert kernel_calls == sender_calls[0]
+        assert replay_calls == []
         assert (groups, corrections, bands) == (101, 48, 18)
-        # the grouped walks of both sides made 96 projections and 202
-        # expectations without the memo, one walk per state and per record
-        # 192 and 384
+        # a receiver walk grouped as the sender's would double these to 96
+        # projections and 202 expectations; one walk per state and per
+        # record, 192 and 384
         assert (2 * corrections, 2 * groups) == (96, 202)
-        # every walk shares one memo, which holds floats only: one
-        # expectation per (prefix, step) and one trace per correction
-        assert len(memos) == 1 + len(distinct)
-        assert all(memo is memos[0] for memo in memos)
-        assert len(memos[0]) == groups + corrections
-        assert all(type(v) is float for v in memos[0].values())
+        # what the referee reads is each record's own walk, bit for bit
+        assert _assert_matches_per_state(p, 0.1, None) is not None
 
     def test_hm_verify_builds_each_dense_observable_once_and_drops_it(self, monkeypatch):
         # F_b is built at step b of the sender's walk and dropped before its
-        # corrections; the receiver reads the memo and builds none again
+        # corrections; the receiver reads the sender's numbers and walks none
         builds = Counter()
         build = Observable.matrix.func
 
@@ -1004,8 +1026,7 @@ class TestGroupedWalk:
         p = hidden_matching_verification(4)
         result = compile_qc_to_cc(p, delta=0.1)
         acceptance_table(result.protocol, p.alice_inputs, p.bob_inputs)
-        assert len(families) > 1 and all(f is families[0] for f in families)
-        family = families[0]
+        (family,) = families
         assert len(family) == 16
         assert all("matrix" not in vars(f) for f in family)
         assert [builds[id(f)] for f in family] == [1] * len(family)
