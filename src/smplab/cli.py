@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .qcore import (
     random_density,
     random_measurement_operator,
 )
-from .rng import derive_seed, trial_rng
+from .rng import derive_seed, trial_rng, trial_rngs
 from .smp import (
     RelationTable,
     acceptance_table,
@@ -471,6 +472,24 @@ def _run_derandomize(prm: dict, tol: Tolerances) -> ExperimentResult:
     )
 
 
+_CHAIN_PAIRS = [(x, y) for x in (0, 1, 2) for y in (0, 1)]
+
+
+def _chain_valid_sets(seed: int, count: int) -> Iterator[dict[tuple, frozenset]]:
+    """Valid-output sets of the oracle suite's random 3 x 2 relations.
+
+    Relation i is keyed ``(seed, i)``.  Pair p gets the outputs z < 4 whose
+    bit is set in row p of one 6 x 4 draw of bits ({0} for an all-zero row),
+    the bits that six per-pair ``integers(0, 2, size=4)`` calls would draw.
+    """
+    for g in trial_rngs(seed, count):
+        rows = g.integers(0, 2, size=(len(_CHAIN_PAIRS), 4)).tolist()
+        yield {
+            p: frozenset(z for z, b in enumerate(row) if b) or frozenset([0])
+            for p, row in zip(_CHAIN_PAIRS, rows)
+        }
+
+
 def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
     from fractions import Fraction
 
@@ -490,17 +509,9 @@ def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
         assertions.append((f"equality_n{n}_search_agrees", ok, 0.0))
 
     violations = 0
-    for i in range(chain_instances):
-        g = trial_rng(seed, i)
-        xs, ys = (0, 1, 2), (0, 1)
-        pairs = [(x, y) for x in xs for y in ys]
-        valid = {
-            p: frozenset(int(z) for z in np.flatnonzero(g.integers(0, 2, size=4)))
-            or frozenset([0])
-            for p in pairs
-        }
-        w = Fraction(1, len(pairs))
-        relation = RelationTable(valid, {p: w for p in pairs}, tol)
+    w = Fraction(1, len(_CHAIN_PAIRS))
+    for valid in _chain_valid_sets(seed, chain_instances):
+        relation = RelationTable(valid, {p: w for p in _CHAIN_PAIRS}, tol)
         found = search_relation_protocol(relation, tol=tol)
         if found is None:
             continue

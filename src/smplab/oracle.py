@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -97,41 +97,37 @@ def det_complexity_function(
     return c_a, c_b
 
 
-def _partitions_into(items: list, max_blocks: int) -> Iterator[list[int]]:
-    """Assignments item -> block index in canonical (first-appearance) order."""
-    n = len(items)
+# Canonical assignments of up to this many items are kept across searches:
+# Bell(8) = 4,140 of them.  Larger shapes (up to relation_xy_cap items) are
+# enumerated lazily and never held as a list.
+_LATTICE_MAX_ITEMS = 8
+_lattice: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _assignments(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+    """Maps item -> block index in canonical (first-appearance) order."""
 
     def rec(i: int, used: int, assignment: list[int]):
         if i == n:
-            yield list(assignment)
+            yield tuple(assignment)
             return
         for block in range(min(used + 1, max_blocks)):
             assignment.append(block)
             yield from rec(i + 1, max(used, block + 1), assignment)
             assignment.pop()
 
-    yield from rec(0, 0, [])
+    return rec(0, 0, [])
 
 
-def _feasible_referee(
-    xs: list,
-    ys: list,
-    a_assign: list[int],
-    b_assign: list[int],
-    valid: Mapping[tuple, frozenset],
-    support: list[tuple],
-) -> dict[tuple[int, int], object] | None:
-    """Pick one valid output per message cell, or None when a cell is empty."""
-    cells: dict[tuple[int, int], frozenset | None] = {}
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: i for i, y in enumerate(ys)}
-    for x, y in support:
-        cell = (a_assign[xi[x]], b_assign[yi[y]])
-        options = valid[(x, y)]
-        cells[cell] = options if cell not in cells else cells[cell] & options
-        if not cells[cell]:
-            return None
-    return {cell: sorted(options, key=repr)[0] for cell, options in cells.items()}
+def _partitions(n: int, max_blocks: int) -> Iterable[tuple[int, ...]]:
+    """``_assignments(n, max_blocks)``, built once per shape when n is small."""
+    key = (n, min(max_blocks, n))
+    if n > _LATTICE_MAX_ITEMS:
+        return _assignments(*key)
+    found = _lattice.get(key)
+    if found is None:
+        found = _lattice[key] = tuple(_assignments(*key))
+    return found
 
 
 def search_relation_protocol(
@@ -141,10 +137,15 @@ def search_relation_protocol(
 
     Exhausts message-map partitions per total cost; the referee is then forced
     (any cell intersecting the support must pick from the intersection of its
-    valid sets).  Returns None when nothing within ``max_bits`` works.
+    valid sets, and takes the least output by ``repr``).  Valid sets are
+    bitmasks over the outputs in ``repr`` order, so that pick is the lowest
+    set bit of the AND of the cell's masks.  Returns None when nothing within
+    ``max_bits`` works.
     """
     if max_bits is None:
         max_bits = tol.relation_bits_cap
+    if max_bits < 0:
+        raise ValueError(f"max_bits must be >= 0, got {max_bits}")
     if max_bits > tol.relation_bits_cap:
         raise CapExceededError(f"search capped at {tol.relation_bits_cap} total bits")
     support = relation.support
@@ -152,25 +153,37 @@ def search_relation_protocol(
     ys = sorted({y for _, y in relation.valid}, key=repr)
     if len(xs) * len(ys) > tol.relation_xy_cap:
         raise CapExceededError(f"|X|*|Y| capped at {tol.relation_xy_cap}")
+    outputs = sorted({z for pair in support for z in relation.valid[pair]}, key=repr)
+    bit = {z: 1 << k for k, z in enumerate(outputs)}
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: j for j, y in enumerate(ys)}
+    pairs = [
+        (xi[x], yi[y], sum(bit[z] for z in relation.valid[(x, y)])) for x, y in support
+    ]
 
     for total in range(max_bits + 1):
         for c_a in range(total + 1):
             c_b = total - c_a
-            for a_assign in _partitions_into(xs, 2**c_a):
-                for b_assign in _partitions_into(ys, 2**c_b):
-                    referee = _feasible_referee(xs, ys, a_assign, b_assign,
-                                                relation.valid, support)
-                    if referee is None:
-                        continue
-                    proto = DeterministicSmpProtocol(
-                        alice_map={x: bitstring(a_assign[i], c_a) for i, x in enumerate(xs)},
-                        bob_map={y: bitstring(b_assign[i], c_b) for i, y in enumerate(ys)},
-                        referee_map={
-                            (bitstring(a, c_a), bitstring(b, c_b)): out
-                            for (a, b), out in referee.items()
-                        },
-                    )
-                    return total, proto
+            for a_assign in _partitions(len(xs), 2**c_a):
+                for b_assign in _partitions(len(ys), 2**c_b):
+                    cells: dict[tuple[int, int], int] = {}
+                    for i, j, mask in pairs:
+                        cell = (a_assign[i], b_assign[j])
+                        mask &= cells.get(cell, mask)
+                        if not mask:
+                            break
+                        cells[cell] = mask
+                    else:
+                        proto = DeterministicSmpProtocol(
+                            alice_map={x: bitstring(a, c_a) for x, a in zip(xs, a_assign)},
+                            bob_map={y: bitstring(b, c_b) for y, b in zip(ys, b_assign)},
+                            referee_map={
+                                (bitstring(a, c_a), bitstring(b, c_b)):
+                                    outputs[(mask & -mask).bit_length() - 1]
+                                for (a, b), mask in cells.items()
+                            },
+                        )
+                        return total, proto
     return None
 
 
@@ -207,14 +220,19 @@ def extract_function(
 
     A deterministic protocol computes some function with error zero by
     definition; the returned weight is the mu-probability that this function's
-    value is not a valid relation output.
+    value is not a valid relation output.  The function is partial where the
+    referee leaves a message pair undefined, as the search does for cells
+    holding only pairs of weight zero.
     """
-    xs = tuple(p.alice_map)
-    ys = tuple(p.bob_map)
-    values = {(x, y): p.output(x, y) for x in xs for y in ys}
-    f = FunctionTable(xs, ys, values)
+    values = {
+        (x, y): p.referee_map[(a, b)]
+        for x, a in p.alice_map.items()
+        for y, b in p.bob_map.items()
+        if (a, b) in p.referee_map
+    }
+    f = FunctionTable(tuple(p.alice_map), tuple(p.bob_map), values)
     err = sum(
-        (w for (x, y), w in relation.mu.items() if values[(x, y)] not in relation.valid[(x, y)]),
+        (w for pair, w in relation.mu.items() if w and values[pair] not in relation.valid[pair]),
         start=Fraction(0) if _rational_mu(relation) else 0.0,
     )
     return f, err

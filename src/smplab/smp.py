@@ -68,8 +68,8 @@ def validate_distribution(dist: Distribution, length: int, tol: Tolerances = DEF
     for msg, p in dist.items():
         if len(msg) > length or set(msg) - {"0", "1"}:
             raise ValueError(f"message {msg!r} not a bitstring within declared length {length}")
-        if p < 0:
-            raise ValueError(f"negative probability {p}")
+        if not p >= 0.0:  # refuses NaN too
+            raise ValueError(f"probability {p} of {msg!r} is not >= 0")
         total += p
     if abs(total - 1.0) > tol.distribution:
         raise ValueError(f"distribution sums to {total}, not 1")
@@ -260,7 +260,7 @@ class FunctionTable:
 class RelationTable:
     """Nonempty valid-output sets per input pair, plus an input distribution.
 
-    ``mu`` must sum to 1 within ``tol.distribution``.
+    ``mu`` must be nonnegative and sum to 1 within ``tol.distribution``.
     """
 
     valid: Mapping[tuple, frozenset]
@@ -270,12 +270,14 @@ class RelationTable:
     def __post_init__(self, tol: Tolerances):
         valid = {k: frozenset(v) for k, v in self.valid.items()}
         mu = dict(self.mu)
+        for pair, weight in mu.items():
+            if not weight >= 0:  # refuses NaN too
+                raise ValueError(f"weight {weight} of mu at {pair} is not >= 0")
+            if weight and not valid.get(pair):
+                raise ValueError(f"empty valid set on the support of mu at {pair}")
         total = sum(mu.values())
         if abs(float(total) - 1.0) > tol.distribution:
             raise ValueError(f"mu sums to {total}, not 1")
-        for pair, weight in mu.items():
-            if weight and not valid.get(pair):
-                raise ValueError(f"empty valid set on the support of mu at {pair}")
         object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "mu", mu)
 

@@ -1,9 +1,15 @@
 from fractions import Fraction
+from typing import Iterator, Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smplab.oracle as oracle
+from smplab.cli import _chain_valid_sets
 from smplab.codes import LinearCode, cyclic_mask_code
+from smplab.config import DEFAULT
 from smplab.errors import CapExceededError
 from smplab.oracle import (
     DeterministicSmpProtocol,
@@ -18,7 +24,85 @@ from smplab.oracle import (
 )
 from smplab.protocols import equality_function, xor_matching
 from smplab.rng import trial_rng
-from smplab.smp import FunctionTable, RelationTable
+from smplab.smp import FunctionTable, RelationTable, bitstring
+
+
+# -- the frozenset search, kept as the oracle for the bitmask search ---------
+
+
+def partitions_into(items: list, max_blocks: int) -> Iterator[list[int]]:
+    """Assignments item -> block index in canonical (first-appearance) order."""
+    n = len(items)
+
+    def rec(i: int, used: int, assignment: list[int]):
+        if i == n:
+            yield list(assignment)
+            return
+        for block in range(min(used + 1, max_blocks)):
+            assignment.append(block)
+            yield from rec(i + 1, max(used, block + 1), assignment)
+            assignment.pop()
+
+    yield from rec(0, 0, [])
+
+
+def feasible_referee(xs, ys, a_assign, b_assign, valid: Mapping, support):
+    """Pick one valid output per message cell, or None when a cell is empty."""
+    cells: dict = {}
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: i for i, y in enumerate(ys)}
+    for x, y in support:
+        cell = (a_assign[xi[x]], b_assign[yi[y]])
+        options = valid[(x, y)]
+        cells[cell] = options if cell not in cells else cells[cell] & options
+        if not cells[cell]:
+            return None
+    return {cell: sorted(options, key=repr)[0] for cell, options in cells.items()}
+
+
+def reference_search(relation: RelationTable, max_bits: int = DEFAULT.relation_bits_cap):
+    xs = sorted({x for x, _ in relation.valid}, key=repr)
+    ys = sorted({y for _, y in relation.valid}, key=repr)
+    for total in range(max_bits + 1):
+        for c_a in range(total + 1):
+            c_b = total - c_a
+            for a_assign in partitions_into(xs, 2**c_a):
+                for b_assign in partitions_into(ys, 2**c_b):
+                    referee = feasible_referee(xs, ys, a_assign, b_assign,
+                                               relation.valid, relation.support)
+                    if referee is None:
+                        continue
+                    return total, DeterministicSmpProtocol(
+                        alice_map={x: bitstring(a_assign[i], c_a) for i, x in enumerate(xs)},
+                        bob_map={y: bitstring(b_assign[i], c_b) for i, y in enumerate(ys)},
+                        referee_map={
+                            (bitstring(a, c_a), bitstring(b, c_b)): out
+                            for (a, b), out in referee.items()
+                        },
+                    )
+    return None
+
+
+# outputs 9 and 10 sort as "10" < "9" by repr, against numeric order
+OUTPUTS = (0, 1, 2, 9, 10)
+
+
+@st.composite
+def relations(draw):
+    """Random relations on |X|, |Y| <= 4 with Fraction weights, some zero."""
+    nx = draw(st.integers(1, 4))
+    ny = draw(st.integers(1, 4))
+    pairs = [(x, y) for x in range(nx) for y in range(ny)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    if not any(weights):
+        weights[draw(st.integers(0, len(pairs) - 1))] = 1
+    total = sum(weights)
+    valid = {
+        pair: frozenset(draw(st.sets(st.sampled_from(OUTPUTS), min_size=1 if w else 0)))
+        for pair, w in zip(pairs, weights)
+    }
+    mu = {pair: Fraction(w, total) for pair, w in zip(pairs, weights)}
+    return RelationTable(valid, mu)
 
 
 def uniform_mu(pairs):
@@ -91,18 +175,16 @@ class TestDetComplexityFunction:
         # separating (the easiest case for the referee), no merged Alice map
         # admits a referee that is right on all pairs.  Coarser Bob maps only
         # shrink the per-cell option sets, so this covers all protocols.
-        from smplab.oracle import _feasible_referee, _partitions_into
-
         xs = list(range(2**n))
         ys = list(range(2**n))
         f = equality_function(n)
         valid = {pair: frozenset([f(*pair)]) for pair in f.domain}
         support = list(f.domain)
         bob_injective = list(range(len(ys)))
-        for a_assign in _partitions_into(xs, len(xs)):
+        for a_assign in partitions_into(xs, len(xs)):
             injective = len(set(a_assign)) == len(xs)
             feasible = (
-                _feasible_referee(xs, ys, a_assign, bob_injective, valid, support)
+                feasible_referee(xs, ys, a_assign, bob_injective, valid, support)
                 is not None
             )
             assert feasible == injective
@@ -140,6 +222,44 @@ class TestDetComplexityRelation:
         for (x, k) in valid:
             assert proto.output(x, k) in valid[(x, k)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(relation=relations(), max_bits=st.integers(0, DEFAULT.relation_bits_cap))
+    def test_bitmask_search_equals_frozenset_search(self, relation, max_bits):
+        assert search_relation_protocol(relation, max_bits) == reference_search(
+            relation, max_bits
+        )
+
+    def test_repr_order_picks_ten_before_nine(self):
+        pairs = [(0, 0), (0, 1)]
+        r = RelationTable({p: frozenset([9, 10]) for p in pairs}, uniform_mu(pairs))
+        cost, proto = search_relation_protocol(r)
+        assert cost == 0
+        assert proto.referee_map == {("", ""): 10}
+
+    def test_large_shape_is_searched_lazily_and_not_kept(self, monkeypatch):
+        # |X| = 9 is past the lattice's item limit: its assignments are
+        # enumerated on the fly, while the 1-item Bob side is kept
+        monkeypatch.setattr(oracle, "_lattice", {})
+        pairs = [(x, 0) for x in range(oracle._LATTICE_MAX_ITEMS + 1)]
+        r = RelationTable({(x, y): frozenset([x % 2]) for x, y in pairs}, uniform_mu(pairs))
+        found = search_relation_protocol(r)
+        assert found == reference_search(r)
+        assert found[0] == 1
+        assert set(oracle._lattice) == {(1, 1)}
+
+    def test_small_shapes_share_one_lattice(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_lattice", {})
+        search_relation_protocol(equality_relation_1bit())
+        kept = dict(oracle._lattice)
+        assert kept and all(n == 2 for n, _ in kept)
+        search_relation_protocol(equality_relation_1bit())
+        assert all(oracle._lattice[key] is kept[key] for key in kept)
+
+    @pytest.mark.parametrize("search", [search_relation_protocol, det_complexity_relation])
+    def test_negative_budget_rejected(self, search):
+        with pytest.raises(ValueError, match="max_bits"):
+            search(equality_relation_1bit(), -1)
+
     def test_cap_exceeded_reported(self):
         pairs = [(x, y) for x in range(7) for y in range(6)]
         r = RelationTable(
@@ -169,6 +289,27 @@ class TestExtractFunction:
         f, err = extract_function(proto, relation)
         assert err == Fraction(1, 4)
         assert all(f(x, y) == 0 for x, y in pairs)
+
+    def test_cells_of_weight_zero_leave_the_function_partial(self):
+        # both parties must separate, and the cell of (1, 1) holds only that
+        # weight-zero pair, so the search leaves it off the referee
+        pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
+        valid = {(x, y): frozenset([x ^ y]) for x, y in pairs}
+        mu = {p: Fraction(1, 3) for p in pairs}
+        mu[(1, 1)] = Fraction(0)
+        relation = RelationTable(valid, mu)
+        cost, proto = search_relation_protocol(relation)
+        assert cost == 2 and ("1", "1") not in proto.referee_map
+        f, err = extract_function(proto, relation)
+        assert err == 0
+        assert sorted(f.domain) == [(0, 0), (0, 1), (1, 0)]
+        assert union_bound_check(proto, f, relation).holds
+
+    def test_weight_zero_pair_outside_the_valid_table(self):
+        relation = RelationTable({(0, 0): frozenset([0])}, {(0, 0): Fraction(1), (1, 0): Fraction(0)})
+        _, proto = search_relation_protocol(relation)
+        f, err = extract_function(proto, relation)
+        assert err == 0 and f.domain == [(0, 0)]
 
     def test_extracted_function_cost_bounded_by_protocol_cost(self):
         relation = equality_relation_1bit()
@@ -231,6 +372,54 @@ class TestUnionBound:
                 },
             )
             assert union_bound_check(proto, f, relation).holds
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(relation=relations(), data=st.data())
+    def test_chain_holds_on_random_shapes(self, relation, data):
+        # the cheapest valid protocol's function is valid wherever mu is
+        # positive, and the union bound holds for any deterministic p_a
+        found = search_relation_protocol(relation)
+        assert found is not None
+        _, proto = found
+        f, err = extract_function(proto, relation)
+        assert err == 0
+        xs, ys = f.alice_inputs, f.bob_inputs
+        c_a, c_b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        alice = {x: bitstring(data.draw(st.integers(0, 2**c_a - 1)), c_a) for x in xs}
+        bob = {y: bitstring(data.draw(st.integers(0, 2**c_b - 1)), c_b) for y in ys}
+        p_a = DeterministicSmpProtocol(
+            alice_map=alice, bob_map=bob,
+            referee_map={
+                (a, b): data.draw(st.sampled_from(OUTPUTS))
+                for a in set(alice.values()) for b in set(bob.values())
+            },
+        )
+        report = union_bound_check(p_a, f, relation)
+        assert report.f_invalid_mass == err
+        assert report.holds
+
+
+class TestChainDraws:
+    @staticmethod
+    def per_pair_draws(seed: int, i: int) -> dict:
+        # the oracle suite's draws before they became one call per relation
+        g = trial_rng(seed, i)
+        pairs = [(x, y) for x in (0, 1, 2) for y in (0, 1)]
+        return {
+            p: frozenset(int(z) for z in np.flatnonzero(g.integers(0, 2, size=4)))
+            or frozenset([0])
+            for p in pairs
+        }
+
+    def test_one_call_equals_per_pair_calls_on_the_suites_relations(self):
+        drawn = list(_chain_valid_sets(2026, 3000))
+        assert drawn == [self.per_pair_draws(2026, i) for i in range(3000)]
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**70) + 3, 2**64, 2**64 + 2026, 2**100 - 1])
+    def test_one_call_equals_per_pair_calls_at_any_seed(self, seed):
+        drawn = list(_chain_valid_sets(seed, 50))
+        assert drawn == [self.per_pair_draws(seed, i) for i in range(50)]
 
 
 class TestBooleanize:

@@ -1,5 +1,6 @@
 from collections.abc import Mapping
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,6 +405,25 @@ class TestTables:
             validate_distribution({"0": 0.4, "1": 0.4}, 1)
         with pytest.raises(ValueError, match="bitstring"):
             validate_distribution({"2": 1.0}, 1)
+
+    @pytest.mark.parametrize("dist", [
+        {"0": -0.5, "1": 1.5},
+        {"0": float("nan")},
+        {"0": float("nan"), "1": 1.0},
+    ])
+    def test_distribution_validation_refuses_negative_and_nan(self, dist):
+        with pytest.raises(ValueError, match="not >= 0"):
+            validate_distribution(dist, 1)
+
+    @pytest.mark.parametrize("mu", [
+        {(0, 0): 1.5, (0, 1): -0.5, (1, 0): 0.0, (1, 1): 0.0},
+        {(0, 0): float("nan"), (0, 1): float("nan"), (1, 0): float("nan"), (1, 1): float("nan")},
+        {(0, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2), (1, 0): 0, (1, 1): 0},
+    ])
+    def test_relation_table_refuses_negative_and_nan_weights(self, mu):
+        valid = {pair: frozenset({0}) for pair in mu}
+        with pytest.raises(ValueError, match=r"at \(0, [01]\) is not >= 0"):
+            RelationTable(valid, mu)
 
 
 def test_wilson_interval_monotone_in_trials():
