@@ -20,7 +20,6 @@ import csv
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -75,7 +74,6 @@ from .transforms import (
     default_copies,
     derandomize_alice,
     learn_round_trip,
-    paper_copies,
 )
 
 EXIT_OK = 0
@@ -295,19 +293,7 @@ def _learn_from_files(prm: dict, tol: Tolerances):
     return rho, ops
 
 
-@contextmanager
-def _naming_short_r(q: int, delta: float, r: int):
-    """On a vanishing projection at an r below the paper's, note both values
-    for the check-failed line; the error itself is unchanged."""
-    try:
-        yield
-    except VanishingProjectionError as ex:
-        if r < paper_copies(q, delta):
-            ex.__notes__ = [f"r = {r} is below the paper's r = {paper_copies(q, delta)}"]
-        raise
-
-
-def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
+def _learn_round_trip(rho, ops, delta: float, r: int | None, tol: Tolerances):
     """Learn ``rho`` against ``ops``, replay the record and measure the claims.
 
     Returns the record, its diagnostics, the true and the replayed acceptance
@@ -317,7 +303,7 @@ def _learn_round_trip(rho, ops, delta: float, r: int, tol: Tolerances):
     record, diag, estimates = learn_round_trip(rho, ops, delta, r, tol)
     true = np.array(diag.true_probabilities)
     dev = float(np.max(np.abs(estimates - true)))
-    bound = bad_count_bound(r * record.q, delta)
+    bound = bad_count_bound(record.r * record.q, delta)
     markov = max(diag.projection_traces, default=0.0)
     return record, diag, true, estimates, dev, bound, markov
 
@@ -331,11 +317,10 @@ def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
             r = 2 if prm["r"] is None else prm["r"]
         else:
             rho, ops = _learn_from_files(prm, tol)
-            r = default_copies(rho.num_qubits, delta, tol) if prm["r"] is None else prm["r"]
-        with _naming_short_r(rho.num_qubits, delta, r):
-            record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
-                rho, ops, delta, r, tol
-            )
+            r = prm["r"]
+        record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
+            rho, ops, delta, r, tol
+        )
         corrected = dict(record.entries)
         rows = [
             [b, repr(float(true[b])), repr(float(estimates[b])),
@@ -408,10 +393,7 @@ _COMPILE_FIXTURES = {
 def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
     name, delta = prm["fixture"], prm["delta"]
     p = _COMPILE_FIXTURES[name]()
-    q = p.alice_cost.qubits
-    r = default_copies(q, delta, tol) if prm["r"] is None else prm["r"]
-    with _naming_short_r(q, delta, r):
-        result = compile_qc_to_cc(p, delta, r, tol)
+    result = compile_qc_to_cc(p, delta, prm["r"], tol)
     xs, ys = p.alice_inputs, p.bob_inputs
     table_before = _pair_table(p, xs, ys, tol)
     table_after = _pair_table(result.protocol, xs, ys, tol)

@@ -57,18 +57,6 @@ class DeterministicSmpProtocol:
         if len(a_lens) > 1 or len(b_lens) > 1:
             raise ValueError("message lengths must be uniform per party")
 
-    @property
-    def alice_bits(self) -> int:
-        return len(next(iter(self.alice_map.values()))) if self.alice_map else 0
-
-    @property
-    def bob_bits(self) -> int:
-        return len(next(iter(self.bob_map.values()))) if self.bob_map else 0
-
-    @property
-    def cost(self) -> int:
-        return self.alice_bits + self.bob_bits
-
     def output(self, x, y):
         return self.referee_map[(self.alice_map[x], self.bob_map[y])]
 

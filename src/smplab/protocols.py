@@ -82,8 +82,8 @@ def equality_public(n: int, k: int = 1) -> SmpProtocol:
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
 
-    total_bits = n * k
     mask_max = 1 << n
+    size = 1 << (n * k)
 
     def decode(v: int) -> tuple[int, ...]:
         return tuple((v >> (n * t)) & (mask_max - 1) for t in range(k))
@@ -91,17 +91,12 @@ def equality_public(n: int, k: int = 1) -> SmpProtocol:
     def sampler(rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(int(rng.integers(0, mask_max)) for _ in range(k))
 
-    if total_bits <= 20:
-        size = 1 << total_bits
+    def outcomes():
+        p = 1.0 / size
+        for v in range(size):
+            yield decode(v), p
 
-        def outcomes():
-            p = 1.0 / size
-            for v in range(size):
-                yield decode(v), p
-
-        coin = CoinSpace(sampler=sampler, size=size, outcomes=outcomes)
-    else:
-        coin = CoinSpace(sampler=sampler)
+    coin = CoinSpace(sampler=sampler, size=size, outcomes=outcomes)
 
     def send(value: int, masks: tuple[int, ...]) -> dict[str, float]:
         bits = "".join(str(_parity(value & m)) for m in masks)
@@ -351,7 +346,6 @@ class _MatchingQcReferee(Referee):
     """
 
     def __init__(self, n: int, slots: int):
-        self.n = n
         self.slots = slots
         self.log_n = _log2_exact(n)
 
@@ -501,7 +495,6 @@ class _MatchingClassicalReferee(Referee):
     """Compares edge parities read off Alice's restricted bits with the w-bits."""
 
     def __init__(self, n: int, slots: int):
-        self.n = n
         self.slots = slots
         self.log_n = _log2_exact(n)
 
@@ -602,7 +595,6 @@ class _HiddenMatchingReferee(Referee):
 
     def __init__(self, n: int):
         self.n = n
-        self.log_n = _log2_exact(n)
 
     def _branches(self, psi: PureState, b: str):
         k = int(b, 2)

@@ -209,10 +209,6 @@ class MeasurementOperator:
     def num_qubits(self) -> int:
         return _num_qubits_of(self.dim)
 
-    @classmethod
-    def identity(cls, dim: int) -> "MeasurementOperator":
-        return cls(np.eye(dim, dtype=np.complex128), validate=False)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -255,10 +251,6 @@ class ProductState:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def num_qubits(self) -> int:
-        return sum(f.num_qubits for f in self.factors)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ generators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
@@ -45,8 +46,8 @@ __all__ = [
     "empirical_success",
     "SuccessReport",
     "wilson_interval",
-    "uniform_int_coin",
     "subset_coin",
+    "coin_terms",
     "validate_distribution",
     "sample_from_distribution",
     "bitstring",
@@ -85,53 +86,46 @@ def sample_from_distribution(dist: Distribution, rng: np.random.Generator) -> st
 
 @dataclass(frozen=True)
 class CoinSpace:
-    """Public randomness: sampleable always, enumerable when ``size`` is known."""
+    """Public randomness: a sampler and its law, ``size`` outcomes with weights.
+
+    Whether the law is summed over is :func:`coin_terms`' decision alone.
+    """
 
     sampler: Callable[[np.random.Generator], object]
-    size: int | None = None
-    outcomes: Callable[[], Iterable[tuple[object, float]]] | None = None
-
-    def enumerate(self) -> Iterable[tuple[object, float]]:
-        if self.outcomes is None:
-            raise EnumerationCapError("coin space is not enumerable; use sampling")
-        return self.outcomes()
+    size: int
+    outcomes: Callable[[], Iterable[tuple[object, float]]]
 
 
-def uniform_int_coin(size: int) -> CoinSpace:
-    """Uniform coin over range(size), enumerable."""
-
-    def outcomes() -> Iterator[tuple[int, float]]:
-        p = 1.0 / size
-        for v in range(size):
-            yield v, p
-
-    return CoinSpace(
-        sampler=lambda rng: int(rng.integers(0, size)),
-        size=size,
-        outcomes=outcomes,
-    )
-
-
-def subset_coin(n: int, k: int, enumerate_cap: int = 4096) -> CoinSpace:
-    """Uniform random size-k subset of range(n), as a sorted tuple.
-
-    Enumerable only when the number of subsets is at most ``enumerate_cap``.
-    """
+def subset_coin(n: int, k: int) -> CoinSpace:
+    """Uniform random size-k subset of range(n), as a sorted tuple."""
     count = math.comb(n, k)
 
     def sampler(rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
 
-    if count <= enumerate_cap:
-        import itertools
+    def outcomes() -> Iterator[tuple[tuple[int, ...], float]]:
+        p = 1.0 / count
+        for combo in itertools.combinations(range(n), k):
+            yield combo, p
 
-        def outcomes() -> Iterator[tuple[tuple[int, ...], float]]:
-            p = 1.0 / count
-            for combo in itertools.combinations(range(n), k):
-                yield combo, p
+    return CoinSpace(sampler=sampler, size=count, outcomes=outcomes)
 
-        return CoinSpace(sampler=sampler, size=count, outcomes=outcomes)
-    return CoinSpace(sampler=sampler)
+
+def coin_terms(p: SmpProtocol, tol: Tolerances = DEFAULT) -> Iterable[tuple[object, float]]:
+    """The (coin, weight) terms an exact evaluation of ``p`` sums over.
+
+    A private-coin protocol has the one term (None, 1.0).  Raises
+    :class:`EnumerationCapError` when the coin has more than ``tol.enum_cap``
+    outcomes; this is the one place that decides whether a coin is enumerated.
+    """
+    if p.coin is None:
+        return [(None, 1.0)]
+    size = p.coin.size
+    if size > tol.enum_cap:
+        # a size of thousands of digits, past int-to-str's limit, is named by its bit length
+        shown = size if size.bit_length() <= 10_000 else f"2^{size.bit_length() - 1} or more"
+        raise EnumerationCapError(f"coin space of size {shown} exceeds term budget {tol.enum_cap}")
+    return p.coin.outcomes()
 
 
 @dataclass(frozen=True)
@@ -460,25 +454,18 @@ def acceptance_table(
     it is bit for bit the plain loop over those terms.  Memory is bounded by
     a fixed block of terms, not by pairs times coins.
 
-    Raises :class:`EnumerationCapError` when the coin space is not enumerable
-    or some pair's term count would exceed ``tol.enum_cap``, and ValueError
+    Raises :class:`EnumerationCapError` when :func:`coin_terms` refuses the
+    coin or some pair's term count would exceed ``tol.enum_cap``, and ValueError
     when an entry lies outside [0, 1] by more than ``tol.distribution``;
     entries within that slack are clamped to [0, 1].
     """
     xs, ys = list(xs), list(ys)
-    if p.coin is not None:
-        if p.coin.size is not None and p.coin.size > tol.enum_cap:
-            raise EnumerationCapError(
-                f"coin space of size {p.coin.size} exceeds term budget {tol.enum_cap}"
-            )
-        coin_terms: Iterable[tuple[object, float]] = p.coin.enumerate()
-    else:
-        coin_terms = [(None, 1.0)]
+    terms = coin_terms(p, tol)
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
 
     run = _Tabulation(p, xs, ys, tol)
-    for coin, cp in coin_terms:
+    for coin, cp in terms:
         run.add_coin(coin, cp)
     run.flush()
     total = run.total.reshape(len(xs), len(ys))

@@ -48,6 +48,7 @@ from .smp import (
     SmpProtocol,
     TableReferee,
     bitstring,
+    coin_terms,
     sample_from_distribution,
     validate_distribution,
 )
@@ -94,8 +95,6 @@ def _truncate(p: float, delta: float) -> float:
     k = round(p / step)
     if k * step > 1.0:
         k = math.floor(1 / Fraction(step))  # k * step <= 1 exactly
-        if (k + 1) * step <= 1.0:  # the next point rounds down to 1
-            k += 1
     return max(0.0, k * step)
 
 
@@ -359,7 +358,8 @@ def _learn_states(
     ``shape`` is ``(c, q, r)`` as :func:`_check_learn_inputs` returns it.
     Every state makes its own ``acceptance_probability`` calls along
     :func:`_grouped_walk`.  Raises the error of the first state, in the order
-    given, whose own walk fails.
+    given, whose own walk fails; a vanishing projection at an r below the
+    paper's (:func:`paper_copies`) carries a note naming both.
     """
     c, q, r = shape
     trails = [_Trail() for _ in states]
@@ -384,7 +384,10 @@ def _learn_states(
 
     errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, tol)
     if errors:
-        raise errors[min(errors)]
+        err = errors[min(errors)]
+        if isinstance(err, VanishingProjectionError) and r < paper_copies(q, delta):
+            err.add_note(f"r = {r} is below the paper's r = {paper_copies(q, delta)}")
+        raise err
     return [trail.result(c, q, r, delta) for trail in trails]
 
 
@@ -652,9 +655,7 @@ def compile_qc_to_cc(
         raise ValueError("needs an explicit Alice input set")
     operators = p.referee.operator_list(p.bob_cost.bits)
 
-    coin_values: list = [None]
-    if p.coin is not None:
-        coin_values = [v for v, _ in p.coin.enumerate()]
+    coin_values = [v for v, _ in coin_terms(p, tol)]
 
     # every state is checked before the spectral work; an invalid one is
     # reported only if the walk of the states before it succeeds

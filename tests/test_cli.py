@@ -203,6 +203,18 @@ class TestMainExitCodes:
         ])
         assert code == EXIT_CAP
 
+    def test_eq_public_over_the_coin_cap_names_the_coin_size(self, tmp_path, capsys):
+        # 2^(3 * 7) masks is past the default enum_cap of 2^20; only the
+        # refusal is checked, nothing is enumerated
+        code = main([
+            "--experiment", "eq-public", "--param", "n=3", "--param", "k=7",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "cap exceeded: coin space of size 2097152 exceeds term budget 1048576\n"
+        )
+
     def test_failed_assertion_maps_to_exit_3(self, tmp_path, monkeypatch):
         import smplab.cli as cli
 
@@ -369,6 +381,40 @@ class TestFlagsRead:
         assert code == EXIT_CONFIG
         assert f"does not read {flag}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_learn_state_random_reports_degenerate_instances(self, tmp_path):
+        # at r = 1 the band around a corrected value often holds no eigenvalue
+        # of E itself; each degenerate row must be an instance whose own walk
+        # vanishes, and every other row one whose walk succeeds
+        from smplab.errors import VanishingProjectionError
+        from smplab.qcore import random_density, random_measurement_operator
+        from smplab.rng import trial_rng
+        from smplab.transforms import learn_round_trip
+
+        code = main([
+            "--experiment", "learn-state", "--param", "mode=random", "--param", "r=1",
+            "--param", "instances=4", "--seed", "2", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        rows = [ln.split(",") for ln in
+                (tmp_path / "learn-state_rows.csv").read_text().splitlines()[1:]]
+        degenerate = [row for row in rows if row[-1] == "degenerate"]
+        assert read_summary(tmp_path / "learn-state_summary.txt")[
+            "degenerate_instances"] == str(len(degenerate))
+        assert 0 < len(degenerate) < len(rows)
+        for row in rows:
+            g = trial_rng(2, int(row[0]))
+            q, c = int(g.integers(1, 3)), int(g.integers(2, 4))
+            assert row[1:4] == [str(q), str(c), "1"]
+            rho = random_density(2**q, g)
+            ops = [random_measurement_operator(2**q, g) for _ in range(2**c)]
+            if row in degenerate:
+                assert row[4:7] == ["", "", ""]
+                with pytest.raises(VanishingProjectionError):
+                    learn_round_trip(rho, ops, 0.1, 1)
+            else:
+                assert row[-1] == "ok"
+                learn_round_trip(rho, ops, 0.1, 1)
 
     def test_learn_state_reads_seed_in_random_mode(self, tmp_path):
         code = main([

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +33,40 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"smplab.{module}"), name), (module, name)
         assert hasattr(smplab, name), name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "smplab"
+# where an exported name must be used for it to stay exported: the package
+# itself, the demos and the benchmark; a name only the tests use belongs in them
+USERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")
+)
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_reached_outside_the_tests(name):
+    path = SRC / f"{name}.py"
+    spans = {
+        node.name: (node.lineno, node.end_lineno)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = set()
+    for user in USERS:
+        for ref, line in _references(ast.parse(user.read_text())):
+            lo, hi = spans.get(ref, (0, -1)) if user == path else (0, -1)
+            if not lo <= line <= hi:  # a use inside the name's own definition does not count
+                used.add(ref)
+    exported = getattr(importlib.import_module(f"smplab.{name}"), "__all__", ())
+    assert [n for n in exported if n not in used] == []

@@ -211,6 +211,19 @@ class TestMatchingProtocols:
         want = int(inst.w[0] == (inst.x[i] ^ inst.x[j]))
         assert dist == {want: 1.0}
 
+    def test_classical_referee_abstains_with_a_fair_coin(self):
+        # the subset {0, 2} holds no edge of {0,1}, {2,3}: Bob sends none
+        p = matching_classical(4, subset_size=2)
+        inst = MatchingInstance(4, (1, 0, 0, 1), ((0, 1), (2, 3)), (1, 1))
+        subset = (0, 2)
+        (a_msg,) = p.alice_strategy(inst.x, subset).keys()
+        (b_msg,) = p.bob_strategy(inst.bob_input, subset).keys()
+        assert p.referee.output_distribution(a_msg, b_msg, subset) == {0: 0.5, 1: 0.5}
+        # oracle: 2 of the C(4, 2) = 6 subsets are an edge, whose parity
+        # agrees with w; the other 4 abstain
+        assert exact_acceptance(p, inst.x, inst.bob_input) == pytest.approx(
+            2 / 6 + 4 / 6 * 0.5, abs=1e-12)
+
 
 def _bits(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width else ""

@@ -37,6 +37,10 @@ def op(entries):
     return MeasurementOperator(np.asarray(entries, dtype=complex))
 
 
+def identity(dim: int) -> MeasurementOperator:
+    return MeasurementOperator(np.eye(dim, dtype=complex), validate=False)
+
+
 def tensor_power(rho: DensityMatrix, r: int) -> DensityMatrix:
     """``r`` independent copies of ``rho`` as one density matrix: the oracle
     for ``average_observable``."""
@@ -78,7 +82,7 @@ class TestTypeInvariants:
 class TestAcceptanceProbability:
     def test_identity_operator_accepts_everything(self):
         rho = DensityMatrix.pure(PLUS)
-        assert acceptance_probability(MeasurementOperator.identity(2), rho) == 1.0
+        assert acceptance_probability(identity(2), rho) == 1.0
 
     def test_maximally_mixed_half(self):
         e = op(np.diag([1.0, 0.0]))
@@ -98,7 +102,7 @@ class TestAcceptanceProbability:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            acceptance_probability(MeasurementOperator.identity(4), maximally_mixed(1))
+            acceptance_probability(identity(4), maximally_mixed(1))
 
     def test_linear_in_the_state(self):
         rng = np.random.default_rng(7)
@@ -130,7 +134,7 @@ class TestTensorPower:
 
 class TestAverageObservable:
     def test_identity_stays_identity(self):
-        f = average_observable(MeasurementOperator.identity(2), 3)
+        f = average_observable(identity(2), 3)
         assert f.eigenvalues == (1.0,)
         assert np.allclose(f.matrix, np.eye(8))
 

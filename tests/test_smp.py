@@ -1,3 +1,4 @@
+import itertools
 from collections.abc import Mapping
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -19,11 +20,13 @@ from smplab.protocols import (
     random_promise_instance,
     toy_quantum_equality,
 )
+from smplab.qcore import MeasurementOperator, PureState
 from smplab.rng import derive_seed, trial_rng, trial_rngs
 from smplab.smp import (
     CoinSpace,
     Cost,
     FunctionTable,
+    OperatorReferee,
     Referee,
     RelationTable,
     SmpProtocol,
@@ -31,16 +34,25 @@ from smplab.smp import (
     TableReferee,
     _sample_output_once,
     acceptance_table,
+    coin_terms,
     empirical_success,
     exact_acceptance,
     protocol_cost,
     subset_coin,
-    uniform_int_coin,
     validate_distribution,
     wilson_interval,
     worst_case_error,
 )
 from smplab.transforms import compile_qc_to_cc, derandomize_alice
+
+
+def uniform_int_coin(size: int) -> CoinSpace:
+    """Uniform coin over range(size)."""
+    return CoinSpace(
+        sampler=lambda rng: int(rng.integers(0, size)),
+        size=size,
+        outcomes=lambda: ((v, 1.0 / size) for v in range(size)),
+    )
 
 
 def constant_accept_protocol() -> SmpProtocol:
@@ -95,9 +107,9 @@ class TestExactAcceptance:
 def reference_exact_acceptance(p: SmpProtocol, x, y, tol=DEFAULT) -> float:
     """The one-pair enumeration loop ``acceptance_table`` replaced, kept as an oracle."""
     if p.coin is not None:
-        if p.coin.size is not None and p.coin.size > tol.enum_cap:
+        if p.coin.size > tol.enum_cap:
             raise EnumerationCapError("coin space exceeds term budget")
-        coin_terms = p.coin.enumerate()
+        coin_terms = p.coin.outcomes()
     else:
         coin_terms = [(None, 1.0)]
 
@@ -254,6 +266,53 @@ class TestAcceptanceTable:
         assert calls == {"alice": 4 * 16, "bob": 4 * 16}
 
 
+class TestCoinTerms:
+    def test_private_coin_is_one_term(self):
+        assert coin_terms(constant_accept_protocol()) == [(None, 1.0)]
+
+    def test_a_coin_of_cap_size_is_summed_and_one_more_is_refused(self):
+        p = matching_qc(16)
+        inst = random_promise_instance(16, np.random.default_rng(3), value=1)
+        first = next(iter(coin_terms(p, with_overrides(DEFAULT, enum_cap=11440))))
+        assert first == (tuple(range(7)), 1.0 / 11440)
+        with pytest.raises(EnumerationCapError,
+                           match="coin space of size 11440 exceeds term budget 11439"):
+            exact_acceptance(p, inst.x, inst.bob_input, with_overrides(DEFAULT, enum_cap=11439))
+
+    def test_the_configured_cap_alone_decides(self):
+        # 2^21 masks: refused under the default cap, enumerable under a larger one
+        p = equality_public(3, 7)
+        assert p.coin.size == 1 << 21
+        with pytest.raises(EnumerationCapError, match="size 2097152 exceeds term budget 1048576"):
+            coin_terms(p)
+        first = next(iter(coin_terms(p, with_overrides(DEFAULT, enum_cap=1 << 21))))
+        assert first == ((0,) * 7, 2.0**-21)
+
+    def test_a_size_too_long_to_print_is_named_by_its_bits(self):
+        # 2^15000 has 4,516 decimal digits, past int-to-str's default limit
+        with pytest.raises(EnumerationCapError, match=r"size 2\^15000 or more exceeds"):
+            coin_terms(equality_public(5, 3000))
+
+    def test_subset_coin_outcomes_are_the_sorted_subsets(self):
+        coin = subset_coin(5, 2)
+        assert coin.size == 10
+        assert list(coin.outcomes()) == [(c, 0.1) for c in itertools.combinations(range(5), 2)]
+
+    def test_coin_space_declares_its_law(self):
+        with pytest.raises(TypeError):
+            CoinSpace(sampler=lambda rng: 0)
+        assert not hasattr(CoinSpace, "enumerate")
+
+    def test_empty_inputs_give_an_empty_table(self):
+        p = equality_public(2, 1)
+        assert acceptance_table(p, [], range(3)).shape == (0, 3)
+        assert acceptance_table(p, range(2), []).shape == (2, 0)
+
+    def test_an_over_cap_coin_is_refused_before_the_empty_return(self):
+        with pytest.raises(EnumerationCapError, match="size 2097152"):
+            acceptance_table(equality_public(3, 7), [], [0])
+
+
 def sampled_acceptance(p: SmpProtocol, x, y, trials: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo acceptance of one pair and its 95% Wilson half-width."""
     report = empirical_success(p, lambda x, y: 1, [(x, y)], trials, seed)
@@ -301,6 +360,16 @@ class TestSampledAcceptance:
         inst = random_promise_instance(8, np.random.default_rng(17), value=1)
         exact = exact_acceptance(p, inst.x, inst.bob_input)
         est, half = sampled_acceptance(p, inst.x, inst.bob_input, trials=3000, seed=23)
+        assert abs(est - exact) <= 4 * half
+
+    def test_exact_and_sampled_agree_for_matching_at_16(self):
+        # the default subset of 7 gives C(16, 7) = 11,440 coins, well under
+        # the default enum_cap, so the coin is summed over like any other
+        p = matching_qc(16)
+        assert p.coin.size == 11440
+        inst = random_promise_instance(16, np.random.default_rng(3), value=1)
+        exact = exact_acceptance(p, inst.x, inst.bob_input)
+        est, half = sampled_acceptance(p, inst.x, inst.bob_input, trials=4000, seed=16)
         assert abs(est - exact) <= 4 * half
 
     @pytest.mark.parametrize("pairs, trials, message", [
@@ -362,7 +431,7 @@ class TestPublicCoinConditioning:
         for x, y in [(0, 0), (1, 2), (3, 1)]:
             joint = exact_acceptance(p, x, y)
             conditioned = 0.0
-            for coin_value, prob in p.coin.enumerate():
+            for coin_value, prob in p.coin.outcomes():
                 one = CoinSpace(
                     sampler=lambda rng, v=coin_value: v, size=1,
                     outcomes=lambda v=coin_value: [(v, 1.0)],
@@ -449,7 +518,7 @@ def test_subset_coin_samples_sorted_python_ints():
 
 def test_uniform_int_coin_enumerates_exactly():
     coin = uniform_int_coin(8)
-    pairs = list(coin.enumerate())
+    pairs = list(coin.outcomes())
     assert len(pairs) == 8
     assert abs(sum(p for _, p in pairs) - 1.0) <= 1e-12
 
@@ -572,6 +641,24 @@ class TestRefereeInterface:
     def test_protocol_rejects_a_non_referee(self):
         with pytest.raises(TypeError, match="referee must be a Referee, got object"):
             _one_bit_protocol(object())
+
+    def test_operator_referee_measures_a_pure_state_as_its_density(self):
+        referee = OperatorReferee({"0": MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))})
+        psi = PureState(np.array([0.6, 0.8]))
+        assert referee.accept_probability(psi, "0") == pytest.approx(0.36, abs=1e-12)
+        assert referee.accept_probability(psi, "0") == referee.accept_probability(
+            psi.density(), "0")
+
+    def test_operator_referee_refuses_a_classical_message(self):
+        referee = OperatorReferee({"0": MeasurementOperator(np.eye(2, dtype=complex))})
+        with pytest.raises(TypeError, match="needs a density matrix message"):
+            referee.accept_probability("0", "0")
+
+    def test_operator_list_names_the_missing_operators(self):
+        e = MeasurementOperator(np.eye(2, dtype=complex))
+        referee = OperatorReferee({"00": e, "10": e})
+        with pytest.raises(ValueError, match=r"missing operators for \['01', '11'\]"):
+            referee.operator_list(2)
 
     def test_quantum_is_not_a_field(self):
         assert "quantum" not in {f.name for f in fields(SmpProtocol)}

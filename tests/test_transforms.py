@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import smplab.transforms as transforms
 from smplab import cli
 from smplab.config import DEFAULT
-from smplab.errors import DimensionCapError, ReplayMismatchError, VanishingProjectionError
+from smplab.errors import (
+    DimensionCapError,
+    EnumerationCapError,
+    ReplayMismatchError,
+    VanishingProjectionError,
+)
 from smplab.protocols import (
     equality_code,
     hidden_matching_verification,
@@ -41,7 +46,6 @@ from smplab.smp import (
     acceptance_table,
     bitstring,
     exact_acceptance,
-    uniform_int_coin,
 )
 from smplab.transforms import (
     LearnDiagnostics,
@@ -57,6 +61,10 @@ from smplab.transforms import (
 )
 
 DIAG = np.diag
+
+
+def identity(dim: int) -> MeasurementOperator:
+    return MeasurementOperator(np.eye(dim, dtype=complex), validate=False)
 
 
 def proj(bits) -> MeasurementOperator:
@@ -144,7 +152,7 @@ class TestBadCountBound:
 class TestLearnStateMessage:
     def test_identity_family_needs_no_corrections(self):
         rho = random_density(2, np.random.default_rng(0))
-        ops = [MeasurementOperator.identity(2)] * 4
+        ops = [identity(2)] * 4
         rec, diag = learn_state_message(rho, ops, delta=0.1, r=2)
         assert rec.entries == ()
         assert diag.bad_count == 0
@@ -190,6 +198,15 @@ class TestLearnStateMessage:
             learn_state_message(rho, ops, delta=0.1, r=2)
         assert err.value.step == 0
 
+    def test_vanishing_projection_below_the_papers_r_carries_a_note(self):
+        # the paper's r at q = 1 and delta 0.1 is ceil(8 ln 2 / 0.01) = 555
+        rho = DensityMatrix(DIAG([0.3, 0.7]).astype(complex))
+        ops = [proj([1, 0]), proj([1, 0])]
+        for learn in (learn_state_message, learn_round_trip):
+            with pytest.raises(VanishingProjectionError) as err:
+                learn(rho, ops, delta=0.1, r=2)
+            assert err.value.__notes__ == ["r = 2 is below the paper's r = 555"]
+
     def test_band_edge_flagging(self):
         # corrected value 0.05 puts the lower band edge exactly on eigenvalue 0
         rho = DensityMatrix(DIAG([0.95, 0.05]).astype(complex))
@@ -228,7 +245,7 @@ class TestLearnStateMessage:
 
 class TestReconstruct:
     def test_empty_record_identity_family(self):
-        ops = [MeasurementOperator.identity(2)] * 4
+        ops = [identity(2)] * 4
         rec = LearnRecord(q=1, c=2, r=2, delta=0.1, entries=())
         assert np.allclose(reconstruct_estimates(rec, ops), 1.0)
 
@@ -273,7 +290,7 @@ class TestReconstruct:
         rho = DensityMatrix.pure([1, 0])
         ops = [proj([1, 0]), proj([0, 1])]
         rec, _ = learn_state_message(rho, ops, delta=0.1, r=2)
-        wrong = [MeasurementOperator.identity(2), MeasurementOperator.identity(2)]
+        wrong = [identity(2), identity(2)]
         with pytest.raises(ReplayMismatchError):
             reconstruct_estimates(rec, wrong)
 
@@ -534,6 +551,55 @@ class TestDerandomizeAlice:
             derandomize_alice(toy_quantum_equality(1), s=2)
 
 
+@st.composite
+def _randomized_alices(draw):
+    """Private-coin protocols whose Alice has at most 3 input bits and
+    distributions over at most 4 messages of at most 2 bits, with a random
+    Bob and a random acceptance table."""
+    c_a, c_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    a_msgs = [bitstring(v, c_a) for v in range(2**c_a)]
+    b_msgs = [bitstring(v, c_b) for v in range(2**c_b)]
+
+    def dists(msgs, count):
+        out = []
+        for _ in range(count):
+            support = draw(st.lists(st.sampled_from(msgs), min_size=1, unique=True))
+            weights = draw(st.lists(st.integers(1, 9), min_size=len(support),
+                                    max_size=len(support)))
+            out.append({m: w / sum(weights) for m, w in zip(support, weights)})
+        return out
+
+    alice = dists(a_msgs, 2 ** draw(st.integers(0, 3)))
+    bob = dists(b_msgs, 2 ** draw(st.integers(0, 2)))
+    accept = {(a, b): draw(st.floats(0.0, 1.0)) for a in a_msgs for b in b_msgs}
+    return SmpProtocol(
+        name="random-randomized-alice",
+        alice_strategy=lambda x, coin: alice[x],
+        bob_strategy=lambda y, coin: bob[y],
+        referee=TableReferee(fn=lambda a, b: accept[a, b]),
+        alice_cost=Cost(bits=c_a),
+        bob_cost=Cost(bits=c_b),
+        alice_inputs=tuple(range(len(alice))),
+        bob_inputs=tuple(range(len(bob))),
+    )
+
+
+class TestDerandomizeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(p=_randomized_alices(), seed=st.integers(0, 2**32))
+    def test_deviation_and_acceptance_move_within_a_tenth(self, p, seed):
+        compiled, table = derandomize_alice(p, s=30, seed=seed)
+        assert table.max_deviation <= 0.1
+        xs, ys = p.alice_inputs, p.bob_inputs
+        after = acceptance_table(compiled, xs, ys)
+        assert np.abs(after - acceptance_table(p, xs, ys)).max() <= 0.1 + cli._DERANDOMIZE_SLACK
+        # the compiled referee realizes the verified multiset's responses
+        for x in xs:
+            for y in ys:
+                want = sum(pb * table.empirical[x][b] for b, pb in p.bob_strategy(y, None).items())
+                assert after[x, y] == pytest.approx(want, abs=1e-12)
+
+
 def _coin_flipped_toy() -> SmpProtocol:
     base = toy_quantum_equality(1)
     return SmpProtocol(
@@ -543,7 +609,8 @@ def _coin_flipped_toy() -> SmpProtocol:
         referee=base.referee,
         alice_cost=base.alice_cost,
         bob_cost=base.bob_cost,
-        coin=uniform_int_coin(2),
+        coin=CoinSpace(sampler=lambda rng: int(rng.integers(0, 2)), size=2,
+                       outcomes=lambda: [(0, 0.5), (1, 0.5)]),
         alice_inputs=(0, 1, 2, 3),
         bob_inputs=(0, 1, 2, 3),
     )
@@ -618,6 +685,21 @@ class TestCompileQcToCc:
             for y in range(4)
         )
         assert worst <= 0.1 + 1e-9
+
+    def test_an_over_cap_coin_is_refused_before_any_walk(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("average_observable called")
+
+        monkeypatch.setattr(transforms, "average_observable", no_build)
+        with pytest.raises(EnumerationCapError, match="coin space of size 2 exceeds term budget 1"):
+            compile_qc_to_cc(_coin_flipped_toy(), delta=0.1, r=3,
+                             tol=dataclasses.replace(DEFAULT, enum_cap=1))
+
+    def test_compile_below_the_papers_r_carries_a_note(self):
+        # hm-verify at r = 3: the band [0.45, 0.55] holds no multiple of 1/3
+        with pytest.raises(VanishingProjectionError) as err:
+            compile_qc_to_cc(hidden_matching_verification(4), delta=0.1, r=3)
+        assert err.value.__notes__ == ["r = 3 is below the paper's r = 555"]
 
     def test_one_operator_family_sends_zero_bob_bits(self):
         # c = 0: every record entry is an estimate with no index bits
@@ -853,7 +935,7 @@ def _per_state_compile(p, delta, r):
     q = operators[0].num_qubits
     r = default_copies(q, delta) if r is None else r
     observables = [average_observable(e, r) for e in operators]
-    coins = [None] if p.coin is None else [v for v, _ in p.coin.enumerate()]
+    coins = [None] if p.coin is None else [v for v, _ in p.coin.outcomes()]
     records, diagnostics = {}, {}
     for x in p.alice_inputs:
         for coin in coins:
@@ -1072,8 +1154,8 @@ class TestGroupedWalk:
         # step 2; input 1 falls in the same gap at step 0, so the grouped
         # walk meets input 1's failure first but must report input 0's
         zero = MeasurementOperator(DIAG([1.0, 0.0]).astype(complex))
-        operators = [MeasurementOperator(_plus(1.0).entries), MeasurementOperator.identity(2),
-                     zero, MeasurementOperator.identity(2)]
+        operators = [MeasurementOperator(_plus(1.0).entries), identity(2),
+                     zero, identity(2)]
         states = [DensityMatrix(DIAG([0.3, 0.7]).astype(complex)), _plus(0.3)]
         with pytest.raises(VanishingProjectionError) as alone:
             learn_state_message(states[1], operators, 0.1, r=2)
