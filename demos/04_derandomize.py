@@ -9,7 +9,7 @@ unconditionally, not just with high probability.
 """
 
 from smplab.protocols import equality_code
-from smplab.smp import exact_acceptance, protocol_cost
+from smplab.smp import bitstring, exact_acceptance, protocol_cost
 from smplab.transforms import derandomize_alice
 
 p = equality_code(2, reps=1)
@@ -22,7 +22,7 @@ print(f"multiset size s*c_B = {table.multiplicity}, "
 print(f"verified deviation over all Bob messages: {table.max_deviation:.6f} <= 0.1")
 
 print("\nmultiset for x=1 (column index + column bits per entry):")
-print(" ", " ".join(table.messages[1][:12]), "...")
+print(" ", " ".join(bitstring(m, c_a) for m in table.messages[1][:12]), "...")
 
 print("\nacceptance before -> after:")
 worst = 0.0

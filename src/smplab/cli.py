@@ -65,6 +65,7 @@ from .rng import derive_seed, trial_rng, trial_rngs
 from .smp import (
     RelationTable,
     acceptance_table,
+    bitstring,
     empirical_success,
     protocol_cost,
 )
@@ -431,7 +432,8 @@ def _run_derandomize(prm: dict, tol: Tolerances) -> ExperimentResult:
     for x in p.alice_inputs:
         for b, target in table.targets[x].items():
             got = table.empirical[x][b]
-            rows.append([x, b, repr(target), repr(got), repr(abs(got - target))])
+            rows.append([x, bitstring(b, p.bob_cost.bits), repr(target), repr(got),
+                         repr(abs(got - target))])
     max_dev = table.max_deviation
     xs, ys = p.alice_inputs, p.bob_inputs
     before = _pair_table(p, xs, ys, tol)

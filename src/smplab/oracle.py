@@ -24,7 +24,7 @@ import numpy as np
 from .codes import LinearCode, encode, min_distance_bruteforce
 from .config import DEFAULT, Tolerances
 from .errors import CapExceededError
-from .smp import FunctionTable, RelationTable, bitstring
+from .smp import FunctionTable, RelationTable
 
 __all__ = [
     "DeterministicSmpProtocol",
@@ -42,20 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeterministicSmpProtocol:
-    """Fixed message maps for both parties plus a referee lookup table."""
+    """Fixed message maps for both parties (int messages) plus a referee lookup table."""
 
-    alice_map: Mapping[object, str]
-    bob_map: Mapping[object, str]
-    referee_map: Mapping[tuple[str, str], object]
+    alice_map: Mapping[object, int]
+    bob_map: Mapping[object, int]
+    referee_map: Mapping[tuple[int, int], object]
 
     def __post_init__(self):
         object.__setattr__(self, "alice_map", dict(self.alice_map))
         object.__setattr__(self, "bob_map", dict(self.bob_map))
         object.__setattr__(self, "referee_map", dict(self.referee_map))
-        a_lens = {len(m) for m in self.alice_map.values()}
-        b_lens = {len(m) for m in self.bob_map.values()}
-        if len(a_lens) > 1 or len(b_lens) > 1:
-            raise ValueError("message lengths must be uniform per party")
 
     def output(self, x, y):
         return self.referee_map[(self.alice_map[x], self.bob_map[y])]
@@ -163,12 +159,11 @@ def search_relation_protocol(
                         cells[cell] = mask
                     else:
                         proto = DeterministicSmpProtocol(
-                            alice_map={x: bitstring(a, c_a) for x, a in zip(xs, a_assign)},
-                            bob_map={y: bitstring(b, c_b) for y, b in zip(ys, b_assign)},
+                            alice_map=dict(zip(xs, a_assign)),
+                            bob_map=dict(zip(ys, b_assign)),
                             referee_map={
-                                (bitstring(a, c_a), bitstring(b, c_b)):
-                                    outputs[(mask & -mask).bit_length() - 1]
-                                for (a, b), mask in cells.items()
+                                cell: outputs[(mask & -mask).bit_length() - 1]
+                                for cell, mask in cells.items()
                             },
                         )
                         return total, proto

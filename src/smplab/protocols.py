@@ -4,7 +4,8 @@ Equality with a shared random string (public coin) and with random
 code-matrix rows/columns (private coin); a promise problem where Bob holds a
 perfect matching and a noisy version of the edge parities of Alice's string;
 and the relational problem where any single edge parity is an acceptable
-answer.
+answer.  Every classical message is an int below 2^bits, its fields packed
+first field most significant, which a referee reads back by shifts and masks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .codes import LinearCode, encode, hadamard_code
 from .config import DEFAULT, Tolerances
-from .errors import PromiseViolationError
+from .errors import EnumerationCapError, PromiseViolationError
 from .qcore import MeasurementOperator, ProductState, PureState
 from .smp import (
     CoinSpace,
@@ -30,7 +31,7 @@ from .smp import (
     RelationTable,
     SmpProtocol,
     TableReferee,
-    bitstring,
+    pack,
     subset_coin,
 )
 
@@ -72,15 +73,22 @@ def _index_bits(count: int) -> int:
 # ---------------------------------------------------------------------------
 # Equality
 
+# the most coin bits n * k that equality_public accepts; past it, the coin's
+# size alone would be an int of that many bits
+_MAX_COIN_BITS = 1 << 20
+
 
 def equality_public(n: int, k: int = 1) -> SmpProtocol:
     """Public-coin equality: both parties send k inner-product bits.
 
     The shared coin is a tuple of k random n-bit masks; the referee accepts
-    iff all k parity pairs agree.
+    iff all k parity pairs agree.  Raises :class:`EnumerationCapError` when
+    the coin has more than ``_MAX_COIN_BITS`` bits.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if n * k > _MAX_COIN_BITS:
+        raise EnumerationCapError(f"coin of n*k = {n * k} bits exceeds {_MAX_COIN_BITS} bits")
 
     mask_max = 1 << n
     size = 1 << (n * k)
@@ -98,9 +106,12 @@ def equality_public(n: int, k: int = 1) -> SmpProtocol:
 
     coin = CoinSpace(sampler=sampler, size=size, outcomes=outcomes)
 
-    def send(value: int, masks: tuple[int, ...]) -> dict[str, float]:
-        bits = "".join(str(_parity(value & m)) for m in masks)
-        return {bits: 1.0}
+    def send(value: int, masks: tuple[int, ...]) -> dict[int, float]:
+        # pack's loop, inline: this is exact-enum's hottest call
+        msg = 0
+        for m in masks:
+            msg = msg << 1 | _parity(value & m)
+        return {msg: 1.0}
 
     inputs = tuple(range(2**n)) if n <= 10 else None
     return SmpProtocol(
@@ -131,46 +142,35 @@ def equality_code(n: int, code: LinearCode | None = None, reps: int = 1) -> SmpP
         raise ValueError("need reps >= 1")
 
     rows, cols = code.grid_rows, code.grid_cols
-    col_idx_bits = _index_bits(cols)
-    row_idx_bits = _index_bits(rows)
-    a_rep_bits = col_idx_bits + rows
-    b_rep_bits = row_idx_bits + cols
+    a_rep_bits = _index_bits(cols) + rows  # a column's index, then its bits
+    b_rep_bits = _index_bits(rows) + cols
 
-    def grid(word: np.ndarray) -> np.ndarray:
-        return word.reshape(rows, cols)
+    def repeated(lines: list[int], width: int) -> dict[int, float]:
+        """Uniform law over ``reps`` independent picks from ``lines``."""
+        p = (1.0 / len(lines)) ** reps
+        return {pack(choice, width): p for choice in itertools.product(lines, repeat=reps)}
 
-    def alice_dist(x, _coin) -> dict[str, float]:
-        g = grid(encode(code, x))
-        p = (1.0 / cols) ** reps
-        out: dict[str, float] = {}
-        for choice in itertools.product(range(cols), repeat=reps):
-            msg = "".join(
-                bitstring(j, col_idx_bits) + "".join(str(b) for b in g[:, j])
-                for j in choice
-            )
-            out[msg] = p
-        return out
+    def alice_dist(x, _coin) -> dict[int, float]:
+        g = encode(code, x).reshape(rows, cols).tolist()
+        # column j: its index, then its bits from row 0 down
+        columns = [j << rows | pack((r[j] for r in g), 1) for j in range(cols)]
+        return repeated(columns, a_rep_bits)
 
-    def bob_dist(y, _coin) -> dict[str, float]:
-        g = grid(encode(code, y))
-        p = (1.0 / rows) ** reps
-        out: dict[str, float] = {}
-        for choice in itertools.product(range(rows), repeat=reps):
-            msg = "".join(
-                bitstring(i, row_idx_bits) + "".join(str(b) for b in g[i, :])
-                for i in choice
-            )
-            out[msg] = p
-        return out
+    def bob_dist(y, _coin) -> dict[int, float]:
+        g = encode(code, y).reshape(rows, cols).tolist()
+        return repeated([i << cols | pack(g[i], 1) for i in range(rows)], b_rep_bits)
 
-    def accept(a: str, b: str) -> float:
-        for t in range(reps):
-            a_seg = a[t * a_rep_bits : (t + 1) * a_rep_bits]
-            b_seg = b[t * b_rep_bits : (t + 1) * b_rep_bits]
-            j = int(a_seg[:col_idx_bits], 2) if col_idx_bits else 0
-            i = int(b_seg[:row_idx_bits], 2) if row_idx_bits else 0
-            if a_seg[col_idx_bits + i] != b_seg[row_idx_bits + j]:
+    a_mask, b_mask = (1 << a_rep_bits) - 1, (1 << b_rep_bits) - 1
+
+    def accept(a: int, b: int) -> float:
+        for _ in range(reps):
+            a_seg, b_seg = a & a_mask, b & b_mask
+            j, i = a_seg >> rows, b_seg >> cols
+            # Alice's bit at row i against Bob's at column j
+            if (a_seg >> (rows - 1 - i) ^ b_seg >> (cols - 1 - j)) & 1:
                 return 0.0
+            a >>= a_rep_bits
+            b >>= b_rep_bits
         return 1.0
 
     inputs = tuple(range(2**n)) if n <= 10 else None
@@ -273,23 +273,17 @@ def random_promise_instance(
     return MatchingInstance(n=n, x=x, matching=matching, w=tuple(parities))
 
 
-def _encode_edges(
-    edges: list[tuple[int, int, int]], slots: int, log_n: int
-) -> str:
+def _encode_edges(edges: list[tuple[int, int, int]], slots: int, log_n: int) -> int:
     """The edge count, then each edge as (i, j, w-bit), zero-padded to ``slots`` edges."""
     v = len(edges)
     for i, j, wbit in edges:
         v = (((v << log_n | i) << log_n | j) << 1) | wbit
-    width = 2 * log_n + 1
-    v <<= (slots - len(edges)) * width
-    length = _index_bits(slots + 1) + slots * width
-    return format(v, f"0{length}b") if length else ""
+    return v << (slots - len(edges)) * (2 * log_n + 1)
 
 
-def _decode_edges(msg: str, slots: int, log_n: int) -> list[tuple[int, int, int]]:
+def _decode_edges(v: int, slots: int, log_n: int) -> list[tuple[int, int, int]]:
     """Inverse of :func:`_encode_edges`."""
     width = 2 * log_n + 1
-    v = int(msg, 2) if msg else 0
     count = v >> (slots * width)
     low, edge = (1 << log_n) - 1, (1 << width) - 1
     out = []
@@ -375,7 +369,7 @@ class _MatchingQcReferee(Referee):
             out.append(outcomes)
         return out
 
-    def output_distribution(self, payload: ProductState, b: str, coin=None) -> dict:
+    def output_distribution(self, payload: ProductState, b: int, coin=None) -> dict:
         edges = _decode_edges(b, self.slots, self.log_n)
         copy_outcomes = self._copy_outcomes(payload, edges)
         dist: dict[int, float] = {}
@@ -406,7 +400,7 @@ class _MatchingQcReferee(Referee):
         walk(0, frozenset(), (), 1.0)
         return dist
 
-    def sample_output(self, payload: ProductState, b: str, rng, coin=None, info=None) -> int:
+    def sample_output(self, payload: ProductState, b: int, rng, coin=None, info=None) -> int:
         edges = _decode_edges(b, self.slots, self.log_n)
         used: set[int] = set()
         agreements: list[int] = []
@@ -474,7 +468,7 @@ def matching_qc(
         psi = PureState(amp)
         return ProductState((psi,) * copies)
 
-    def bob(by: tuple, subset: tuple[int, ...]) -> dict[str, float]:
+    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
         matching, w = by
         edges = _available_edges(matching, w, subset, edges_sent)
         return {_encode_edges(edges, edges_sent, log_n): 1.0}
@@ -498,20 +492,21 @@ class _MatchingClassicalReferee(Referee):
         self.slots = slots
         self.log_n = _log2_exact(n)
 
-    def _agreements(self, a: str, b: str, subset: tuple[int, ...]) -> list[int]:
+    def _agreements(self, a: int, b: int, subset: tuple[int, ...]) -> list[int]:
+        last = len(subset) - 1  # the shift of Alice's bit on subset[0]
         agreements = []
         for i, j, wbit in _decode_edges(b, self.slots, self.log_n):
-            parity = int(a[subset.index(i)]) ^ int(a[subset.index(j)])
+            parity = (a >> (last - subset.index(i)) ^ a >> (last - subset.index(j))) & 1
             agreements.append(int(parity == wbit))
         return agreements
 
-    def output_distribution(self, a: str, b: str, coin=None) -> dict:
+    def output_distribution(self, a: int, b: int, coin=None) -> dict:
         out = _majority_output(self._agreements(a, b, coin), rng=None)
         if out is None:
             return {0: 0.5, 1: 0.5}
         return {out: 1.0}
 
-    def sample_output(self, a: str, b: str, rng, coin=None, info=None) -> int:
+    def sample_output(self, a: int, b: int, rng, coin=None, info=None) -> int:
         agreements = self._agreements(a, b, coin)
         if info is not None and not agreements:
             info["abstained"] = info.get("abstained", 0) + 1
@@ -527,15 +522,10 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
     coin = subset_coin(n, subset_size)
     slots = subset_size // 2
 
-    @functools.lru_cache(maxsize=1)
-    def bits(x: tuple) -> tuple[str, ...]:
-        return tuple(str(b) for b in x)
+    def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> dict[int, float]:
+        return {pack((x[i] for i in subset), 1): 1.0}
 
-    def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> dict[str, float]:
-        chars = bits(tuple(x))
-        return {"".join([chars[i] for i in subset]): 1.0}
-
-    def bob(by: tuple, subset: tuple[int, ...]) -> dict[str, float]:
+    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
         matching, w = by
         edges = _available_edges(matching, w, subset, slots)
         return {_encode_edges(edges, slots, log_n): 1.0}
@@ -596,8 +586,7 @@ class _HiddenMatchingReferee(Referee):
     def __init__(self, n: int):
         self.n = n
 
-    def _branches(self, psi: PureState, b: str):
-        k = int(b, 2)
+    def _branches(self, psi: PureState, k: int):
         amp = psi.amplitudes
         for i, j in xor_matching(self.n, k):
             p_edge = float(abs(amp[i]) ** 2 + abs(amp[j]) ** 2)
@@ -609,10 +598,10 @@ class _HiddenMatchingReferee(Referee):
                 if weight / (plus + minus) > _EDGE_RESIDUE:
                     yield HiddenMatchingOutput(i, j, parity), p_edge * weight / (plus + minus)
 
-    def output_distribution(self, psi: PureState, b: str, coin=None) -> dict:
+    def output_distribution(self, psi: PureState, b: int, coin=None) -> dict:
         return {out: w for out, w in self._branches(psi, b)}
 
-    def sample_output(self, psi: PureState, b: str, rng, coin=None, info=None):
+    def sample_output(self, psi: PureState, b: int, rng, coin=None, info=None):
         outs, weights = zip(*self._branches(psi, b))
         idx = rng.choice(len(outs), p=np.array(weights) / sum(weights))
         return outs[idx]
@@ -637,7 +626,7 @@ def hidden_matching_relation(
     protocol = SmpProtocol(
         name=f"hidden-matching(n={n})",
         alice_strategy=lambda x, _c: _sign_superposition(x, n),
-        bob_strategy=lambda k, _c: {bitstring(k, log_n): 1.0},
+        bob_strategy=lambda k, _c: {k: 1.0},
         referee=_HiddenMatchingReferee(n),
         alice_cost=Cost(qubits=log_n),
         bob_cost=Cost(bits=log_n),
@@ -684,14 +673,11 @@ def toy_quantum_equality(q: int = 1) -> SmpProtocol:
     """
     states = _toy_states(q)
     densities = [s.density() for s in states]
-    operators = {
-        bitstring(b, 2): MeasurementOperator(densities[b].entries) for b in range(4)
-    }
     return SmpProtocol(
         name=f"toy-quantum-eq(q={q})",
         alice_strategy=lambda x, _c: densities[x],
-        bob_strategy=lambda y, _c: {bitstring(y, 2): 1.0},
-        referee=OperatorReferee(operators),
+        bob_strategy=lambda y, _c: {y: 1.0},
+        referee=OperatorReferee([MeasurementOperator(d.entries) for d in densities]),
         alice_cost=Cost(qubits=q),
         bob_cost=Cost(bits=2),
         alice_inputs=(0, 1, 2, 3),
@@ -715,27 +701,23 @@ def hidden_matching_verification(n: int = 4) -> SmpProtocol:
         for beta in (0, 1)
     ]
     bob_bits = _index_bits(len(ys))
-    operators: dict[str, MeasurementOperator] = {}
-    for idx in range(2**bob_bits):
-        if idx < len(ys):
-            k, t, beta = ys[idx]
-            i, j = xor_matching(n, k)[t]
-            amp = np.zeros(n, dtype=np.complex128)
-            amp[i] = 1 / math.sqrt(2)
-            amp[j] = (1 if beta == 0 else -1) / math.sqrt(2)
-            operators[bitstring(idx, bob_bits)] = MeasurementOperator(
-                PureState(amp).density().entries
-            )
-        else:
-            operators[bitstring(idx, bob_bits)] = MeasurementOperator(
-                np.zeros((n, n), dtype=np.complex128)
-            )
+    operators = []
+    for k, t, beta in ys:
+        i, j = xor_matching(n, k)[t]
+        amp = np.zeros(n, dtype=np.complex128)
+        amp[i] = 1 / math.sqrt(2)
+        amp[j] = (1 if beta == 0 else -1) / math.sqrt(2)
+        operators.append(MeasurementOperator(PureState(amp).density().entries))
+    operators += [
+        MeasurementOperator(np.zeros((n, n), dtype=np.complex128))
+        for _ in range(len(ys), 2**bob_bits)
+    ]
     y_index = {y: idx for idx, y in enumerate(ys)}
 
     return SmpProtocol(
         name=f"hm-verify(n={n})",
         alice_strategy=lambda x, _c: _sign_superposition(x, n).density(),
-        bob_strategy=lambda y, _c: {bitstring(y_index[y], bob_bits): 1.0},
+        bob_strategy=lambda y, _c: {y_index[y]: 1.0},
         referee=OperatorReferee(operators),
         alice_cost=Cost(qubits=log_n),
         bob_cost=Cost(bits=bob_bits),

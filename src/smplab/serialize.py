@@ -1,7 +1,8 @@
 """File formats for matrices.
 
 Matrices travel in a small versioned binary container (magic, version, dim,
-then row-major (re, im) float64 pairs) or in a human-readable text form.
+then row-major (re, im) float64 pairs) or are read from a human-readable text
+form: a ``qmat v1 dim=<d>`` header, then one line per row of ``re,im`` pairs.
 """
 
 from __future__ import annotations
@@ -10,6 +11,14 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+__all__ = [
+    "matrix_to_bytes",
+    "matrix_from_bytes",
+    "save_matrix",
+    "load_matrix",
+    "matrix_from_text",
+]
 
 _MAGIC = b"QMAT"
 _VERSION = 1
@@ -47,17 +56,6 @@ def save_matrix(path: str | Path, a: np.ndarray) -> None:
 
 def load_matrix(path: str | Path) -> np.ndarray:
     return matrix_from_bytes(Path(path).read_bytes())
-
-
-def matrix_to_text(a: np.ndarray) -> str:
-    """Readable form: a dim header, then one line per row of re,im pairs."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    lines = [f"qmat v{_VERSION} dim={a.shape[0]}"]
-    for row in a:
-        lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
 
 
 def matrix_from_text(text: str) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 A protocol fixes, for every Alice input, either a distribution over classical
 messages or a quantum state, and for every Bob input a distribution over
-classical messages; a referee turns the two messages into an output.  Public
-randomness, when present, is an explicit coin space visible to all three
-parties.  Evaluation is either exact (full enumeration of coin and message
-supports, within a term budget) or Monte Carlo with per-trial keyed
-generators.
+classical messages; a referee turns the two messages into an output.  A
+classical message of a side whose ``Cost`` is c bits is a plain ``int`` in
+[0, 2^c), its first bit the most significant; bit strings are only a report
+format (:func:`bitstring`).  Public randomness, when present, is an explicit
+coin space visible to all three parties.  Evaluation is either exact (full
+enumeration of coin and message supports, within a term budget) or Monte
+Carlo with per-trial keyed generators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,9 +53,10 @@ __all__ = [
     "validate_distribution",
     "sample_from_distribution",
     "bitstring",
+    "pack",
 ]
 
-Distribution = Mapping[str, float]
+Distribution = Mapping[int, float]
 QuantumPayload = DensityMatrix | PureState | ProductState
 
 
@@ -64,11 +67,20 @@ def bitstring(value: int, width: int) -> str:
     return format(value, f"0{width}b")
 
 
+def pack(fields: Iterable[int], width: int) -> int:
+    """``fields`` as one message of ``width`` bits per field, the first most significant."""
+    msg = 0
+    for v in fields:
+        msg = msg << width | v
+    return msg
+
+
 def validate_distribution(dist: Distribution, length: int, tol: Tolerances = DEFAULT) -> None:
+    """Refuse a message that is not an int in [0, 2^length), and bad weights."""
     total = 0.0
     for msg, p in dist.items():
-        if len(msg) > length or set(msg) - {"0", "1"}:
-            raise ValueError(f"message {msg!r} not a bitstring within declared length {length}")
+        if type(msg) is not int or msg < 0 or msg.bit_length() > length:
+            raise ValueError(f"message {msg!r} is not an int in [0, 2^{length})")
         if not p >= 0.0:  # refuses NaN too
             raise ValueError(f"probability {p} of {msg!r} is not >= 0")
         total += p
@@ -76,7 +88,7 @@ def validate_distribution(dist: Distribution, length: int, tol: Tolerances = DEF
         raise ValueError(f"distribution sums to {total}, not 1")
 
 
-def sample_from_distribution(dist: Distribution, rng: np.random.Generator) -> str:
+def sample_from_distribution(dist: Distribution, rng: np.random.Generator) -> int:
     keys = list(dist)
     if len(keys) == 1:
         return keys[0]
@@ -147,10 +159,10 @@ class Referee:
     output; by default it accepts with the acceptance probability.
     """
 
-    def accept_probability(self, a, b: str, coin=None) -> float:
+    def accept_probability(self, a, b: int, coin=None) -> float:
         return float(self.output_distribution(a, b, coin).get(1, 0.0))
 
-    def sample_output(self, a, b: str, rng: np.random.Generator, coin=None, info=None):
+    def sample_output(self, a, b: int, rng: np.random.Generator, coin=None, info=None):
         return 1 if rng.random() < self.accept_probability(a, b, coin) else 0
 
 
@@ -158,22 +170,22 @@ class Referee:
 class TableReferee(Referee):
     """Classical referee: acceptance probability per message pair."""
 
-    fn: Callable[[str, str], float]
+    fn: Callable[[int, int], float]
 
-    def accept_probability(self, a: str, b: str, coin=None) -> float:
+    def accept_probability(self, a: int, b: int, coin=None) -> float:
         return self.fn(a, b)
 
 
 @dataclass(frozen=True)
 class OperatorReferee(Referee):
-    """Canonical quantum referee: one two-outcome measurement operator per Bob message."""
+    """Canonical quantum referee: ``operators[b]`` measures Bob's message ``b``."""
 
-    operators: Mapping[str, MeasurementOperator]
+    operators: Sequence[MeasurementOperator]
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", dict(self.operators))
+        object.__setattr__(self, "operators", tuple(self.operators))
 
-    def accept_probability(self, state: QuantumPayload, b: str, coin=None) -> float:
+    def accept_probability(self, state: QuantumPayload, b: int, coin=None) -> float:
         if isinstance(state, PureState):
             state = state.density()
         if not isinstance(state, DensityMatrix):
@@ -181,12 +193,11 @@ class OperatorReferee(Referee):
         return acceptance_probability(self.operators[b], state)
 
     def operator_list(self, bob_bits: int) -> list[MeasurementOperator]:
-        """Operators ordered by Bob message value; requires a full family."""
-        want = [bitstring(i, bob_bits) for i in range(2**bob_bits)]
-        missing = [b for b in want if b not in self.operators]
-        if missing:
-            raise ValueError(f"referee family missing operators for {missing[:4]}")
-        return [self.operators[b] for b in want]
+        """The operators, one per Bob message of ``bob_bits`` bits."""
+        count = len(self.operators)
+        if count != 1 << bob_bits:
+            raise ValueError(f"referee family holds {count} operators, not 2^{bob_bits}")
+        return list(self.operators)
 
 
 @dataclass(frozen=True)
@@ -314,7 +325,7 @@ class _Side:
         for v in self.inputs:
             dist = self.strategy(v, coin)
             if self.quantum and not isinstance(dist, (dict, Mapping)):
-                # a message of its own, keyed by a tuple, which no string equals
+                # a message of its own, keyed by a tuple, which no int equals
                 i = ids[(len(sizes),)] = len(ids)
                 payloads[i] = dist
                 idx.append(i)

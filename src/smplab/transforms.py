@@ -4,7 +4,8 @@ Three ways to shrink what Alice must send:
 
 * ``derandomize_alice``: replace a randomized classical message by a verified
   deterministic multiset of messages whose empirical referee response is
-  within 1/10 of the true expectation for every possible Bob message.
+  within 1/10 of the true expectation for every possible Bob message.  The
+  multiset is sent as one int, its first draw most significant.
 * ``learn_state_message``: replace a quantum state by a short deterministic
   record.  The sender walks Bob's measurement operators in index order while
   maintaining a hypothesis state (starting maximally mixed).  Indices whose
@@ -15,7 +16,8 @@ Three ways to shrink what Alice must send:
   turning a quantum-classical protocol into a classical one whose worst-case
   error is at most ``delta`` worse.  A deterministic message is in particular
   a valid randomized message, so this also realizes the randomized
-  replacement.
+  replacement.  Alice sends the record's bits padded to the longest record
+  with all-ones entries, which no real entry is, read as one int.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .smp import (
     TableReferee,
     bitstring,
     coin_terms,
+    pack,
     sample_from_distribution,
     validate_distribution,
 )
@@ -514,10 +517,10 @@ class DeterministicMessageTable:
     """
 
     multiplicity: int
-    messages: Mapping[object, tuple[str, ...]]
+    messages: Mapping[object, tuple[int, ...]]
     max_deviation: float
-    targets: Mapping[object, Mapping[str, float]]
-    empirical: Mapping[object, Mapping[str, float]]
+    targets: Mapping[object, Mapping[int, float]]
+    empirical: Mapping[object, Mapping[int, float]]
 
     def __post_init__(self):
         for name in ("messages", "targets", "empirical"):
@@ -553,15 +556,15 @@ def derandomize_alice(
     c_a = p.alice_cost.bits
     c_b = p.bob_cost.bits
     multiplicity = s * c_b
-    all_b = [bitstring(v, c_b) for v in range(2**c_b)]
+    all_b = range(2**c_b)
     referee = p.referee
 
-    def exact_response(dist: Mapping[str, float], b: str) -> float:
+    def exact_response(dist: Mapping[int, float], b: int) -> float:
         return sum(pa * referee.accept_probability(a, b, None) for a, pa in dist.items())
 
-    table: dict[object, tuple[str, ...]] = {}
-    all_targets: dict[object, dict[str, float]] = {}
-    all_empirical: dict[object, dict[str, float]] = {}
+    table: dict[object, tuple[int, ...]] = {}
+    all_targets: dict[object, dict[int, float]] = {}
+    all_empirical: dict[object, dict[int, float]] = {}
     worst_dev = 0.0
     for xi, x in enumerate(p.alice_inputs):
         dist = p.alice_strategy(x, None)
@@ -588,7 +591,8 @@ def derandomize_alice(
             bad_b = max(devs, key=devs.get)
             raise ValueError(
                 f"no verified multiset within {max_attempts} attempts for input {x!r} "
-                f"(largest deviation {devs[bad_b]:.4f} at Bob message {bad_b}); increase s"
+                f"(largest deviation {devs[bad_b]:.4f} at Bob message "
+                f"{bitstring(bad_b, c_b)}); increase s"
             )
         table[x] = chosen
         all_targets[x] = targets
@@ -602,16 +606,18 @@ def derandomize_alice(
         empirical=all_empirical,
     )
 
-    def new_alice(x, _coin) -> dict[str, float]:
-        return {"".join(message_table.messages[x]): 1.0}
+    packed = {x: pack(msgs, c_a) for x, msgs in table.items()}
+    shifts = [c_a * (multiplicity - 1 - i) for i in range(multiplicity)]
+    mask = (1 << c_a) - 1
 
-    def new_accept(big: str, b: str) -> float:
-        parts = [big[i * c_a : (i + 1) * c_a] for i in range(multiplicity)]
+    def new_accept(big: int, b: int) -> float:
+        # the draws in the order they were packed, so each sum keeps its order
+        parts = [big >> shift & mask for shift in shifts]
         return sum(referee.accept_probability(a, b, None) for a in parts) / multiplicity
 
     compiled = SmpProtocol(
         name=f"{p.name}+deterministic-alice",
-        alice_strategy=new_alice,
+        alice_strategy=lambda x, _coin: {packed[x]: 1.0},
         bob_strategy=p.bob_strategy,
         referee=TableReferee(fn=new_accept),
         alice_cost=Cost(bits=multiplicity * c_a),
@@ -644,9 +650,10 @@ def compile_qc_to_cc(
     The input protocol must be in canonical form: Alice sends a density
     matrix, Bob a classical message, and the referee holds one measurement
     operator per Bob message.  The compiled Alice deterministically sends the
-    bit-encoded record for her state; the referee reconstructs the estimates
-    and accepts with the estimate for Bob's actual message, so the worst-case
-    error grows by at most ``delta``.  Public-coin protocols are compiled one
+    bit-encoded record for her state, padded with all-ones entries to the
+    longest record and read as an int; the referee drops the padding,
+    reconstructs the estimates and accepts with the estimate for Bob's actual
+    message, so the worst-case error grows by at most ``delta``.  Public-coin protocols are compiled one
     coin value at a time.
     """
     if not p.quantum or not isinstance(p.referee, OperatorReferee):
@@ -684,42 +691,42 @@ def compile_qc_to_cc(
 
     records = {key: record for key, (record, _) in zip(keys, learned)}
     diagnostics = {key: diag for key, (_, diag) in zip(keys, learned)}
-    messages = {key: record.to_bits() for key, record in records.items()}
-    max_bits = max((len(m) for m in messages.values()), default=0)
+    sent = {key: record.to_bits() for key, record in records.items()}
+    max_bits = max(map(len, sent.values()), default=0)
+    # padded with all-ones entries, which no real one is (its grid position is
+    # at most 8/delta < 2^tilde_bits - 1); unpadded, () and ((0, 0.0),) are both 0
+    width = c + _tilde_bits(delta)
+    messages = {key: int(bits.ljust(max_bits, "1") or "0", 2) for key, bits in sent.items()}
 
     # each message's replay outcome: for a message Alice sends, its estimates
     # from the sender's own numbers, taken now; for any other, its own walk's
     # estimates or error, taken on its first read and raised on every read
-    replays: dict[str, np.ndarray | Exception] = {
+    replays: dict[int, np.ndarray | Exception] = {
         messages[key]: _replay_sent(records[key], diagnostics[key], tol) for key in keys
     }
 
-    def reconstruct(bits: str) -> np.ndarray:
-        if bits not in replays:
+    def reconstruct(msg: int) -> np.ndarray:
+        if msg not in replays:
+            bits = bitstring(msg, max_bits)
+            while bits.endswith("1" * width):
+                bits = bits[:-width]
             rec = LearnRecord.from_bits(bits, q=q, c=c, r=r, delta=delta)
             try:
-                replays[bits] = _replay_record(rec, observables, tol)
+                replays[msg] = _replay_record(rec, observables, tol)
             except (ValueError, VanishingProjectionError) as err:
-                replays[bits] = err
-        outcome = replays[bits]
+                replays[msg] = err
+        outcome = replays[msg]
         if isinstance(outcome, Exception):
             # each read's traceback is its own: it neither grows with the reads
             # before it nor keeps the walk's frames (and hypotheses) alive
             raise outcome.with_traceback(None)
         return outcome
 
-    def new_alice(x, coin) -> dict[str, float]:
-        key = x if p.coin is None else (x, coin)
-        return {messages[key]: 1.0}
-
-    def new_accept(a: str, b: str) -> float:
-        return float(reconstruct(a)[int(b, 2) if b else 0])
-
     compiled = SmpProtocol(
         name=f"{p.name}+classical-alice",
-        alice_strategy=new_alice,
+        alice_strategy=lambda x, coin: {messages[x if p.coin is None else (x, coin)]: 1.0},
         bob_strategy=p.bob_strategy,
-        referee=TableReferee(fn=new_accept),
+        referee=TableReferee(fn=lambda a, b: float(reconstruct(a)[b])),
         alice_cost=Cost(bits=max_bits),
         bob_cost=p.bob_cost,
         coin=p.coin,

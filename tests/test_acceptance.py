@@ -161,8 +161,7 @@ def test_criterion_04_derandomization():
     worst_dev = 0.0
     for x in p.alice_inputs:
         dist = p.alice_strategy(x, None)
-        for v in range(2**c_b):
-            b = format(v, f"0{c_b}b")
+        for b in range(2**c_b):
             target = sum(pa * p.referee.accept_probability(a, b) for a, pa in dist.items())
             got = (
                 sum(p.referee.accept_probability(a, b) for a in table.messages[x])
@@ -307,13 +306,9 @@ def _chain_instance(seed: int, index: int):
     from smplab.oracle import DeterministicSmpProtocol
 
     p_a = DeterministicSmpProtocol(
-        alice_map={x: format(x, "02b") for x in xs},
-        bob_map={y: format(y, "01b") for y in ys},
-        referee_map={
-            (format(x, "02b"), format(y, "01b")): int(g.integers(0, 4))
-            for x in xs
-            for y in ys
-        },
+        alice_map={x: x for x in xs},
+        bob_map={y: y for y in ys},
+        referee_map={(x, y): int(g.integers(0, 4)) for x in xs for y in ys},
     )
     return relation, p_a
 

@@ -89,7 +89,8 @@ class TestRunExperiment:
 
         from smplab.qcore import random_density, random_measurement_operator
         from smplab.rng import trial_rng
-        from smplab.serialize import matrix_to_text, save_matrix
+        from smplab.serialize import save_matrix
+        from test_serialize import matrix_to_text
 
         g = trial_rng(30, 0)
         rho = random_density(2, g)
@@ -213,6 +214,16 @@ class TestMainExitCodes:
         assert code == EXIT_CAP
         assert capsys.readouterr().err == (
             "cap exceeded: coin space of size 2097152 exceeds term budget 1048576\n"
+        )
+
+    def test_eq_public_past_the_coin_bit_limit_exits_4(self, tmp_path, capsys):
+        code = main([
+            "--experiment", "eq-public", "--param", "n=5", "--param", "k=100000000",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "cap exceeded: coin of n*k = 500000000 bits exceeds 1048576 bits\n"
         )
 
     def test_failed_assertion_maps_to_exit_3(self, tmp_path, monkeypatch):

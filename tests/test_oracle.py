@@ -24,7 +24,7 @@ from smplab.oracle import (
 )
 from smplab.protocols import equality_function, xor_matching
 from smplab.rng import trial_rng
-from smplab.smp import FunctionTable, RelationTable, bitstring
+from smplab.smp import FunctionTable, RelationTable
 
 
 # -- the frozenset search, kept as the oracle for the bitmask search ---------
@@ -73,12 +73,9 @@ def reference_search(relation: RelationTable, max_bits: int = DEFAULT.relation_b
                     if referee is None:
                         continue
                     return total, DeterministicSmpProtocol(
-                        alice_map={x: bitstring(a_assign[i], c_a) for i, x in enumerate(xs)},
-                        bob_map={y: bitstring(b_assign[i], c_b) for i, y in enumerate(ys)},
-                        referee_map={
-                            (bitstring(a, c_a), bitstring(b, c_b)): out
-                            for (a, b), out in referee.items()
-                        },
+                        alice_map=dict(zip(xs, a_assign)),
+                        bob_map=dict(zip(ys, b_assign)),
+                        referee_map=referee,
                     )
     return None
 
@@ -234,7 +231,7 @@ class TestDetComplexityRelation:
         r = RelationTable({p: frozenset([9, 10]) for p in pairs}, uniform_mu(pairs))
         cost, proto = search_relation_protocol(r)
         assert cost == 0
-        assert proto.referee_map == {("", ""): 10}
+        assert proto.referee_map == {(0, 0): 10}
 
     def test_large_shape_is_searched_lazily_and_not_kept(self, monkeypatch):
         # |X| = 9 is past the lattice's item limit: its assignments are
@@ -283,8 +280,8 @@ class TestExtractFunction:
         valid[(1, 1)] = frozenset([1])  # constant 0 is invalid here only
         relation = RelationTable(valid, uniform_mu(pairs))
         proto = DeterministicSmpProtocol(
-            alice_map={0: "", 1: ""}, bob_map={0: "", 1: ""},
-            referee_map={("", ""): 0},
+            alice_map={0: 0, 1: 0}, bob_map={0: 0, 1: 0},
+            referee_map={(0, 0): 0},
         )
         f, err = extract_function(proto, relation)
         assert err == Fraction(1, 4)
@@ -299,7 +296,7 @@ class TestExtractFunction:
         mu[(1, 1)] = Fraction(0)
         relation = RelationTable(valid, mu)
         cost, proto = search_relation_protocol(relation)
-        assert cost == 2 and ("1", "1") not in proto.referee_map
+        assert cost == 2 and (1, 1) not in proto.referee_map
         f, err = extract_function(proto, relation)
         assert err == 0
         assert sorted(f.domain) == [(0, 0), (0, 1), (1, 0)]
@@ -338,8 +335,8 @@ class TestUnionBound:
         relation = RelationTable(valid, uniform_mu(pairs))
         f = FunctionTable((0, 1), (0, 1), {p: 0 for p in pairs})  # invalid at (1,1)
         proto = DeterministicSmpProtocol(
-            alice_map={0: "0", 1: "1"}, bob_map={0: "0", 1: "1"},
-            referee_map={(a, b): int(a == "1" and b == "1") for a in "01" for b in "01"},
+            alice_map={0: 0, 1: 1}, bob_map={0: 0, 1: 1},
+            referee_map={(a, b): int(a == 1 and b == 1) for a in (0, 1) for b in (0, 1)},
         )
         report = union_bound_check(proto, f, relation)
         assert report.disagreement_with_f == Fraction(1, 4)
@@ -363,13 +360,9 @@ class TestUnionBound:
                 xs, ys, {p: int(g.integers(0, 4)) for p in pairs}
             )
             proto = DeterministicSmpProtocol(
-                alice_map={x: format(x, "02b") for x in xs},
-                bob_map={y: format(y, "01b") for y in ys},
-                referee_map={
-                    (format(x, "02b"), format(y, "01b")): int(g.integers(0, 4))
-                    for x in xs
-                    for y in ys
-                },
+                alice_map={x: x for x in xs},
+                bob_map={y: y for y in ys},
+                referee_map={(x, y): int(g.integers(0, 4)) for x in xs for y in ys},
             )
             assert union_bound_check(proto, f, relation).holds
 
@@ -386,8 +379,8 @@ class TestUnionBound:
         assert err == 0
         xs, ys = f.alice_inputs, f.bob_inputs
         c_a, c_b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-        alice = {x: bitstring(data.draw(st.integers(0, 2**c_a - 1)), c_a) for x in xs}
-        bob = {y: bitstring(data.draw(st.integers(0, 2**c_b - 1)), c_b) for y in ys}
+        alice = {x: data.draw(st.integers(0, 2**c_a - 1)) for x in xs}
+        bob = {y: data.draw(st.integers(0, 2**c_b - 1)) for y in ys}
         p_a = DeterministicSmpProtocol(
             alice_map=alice, bob_map=bob,
             referee_map={

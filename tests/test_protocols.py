@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -234,11 +235,17 @@ def _count_bits(slots: int) -> int:
 
 
 def _string_encode_edges(edges, slots, log_n):
-    """Bob's edge message built character by character: the codec's oracle."""
+    """Bob's edge message built character by character: the codec's oracle,
+    compared through :func:`_as_int`."""
     msg = _bits(len(edges), _count_bits(slots))
     for i, j, wbit in edges:
         msg += _bits(i, log_n) + _bits(j, log_n) + str(wbit)
     return msg + "0" * ((slots - len(edges)) * (2 * log_n + 1))
+
+
+def _as_int(msg: str) -> int:
+    """A bit string, most significant first, as an int; the empty string is 0."""
+    return int(msg, 2) if msg else 0
 
 
 def _string_decode_edges(msg, slots, log_n):
@@ -261,6 +268,57 @@ def _edge_messages(draw):
     vertex = st.integers(0, (1 << log_n) - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 1)), max_size=slots))
     return edges, slots, log_n
+
+
+def _string_code_accept(a: str, b: str, col_idx_bits: int, row_idx_bits: int, reps: int):
+    """The code-grid referee on bit strings, sliced per repetition: the oracle."""
+    a_rep, b_rep = len(a) // reps, len(b) // reps
+    for t in range(reps):
+        a_seg, b_seg = a[t * a_rep : (t + 1) * a_rep], b[t * b_rep : (t + 1) * b_rep]
+        j = _as_int(a_seg[:col_idx_bits])
+        i = _as_int(b_seg[:row_idx_bits])
+        if a_seg[col_idx_bits + i] != b_seg[row_idx_bits + j]:
+            return 0.0
+    return 1.0
+
+
+class TestEqualityMessages:
+    """The equality protocols' int messages equal their per-character builds."""
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (4, 3)])
+    def test_public_parities_first_mask_most_significant(self, n, k):
+        p = equality_public(n, k)
+        g = trial_rng(5, n)
+        for _ in range(16):
+            masks = p.coin.sampler(g)
+            x = int(g.integers(0, 2**n))
+            want = "".join(str(bin(x & m).count("1") % 2) for m in masks)
+            assert p.alice_strategy(x, masks) == {_as_int(want): 1.0}
+
+    @pytest.mark.parametrize("n, reps", [(2, 1), (3, 2), (4, 1)])
+    def test_code_lines_and_referee_equal_string_builds(self, n, reps):
+        code = hadamard_code(n)
+        p = equality_code(n, code, reps)
+        rows, cols = code.grid_rows, code.grid_cols
+        col_bits, row_bits = max(1, (cols - 1).bit_length()), max(1, (rows - 1).bit_length())
+        strings = {}
+        for x in range(2**n):
+            g = encode(code, x).reshape(rows, cols)
+            a_lines = [_bits(j, col_bits) + "".join(map(str, g[:, j])) for j in range(cols)]
+            b_lines = [_bits(i, row_bits) + "".join(map(str, g[i, :])) for i in range(rows)]
+            a_msgs = ["".join(c) for c in itertools.product(a_lines, repeat=reps)]
+            b_msgs = ["".join(c) for c in itertools.product(b_lines, repeat=reps)]
+            # same messages, same weights, in the same order
+            assert list(p.alice_strategy(x, None).items()) == [
+                (_as_int(m), (1.0 / cols) ** reps) for m in a_msgs]
+            assert list(p.bob_strategy(x, None).items()) == [
+                (_as_int(m), (1.0 / rows) ** reps) for m in b_msgs]
+            strings[x] = a_msgs, b_msgs
+        for x, y in itertools.product(strings, repeat=2):
+            for a in strings[x][0]:
+                for b in strings[y][1]:
+                    want = _string_code_accept(a, b, col_bits, row_bits, reps)
+                    assert p.referee.accept_probability(_as_int(a), _as_int(b)) == want
 
 
 class TestMatchingBounds:
@@ -299,8 +357,10 @@ class TestMatchingMessages:
     def test_codec_equals_string_oracle_and_round_trips(self, case):
         edges, slots, log_n = case
         msg = _encode_edges(edges, slots, log_n)
-        assert msg == _string_encode_edges(edges, slots, log_n)
-        assert _decode_edges(msg, slots, log_n) == _string_decode_edges(msg, slots, log_n)
+        string = _string_encode_edges(edges, slots, log_n)
+        assert type(msg) is int and msg == _as_int(string)
+        assert msg.bit_length() <= len(string) == _count_bits(slots) + slots * (2 * log_n + 1)
+        assert _decode_edges(msg, slots, log_n) == _string_decode_edges(string, slots, log_n)
         assert _decode_edges(msg, slots, log_n) == edges
 
     @pytest.mark.parametrize("n, size, copies, sent", [(8, 4, 2, 2), (16, 7, 3, 2), (64, 16, 4, 4)])
@@ -320,13 +380,13 @@ class TestMatchingMessages:
             assert all(f is payload.factors[0] for f in payload.factors)
             assert payload.factors[0].amplitudes.tobytes() == PureState(amp).amplitudes.tobytes()
             assert classical.alice_strategy(inst.x, subset) == {
-                "".join(str(inst.x[i]) for i in subset): 1.0
+                _as_int("".join(str(inst.x[i]) for i in subset)): 1.0
             }
             inside = [(i, j, inst.w[k]) for k, (i, j) in enumerate(inst.matching)
                       if i in subset and j in subset]
             for p, slots in ((qc, min(sent, size // 2)), (classical, size // 2)):
                 want = _string_encode_edges(inside[:slots], slots, n.bit_length() - 1)
-                assert p.bob_strategy(inst.bob_input, subset) == {want: 1.0}
+                assert p.bob_strategy(inst.bob_input, subset) == {_as_int(want): 1.0}
 
     def test_referee_measures_each_distinct_copy(self):
         # two edges inside S; copy 1 sits on edge (2, 3) only and uses it, so
@@ -453,7 +513,7 @@ class TestToyFixtures:
     def test_canonical_referee_matches_direct_trace(self):
         p = toy_quantum_equality(1)
         rho = p.alice_strategy(1, None)
-        e = p.referee.operators["10"]
+        e = p.referee.operators[2]
         assert exact_acceptance(p, 1, 2) == pytest.approx(
             acceptance_probability(e, rho), abs=1e-12
         )

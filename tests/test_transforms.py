@@ -475,9 +475,9 @@ class TestDerandomizeAlice:
     def test_deterministic_alice_unchanged(self):
         p = SmpProtocol(
             name="already-deterministic",
-            alice_strategy=lambda x, c: {format(x, "02b"): 1.0},
-            bob_strategy=lambda y, c: {format(y, "01b"): 1.0},
-            referee=TableReferee(fn=lambda a, b: float(a[0] == b)),
+            alice_strategy=lambda x, c: {x: 1.0},
+            bob_strategy=lambda y, c: {y: 1.0},
+            referee=TableReferee(fn=lambda a, b: float(a >> 1 == b)),
             alice_cost=Cost(bits=2),
             bob_cost=Cost(bits=1),
             alice_inputs=(0, 1, 2, 3),
@@ -498,8 +498,7 @@ class TestDerandomizeAlice:
         c_b = p.bob_cost.bits
         for x in p.alice_inputs:
             dist = p.alice_strategy(x, None)
-            for v in range(2**c_b):
-                b = format(v, f"0{c_b}b")
+            for b in range(2**c_b):
                 target = sum(
                     pa * p.referee.accept_probability(a, b) for a, pa in dist.items()
                 )
@@ -521,8 +520,10 @@ class TestDerandomizeAlice:
         c_a, c_b = p.alice_cost.bits, p.bob_cost.bits
         assert table.multiplicity == 12 * c_b
         assert compiled.alice_cost.bits == 12 * c_b * c_a
+        # the multiset packed as one int, its first draw most significant
         (msg,) = compiled.alice_strategy(0, None)
-        assert len(msg) == compiled.alice_cost.bits
+        assert msg == int("".join(bitstring(a, c_a) for a in table.messages[0]), 2)
+        assert msg.bit_length() <= compiled.alice_cost.bits
 
     def test_failure_names_largest_deviation(self):
         # hand computation: Alice sends a fair bit and s * c_B = 1 copy is
@@ -531,9 +532,9 @@ class TestDerandomizeAlice:
         # 0 or 1), so its deviation is 1/2 on every draw and no multiset passes
         p = SmpProtocol(
             name="fair-bit",
-            alice_strategy=lambda x, c: {"0": 0.5, "1": 0.5},
-            bob_strategy=lambda y, c: {"1": 1.0},
-            referee=TableReferee(fn=lambda a, b: 1.0 if b == "0" else float(a == "1")),
+            alice_strategy=lambda x, c: {0: 0.5, 1: 0.5},
+            bob_strategy=lambda y, c: {1: 1.0},
+            referee=TableReferee(fn=lambda a, b: float(b != 1 or a == 1)),
             alice_cost=Cost(bits=1),
             bob_cost=Cost(bits=1),
             alice_inputs=(0,),
@@ -541,6 +542,10 @@ class TestDerandomizeAlice:
         )
         with pytest.raises(ValueError, match=r"largest deviation 0\.5000 at Bob message 1\)"):
             derandomize_alice(p, s=1, max_attempts=3)
+        # with 3-bit Bob messages, 3 draws average to a multiple of 1/3, at
+        # least 1/6 from 1/2 at Bob message 1, and the failure names it as bits
+        with pytest.raises(ValueError, match=r"at Bob message 001\); increase s"):
+            derandomize_alice(dataclasses.replace(p, bob_cost=Cost(bits=3)), s=1, max_attempts=3)
 
     def test_rejects_public_coin_and_quantum(self):
         from smplab.protocols import equality_public, toy_quantum_equality
@@ -557,8 +562,8 @@ def _randomized_alices(draw):
     distributions over at most 4 messages of at most 2 bits, with a random
     Bob and a random acceptance table."""
     c_a, c_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    a_msgs = [bitstring(v, c_a) for v in range(2**c_a)]
-    b_msgs = [bitstring(v, c_b) for v in range(2**c_b)]
+    a_msgs = list(range(2**c_a))
+    b_msgs = list(range(2**c_b))
 
     def dists(msgs, count):
         out = []
@@ -600,12 +605,23 @@ class TestDerandomizeProperties:
                 assert after[x, y] == pytest.approx(want, abs=1e-12)
 
 
+def _padded(bits: str, max_bits: int) -> int:
+    """A record's bits padded with ones to ``max_bits``, as an int; the
+    compiled Alice's message, built character by character."""
+    return int(bits + "1" * (max_bits - len(bits)) or "0", 2)
+
+
+def _compiled_message(record: LearnRecord, compiled: SmpProtocol) -> int:
+    """The message ``compiled``'s Alice sends for ``record``."""
+    return _padded(record.to_bits(), compiled.alice_cost.bits)
+
+
 def _coin_flipped_toy() -> SmpProtocol:
     base = toy_quantum_equality(1)
     return SmpProtocol(
         name="coin-flipped-toy",
         alice_strategy=lambda x, coin: base.alice_strategy(x ^ coin, None),
-        bob_strategy=lambda y, coin: {format(y ^ coin, "02b"): 1.0},
+        bob_strategy=lambda y, coin: {y ^ coin: 1.0},
         referee=base.referee,
         alice_cost=base.alice_cost,
         bob_cost=base.bob_cost,
@@ -669,9 +685,26 @@ class TestCompileQcToCc:
         lengths = []
         for x in range(4):
             (msg,) = result.protocol.alice_strategy(x, None)
-            assert len(msg) == result.records[x].encoded_bit_length
-            lengths.append(len(msg))
+            assert msg == _compiled_message(result.records[x], result.protocol)
+            lengths.append(result.records[x].encoded_bit_length)
         assert result.protocol.alice_cost.bits == max(lengths)
+
+    def test_an_empty_record_and_a_zero_record_send_different_messages(self):
+        # |1><1| against |0><0| first: the mixed hypothesis predicts 1/2, the
+        # truth is 0, so it records ((0, 0.0),), all zero bits; I/2 is
+        # predicted everywhere and records ().  Padded with ones they differ;
+        # padded with zeros, or not at all, both would be the int 0
+        zero, half = proj([1, 0]), MeasurementOperator(np.eye(2, dtype=complex) / 2)
+        p = _canonical([DensityMatrix.pure([0, 1]), maximally_mixed(1)], [0, 1], [zero, half])
+        result = compile_qc_to_cc(p, delta=0.1)
+        assert result.records[0].entries == ((0, 0.0),)
+        assert result.records[0].to_bits() == "0" * 11
+        assert result.records[1].entries == ()
+        (sent_0,), (sent_1,) = (result.protocol.alice_strategy(x, None) for x in (0, 1))
+        assert (sent_0, sent_1) == (0, 2**11 - 1)
+        want = [[0.0, 0.5], [0.5, 0.5]]
+        assert acceptance_table(p, (0, 1), (0, 1)).tolist() == want
+        assert acceptance_table(result.protocol, (0, 1), (0, 1)).tolist() == want
 
     def test_public_coin_compiled_per_coin_value(self):
         # coin flips which basis encodes the input; compiling fixes each coin
@@ -707,8 +740,8 @@ class TestCompileQcToCc:
         p = SmpProtocol(
             name="one-operator",
             alice_strategy=lambda x, _c: states[x],
-            bob_strategy=lambda _y, _c: {"": 1.0},
-            referee=OperatorReferee({"": proj([1, 0])}),
+            bob_strategy=lambda _y, _c: {0: 1.0},
+            referee=OperatorReferee([proj([1, 0])]),
             alice_cost=Cost(qubits=1),
             bob_cost=Cost(bits=0),
             alice_inputs=(0, 1),
@@ -727,13 +760,13 @@ class TestCompileQcToCc:
         # each time with the read's own traceback: it must neither keep the
         # walk's frames (and their hypotheses) alive nor grow
         p = toy_quantum_equality(1)
-        referee = compile_qc_to_cc(p, delta=0.1, r=3).protocol.referee
+        compiled = compile_qc_to_cc(p, delta=0.1, r=3).protocol
         other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
         foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
         frames = []
         for _ in range(2):
             with pytest.raises(ReplayMismatchError) as err:
-                referee.accept_probability(foreign.to_bits(), "00")
+                compiled.referee.accept_probability(_compiled_message(foreign, compiled), 0)
             frames.append([f.name for f in err.traceback])
         assert frames[0] == frames[1]
         assert "_grouped_walk" not in frames[0]
@@ -943,18 +976,20 @@ def _per_state_compile(p, delta, r):
             records[key], diagnostics[key] = _per_state_learn(
                 p.alice_strategy(x, coin), operators, observables, delta, r
             )
-    messages = {key: rec.to_bits() for key, rec in records.items()}
+    max_bits = max(rec.encoded_bit_length for rec in records.values())
+    messages = {key: _padded(rec.to_bits(), max_bits) for key, rec in records.items()}
     c = len(operators).bit_length() - 1
     replayed = {
-        bits: _per_record_replay(LearnRecord.from_bits(bits, q, c, r, delta), observables)
-        for bits in messages.values()
+        _padded(rec.to_bits(), max_bits): _per_record_replay(
+            LearnRecord.from_bits(rec.to_bits(), q, c, r, delta), observables)
+        for rec in records.values()
     }
     protocol = SmpProtocol(
         name="per-state",
         alice_strategy=lambda x, coin: {messages[x if p.coin is None else (x, coin)]: 1.0},
         bob_strategy=p.bob_strategy,
-        referee=TableReferee(fn=lambda a, b: float(replayed[a][int(b, 2) if b else 0])),
-        alice_cost=Cost(bits=max(len(m) for m in messages.values())),
+        referee=TableReferee(fn=lambda a, b: float(replayed[a][b])),
+        alice_cost=Cost(bits=max_bits),
         bob_cost=p.bob_cost,
         coin=p.coin,
         alice_inputs=p.alice_inputs,
@@ -979,9 +1014,8 @@ def _assert_matches_per_state(p, delta, r):
     assert result.records == records
     assert result.diagnostics == diagnostics
     c = p.bob_cost.bits
-    for bits, estimates in replayed.items():
-        got = [result.protocol.referee.accept_probability(bits, bitstring(b, c))
-               for b in range(2**c)]
+    for msg, estimates in replayed.items():
+        got = [result.protocol.referee.accept_probability(msg, b) for b in range(2**c)]
         assert got == estimates.tolist()
     xs, ys = p.alice_inputs, p.bob_inputs
     assert np.array_equal(
@@ -996,8 +1030,8 @@ def _canonical(states, picks, operators) -> SmpProtocol:
     return SmpProtocol(
         name="canonical",
         alice_strategy=lambda x, _c: states[picks[x]],
-        bob_strategy=lambda y, _c: {bitstring(y, c): 1.0},
-        referee=OperatorReferee({bitstring(b, c): e for b, e in enumerate(operators)}),
+        bob_strategy=lambda y, _c: {y: 1.0},
+        referee=OperatorReferee(operators),
         alice_cost=Cost(qubits=operators[0].num_qubits),
         bob_cost=Cost(bits=c),
         alice_inputs=tuple(range(len(picks))),
@@ -1136,8 +1170,8 @@ class TestGroupedWalk:
                 want = err
 
             def read():
-                return [referee.accept_probability(record.to_bits(), bitstring(b, 2))
-                        for b in range(4)]
+                msg = _compiled_message(record, result.protocol)
+                return [referee.accept_probability(msg, b) for b in range(4)]
 
             if isinstance(want, Exception):
                 with pytest.raises(type(want)) as got:
@@ -1182,15 +1216,15 @@ class TestGroupedWalk:
         result = compile_qc_to_cc(p, delta=0.1, r=3)
         referee = result.protocol.referee
         for x in p.alice_inputs:
-            (bits,) = result.protocol.alice_strategy(x, None)
-            referee.accept_probability(bits, "00")
+            (msg,) = result.protocol.alice_strategy(x, None)
+            referee.accept_probability(msg, 0)
         # against E = diag(0.8, 0.2) the state |0> records 0.8 at index 0,
         # which toy-q1's |0><0| family cannot reach on three copies
         other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
         foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
         assert foreign.entries == ((0, 0.8),)
         with pytest.raises(ReplayMismatchError, match="vanishes on replay"):
-            referee.accept_probability(foreign.to_bits(), "00")
+            referee.accept_probability(_compiled_message(foreign, result.protocol), 0)
 
     def test_correction_on_the_mismatch_bound_replays(self):
         # delta 1/8 keeps the arithmetic exact: the mixed hypothesis predicts
