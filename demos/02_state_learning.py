@@ -18,6 +18,7 @@ from smplab.qcore import (
     random_measurement_operator,
 )
 from smplab.rng import trial_rng
+from smplab.smp import bitstring
 from smplab.transforms import (
     bad_count_bound,
     default_copies,
@@ -41,7 +42,7 @@ for (b, p_tilde), trace in zip(record.entries, diag.projection_traces):
     print(f"  index {b}: truncated estimate {p_tilde:.4f}, "
           f"projection trace {trace:.4f} (<= {1 - delta / 4})")
 print(f"message length: {record.encoded_bit_length} bits")
-print(f"message bits:   {record.to_bits()}")
+print(f"message bits:   {bitstring(record.to_int(), record.encoded_bit_length)}")
 
 estimates = reconstruct_estimates(record, operators)
 true = np.array([acceptance_probability(e, rho) for e in operators])

@@ -12,7 +12,6 @@ from .qcore import (
     DensityMatrix,
     MeasurementOperator,
     Observable,
-    ProductState,
     PureState,
     acceptance_probability,
     average_observable,

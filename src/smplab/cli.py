@@ -213,7 +213,7 @@ def _run_matching(prm: dict, tol: Tolerances, quantum: bool) -> ExperimentResult
     pairs = [(inst.x, inst.bob_input) for inst in fixture]
     values = {(inst.x, inst.bob_input): matching_value(inst) for inst in fixture}
     report = empirical_success(
-        p, lambda x, y: values[(x, y)], pairs, trials_per_pair=trials, seed=seed
+        p, lambda x, y: values[(x, y)], pairs, trials_per_pair=trials, seed=seed, tol=tol
     )
     rows = [
         [i, matching_value(inst), trials, repr(rate)]

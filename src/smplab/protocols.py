@@ -21,7 +21,7 @@ import numpy as np
 from .codes import LinearCode, encode, hadamard_code
 from .config import DEFAULT, Tolerances
 from .errors import EnumerationCapError, PromiseViolationError
-from .qcore import MeasurementOperator, ProductState, PureState
+from .qcore import MeasurementOperator, PureState
 from .smp import (
     CoinSpace,
     Cost,
@@ -330,8 +330,16 @@ def _majority_output(agreements: list[int], rng: np.random.Generator | None):
 _NEGLIGIBLE_WEIGHT = 1e-15
 
 
+def _edge_measurement(amp: np.ndarray, i: int, j: int) -> tuple[float, float, float]:
+    """Edge (i, j)'s projector mass, then the unnormalized weights of the + and -
+    outcomes on the two amplitudes that survive it (even and odd parity)."""
+    ai, aj = amp[i], amp[j]
+    plus, minus = float(abs(ai + aj) ** 2) / 2.0, float(abs(ai - aj) ** 2) / 2.0
+    return float(abs(ai) ** 2 + abs(aj) ** 2), plus, minus
+
+
 class _MatchingQcReferee(Referee):
-    """Measures each received copy with the projectors of still-unused edges.
+    """Measures ``copies`` copies of Alice's state with the projectors of still-unused edges.
 
     Per copy, the projective measurement has one two-dimensional outcome per
     unused edge (success probability |psi_i|^2 + |psi_j|^2) plus a residual
@@ -339,45 +347,30 @@ class _MatchingQcReferee(Referee):
     surviving two amplitudes, which recovers the edge parity.
     """
 
-    def __init__(self, n: int, slots: int):
-        self.slots = slots
+    def __init__(self, n: int, slots: int, copies: int):
+        self.slots, self.copies = slots, copies
         self.log_n = _log2_exact(n)
 
     def _edge_outcomes(self, psi: PureState, edges: list[tuple[int, int, int]]):
+        """(edge position, success probability, even-parity probability) per edge with mass."""
         amp = psi.amplitudes
         out = []
         for idx, (i, j, _w) in enumerate(edges):
-            ai, aj = amp[i], amp[j]
-            p = float(abs(ai) ** 2 + abs(aj) ** 2)
+            p, plus, minus = _edge_measurement(amp, i, j)
             if p <= 0.0:
                 continue
-            plus = float(abs(ai + aj) ** 2) / 2.0
-            minus = float(abs(ai - aj) ** 2) / 2.0
             out.append((idx, p, plus / (plus + minus)))
         return out
 
-    def _copy_outcomes(self, payload: ProductState, edges: list[tuple[int, int, int]]):
-        """``_edge_outcomes`` of each copy, computed once per run of one factor object.
-
-        Alice's copies are one shared ``PureState``, so it is computed once.
-        """
-        out = []
-        last = outcomes = None
-        for psi in payload.factors:
-            if psi is not last:
-                last, outcomes = psi, self._edge_outcomes(psi, edges)
-            out.append(outcomes)
-        return out
-
-    def output_distribution(self, payload: ProductState, b: int, coin=None) -> dict:
+    def output_distribution(self, psi: PureState, b: int, coin=None) -> dict:
         edges = _decode_edges(b, self.slots, self.log_n)
-        copy_outcomes = self._copy_outcomes(payload, edges)
+        outcomes = self._edge_outcomes(psi, edges)
         dist: dict[int, float] = {}
 
         def walk(copy: int, used: frozenset[int], agreements: tuple[int, ...], weight: float):
             if weight <= _NEGLIGIBLE_WEIGHT:
                 return
-            if copy == len(copy_outcomes):
+            if copy == self.copies:
                 out = _majority_output(list(agreements), rng=None)
                 if out is None:
                     dist[0] = dist.get(0, 0.0) + weight / 2
@@ -385,7 +378,7 @@ class _MatchingQcReferee(Referee):
                 else:
                     dist[out] = dist.get(out, 0.0) + weight
                 return
-            unused = [e for e in copy_outcomes[copy] if e[0] not in used]
+            unused = [e for e in outcomes if e[0] not in used]
             residual = 1.0 - sum(p for _, p, _ in unused)
             for idx, p, p_even in unused:
                 wbit = edges[idx][2]
@@ -400,11 +393,12 @@ class _MatchingQcReferee(Referee):
         walk(0, frozenset(), (), 1.0)
         return dist
 
-    def sample_output(self, payload: ProductState, b: int, rng, coin=None, info=None) -> int:
+    def sample_output(self, psi: PureState, b: int, rng, coin=None, info=None) -> int:
         edges = _decode_edges(b, self.slots, self.log_n)
+        outcomes = self._edge_outcomes(psi, edges)
         used: set[int] = set()
         agreements: list[int] = []
-        for outcomes in self._copy_outcomes(payload, edges):
+        for _ in range(self.copies):
             options = [e for e in outcomes if e[0] not in used]
             if not options:
                 continue
@@ -430,8 +424,9 @@ def matching_qc(
 ) -> SmpProtocol:
     """Quantum-classical protocol for the matching promise problem.
 
-    The public coin picks a subset S; Alice sends ``copies`` copies of the
-    sign superposition of her bits on S; Bob sends the edges of his matching
+    The public coin picks a subset S; Alice's strategy returns the sign
+    superposition of her bits on S, one ``PureState``, and she pays for
+    ``copies`` copies of it; Bob sends the edges of his matching
     that fall inside S (up to ``edges_sent``) with their w-bits; the referee
     recovers edge parities from the copies and takes a majority vote of the
     agreement bits.  On an empty intersection the referee answers with a fair
@@ -461,12 +456,11 @@ def matching_qc(
         """Alice's signed amplitude on every index; only the last input is kept."""
         return np.where(np.array(x, dtype=bool), -inv_sqrt, inv_sqrt).astype(np.complex128)
 
-    def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> ProductState:
+    def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> PureState:
         amp = np.zeros(n, dtype=np.complex128)
         idx = np.fromiter(subset, dtype=np.intp, count=len(subset))
         amp[idx] = signs(tuple(x))[idx]
-        psi = PureState(amp)
-        return ProductState((psi,) * copies)
+        return PureState(amp)
 
     def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
         matching, w = by
@@ -478,7 +472,7 @@ def matching_qc(
         name=f"matching-qc(n={n})",
         alice_strategy=alice,
         bob_strategy=bob,
-        referee=_MatchingQcReferee(n, edges_sent),
+        referee=_MatchingQcReferee(n, edges_sent, copies),
         alice_cost=Cost(qubits=copies * log_n),
         bob_cost=Cost(bits=count_bits + edges_sent * (2 * log_n + 1)),
         coin=coin,
@@ -589,11 +583,9 @@ class _HiddenMatchingReferee(Referee):
     def _branches(self, psi: PureState, k: int):
         amp = psi.amplitudes
         for i, j in xor_matching(self.n, k):
-            p_edge = float(abs(amp[i]) ** 2 + abs(amp[j]) ** 2)
+            p_edge, plus, minus = _edge_measurement(amp, i, j)
             if p_edge <= _EDGE_RESIDUE:
                 continue
-            plus = float(abs(amp[i] + amp[j]) ** 2) / 2.0
-            minus = float(abs(amp[i] - amp[j]) ** 2) / 2.0
             for parity, weight in ((0, plus), (1, minus)):
                 if weight / (plus + minus) > _EDGE_RESIDUE:
                     yield HiddenMatchingOutput(i, j, parity), p_edge * weight / (plus + minus)

@@ -28,7 +28,6 @@ __all__ = [
     "MeasurementOperator",
     "Observable",
     "PureState",
-    "ProductState",
     "acceptance_probability",
     "average_observable",
     "band_projector",
@@ -236,21 +235,6 @@ class PureState:
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), validate=False)
-
-
-@dataclass(frozen=True)
-class ProductState:
-    """Product of independent pure-state factors, kept factored.
-
-    Semantically the tensor product of the factors' density matrices; storing
-    the factors lets referees measure each register separately without ever
-    materializing the full-dimensional matrix.
-    """
-
-    factors: tuple[PureState, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
 
 
 @dataclass(frozen=True)

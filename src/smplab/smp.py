@@ -1,8 +1,9 @@
 """Simultaneous message passing protocols and their evaluation.
 
-A protocol fixes, for every Alice input, either a distribution over classical
-messages or a quantum state, and for every Bob input a distribution over
-classical messages; a referee turns the two messages into an output.  A
+A protocol fixes, for every Alice input, a quantum state when it is quantum
+(Alice's ``Cost`` has qubits) and a distribution over classical messages
+otherwise, and for every Bob input a distribution over classical messages; a
+referee turns the two messages into an output.  A
 classical message of a side whose ``Cost`` is c bits is a plain ``int`` in
 [0, 2^c), its first bit the most significant; bit strings are only a report
 format (:func:`bitstring`).  Public randomness, when present, is an explicit
@@ -26,7 +27,6 @@ from .errors import EnumerationCapError
 from .qcore import (
     DensityMatrix,
     MeasurementOperator,
-    ProductState,
     PureState,
     acceptance_probability,
 )
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 Distribution = Mapping[int, float]
-QuantumPayload = DensityMatrix | PureState | ProductState
+QuantumPayload = DensityMatrix | PureState
 
 
 def bitstring(value: int, width: int) -> str:
@@ -76,7 +76,9 @@ def pack(fields: Iterable[int], width: int) -> int:
 
 
 def validate_distribution(dist: Distribution, length: int, tol: Tolerances = DEFAULT) -> None:
-    """Refuse a message that is not an int in [0, 2^length), and bad weights."""
+    """Refuse a law that is not a mapping, a message not an int in [0, 2^length), bad weights."""
+    if type(dist) is not dict and not isinstance(dist, Mapping):  # spares a dict the slow ABC test
+        raise ValueError(f"a classical message law must be a mapping, got {type(dist).__name__}")
     total = 0.0
     for msg, p in dist.items():
         if type(msg) is not int or msg < 0 or msg.bit_length() > length:
@@ -204,11 +206,12 @@ class OperatorReferee(Referee):
 class SmpProtocol:
     """One simultaneous message passing protocol.
 
-    ``alice_strategy(x, coin)`` returns a message distribution or a quantum
-    payload; ``bob_strategy(y, coin)`` returns a message distribution; the
+    ``alice_strategy(x, coin)`` returns a quantum payload when the protocol
+    is :attr:`quantum` (Alice's message costs qubits) and a message
+    distribution otherwise, which both evaluation paths validate;
+    ``bob_strategy(y, coin)`` returns a message distribution; the
     :class:`Referee` maps the two messages to an output.  ``coin`` is None in
-    private-coin protocols.  The protocol is quantum when Alice's message
-    costs qubits.
+    private-coin protocols.
     """
 
     name: str
@@ -315,23 +318,21 @@ class _Side:
         """Run the strategy once per input at ``coin`` and validate each distribution.
 
         Returns the coin's distinct messages (indexed by the stored ids) and
-        its largest support.  When ``quantum`` is set, a payload that is not
-        a distribution is a message of its own with probability 1.0.
+        its largest support.  A quantum side sends one payload per input, so
+        its message ids are the input positions, each with probability 1.0.
         """
-        ids: dict = {}
-        payloads: dict[int, object] = {}
         sizes, probs, idx = self.sizes, self.probs, self.ids
+        if self.quantum:
+            msgs = [self.strategy(v, coin) for v in self.inputs]
+            idx += range(len(msgs))
+            probs += [1.0] * len(msgs)
+            sizes += [1] * len(msgs)
+            self.distinct.append(len(msgs))
+            return msgs, 1
+        ids: dict = {}
         widest = 1
         for v in self.inputs:
             dist = self.strategy(v, coin)
-            if self.quantum and not isinstance(dist, (dict, Mapping)):
-                # a message of its own, keyed by a tuple, which no int equals
-                i = ids[(len(sizes),)] = len(ids)
-                payloads[i] = dist
-                idx.append(i)
-                probs.append(1.0)
-                sizes.append(1)
-                continue
             validate_distribution(dist, self.bits, self.tol)
             for msg, pr in dist.items():
                 idx.append(ids.setdefault(msg, len(ids)))
@@ -340,10 +341,7 @@ class _Side:
             if len(dist) > widest:
                 widest = len(dist)
         self.distinct.append(len(ids))
-        msgs = list(ids)
-        for i, payload in payloads.items():
-            msgs[i] = payload
-        return msgs, widest
+        return list(ids), widest
 
     def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-coin counts and (coin, slot, input) probability and message-id arrays.
@@ -378,7 +376,7 @@ class _Tabulation:
 
     def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances):
         self.xs, self.ys, self.cap = xs, ys, tol.enum_cap
-        self.alice = _Side(p.alice_strategy, xs, p.alice_cost.bits, tol, True)
+        self.alice = _Side(p.alice_strategy, xs, p.alice_cost.bits, tol, p.quantum)
         self.bob = _Side(p.bob_strategy, ys, p.bob_cost.bits, tol, False)
         self.accept = p.referee.accept_probability
         self.total = np.zeros((1, len(xs) * len(ys)))
@@ -496,13 +494,17 @@ def exact_acceptance(p: SmpProtocol, x, y, tol: Tolerances = DEFAULT) -> float:
     return float(acceptance_table(p, (x,), (y,), tol)[0, 0])
 
 
-def _sample_output_once(p: SmpProtocol, x, y, rng: np.random.Generator, info: dict | None = None):
+def _sample_output_once(p: SmpProtocol, x, y, rng, tol: Tolerances = DEFAULT, info=None):
+    """One trial: the coin, then Alice's message (drawn from her law unless
+    she sends a quantum payload) and Bob's, each law validated before its draw."""
     coin = p.coin.sampler(rng) if p.coin is not None else None
-    a_payload = p.alice_strategy(x, coin)
-    if isinstance(a_payload, Mapping):
-        a_payload = sample_from_distribution(a_payload, rng)
-    b = sample_from_distribution(p.bob_strategy(y, coin), rng)
-    return p.referee.sample_output(a_payload, b, rng, coin, info=info)
+    a = p.alice_strategy(x, coin)
+    if not p.quantum:
+        validate_distribution(a, p.alice_cost.bits, tol)
+        a = sample_from_distribution(a, rng)
+    b = p.bob_strategy(y, coin)
+    validate_distribution(b, p.bob_cost.bits, tol)
+    return p.referee.sample_output(a, sample_from_distribution(b, rng), rng, coin, info=info)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
@@ -557,10 +559,12 @@ def empirical_success(
     pairs: Iterable[tuple],
     trials_per_pair: int,
     seed: int,
+    tol: Tolerances = DEFAULT,
 ) -> SuccessReport:
     """Fraction of trials whose referee output equals the target value.
 
     Each pair gets its own derived seed; each trial its own keyed generator.
+    Every classical law is validated against ``tol``, as in :func:`acceptance_table`.
     """
     lookup = f if callable(f) else f.__call__
     pair_list = list(pairs)
@@ -577,7 +581,7 @@ def empirical_success(
         hits = 0
         for rng in trial_rngs(pair_seed, trials_per_pair):
             info: dict = {}
-            out = _sample_output_once(p, x, y, rng, info=info)
+            out = _sample_output_once(p, x, y, rng, tol, info=info)
             hits += 1 if out == want else 0
             abstained += info.get("abstained", 0)
         successes += hits

@@ -16,8 +16,8 @@ Three ways to shrink what Alice must send:
   turning a quantum-classical protocol into a classical one whose worst-case
   error is at most ``delta`` worse.  A deterministic message is in particular
   a valid randomized message, so this also realizes the randomized
-  replacement.  Alice sends the record's bits padded to the longest record
-  with all-ones entries, which no real entry is, read as one int.
+  replacement.  Alice sends the record as one int, padded to the longest
+  record with all-ones entries, which no real entry is.
 """
 
 from __future__ import annotations
@@ -138,32 +138,32 @@ class LearnRecord:
     def encoded_bit_length(self) -> int:
         return len(self.entries) * (self.c + _tilde_bits(self.delta))
 
-    def to_bits(self) -> str:
-        """The message itself: per entry, the index then the estimate's grid position.
+    def to_int(self) -> int:
+        """The message itself: per entry, the index then the estimate's grid
+        position, the first entry most significant.
 
         Grid positions are taken in exact arithmetic, since p / (delta/8)
         overflows a float for a subnormal delta.
         """
         step = Fraction(self.delta) / 8
         tb = _tilde_bits(self.delta)
-        out = []
-        for b, p in self.entries:
-            out.append(bitstring(b, self.c) + bitstring(round(Fraction(p) / step), tb))
-        return "".join(out)
+        fields = (b << tb | round(Fraction(p) / step) for b, p in self.entries)
+        return pack(fields, self.c + tb)
 
     @classmethod
-    def from_bits(cls, bits: str, q: int, c: int, r: int, delta: float) -> "LearnRecord":
+    def from_int(cls, value: int, entries: int, q: int, c: int, r: int, delta: float):
+        """The record of ``entries`` entries that :meth:`to_int` sends as ``value``."""
         tb = _tilde_bits(delta)
         width = c + tb
-        if len(bits) % width:
-            raise ValueError(f"message length {len(bits)} not a multiple of {width}")
+        if entries < 0 or value < 0 or value.bit_length() > entries * width:
+            raise ValueError(f"not a message of {entries} entries of {width} bits")
         step = Fraction(delta) / 8
-        entries = []
-        for pos in range(0, len(bits), width):
-            b = int(bits[pos : pos + c] or "0", 2)
-            idx = int(bits[pos + c : pos + width], 2)
-            entries.append((b, float(idx * step)))
-        return cls(q=q, c=c, r=r, delta=delta, entries=tuple(entries))
+        index_mask, grid_mask = (1 << c) - 1, (1 << tb) - 1
+        out = []
+        for shift in range((entries - 1) * width, -1, -width):
+            field = value >> shift
+            out.append((field >> tb & index_mask, float((field & grid_mask) * step)))
+        return cls(q=q, c=c, r=r, delta=delta, entries=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -650,11 +650,13 @@ def compile_qc_to_cc(
     The input protocol must be in canonical form: Alice sends a density
     matrix, Bob a classical message, and the referee holds one measurement
     operator per Bob message.  The compiled Alice deterministically sends the
-    bit-encoded record for her state, padded with all-ones entries to the
-    longest record and read as an int; the referee drops the padding,
-    reconstructs the estimates and accepts with the estimate for Bob's actual
-    message, so the worst-case error grows by at most ``delta``.  Public-coin protocols are compiled one
-    coin value at a time.
+    record for her state as one int (:meth:`LearnRecord.to_int`), shifted
+    left past all-ones entries up to the longest record; the referee refuses
+    a message that is not an int below 2^max_bits, strips the all-ones
+    entries by masks, reconstructs the estimates and accepts with the
+    estimate for Bob's actual message, so the worst-case error grows by at
+    most ``delta``.  Public-coin protocols are compiled one coin value at a
+    time.
     """
     if not p.quantum or not isinstance(p.referee, OperatorReferee):
         raise ValueError("needs a canonical quantum protocol with an operator family")
@@ -691,12 +693,15 @@ def compile_qc_to_cc(
 
     records = {key: record for key, (record, _) in zip(keys, learned)}
     diagnostics = {key: diag for key, (_, diag) in zip(keys, learned)}
-    sent = {key: record.to_bits() for key, record in records.items()}
-    max_bits = max(map(len, sent.values()), default=0)
     # padded with all-ones entries, which no real one is (its grid position is
     # at most 8/delta < 2^tilde_bits - 1); unpadded, () and ((0, 0.0),) are both 0
     width = c + _tilde_bits(delta)
-    messages = {key: int(bits.ljust(max_bits, "1") or "0", 2) for key, bits in sent.items()}
+    slots = max((len(record.entries) for record in records.values()), default=0)
+    max_bits, ones = slots * width, (1 << width) - 1
+    messages = {}
+    for key, record in records.items():
+        pad = (slots - len(record.entries)) * width
+        messages[key] = record.to_int() << pad | (1 << pad) - 1
 
     # each message's replay outcome: for a message Alice sends, its estimates
     # from the sender's own numbers, taken now; for any other, its own walk's
@@ -706,11 +711,13 @@ def compile_qc_to_cc(
     }
 
     def reconstruct(msg: int) -> np.ndarray:
+        if type(msg) is not int or msg < 0 or msg.bit_length() > max_bits:
+            raise ValueError(f"message {msg!r} is not an int in [0, 2^{max_bits})")
         if msg not in replays:
-            bits = bitstring(msg, max_bits)
-            while bits.endswith("1" * width):
-                bits = bits[:-width]
-            rec = LearnRecord.from_bits(bits, q=q, c=c, r=r, delta=delta)
+            value, count = msg, slots
+            while count and value & ones == ones:
+                value, count = value >> width, count - 1
+            rec = LearnRecord.from_int(value, count, q=q, c=c, r=r, delta=delta)
             try:
                 replays[msg] = _replay_record(rec, observables, tol)
             except (ValueError, VanishingProjectionError) as err:

@@ -1,6 +1,6 @@
 """A classical message is an int: bit strings are built or parsed only where a
-report is formatted or a learning record is coded, so no bit-string codec can
-creep back between a strategy and its referee."""
+report or an error message is formatted, so no bit-string codec can creep back
+between a strategy and its referee."""
 
 import ast
 import re
@@ -15,8 +15,6 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 # for a whole module
 ALLOWED = {
     ("smp", "bitstring"),  # the one formatter
-    ("transforms", "LearnRecord"),  # to_bits / from_bits
-    ("transforms", "compile_qc_to_cc"),  # pads a record's bits, reads them back
     ("transforms", "derandomize_alice"),  # its failure names a Bob message as bits
     ("cli", None),  # report rows
 }

@@ -27,7 +27,8 @@ from smplab.protocols import (
     _decode_edges,
     _encode_edges,
 )
-from smplab.qcore import ProductState, PureState, acceptance_probability
+from smplab import protocols
+from smplab.qcore import PureState, acceptance_probability
 from smplab.rng import trial_rng
 from smplab.smp import CoinSpace, TableReferee, exact_acceptance, worst_case_error
 from smplab.transforms import compile_qc_to_cc
@@ -154,7 +155,7 @@ class TestMatchingProtocols:
         subset = tuple(sorted((i, j, others[0], others[1])))
         payload = p.alice_strategy(inst.x, subset)
         (b_msg,) = p.bob_strategy(inst.bob_input, subset).keys()
-        outcomes = p.referee._edge_outcomes(payload.factors[0], [(i, j, 0)])
+        outcomes = p.referee._edge_outcomes(payload, [(i, j, 0)])
         assert outcomes[0][1] == pytest.approx(2 / 4)
 
     def test_recovered_parity_is_certain(self):
@@ -165,7 +166,7 @@ class TestMatchingProtocols:
             i, j = inst.matching[0]
             others = [v for v in range(8) if v not in (i, j)]
             subset = tuple(sorted((i, j, others[0], others[1])))
-            psi = p.alice_strategy(inst.x, subset).factors[0]
+            psi = p.alice_strategy(inst.x, subset)
             ((_, _, p_even),) = p.referee._edge_outcomes(psi, [(i, j, 0)])
             want = inst.x[i] ^ inst.x[j]
             assert p_even == pytest.approx(1.0 if want == 0 else 0.0, abs=1e-9)
@@ -375,10 +376,11 @@ class TestMatchingMessages:
             amp = np.zeros(n, dtype=np.complex128)
             for i in subset:
                 amp[i] = -1.0 / np.sqrt(size) if inst.x[i] else 1.0 / np.sqrt(size)
+            # one state, of which Alice pays for ``copies`` copies
             payload = qc.alice_strategy(list(inst.x), subset)
-            assert len(payload.factors) == copies
-            assert all(f is payload.factors[0] for f in payload.factors)
-            assert payload.factors[0].amplitudes.tobytes() == PureState(amp).amplitudes.tobytes()
+            assert type(payload) is PureState
+            assert qc.alice_cost.qubits == copies * (n.bit_length() - 1)
+            assert payload.amplitudes.tobytes() == PureState(amp).amplitudes.tobytes()
             assert classical.alice_strategy(inst.x, subset) == {
                 _as_int("".join(str(inst.x[i]) for i in subset)): 1.0
             }
@@ -388,19 +390,34 @@ class TestMatchingMessages:
                 want = _string_encode_edges(inside[:slots], slots, n.bit_length() - 1)
                 assert p.bob_strategy(inst.bob_input, subset) == {_as_int(want): 1.0}
 
-    def test_referee_measures_each_distinct_copy(self):
-        # two edges inside S; copy 1 sits on edge (2, 3) only and uses it, so
-        # copy 2 can only hit edge (0, 1), where w disagrees with x
+    def test_referee_excludes_the_first_copys_edge_for_the_second(self, monkeypatch):
+        # x = 0 puts mass 1/2 on each of the edges (0, 1) and (2, 3), both of
+        # even parity; w = (1, 0), so edge (0, 1) disagrees and (2, 3) agrees.
+        # A second copy measures only the edge the first left unused, so no
+        # run of agreements repeats one edge's bit.  The output law alone
+        # cannot show this: at two copies, a re-measured edge adds a second
+        # bit of its own, and the majority of two such bits has one bit's law
         p = matching_qc(4, subset_size=4, copies=2, edges_sent=2)
         inst = MatchingInstance(4, (0, 0, 0, 0), ((0, 1), (2, 3)), (1, 0))
-        (b_msg,) = p.bob_strategy(inst.bob_input, (0, 1, 2, 3))
-        on_edge = PureState(np.array([0, 0, 1, 1], dtype=np.complex128))
-        spread = p.alice_strategy(inst.x, (0, 1, 2, 3)).factors[0]
-        payload = ProductState((on_edge, spread))
-        dist = p.referee.output_distribution(payload, b_msg)
-        assert dist == pytest.approx({1: 0.75, 0: 0.25})
-        outs = [p.referee.sample_output(payload, b_msg, trial_rng(2, t)) for t in range(400)]
-        assert 0.65 <= np.mean(outs) <= 0.85
+        subset = (0, 1, 2, 3)
+        (b_msg,) = p.bob_strategy(inst.bob_input, subset)
+        psi = p.alice_strategy(inst.x, subset)
+        assert type(psi) is PureState  # one state, measured ``copies`` times
+        seen = []
+        majority = protocols._majority_output
+
+        def recording(agreements, rng):
+            seen.append(tuple(agreements))
+            return majority(agreements, rng)
+
+        monkeypatch.setattr(protocols, "_majority_output", recording)
+        dist = p.referee.output_distribution(psi, b_msg)
+        assert sorted(seen) == [(0,), (0, 1), (1,), (1, 0)]
+        assert dist == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-15)
+        seen.clear()
+        for t in range(200):
+            p.referee.sample_output(psi, b_msg, trial_rng(2, t))
+        assert set(seen) == {(0,), (0, 1), (1,), (1, 0)}
 
 
 class TestHiddenMatching:

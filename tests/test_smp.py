@@ -122,7 +122,7 @@ def reference_exact_acceptance(p: SmpProtocol, x, y, tol=DEFAULT) -> float:
         a_payload = p.alice_strategy(x, coin)
         b_dist = p.bob_strategy(y, coin)
         validate_distribution(b_dist, p.bob_cost.bits, tol)
-        if isinstance(a_payload, Mapping):
+        if not p.quantum:
             validate_distribution(a_payload, p.alice_cost.bits, tol)
             terms += len(a_payload) * len(b_dist)
             if terms > tol.enum_cap:
@@ -402,6 +402,62 @@ class TestSampledAcceptance:
             empirical_success(p, lambda x, y: 1, pairs, trials_per_pair=trials, seed=1)
 
 
+class TestEveryClassicalLawIsValidated:
+    """``SmpProtocol.quantum`` alone tells a payload from a law, on both paths."""
+
+    def test_a_bare_int_from_a_classical_alice_is_refused(self):
+        p = replace(constant_accept_protocol(), alice_strategy=lambda x, c: 7)
+        with pytest.raises(ValueError, match="must be a mapping, got int"):
+            acceptance_table(p, (0, 1), (0, 1))
+        with pytest.raises(ValueError, match="must be a mapping, got int"):
+            empirical_success(p, lambda x, y: 1, [(0, 0)], trials_per_pair=3, seed=1)
+
+    @pytest.mark.parametrize("law, message", [
+        ({"0": 1.0}, "is not an int"),
+        ({7: 1.0}, r"not an int in \[0, 2\^1\)"),
+        ({0: 0.5}, "sums to 0.5"),
+    ])
+    @pytest.mark.parametrize("side", ["alice_strategy", "bob_strategy"])
+    def test_the_sampled_path_refuses_a_malformed_law(self, side, law, message):
+        p = replace(constant_accept_protocol(), **{side: lambda v, c: law})
+        with pytest.raises(ValueError, match=message):
+            empirical_success(p, lambda x, y: 1, [(0, 0)], trials_per_pair=3, seed=1)
+        with pytest.raises(ValueError, match=message):
+            acceptance_table(p, (0,), (0,))
+
+    def test_the_sampled_path_checks_laws_against_the_callers_tolerance(self):
+        p = replace(constant_accept_protocol(), bob_strategy=lambda y, c: {0: 0.9995})
+        with pytest.raises(ValueError, match="sums"):
+            empirical_success(p, lambda x, y: 1, [(0, 0)], trials_per_pair=3, seed=1)
+        loose = with_overrides(DEFAULT, distribution=1e-3)
+        report = empirical_success(p, lambda x, y: 1, [(0, 0)], 3, seed=1, tol=loose)
+        assert report.rate == 1.0
+
+    def test_a_quantum_payload_reaches_the_referee_unchanged(self):
+        seen = []
+
+        class _AmplitudeReferee(Referee):
+            def accept_probability(self, a, b, coin=None):
+                seen.append(a)
+                amp = a.amplitudes if isinstance(a, PureState) else a
+                return float(abs(amp[b]) ** 2)
+
+        # sparse amplitudes by basis index are a mapping, yet a quantum payload
+        for payload in ({0: 0.6, 1: 0.8}, PureState(np.array([0.6, 0.8]))):
+            seen.clear()
+            p = SmpProtocol(
+                name="one-qubit",
+                alice_strategy=lambda x, c: payload,
+                bob_strategy=lambda y, c: {y: 1.0},
+                referee=_AmplitudeReferee(),
+                alice_cost=Cost(qubits=1),
+                bob_cost=Cost(bits=1),
+            )
+            assert acceptance_table(p, (0,), (0, 1))[0].tolist() == pytest.approx([0.36, 0.64])
+            empirical_success(p, lambda x, y: 1, [(0, 1)], trials_per_pair=5, seed=2)
+            assert len(seen) == 7 and all(a is payload for a in seen)
+
+
 class TestWorstCaseError:
     def test_omniscient_fixture_reaches_zero(self):
         f = equality_function(1)
@@ -504,6 +560,11 @@ class TestTables:
         # string, a bool or a numpy integer, however equal to one
         with pytest.raises(ValueError, match=re.escape(f"message {msg!r} is not an int")):
             validate_distribution({msg: 1.0}, length)
+
+    @pytest.mark.parametrize("law", [7, None, [(0, 1.0)], "0", PureState(np.array([1.0, 0.0]))])
+    def test_distribution_validation_refuses_what_is_not_a_mapping(self, law):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            validate_distribution(law, 1)
 
     @pytest.mark.parametrize("dist", [
         {0: -0.5, 1: 1.5},

@@ -306,7 +306,7 @@ class TestRecordEncoding:
                           entries=((1, 0.5), (4, 1.0), (6, 0.0)))
         per_entry = 3 + math.ceil(math.log2(8 / 0.1)) + 3
         assert rec.encoded_bit_length == 3 * per_entry
-        assert len(rec.to_bits()) == rec.encoded_bit_length
+        assert rec.to_int().bit_length() <= rec.encoded_bit_length
 
     @pytest.mark.parametrize("delta", [0.1, 0.125, 0.15, 0.2, 0.3, 0.45])
     def test_estimate_width_kept_at_the_report_deltas(self, delta):
@@ -320,7 +320,7 @@ class TestRecordEncoding:
         rec = LearnRecord(q=1, c=1, r=2, delta=delta, entries=((0, 0.0), (1, 1.0)))
         w = rec.encoded_bit_length // 2 - 1
         assert 2 ** (w - 4) < Fraction(8) / Fraction(delta) <= 2 ** (w - 3)
-        assert LearnRecord.from_bits(rec.to_bits(), 1, 1, 2, delta) == rec
+        assert LearnRecord.from_int(rec.to_int(), 2, 1, 1, 2, delta) == rec
         assert LearnRecord(q=1, c=1, r=2, delta=delta, entries=()).encoded_bit_length == 0
         # the helpers a record's delta reaches compute their value or raise
         # a ValueError naming delta; none divides by zero or overflows
@@ -339,36 +339,45 @@ class TestRecordEncoding:
 
     def test_bits_roundtrip_dyadic_grid(self):
         # delta 0.25 puts the estimate grid on multiples of 1/32, exact in floats
+        # and 8-bit grid positions: per entry the index, then the position,
+        # the first entry most significant
         rec = LearnRecord(q=2, c=2, r=3, delta=0.25, entries=((0, 0.25), (3, 0.96875)))
-        back = LearnRecord.from_bits(rec.to_bits(), q=2, c=2, r=3, delta=0.25)
+        assert rec.to_int() == (0 << 8 | 8) << 10 | (3 << 8 | 31)
+        back = LearnRecord.from_int(rec.to_int(), 2, q=2, c=2, r=3, delta=0.25)
         assert back == rec
 
     def test_bits_roundtrip_learned_record(self):
         rho = DensityMatrix(DIAG([0.85, 0.15]).astype(complex))
         ops = [proj([1, 0]), proj([0, 1])]
         rec, _ = learn_state_message(rho, ops, delta=0.1, r=8)
-        back = LearnRecord.from_bits(rec.to_bits(), q=1, c=1, r=8, delta=0.1)
+        back = LearnRecord.from_int(rec.to_int(), len(rec.entries), q=1, c=1, r=8, delta=0.1)
         assert back == rec
 
     @pytest.mark.parametrize("cut", [3, 10, 27, 28, 30, 45, -1])
     def test_truncated_bits_raise_value_error(self, cut):
+        # the receiver is told the entries that the first ``cut`` of the 48
+        # bits hold whole, fewer than the message holds
         rec = LearnRecord(q=1, c=2, r=2, delta=0.1,
                           entries=((0, 1.0), (1, 0.5), (2, 0.0125), (3, 0.25)))
-        bits = rec.to_bits()
-        assert len(bits) == 4 * 12
-        with pytest.raises(ValueError, match="not a multiple of 12"):
-            LearnRecord.from_bits(bits[:cut], q=1, c=2, r=2, delta=0.1)
+        assert rec.encoded_bit_length == 4 * 12
+        value = rec.to_int()
+        assert value.bit_length() == 48 - 5  # index 0, then position 80 in 10 bits
+        with pytest.raises(ValueError, match="not a message of [0-3] entries of 12 bits"):
+            LearnRecord.from_int(value, cut % 48 // 12, q=1, c=2, r=2, delta=0.1)
 
     def test_trailing_bits_raise_value_error(self):
-        bits = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 1.0),)).to_bits()
-        with pytest.raises(ValueError, match="message length 12 not a multiple of 11"):
-            LearnRecord.from_bits(bits + "0", q=1, c=1, r=2, delta=0.1)
+        value = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((1, 1.0),)).to_int()
+        with pytest.raises(ValueError, match="not a message of 1 entries of 11 bits"):
+            LearnRecord.from_int(value << 1, 1, q=1, c=1, r=2, delta=0.1)
+        for value, entries in ((-1, 1), (0, -1)):
+            with pytest.raises(ValueError, match="not a message of"):
+                LearnRecord.from_int(value, entries, q=1, c=1, r=2, delta=0.1)
 
     def test_zero_bit_family_bits_roundtrip(self):
         # a one-operator family has c = 0: each entry is its estimate alone
         rec = LearnRecord(q=1, c=0, r=2, delta=0.125, entries=((0, 0.25),))
-        assert len(rec.to_bits()) == rec.encoded_bit_length == 9
-        assert LearnRecord.from_bits(rec.to_bits(), q=1, c=0, r=2, delta=0.125) == rec
+        assert rec.to_int() == 16 and rec.encoded_bit_length == 9
+        assert LearnRecord.from_int(rec.to_int(), 1, q=1, c=0, r=2, delta=0.125) == rec
 
     @pytest.mark.parametrize("fields, match", [
         (dict(c=1, entries=((3, 0.5),)), "index 3 does not fit in 1 bits"),
@@ -385,9 +394,9 @@ class TestRecordEncoding:
         with pytest.raises(ValueError, match=match):
             LearnRecord(**{**dict(q=1, c=2, r=2, delta=0.125, entries=()), **fields})
 
-    def test_from_bits_rejects_delta_zero(self):
+    def test_from_int_rejects_delta_zero(self):
         with pytest.raises(ValueError, match="need delta in"):
-            LearnRecord.from_bits("", q=1, c=1, r=2, delta=0.0)
+            LearnRecord.from_int(0, 0, q=1, c=1, r=2, delta=0.0)
 
 
 def _last_grid_point(delta: float) -> float:
@@ -408,7 +417,7 @@ class TestTruncate:
         if delta >= 1e-3:
             # the record holds it, and its bits decode to it
             rec = LearnRecord(q=1, c=1, r=2, delta=delta, entries=((0, top),))
-            assert LearnRecord.from_bits(rec.to_bits(), 1, 1, 2, delta) == rec
+            assert LearnRecord.from_int(rec.to_int(), 1, 1, 1, 2, delta) == rec
 
     def test_report_deltas_keep_one(self):
         # at the reports' deltas the top grid point is 1.0 in floats, as the
@@ -445,9 +454,9 @@ class TestRecordProperties:
     @settings(max_examples=200, deadline=None)
     @given(rec=_grid_records())
     def test_bits_roundtrip(self, rec):
-        bits = rec.to_bits()
-        assert len(bits) == rec.encoded_bit_length
-        assert LearnRecord.from_bits(bits, rec.q, rec.c, rec.r, rec.delta) == rec
+        value = rec.to_int()
+        assert value.bit_length() <= rec.encoded_bit_length
+        assert LearnRecord.from_int(value, len(rec.entries), rec.q, rec.c, rec.r, rec.delta) == rec
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -468,7 +477,7 @@ class TestRecordProperties:
             assert not holds
             return
         assert holds
-        assert len(rec.to_bits()) == rec.encoded_bit_length
+        assert rec.to_int().bit_length() <= rec.encoded_bit_length
 
 
 class TestDerandomizeAlice:
@@ -605,15 +614,16 @@ class TestDerandomizeProperties:
                 assert after[x, y] == pytest.approx(want, abs=1e-12)
 
 
-def _padded(bits: str, max_bits: int) -> int:
+def _padded(record: LearnRecord, max_bits: int) -> int:
     """A record's bits padded with ones to ``max_bits``, as an int; the
     compiled Alice's message, built character by character."""
+    bits = bitstring(record.to_int(), record.encoded_bit_length)
     return int(bits + "1" * (max_bits - len(bits)) or "0", 2)
 
 
 def _compiled_message(record: LearnRecord, compiled: SmpProtocol) -> int:
     """The message ``compiled``'s Alice sends for ``record``."""
-    return _padded(record.to_bits(), compiled.alice_cost.bits)
+    return _padded(record, compiled.alice_cost.bits)
 
 
 def _coin_flipped_toy() -> SmpProtocol:
@@ -698,13 +708,25 @@ class TestCompileQcToCc:
         p = _canonical([DensityMatrix.pure([0, 1]), maximally_mixed(1)], [0, 1], [zero, half])
         result = compile_qc_to_cc(p, delta=0.1)
         assert result.records[0].entries == ((0, 0.0),)
-        assert result.records[0].to_bits() == "0" * 11
+        assert (result.records[0].to_int(), result.records[0].encoded_bit_length) == (0, 11)
         assert result.records[1].entries == ()
         (sent_0,), (sent_1,) = (result.protocol.alice_strategy(x, None) for x in (0, 1))
         assert (sent_0, sent_1) == (0, 2**11 - 1)
         want = [[0.0, 0.5], [0.5, 0.5]]
         assert acceptance_table(p, (0, 1), (0, 1)).tolist() == want
         assert acceptance_table(result.protocol, (0, 1), (0, 1)).tolist() == want
+
+    @pytest.mark.parametrize("msg", [5, 1, -1, True, "0", 0.0])
+    def test_referee_refuses_a_message_not_below_two_to_the_max_bits(self, msg):
+        # one state I/2 against two operators I/2: every index is predicted,
+        # the one record is () and max_bits is 0, so 0 is the only message
+        half = MeasurementOperator(np.eye(2, dtype=complex) / 2)
+        compiled = compile_qc_to_cc(_canonical([maximally_mixed(1)], [0], [half, half]),
+                                    delta=0.1, r=2).protocol
+        assert compiled.alice_cost.bits == 0
+        assert compiled.referee.accept_probability(0, 1) == 0.5
+        with pytest.raises(ValueError, match=r"is not an int in \[0, 2\^0\)"):
+            compiled.referee.accept_probability(msg, 0)
 
     def test_public_coin_compiled_per_coin_value(self):
         # coin flips which basis encodes the input; compiling fixes each coin
@@ -977,11 +999,11 @@ def _per_state_compile(p, delta, r):
                 p.alice_strategy(x, coin), operators, observables, delta, r
             )
     max_bits = max(rec.encoded_bit_length for rec in records.values())
-    messages = {key: _padded(rec.to_bits(), max_bits) for key, rec in records.items()}
+    messages = {key: _padded(rec, max_bits) for key, rec in records.items()}
     c = len(operators).bit_length() - 1
     replayed = {
-        _padded(rec.to_bits(), max_bits): _per_record_replay(
-            LearnRecord.from_bits(rec.to_bits(), q, c, r, delta), observables)
+        _padded(rec, max_bits): _per_record_replay(
+            LearnRecord.from_int(rec.to_int(), len(rec.entries), q, c, r, delta), observables)
         for rec in records.values()
     }
     protocol = SmpProtocol(
