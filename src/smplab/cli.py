@@ -68,6 +68,7 @@ from .smp import (
     bitstring,
     empirical_success,
     protocol_cost,
+    validate_distribution,
 )
 from .transforms import (
     bad_count_bound,
@@ -246,9 +247,12 @@ def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
     for x in protocol.alice_inputs:
         for k in protocol.bob_inputs:
             payload = protocol.alice_strategy(x, None)
-            (b,) = protocol.bob_strategy(k, None)
-            dist = protocol.referee.output_distribution(payload, b)
-            mass = sum(w for out, w in dist.items() if out in relation.valid[(x, k)])
+            law = protocol.bob_strategy(k, None)
+            validate_distribution(law, protocol.bob_cost.bits, tol)
+            mass = 0.0
+            for b, pb in law.items():
+                dist = protocol.referee.output_distribution(payload, b)
+                mass += pb * sum(w for out, w in dist.items() if out in relation.valid[(x, k)])
             min_mass = min(min_mass, mass)
             rows.append([x, k, repr(mass)])
     a, b, total = protocol_cost(protocol)

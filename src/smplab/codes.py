@@ -90,20 +90,11 @@ def cyclic_mask_code(k: int, m: int) -> LinearCode:
     return LinearCode(gen, *_balanced_grid(m))
 
 
-def _as_message_bits(code: LinearCode, x) -> np.ndarray:
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < 2**code.n:
-            raise ValueError(f"message {x} out of range for n={code.n}")
-        return int_to_bits(int(x), code.n)
-    bits = np.asarray(x, dtype=np.uint8)
-    if bits.shape != (code.n,):
-        raise ValueError(f"message length {bits.shape} != n={code.n}")
-    return bits & 1
-
-
-def encode(code: LinearCode, x) -> np.ndarray:
-    """Codeword of ``x`` (an int or a length-n bit vector) over GF(2)."""
-    return (code.generator @ _as_message_bits(code, x)) % 2
+def encode(code: LinearCode, x: int) -> np.ndarray:
+    """Codeword of the n-bit message ``x`` over GF(2)."""
+    if not isinstance(x, (int, np.integer)) or not 0 <= x < 2**code.n:
+        raise ValueError(f"message {x!r} is not an int in [0, 2^{code.n})")
+    return (code.generator @ int_to_bits(int(x), code.n)) % 2
 
 
 def min_distance_bruteforce(code: LinearCode) -> int:

@@ -115,7 +115,7 @@ def _partitions(n: int, max_blocks: int) -> Iterable[tuple[int, ...]]:
 
 
 def search_relation_protocol(
-    relation: RelationTable, max_bits: int | None = None, tol: Tolerances = DEFAULT
+    relation: RelationTable, tol: Tolerances = DEFAULT
 ) -> tuple[int, DeterministicSmpProtocol] | None:
     """Cheapest deterministic protocol answering validly on the support of mu.
 
@@ -124,14 +124,8 @@ def search_relation_protocol(
     valid sets, and takes the least output by ``repr``).  Valid sets are
     bitmasks over the outputs in ``repr`` order, so that pick is the lowest
     set bit of the AND of the cell's masks.  Returns None when nothing within
-    ``max_bits`` works.
+    ``tol.relation_bits_cap`` total bits works.
     """
-    if max_bits is None:
-        max_bits = tol.relation_bits_cap
-    if max_bits < 0:
-        raise ValueError(f"max_bits must be >= 0, got {max_bits}")
-    if max_bits > tol.relation_bits_cap:
-        raise CapExceededError(f"search capped at {tol.relation_bits_cap} total bits")
     support = relation.support
     xs = sorted({x for x, _ in relation.valid}, key=repr)
     ys = sorted({y for _, y in relation.valid}, key=repr)
@@ -145,7 +139,7 @@ def search_relation_protocol(
         (xi[x], yi[y], sum(bit[z] for z in relation.valid[(x, y)])) for x, y in support
     ]
 
-    for total in range(max_bits + 1):
+    for total in range(tol.relation_bits_cap + 1):
         for c_a in range(total + 1):
             c_b = total - c_a
             for a_assign in _partitions(len(xs), 2**c_a):
@@ -171,15 +165,16 @@ def search_relation_protocol(
 
 
 def det_complexity_relation(
-    relation: RelationTable, max_bits: int | None = None, tol: Tolerances = DEFAULT
+    relation: RelationTable, tol: Tolerances = DEFAULT
 ) -> int | None:
-    """Minimal total cost over deterministic protocols valid on the support of mu."""
-    found = search_relation_protocol(relation, max_bits, tol)
+    """Minimal total cost over deterministic protocols valid on the support of mu,
+    or None when it exceeds ``tol.relation_bits_cap``."""
+    found = search_relation_protocol(relation, tol)
     return None if found is None else found[0]
 
 
 def exhaustive_function_search(
-    f: FunctionTable, max_bits: int | None = None, tol: Tolerances = DEFAULT
+    f: FunctionTable, tol: Tolerances = DEFAULT
 ) -> int | None:
     """Zero-error deterministic cost of a function by exhaustive protocol search.
 
@@ -193,7 +188,7 @@ def exhaustive_function_search(
         mu={pair: weight for pair in f.domain},
         tol=tol,
     )
-    return det_complexity_relation(relation, max_bits, tol)
+    return det_complexity_relation(relation, tol)
 
 
 def extract_function(
@@ -265,15 +260,17 @@ def union_bound_check(
     return UnionBoundReport(rel_err, dis_err, f_err)
 
 
-def booleanize(
-    f: FunctionTable,
-    g: LinearCode,
-    min_relative_distance: float = 0.25,
-) -> list[FunctionTable]:
+# the least relative distance booleanize accepts: a constant, so that the
+# function survives nearest-codeword decoding of a constant fraction of
+# corrupted Boolean tables
+_MIN_RELATIVE_DISTANCE = 0.25
+
+
+def booleanize(f: FunctionTable, g: LinearCode) -> list[FunctionTable]:
     """Boolean functions carrying the bits of g(f(x, y)).
 
     ``g`` must encode f's k-bit outputs and have brute-force-verified relative
-    distance at least ``min_relative_distance``, so that the original function
+    distance at least ``_MIN_RELATIVE_DISTANCE``, so that the original function
     survives nearest-codeword decoding even if a minority of the Boolean
     tables is corrupted.
     """
@@ -282,9 +279,9 @@ def booleanize(
         if not isinstance(v, (int, np.integer)) or not 0 <= v < 2**k:
             raise ValueError(f"output {v!r} does not fit in {k} bits")
     dist = min_distance_bruteforce(g)
-    if dist / g.m < min_relative_distance:
+    if dist / g.m < _MIN_RELATIVE_DISTANCE:
         raise ValueError(
-            f"code distance {dist}/{g.m} below required {min_relative_distance}"
+            f"code distance {dist}/{g.m} below required {_MIN_RELATIVE_DISTANCE}"
         )
     tables = []
     for j in range(g.m):

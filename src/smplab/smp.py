@@ -566,7 +566,6 @@ def empirical_success(
     Each pair gets its own derived seed; each trial its own keyed generator.
     Every classical law is validated against ``tol``, as in :func:`acceptance_table`.
     """
-    lookup = f if callable(f) else f.__call__
     pair_list = list(pairs)
     if trials_per_pair < 1:
         raise ValueError(f"need trials_per_pair >= 1, got {trials_per_pair}")
@@ -576,7 +575,7 @@ def empirical_success(
     abstained = 0
     per_pair = []
     for i, (x, y) in enumerate(pair_list):
-        want = lookup(x, y)
+        want = f(x, y)
         pair_seed = derive_seed(seed, i)
         hits = 0
         for rng in trial_rngs(pair_seed, trials_per_pair):

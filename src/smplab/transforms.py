@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -227,21 +227,24 @@ def _validated_family(operators: Sequence[MeasurementOperator]) -> tuple[int, in
 
 
 def _check_learn_inputs(
-    rho: DensityMatrix,
+    states: Sequence[DensityMatrix],
     operators: Sequence[MeasurementOperator],
     delta: float,
     r: int | None,
     tol: Tolerances,
 ) -> tuple[int, int, int]:
-    """``(c, q, r)``: the family's index bits, the state's qubits and the copy
+    """``(c, q, r)``: the family's index bits, the states' qubits and the copy
     count with its default filled in; raises, before any spectral work, on
-    inputs the learner cannot walk."""
+    inputs the learner cannot walk, the first faulty state in order first."""
     if not 0.0 < delta < 0.5:
         raise ValueError("need delta in (0, 1/2)")
     c, dim = _validated_family(operators)
     q = dim.bit_length() - 1
-    if rho.dim != dim:
-        raise ValueError(f"state dimension {rho.dim} != operator dimension {dim}")
+    for rho in states:
+        if not isinstance(rho, DensityMatrix):
+            raise ValueError(f"the learner walks density matrices, got {type(rho).__name__}")
+        if rho.dim != dim:
+            raise ValueError(f"state dimension {rho.dim} != operator dimension {dim}")
     if r is None:
         r = default_copies(q, delta, tol)
     if r < 1:
@@ -464,7 +467,7 @@ def learn_state_message(
     the hypothesis is projected onto the band of eigenvalues within delta/2 of
     it and renormalized.
     """
-    shape = _check_learn_inputs(rho, operators, delta, r, tol)
+    shape = _check_learn_inputs([rho], operators, delta, r, tol)
     observables = [average_observable(e, shape[2], tol) for e in operators]
     (learned,) = _learn_states([rho], operators, observables, delta, shape, tol)
     return learned
@@ -527,11 +530,14 @@ class DeterministicMessageTable:
             object.__setattr__(self, name, dict(getattr(self, name)))
 
 
+# candidate multisets drawn per Alice input before derandomize_alice gives up
+_MAX_ATTEMPTS = 1000
+
+
 def derandomize_alice(
     p: SmpProtocol,
     s: int,
     seed: int = 0,
-    max_attempts: int = 1000,
     tol: Tolerances = DEFAULT,
 ) -> tuple[SmpProtocol, DeterministicMessageTable]:
     """Replace a randomized classical Alice with a verified deterministic one.
@@ -539,17 +545,19 @@ def derandomize_alice(
     Draws ``s * c_B`` messages from Alice's distribution and accepts the
     multiset only after checking, for every one of the 2^c_B Bob messages,
     that the average referee response is within 1/10 of the exact expectation;
-    failed candidates are redrawn (existence is a concentration argument, the
-    check makes it unconditional).  The new referee accepts with the average
-    response over the multiset, so each input pair's acceptance moves by at
-    most 1/10.
+    failed candidates are redrawn, up to ``_MAX_ATTEMPTS`` per input
+    (existence is a concentration argument, the check makes it
+    unconditional).  The new referee accepts with the average response over
+    the multiset, so each input pair's acceptance moves by at most 1/10.  The
+    result is ``p`` with only Alice's strategy and cost, the referee and the
+    name replaced.
     """
     if p.coin is not None:
         raise ValueError("only private-coin protocols can be derandomized this way")
     if p.quantum:
         raise ValueError("Alice must be classical; compile quantum messages first")
-    if s < 1 or max_attempts < 1:
-        raise ValueError("need s >= 1 and max_attempts >= 1")
+    if s < 1:
+        raise ValueError("need s >= 1")
     if p.alice_inputs is None:
         raise ValueError("needs an explicit Alice input set")
 
@@ -571,7 +579,7 @@ def derandomize_alice(
         validate_distribution(dist, c_a, tol)
         targets = {b: exact_response(dist, b) for b in all_b}
         chosen = None
-        for attempt in range(max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             rng = trial_rng(derive_seed(seed, xi), attempt)
             candidate = tuple(
                 sample_from_distribution(dist, rng) for _ in range(multiplicity)
@@ -590,7 +598,7 @@ def derandomize_alice(
         if chosen is None:
             bad_b = max(devs, key=devs.get)
             raise ValueError(
-                f"no verified multiset within {max_attempts} attempts for input {x!r} "
+                f"no verified multiset within {_MAX_ATTEMPTS} attempts for input {x!r} "
                 f"(largest deviation {devs[bad_b]:.4f} at Bob message "
                 f"{bitstring(bad_b, c_b)}); increase s"
             )
@@ -615,15 +623,12 @@ def derandomize_alice(
         parts = [big >> shift & mask for shift in shifts]
         return sum(referee.accept_probability(a, b, None) for a in parts) / multiplicity
 
-    compiled = SmpProtocol(
+    compiled = replace(
+        p,
         name=f"{p.name}+deterministic-alice",
         alice_strategy=lambda x, _coin: {packed[x]: 1.0},
-        bob_strategy=p.bob_strategy,
         referee=TableReferee(fn=new_accept),
         alice_cost=Cost(bits=multiplicity * c_a),
-        bob_cost=p.bob_cost,
-        alice_inputs=p.alice_inputs,
-        bob_inputs=p.bob_inputs,
     )
     return compiled, message_table
 
@@ -656,7 +661,9 @@ def compile_qc_to_cc(
     entries by masks, reconstructs the estimates and accepts with the
     estimate for Bob's actual message, so the worst-case error grows by at
     most ``delta``.  Public-coin protocols are compiled one coin value at a
-    time.
+    time.  Every (input, coin) state is checked before the first spectral
+    build.  The result is ``p`` with only Alice's strategy and cost, the
+    referee and the name replaced.
     """
     if not p.quantum or not isinstance(p.referee, OperatorReferee):
         raise ValueError("needs a canonical quantum protocol with an operator family")
@@ -664,32 +671,15 @@ def compile_qc_to_cc(
         raise ValueError("needs an explicit Alice input set")
     operators = p.referee.operator_list(p.bob_cost.bits)
 
-    coin_values = [v for v, _ in coin_terms(p, tol)]
-
-    # every state is checked before the spectral work; an invalid one is
-    # reported only if the walk of the states before it succeeds
-    keys: list = []
-    states: list[DensityMatrix] = []
-    invalid = None
-    for x, coin in itertools.product(p.alice_inputs, coin_values):
-        try:
-            rho = p.alice_strategy(x, coin)
-            if not isinstance(rho, DensityMatrix):
-                raise ValueError("canonical protocols send density matrices")
-            shape = _check_learn_inputs(rho, operators, delta, r, tol)
-        except ValueError as err:
-            invalid = err
-            break
-        keys.append(x if p.coin is None else (x, coin))
-        states.append(rho)
-    if not states:
-        raise invalid or ValueError("no (input, coin) pair to compile")
-    c, q, r = shape
+    pairs = list(itertools.product(p.alice_inputs, [v for v, _ in coin_terms(p, tol)]))
+    if not pairs:
+        raise ValueError("no (input, coin) pair to compile")
+    keys = [x if p.coin is None else (x, coin) for x, coin in pairs]
+    states = [p.alice_strategy(x, coin) for x, coin in pairs]
+    shape = c, q, r = _check_learn_inputs(states, operators, delta, r, tol)
     # one spectral build per operator, for the sender and every replay
     observables = [average_observable(e, r, tol) for e in operators]
     learned = _learn_states(states, operators, observables, delta, shape, tol)
-    if invalid is not None:
-        raise invalid
 
     records = {key: record for key, (record, _) in zip(keys, learned)}
     diagnostics = {key: diag for key, (_, diag) in zip(keys, learned)}
@@ -729,15 +719,11 @@ def compile_qc_to_cc(
             raise outcome.with_traceback(None)
         return outcome
 
-    compiled = SmpProtocol(
+    compiled = replace(
+        p,
         name=f"{p.name}+classical-alice",
         alice_strategy=lambda x, coin: {messages[x if p.coin is None else (x, coin)]: 1.0},
-        bob_strategy=p.bob_strategy,
         referee=TableReferee(fn=lambda a, b: float(reconstruct(a)[b])),
         alice_cost=Cost(bits=max_bits),
-        bob_cost=p.bob_cost,
-        coin=p.coin,
-        alice_inputs=p.alice_inputs,
-        bob_inputs=p.bob_inputs,
     )
     return CompileResult(protocol=compiled, records=records, diagnostics=diagnostics)

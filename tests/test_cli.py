@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from smplab.cli import (
     run_experiment,
     sweep,
 )
+from smplab import cli
 from smplab.errors import PromiseViolationError, ReplayMismatchError
+from smplab.protocols import hidden_matching_relation
 
 
 def read_summary(path: Path) -> dict:
@@ -560,6 +563,61 @@ class TestRejectedInputs:
         assert main(["--config", str(tmp_path / "config.json"), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, files, code, message", [
+        (["--experiment", "eq-code", "--param", "n=6"], {}, EXIT_CAP,
+         "cap exceeded: eq-code exhaustive report capped at n <= 5"),
+        (["--experiment", "hidden-matching", "--param", "n=16"], {}, EXIT_CAP,
+         "cap exceeded: hidden-matching exhaustive report capped at n <= 8"),
+        (["--experiment", "learn-state", "--param", "mode=file", "--param", "rho={tmp}/absent",
+          "--param", "operators={tmp}/absent"], {}, EXIT_CONFIG,
+         "config error: matrix file not found: {tmp}/absent"),
+        (["--experiment", "learn-state", "--param", "mode=file"], {}, EXIT_CONFIG,
+         "config error: learn-state mode=file requires --param rho=..."),
+        (["--experiment", "learn-state", "--param", "mode=file", "--param", "rho={tmp}/absent"],
+         {}, EXIT_CONFIG, "config error: learn-state mode=file requires --param operators=..."),
+        (["--config", "{tmp}/config.json"], {"config.json": '{"experiment": "bogus"}'},
+         EXIT_CONFIG, "config error: unknown experiment 'bogus'; choose from ("),
+        (["--config", "{tmp}/absent.json"], {}, EXIT_CONFIG,
+         "config error: cannot read config file: [Errno 2] No such file or directory"),
+        (["--config", "{tmp}/config.json"], {"config.json": "{"}, EXIT_CONFIG,
+         "config error: cannot read config file: Expecting property name"),
+        ([], {}, EXIT_CONFIG,
+         "config error: an experiment is required (flag --experiment or config file)"),
+        (["--experiment", "eq-public", "--param", "n=1", "--sweep-param", "n"], {}, EXIT_CONFIG,
+         "config error: --sweep-param needs --sweep-values"),
+    ], ids=["eq-code-n", "hidden-matching-n", "missing-matrix-file", "file-mode-without-rho",
+            "file-mode-without-operators", "unknown-experiment-in-config",
+            "missing-config-file", "malformed-config-file", "no-experiment",
+            "sweep-without-values"])
+    def test_guards_exit_with_their_code(self, tmp_path, capsys, argv, files, code, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message.format(tmp=tmp_path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("law, code, report", [
+        (lambda k: {"0": 1.0}, EXIT_CONFIG, "error: message '0' is not an int in [0, 2^2)"),
+        (lambda k: {1: 0.5, 2: 0.75}, EXIT_CONFIG, "error: distribution sums to 1.25, not 1"),
+        # the other matching's edges are never valid for k: half the mass
+        (lambda k: {k: 0.5, k % 3 + 1: 0.5}, EXIT_ASSERTION, "min_valid_mass=0.5\n"),
+    ], ids=["string-message", "bad-weights", "two-messages"])
+    def test_hidden_matching_validates_and_weights_bobs_law(
+        self, tmp_path, capsys, monkeypatch, law, code, report
+    ):
+        def relation(n, tol):
+            protocol, rel = hidden_matching_relation(n, tol)
+            return replace(protocol, bob_strategy=lambda k, _c: law(k)), rel
+
+        monkeypatch.setattr(cli, "hidden_matching_relation", relation)
+        argv = ["--experiment", "hidden-matching", "--out", str(tmp_path)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert report in (captured.err if code == EXIT_CONFIG else captured.out)
 
 
 class TestLearnRoundTrip:

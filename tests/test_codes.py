@@ -16,9 +16,10 @@ def test_zero_message_encodes_to_zero():
 
 
 def test_hadamard_n2_explicit_codeword():
-    # oracle: <x, s> for x = (1, 0) against masks s = 0, 1, 2, 3 is 0, 1, 0, 1
+    # oracle: <x, s> for x = 1, bits (1, 0) least significant first, against
+    # masks s = 0, 1, 2, 3 is 0, 1, 0, 1
     code = hadamard_code(2)
-    assert list(encode(code, [1, 0])) == [0, 1, 0, 1]
+    assert list(encode(code, 1)) == [0, 1, 0, 1]
 
 
 def test_linearity():
@@ -86,6 +87,18 @@ def test_cyclic_mask_code_k1_is_repetition():
     assert np.array_equal(encode(g, 1), np.ones(10, dtype=np.uint8))
 
 
-def test_encode_validates_length():
-    with pytest.raises(ValueError):
-        encode(hadamard_code(2), [1, 0, 1])
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearCode(np.array([1, 0, 1]), 1, 3), "generator must be a matrix"),
+    (lambda: LinearCode(np.ones((4, 1)), 3, 1), "grid 3x1 does not tile 4 codeword bits"),
+    (lambda: hadamard_code(0), "need n >= 1"),
+    (lambda: cyclic_mask_code(0, 4), "need k >= 1 and m >= 1"),
+    (lambda: cyclic_mask_code(2, 0), "need k >= 1 and m >= 1"),
+    (lambda: encode(hadamard_code(2), 4), "message 4 is not an int in [0, 2^2)"),
+    (lambda: encode(hadamard_code(2), -1), "message -1 is not an int in [0, 2^2)"),
+    (lambda: encode(hadamard_code(2), [1, 0]), "message [1, 0] is not an int in [0, 2^2)"),
+], ids=["vector-generator", "grid", "hadamard-n", "cyclic-k", "cyclic-m",
+        "message-too-large", "negative-message", "bit-vector-message"])
+def test_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import smplab.oracle as oracle
 from smplab.cli import _chain_valid_sets
 from smplab.codes import LinearCode, cyclic_mask_code
-from smplab.config import DEFAULT
+from smplab.config import DEFAULT, with_overrides
 from smplab.errors import CapExceededError
 from smplab.oracle import (
     DeterministicSmpProtocol,
@@ -220,11 +220,10 @@ class TestDetComplexityRelation:
             assert proto.output(x, k) in valid[(x, k)]
 
     @settings(max_examples=100, deadline=None)
-    @given(relation=relations(), max_bits=st.integers(0, DEFAULT.relation_bits_cap))
-    def test_bitmask_search_equals_frozenset_search(self, relation, max_bits):
-        assert search_relation_protocol(relation, max_bits) == reference_search(
-            relation, max_bits
-        )
+    @given(relation=relations(), cap=st.integers(1, DEFAULT.relation_bits_cap))
+    def test_bitmask_search_equals_frozenset_search(self, relation, cap):
+        tol = with_overrides(DEFAULT, relation_bits_cap=cap)
+        assert search_relation_protocol(relation, tol) == reference_search(relation, cap)
 
     def test_repr_order_picks_ten_before_nine(self):
         pairs = [(0, 0), (0, 1)]
@@ -252,11 +251,6 @@ class TestDetComplexityRelation:
         search_relation_protocol(equality_relation_1bit())
         assert all(oracle._lattice[key] is kept[key] for key in kept)
 
-    @pytest.mark.parametrize("search", [search_relation_protocol, det_complexity_relation])
-    def test_negative_budget_rejected(self, search):
-        with pytest.raises(ValueError, match="max_bits"):
-            search(equality_relation_1bit(), -1)
-
     def test_cap_exceeded_reported(self):
         pairs = [(x, y) for x in range(7) for y in range(6)]
         r = RelationTable(
@@ -264,6 +258,14 @@ class TestDetComplexityRelation:
         )
         with pytest.raises(CapExceededError):
             det_complexity_relation(r)
+
+
+@pytest.mark.parametrize("xs, ys", [(range(1025), (0,)), ((0,), range(1025))],
+                         ids=["alice", "bob"])
+def test_function_complexity_caps_its_input_sets(xs, ys):
+    f = FunctionTable(tuple(xs), tuple(ys), {(x, y): 0 for x in xs for y in ys})
+    with pytest.raises(CapExceededError, match=r"^input sets capped at 2\*\*10$"):
+        det_complexity_function(f)
 
 
 class TestExtractFunction:
@@ -419,7 +421,7 @@ class TestBooleanize:
     def test_repetition_gives_identical_copies(self):
         f = equality_function(1)
         repetition = LinearCode(np.ones((10, 1), dtype=np.uint8), 2, 5)
-        tables = booleanize(f, repetition, min_relative_distance=0.5)
+        tables = booleanize(f, repetition)
         assert len(tables) == 10
         for t in tables:
             assert t.values == f.values
@@ -453,9 +455,11 @@ class TestBooleanize:
         assert decode_booleanized(corrupted, code, 0, 0) == f(0, 0)
 
     def test_distance_verification_enforced(self):
+        # one message bit in the first of five codeword bits: relative distance 1/5
         f = equality_function(1)
-        with pytest.raises(ValueError, match="distance"):
-            booleanize(f, cyclic_mask_code(1, 10), min_relative_distance=1.1)
+        sparse = LinearCode(np.array([[1], [0], [0], [0], [0]]), 1, 5)
+        with pytest.raises(ValueError, match=r"code distance 1/5 below required 0\.25"):
+            booleanize(f, sparse)
 
     def test_outputs_must_fit_declared_width(self):
         f = FunctionTable((0,), (0,), {(0, 0): 7})

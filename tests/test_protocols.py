@@ -534,3 +534,30 @@ class TestToyFixtures:
         assert exact_acceptance(p, 1, 2) == pytest.approx(
             acceptance_probability(e, rho), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hidden_matching_relation(6), "6 is not a power of two"),
+    (lambda: equality_public(0, 1), "need n >= 1 and k >= 1"),
+    (lambda: equality_public(2, 0), "need n >= 1 and k >= 1"),
+    (lambda: equality_code(2, hadamard_code(3)), "code encodes 3-bit messages, expected 2"),
+    (lambda: equality_code(2, reps=0), "need reps >= 1"),
+    (lambda: MatchingInstance(3, (0, 0, 0), ((0, 1),), (0,)),
+     "need an even n and a length-n string"),
+    (lambda: MatchingInstance(4, (0, 0, 0), ((0, 1), (2, 3)), (0, 0)),
+     "need an even n and a length-n string"),
+    (lambda: MatchingInstance(4, (0, 0, 0, 0), ((0, 1), (0, 2)), (0, 0)),
+     "matching does not partition the vertex set"),
+    (lambda: MatchingInstance(4, (0, 0, 0, 0), ((0, 1), (2, 3)), (0,)),
+     "w must have one bit per edge"),
+    (lambda: xor_matching(4, 4), "matching index 4 outside 1..3"),
+    (lambda: xor_matching(4, 0), "matching index 0 outside 1..3"),
+    (lambda: hidden_matching_relation(2), "need n >= 4"),
+    (lambda: toy_quantum_equality(3), "toy fixtures cover q in {1, 2}"),
+], ids=["not-power-of-two", "public-n", "public-k", "code-width", "code-reps",
+        "odd-n", "short-x", "not-a-partition", "short-w", "xor-index-high",
+        "xor-index-low", "hidden-matching-n", "toy-q"])
+def test_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

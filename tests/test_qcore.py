@@ -568,3 +568,31 @@ class TestAcceptanceRange:
     def test_within_slack_is_clamped(self, value, clamped):
         e = MeasurementOperator(value * np.eye(2, dtype=complex), validate=False)
         assert acceptance_probability(e, DensityMatrix.pure(KET0)) == clamped
+
+
+def _half_plus() -> DensityMatrix:
+    return DensityMatrix.pure([1, 1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DensityMatrix(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: DensityMatrix.pure([0, 0]), "zero state vector"),
+    (lambda: MeasurementOperator(np.array([[0, 1], [0, 0]])), "not Hermitian: defect 1.000e+00"),
+    (lambda: PureState(np.zeros(2)), "zero state vector"),
+    (lambda: Observable((), np.eye(2), ()), "need one column block per eigenvalue"),
+    (lambda: Observable((0.0, 1.0), np.eye(2), ((0, 1), (0, 2))),
+     "blocks must partition the columns in order"),
+    (lambda: acceptance_probability(
+        MeasurementOperator(np.array([[0, 1j], [0, 0]]), validate=False), _half_plus()),
+     "trace has imaginary part 5.000e-01"),
+    (lambda: average_observable(MeasurementOperator(np.eye(2)), 0), "need r >= 1"),
+    (lambda: band_projector(average_observable(MeasurementOperator(np.eye(2)), 1), 0.5, -0.1),
+     "halfwidth must be nonnegative"),
+    (lambda: project_renormalize(_half_plus(), np.eye(4)), "projector/state dimension mismatch"),
+], ids=["not-square", "zero-density-vector", "not-hermitian", "zero-pure-vector",
+        "no-blocks", "overlapping-blocks", "imaginary-trace", "no-copies",
+        "negative-halfwidth", "projector-size"])
+def test_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

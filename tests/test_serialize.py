@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,3 +84,15 @@ def test_text_header_checked():
 def test_non_square_rejected():
     with pytest.raises(ValueError, match="square"):
         matrix_to_bytes(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_from_bytes(b"QMAT" + struct.pack("<II", 2, 1)),
+     "unsupported container version 2"),
+    (lambda: matrix_from_text("qmat v1 dim=2\n1,0 0,0"), "expected 2 rows, found 1"),
+    (lambda: matrix_from_text("qmat v1 dim=2\n1,0 0,0\n0,0"), "row 1 has 1 entries, expected 2"),
+], ids=["version", "row-count", "row-length"])
+def test_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

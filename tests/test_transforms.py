@@ -27,6 +27,7 @@ from smplab.qcore import (
     DensityMatrix,
     MeasurementOperator,
     Observable,
+    PureState,
     acceptance_probability,
     average_observable,
     band_edge_margin,
@@ -549,12 +550,13 @@ class TestDerandomizeAlice:
             alice_inputs=(0,),
             bob_inputs=(0,),
         )
-        with pytest.raises(ValueError, match=r"largest deviation 0\.5000 at Bob message 1\)"):
-            derandomize_alice(p, s=1, max_attempts=3)
+        with pytest.raises(ValueError, match=r"within 1000 attempts for input 0 "
+                           r"\(largest deviation 0\.5000 at Bob message 1\)"):
+            derandomize_alice(p, s=1)
         # with 3-bit Bob messages, 3 draws average to a multiple of 1/3, at
         # least 1/6 from 1/2 at Bob message 1, and the failure names it as bits
         with pytest.raises(ValueError, match=r"at Bob message 001\); increase s"):
-            derandomize_alice(dataclasses.replace(p, bob_cost=Cost(bits=3)), s=1, max_attempts=3)
+            derandomize_alice(dataclasses.replace(p, bob_cost=Cost(bits=3)), s=1)
 
     def test_rejects_public_coin_and_quantum(self):
         from smplab.protocols import equality_public, toy_quantum_equality
@@ -896,7 +898,7 @@ class TestCheckLearnInputs:
     def test_returns_resolved_shape(self):
         ops = [proj([1, 0]), proj([0, 1])]
         assert transforms._check_learn_inputs(
-            DensityMatrix.pure([1, 0]), ops, 0.1, None, DEFAULT
+            [DensityMatrix.pure([1, 0])], ops, 0.1, None, DEFAULT
         ) == (1, 1, default_copies(1, 0.1))
 
     @pytest.mark.parametrize("delta, r, ops, match", [
@@ -908,15 +910,16 @@ class TestCheckLearnInputs:
     def test_first_fault_wins_as_in_the_learner(self, delta, r, ops, match):
         # r = 13 would also exceed the dimension cap; the earlier fault is reported
         rho = DensityMatrix.pure([1, 0])
-        for fn in (transforms._check_learn_inputs, learn_state_message, learn_round_trip):
+        for fn, state in ((transforms._check_learn_inputs, [rho]),
+                          (learn_state_message, rho), (learn_round_trip, rho)):
             with pytest.raises(ValueError, match=match) as err:
-                fn(rho, ops, delta, r, DEFAULT)
+                fn(state, ops, delta, r, DEFAULT)
             assert not isinstance(err.value, DimensionCapError)
 
     def test_cap(self):
         ops = [proj([1, 0]), proj([0, 1])]
         with pytest.raises(DimensionCapError, match="r\\*q = 13"):
-            transforms._check_learn_inputs(DensityMatrix.pure([1, 0]), ops, 0.1, 13, DEFAULT)
+            transforms._check_learn_inputs([DensityMatrix.pure([1, 0])], ops, 0.1, 13, DEFAULT)
 
 
 # The per-state loops the compiler ran before it grouped states by decision
@@ -925,7 +928,7 @@ class TestCheckLearnInputs:
 
 
 def _per_state_learn(rho, operators, observables, delta, r, tol=DEFAULT):
-    c, q, r = transforms._check_learn_inputs(rho, operators, delta, r, tol)
+    c, q, r = transforms._check_learn_inputs([rho], operators, delta, r, tol)
     hypothesis = maximally_mixed(r * q, tol)
     entries, traces, margins, flagged, estimates, trues = [], [], [], [], [], []
     for b, (e, f) in enumerate(zip(operators, observables)):
@@ -1222,16 +1225,28 @@ class TestGroupedWalk:
         assert (err.value.step, err.value.trace) == (2, 0.0)
         assert _assert_matches_per_state(p, 0.1, 2) is None
 
-    def test_invalid_state_waits_for_the_inputs_before_it(self):
-        # a wrong-sized state at input 1 is reported only when input 0 walks cleanly
+    @pytest.mark.parametrize("bad, match", [
+        (DensityMatrix.pure([1, 0, 0, 0]), "state dimension 4 != operator dimension 2"),
+        (PureState(np.array([1, 0], dtype=complex)), "density matrices, got PureState"),
+    ], ids=["wrong-size", "pure-state"])
+    @pytest.mark.parametrize("at", range(3))
+    def test_invalid_state_is_refused_before_any_walk(self, monkeypatch, bad, match, at):
+        # the first state fails its own walk (a vanishing projection at step
+        # 0), yet an invalid state at any input wins, before any spectral build
         operators = [proj([1, 0]), proj([0, 1])]
-        wrong = DensityMatrix.pure([1, 0, 0, 0])
         vanishing = DensityMatrix(DIAG([0.3, 0.7]).astype(complex))
-        with pytest.raises(VanishingProjectionError):
-            compile_qc_to_cc(_canonical([vanishing, wrong], [0, 1], operators), 0.1, r=2)
-        with pytest.raises(ValueError, match="state dimension 4 != operator dimension 2"):
-            compile_qc_to_cc(_canonical([DensityMatrix.pure([1, 0]), wrong], [0, 1],
-                                        operators), 0.1, r=2)
+        states = [vanishing, DensityMatrix.pure([1, 0]), DensityMatrix.pure([0, 1])]
+        states[at] = bad
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return average_observable(*args)
+
+        monkeypatch.setattr(transforms, "average_observable", counted)
+        with pytest.raises(ValueError, match=match):
+            compile_qc_to_cc(_canonical(states, [0, 1, 2], operators), 0.1, r=2)
+        assert builds == []
 
     def test_foreign_record_raises_after_warm_replay(self):
         p = toy_quantum_equality(1)
@@ -1274,3 +1289,20 @@ class TestGroupedWalk:
         assert np.max(np.abs(estimates - 1.0)) == pytest.approx(0.025, abs=1e-12)
         assert (_per_record_replay(record, [average_observable(e, 2) for e in ops])
                 .tobytes() == estimates.tobytes())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reconstruct_estimates(LearnRecord(q=1, c=2, r=2, delta=0.1, entries=()),
+                                   [proj([1, 0]), proj([0, 1])]),
+     "record indexes 2-bit family, got 1-bit"),
+    (lambda: derandomize_alice(equality_code(2), s=0), "need s >= 1"),
+    (lambda: derandomize_alice(dataclasses.replace(equality_code(2), alice_inputs=None), s=1),
+     "needs an explicit Alice input set"),
+    (lambda: learn_state_message(PureState(np.array([1, 0], dtype=complex)),
+                                 [proj([1, 0]), proj([0, 1])], 0.1, 2),
+     "the learner walks density matrices, got PureState"),
+], ids=["record-width", "no-copies", "no-alice-inputs", "pure-state"])
+def test_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
