@@ -58,6 +58,7 @@ from .codes import hadamard_code
 from .qcore import (
     DensityMatrix,
     MeasurementOperator,
+    PureState,
     random_density,
     random_measurement_operator,
 )
@@ -238,17 +239,18 @@ def _run_matching(prm: dict, tol: Tolerances, quantum: bool) -> ExperimentResult
 
 
 def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
-    n = prm["n"]
-    if n > 8:
+    protocol, relation = hidden_matching_relation(prm["n"], tol)
+    if relation is None:
         raise CapExceededError("hidden-matching exhaustive report capped at n <= 8")
-    protocol, relation = hidden_matching_relation(n, tol)
+    laws = {}
+    for k in protocol.bob_inputs:
+        laws[k] = protocol.bob_strategy(k, None)
+        validate_distribution(laws[k], protocol.bob_cost.bits, tol)
     rows = []
     min_mass = 1.0
     for x in protocol.alice_inputs:
-        for k in protocol.bob_inputs:
-            payload = protocol.alice_strategy(x, None)
-            law = protocol.bob_strategy(k, None)
-            validate_distribution(law, protocol.bob_cost.bits, tol)
+        payload = protocol.alice_strategy(x, None)
+        for k, law in laws.items():
             mass = 0.0
             for b, pb in law.items():
                 dist = protocol.referee.output_distribution(payload, b)
@@ -267,7 +269,7 @@ def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
 
 
 def _learn_fixture():
-    rho = DensityMatrix.pure([1, 0])
+    rho = PureState([1, 0]).density()
     ops = [
         MeasurementOperator(np.diag([1.0, 0.0]).astype(complex)),
         MeasurementOperator(np.diag([0.0, 1.0]).astype(complex)),

@@ -29,7 +29,6 @@ from .smp import FunctionTable, RelationTable
 __all__ = [
     "DeterministicSmpProtocol",
     "det_complexity_function",
-    "det_complexity_relation",
     "search_relation_protocol",
     "exhaustive_function_search",
     "extract_function",
@@ -70,7 +69,7 @@ def det_complexity_function(
     """
     if not f.is_total:
         raise ValueError(
-            "partial function: use det_complexity_relation with singleton valid sets"
+            "partial function: use search_relation_protocol with singleton valid sets"
         )
     if len(f.alice_inputs) > 1024 or len(f.bob_inputs) > 1024:
         raise CapExceededError("input sets capped at 2**10")
@@ -164,15 +163,6 @@ def search_relation_protocol(
     return None
 
 
-def det_complexity_relation(
-    relation: RelationTable, tol: Tolerances = DEFAULT
-) -> int | None:
-    """Minimal total cost over deterministic protocols valid on the support of mu,
-    or None when it exceeds ``tol.relation_bits_cap``."""
-    found = search_relation_protocol(relation, tol)
-    return None if found is None else found[0]
-
-
 def exhaustive_function_search(
     f: FunctionTable, tol: Tolerances = DEFAULT
 ) -> int | None:
@@ -180,7 +170,7 @@ def exhaustive_function_search(
 
     Independent cross-check for :func:`det_complexity_function`: the function
     becomes a relation with singleton valid sets and uniform weight on its
-    domain.
+    domain.  None when the cost exceeds ``tol.relation_bits_cap``.
     """
     weight = Fraction(1, len(f.domain))
     relation = RelationTable(
@@ -188,7 +178,8 @@ def exhaustive_function_search(
         mu={pair: weight for pair in f.domain},
         tol=tol,
     )
-    return det_complexity_relation(relation, tol)
+    found = search_relation_protocol(relation, tol)
+    return None if found is None else found[0]
 
 
 def extract_function(

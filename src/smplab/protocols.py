@@ -305,6 +305,18 @@ def _available_edges(
     return list(itertools.islice(edges, limit))
 
 
+def _matching_bob(log_n: int, slots: int):
+    """Bob in both matching protocols, and his cost: the first ``slots`` edges
+    of his matching inside the coin's subset, with their w-bits."""
+
+    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
+        matching, w = by
+        edges = _available_edges(matching, w, subset, slots)
+        return {_encode_edges(edges, slots, log_n): 1.0}
+
+    return bob, Cost(bits=_index_bits(slots + 1) + slots * (2 * log_n + 1))
+
+
 def _check_subset_size(n: int, subset_size: int) -> None:
     if not 1 <= subset_size <= n:
         raise ValueError(f"need 1 <= subset_size <= n = {n}, got {subset_size}")
@@ -462,19 +474,14 @@ def matching_qc(
         amp[idx] = signs(tuple(x))[idx]
         return PureState(amp)
 
-    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
-        matching, w = by
-        edges = _available_edges(matching, w, subset, edges_sent)
-        return {_encode_edges(edges, edges_sent, log_n): 1.0}
-
-    count_bits = _index_bits(edges_sent + 1)
+    bob, bob_cost = _matching_bob(log_n, edges_sent)
     return SmpProtocol(
         name=f"matching-qc(n={n})",
         alice_strategy=alice,
         bob_strategy=bob,
         referee=_MatchingQcReferee(n, edges_sent, copies),
         alice_cost=Cost(qubits=copies * log_n),
-        bob_cost=Cost(bits=count_bits + edges_sent * (2 * log_n + 1)),
+        bob_cost=bob_cost,
         coin=coin,
     )
 
@@ -519,19 +526,14 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
     def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> dict[int, float]:
         return {pack((x[i] for i in subset), 1): 1.0}
 
-    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
-        matching, w = by
-        edges = _available_edges(matching, w, subset, slots)
-        return {_encode_edges(edges, slots, log_n): 1.0}
-
-    count_bits = _index_bits(slots + 1)
+    bob, bob_cost = _matching_bob(log_n, slots)
     return SmpProtocol(
         name=f"matching-classical(n={n})",
         alice_strategy=alice,
         bob_strategy=bob,
         referee=_MatchingClassicalReferee(n, slots),
         alice_cost=Cost(bits=subset_size),
-        bob_cost=Cost(bits=count_bits + slots * (2 * log_n + 1)),
+        bob_cost=bob_cost,
         coin=coin,
     )
 
@@ -607,13 +609,13 @@ def hidden_matching_relation(
     Alice sends one sign superposition (log n qubits); Bob names his matching
     (log n bits); the referee's edge measurement yields a uniformly random
     edge whose parity it then extracts with certainty.  The relation's
-    uniform input distribution is checked against ``tol``.
+    uniform input distribution is checked against ``tol``.  Above n = 8 both
+    input sets and the relation are None.
     """
     log_n = _log2_exact(n)
     if n < 4:
         raise ValueError("need n >= 4")
-    xs = tuple(range(2**n)) if n <= 8 else None
-    ks = tuple(range(1, n))
+    xs, ks = (tuple(range(2**n)), tuple(range(1, n))) if n <= 8 else (None, None)
 
     protocol = SmpProtocol(
         name=f"hidden-matching(n={n})",

@@ -128,19 +128,17 @@ def _check_density(a: np.ndarray, tol: Tolerances) -> None:
 class DensityMatrix:
     """Hermitian, positive semidefinite, trace-one matrix on 2**k dimensions.
 
-    Invariants are checked on construction; pass ``validate=False`` only when
-    they hold by algebra (e.g. tensor products of already-validated states).
+    Invariants are checked on construction; :func:`_owning` is the one
+    unchecked path, for arrays whose invariants hold by construction.
     """
 
     entries: np.ndarray
-    validate: InitVar[bool] = True
     tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, validate: bool, tol: Tolerances):
+    def __post_init__(self, tol: Tolerances):
         a = _as_square_complex(self.entries)
         _num_qubits_of(a.shape[0])
-        if validate:
-            _check_density(a, tol)
+        _check_density(a, tol)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -151,16 +149,6 @@ class DensityMatrix:
     @property
     def num_qubits(self) -> int:
         return _num_qubits_of(self.dim)
-
-    @classmethod
-    def pure(cls, amplitudes) -> "DensityMatrix":
-        """Density matrix of a pure state; normalizes the amplitude vector."""
-        v = np.asarray(amplitudes, dtype=np.complex128).ravel()
-        norm = float(np.linalg.norm(v))
-        if norm <= 0.0:
-            raise ValueError("zero state vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()), validate=False)
 
 
 def _owning(a: np.ndarray) -> DensityMatrix:
@@ -181,24 +169,20 @@ class MeasurementOperator:
     """Hermitian matrix with spectrum in [0, 1] (one half of a two-outcome test)."""
 
     entries: np.ndarray
-    validate: InitVar[bool] = True
     tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, validate: bool, tol: Tolerances):
+    def __post_init__(self, tol: Tolerances):
         a = _as_square_complex(self.entries)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         _num_qubits_of(a.shape[0])
-        if validate:
-            _check_finite(a)
-            defect = hermiticity_defect(a)
-            if defect > tol.hermitian:
-                raise ValueError(f"not Hermitian: defect {defect:.3e}")
-            w = np.linalg.eigvalsh(a)
-            if w.min() < -tol.operator_spectrum or w.max() > 1.0 + tol.operator_spectrum:
-                raise ValueError(
-                    f"eigenvalues [{w.min():.3e}, {w.max():.3e}] not within [0, 1]"
-                )
+        _check_finite(a)
+        defect = hermiticity_defect(a)
+        if defect > tol.hermitian:
+            raise ValueError(f"not Hermitian: defect {defect:.3e}")
+        w = np.linalg.eigvalsh(a)
+        if w.min() < -tol.operator_spectrum or w.max() > 1.0 + tol.operator_spectrum:
+            raise ValueError(f"eigenvalues [{w.min():.3e}, {w.max():.3e}] not within [0, 1]")
 
     @property
     def dim(self) -> int:
@@ -234,7 +218,8 @@ class PureState:
         return _num_qubits_of(self.dim)
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), validate=False)
+        """|psi><psi|, a density matrix by construction: the amplitudes are unit."""
+        return _owning(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)

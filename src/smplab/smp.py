@@ -194,13 +194,6 @@ class OperatorReferee(Referee):
             raise TypeError("operator referee needs a density matrix message")
         return acceptance_probability(self.operators[b], state)
 
-    def operator_list(self, bob_bits: int) -> list[MeasurementOperator]:
-        """The operators, one per Bob message of ``bob_bits`` bits."""
-        count = len(self.operators)
-        if count != 1 << bob_bits:
-            raise ValueError(f"referee family holds {count} operators, not 2^{bob_bits}")
-        return list(self.operators)
-
 
 @dataclass(frozen=True)
 class SmpProtocol:

@@ -32,7 +32,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimensionCapError, ReplayMismatchError, VanishingProjectionError
+from .errors import (
+    DimensionCapError,
+    EnumerationCapError,
+    ReplayMismatchError,
+    VanishingProjectionError,
+)
 from .qcore import (
     DensityMatrix,
     MeasurementOperator,
@@ -550,7 +555,9 @@ def derandomize_alice(
     unconditional).  The new referee accepts with the average response over
     the multiset, so each input pair's acceptance moves by at most 1/10.  The
     result is ``p`` with only Alice's strategy and cost, the referee and the
-    name replaced.
+    name replaced.  Raises :class:`EnumerationCapError`, before any strategy
+    call, when a candidate's s * c_B * 2^c_B referee calls exceed
+    ``tol.enum_cap``.
     """
     if p.coin is not None:
         raise ValueError("only private-coin protocols can be derandomized this way")
@@ -564,6 +571,11 @@ def derandomize_alice(
     c_a = p.alice_cost.bits
     c_b = p.bob_cost.bits
     multiplicity = s * c_b
+    if multiplicity << c_b > tol.enum_cap:
+        raise EnumerationCapError(
+            f"a candidate's {s} * {c_b} * 2^{c_b} referee calls exceed "
+            f"term budget {tol.enum_cap}"
+        )
     all_b = range(2**c_b)
     referee = p.referee
 
@@ -669,7 +681,9 @@ def compile_qc_to_cc(
         raise ValueError("needs a canonical quantum protocol with an operator family")
     if p.alice_inputs is None:
         raise ValueError("needs an explicit Alice input set")
-    operators = p.referee.operator_list(p.bob_cost.bits)
+    operators, bob_bits = p.referee.operators, p.bob_cost.bits
+    if len(operators) != 1 << bob_bits:
+        raise ValueError(f"referee family holds {len(operators)} operators, not 2^{bob_bits}")
 
     pairs = list(itertools.product(p.alice_inputs, [v for v, _ in coin_terms(p, tol)]))
     if not pairs:
@@ -693,10 +707,10 @@ def compile_qc_to_cc(
         pad = (slots - len(record.entries)) * width
         messages[key] = record.to_int() << pad | (1 << pad) - 1
 
-    # each message's replay outcome: for a message Alice sends, its estimates
-    # from the sender's own numbers, taken now; for any other, its own walk's
-    # estimates or error, taken on its first read and raised on every read
-    replays: dict[int, np.ndarray | Exception] = {
+    # each message's estimates: for a message Alice sends, from the sender's
+    # own numbers, taken now; for any other, from its own walk on its first
+    # read, which a failing walk raises on every read
+    replays = {
         messages[key]: _replay_sent(records[key], diagnostics[key], tol) for key in keys
     }
 
@@ -708,16 +722,8 @@ def compile_qc_to_cc(
             while count and value & ones == ones:
                 value, count = value >> width, count - 1
             rec = LearnRecord.from_int(value, count, q=q, c=c, r=r, delta=delta)
-            try:
-                replays[msg] = _replay_record(rec, observables, tol)
-            except (ValueError, VanishingProjectionError) as err:
-                replays[msg] = err
-        outcome = replays[msg]
-        if isinstance(outcome, Exception):
-            # each read's traceback is its own: it neither grows with the reads
-            # before it nor keeps the walk's frames (and hypotheses) alive
-            raise outcome.with_traceback(None)
-        return outcome
+            replays[msg] = _replay_record(rec, observables, tol)
+        return replays[msg]
 
     compiled = replace(
         p,

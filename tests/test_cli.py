@@ -570,6 +570,9 @@ class TestRejectedInputs:
          "cap exceeded: eq-code exhaustive report capped at n <= 5"),
         (["--experiment", "hidden-matching", "--param", "n=16"], {}, EXIT_CAP,
          "cap exceeded: hidden-matching exhaustive report capped at n <= 8"),
+        (["--experiment", "derandomize", "--param", "n=2", "--param", "reps=2", "--seed", "1",
+          "--tolerance", "enum_cap=1000"], {}, EXIT_CAP,
+         "cap exceeded: a candidate's 12 * 6 * 2^6 referee calls exceed term budget 1000"),
         (["--experiment", "learn-state", "--param", "mode=file", "--param", "rho={tmp}/absent",
           "--param", "operators={tmp}/absent"], {}, EXIT_CONFIG,
          "config error: matrix file not found: {tmp}/absent"),
@@ -587,7 +590,7 @@ class TestRejectedInputs:
          "config error: an experiment is required (flag --experiment or config file)"),
         (["--experiment", "eq-public", "--param", "n=1", "--sweep-param", "n"], {}, EXIT_CONFIG,
          "config error: --sweep-param needs --sweep-values"),
-    ], ids=["eq-code-n", "hidden-matching-n", "missing-matrix-file", "file-mode-without-rho",
+    ], ids=["eq-code-n", "hidden-matching-n", "derandomize-term-budget", "missing-matrix-file", "file-mode-without-rho",
             "file-mode-without-operators", "unknown-experiment-in-config",
             "missing-config-file", "malformed-config-file", "no-experiment",
             "sweep-without-values"])
@@ -618,6 +621,30 @@ class TestRejectedInputs:
         assert main(argv) == code
         captured = capsys.readouterr()
         assert report in (captured.err if code == EXIT_CONFIG else captured.out)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_hidden_matching_calls_each_strategy_once_per_input(self, tmp_path, monkeypatch, n):
+        # Alice's state depends on x alone and Bob's law on k alone
+        calls = {"alice": 0, "bob": 0}
+
+        def counted(role, strategy):
+            def call(inp, coin):
+                calls[role] += 1
+                return strategy(inp, coin)
+            return call
+
+        def relation(n, tol):
+            protocol, rel = hidden_matching_relation(n, tol)
+            return replace(
+                protocol,
+                alice_strategy=counted("alice", protocol.alice_strategy),
+                bob_strategy=counted("bob", protocol.bob_strategy),
+            ), rel
+
+        monkeypatch.setattr(cli, "hidden_matching_relation", relation)
+        argv = ["--experiment", "hidden-matching", "--param", f"n={n}", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert calls == {"alice": 2**n, "bob": n - 1}
 
 
 class TestLearnRoundTrip:
@@ -657,14 +684,14 @@ class TestLearnRoundTrip:
 
         import smplab.cli as cli
         from smplab.config import DEFAULT
-        from smplab.qcore import DensityMatrix, MeasurementOperator, random_measurement_operator
+        from smplab.qcore import MeasurementOperator, PureState, random_measurement_operator
 
         g = np.random.default_rng(8)
         ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
         ops += [random_measurement_operator(2, g) for _ in range(7)]
         tracemalloc.start()
         try:
-            record, *_ = cli._learn_round_trip(DensityMatrix.pure([1, 0]), ops, 0.1, 8, DEFAULT)
+            record, *_ = cli._learn_round_trip(PureState([1, 0]).density(), ops, 0.1, 8, DEFAULT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -686,9 +713,9 @@ class TestLearnRoundTrip:
         import smplab.cli as cli
         from smplab.config import DEFAULT
         from smplab.qcore import (
-            DensityMatrix,
             MeasurementOperator,
             Observable,
+            PureState,
             random_measurement_operator,
         )
 
@@ -707,7 +734,7 @@ class TestLearnRoundTrip:
         ops += [random_measurement_operator(2, g) for _ in range(7)]
         tracemalloc.start()
         try:
-            record, *_ = cli._learn_round_trip(DensityMatrix.pure([1, 0]), ops, 0.1, 8, DEFAULT)
+            record, *_ = cli._learn_round_trip(PureState([1, 0]).density(), ops, 0.1, 8, DEFAULT)
         finally:
             tracemalloc.stop()
         assert record.entries == ((0, 1.0),)

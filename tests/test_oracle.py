@@ -16,7 +16,6 @@ from smplab.oracle import (
     booleanize,
     decode_booleanized,
     det_complexity_function,
-    det_complexity_relation,
     exhaustive_function_search,
     extract_function,
     search_relation_protocol,
@@ -193,10 +192,10 @@ class TestDetComplexityRelation:
         r = RelationTable(
             valid={p: frozenset([0, 1]) for p in pairs}, mu=uniform_mu(pairs)
         )
-        assert det_complexity_relation(r) == 0
+        assert search_relation_protocol(r)[0] == 0
 
     def test_equality_as_relation_costs_two(self):
-        assert det_complexity_relation(equality_relation_1bit()) == 2
+        assert search_relation_protocol(equality_relation_1bit())[0] == 2
 
     def test_hidden_matching_slice_matches_hand_protocol(self):
         # four strings whose edge parities collide enough that no single-bit
@@ -257,7 +256,7 @@ class TestDetComplexityRelation:
             valid={p: frozenset([0]) for p in pairs}, mu=uniform_mu(pairs)
         )
         with pytest.raises(CapExceededError):
-            det_complexity_relation(r)
+            search_relation_protocol(r)
 
 
 @pytest.mark.parametrize("xs, ys", [(range(1025), (0,)), ((0,), range(1025))],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smplab import qcore
 from smplab.config import with_overrides
 from smplab.errors import DimensionCapError, VanishingProjectionError
 from smplab.qcore import (
@@ -23,6 +24,7 @@ from smplab.qcore import (
     random_density,
     random_measurement_operator,
 )
+from unchecked import unchecked_operator
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -38,13 +40,13 @@ def op(entries):
 
 
 def identity(dim: int) -> MeasurementOperator:
-    return MeasurementOperator(np.eye(dim, dtype=complex), validate=False)
+    return unchecked_operator(np.eye(dim))
 
 
 def tensor_power(rho: DensityMatrix, r: int) -> DensityMatrix:
     """``r`` independent copies of ``rho`` as one density matrix: the oracle
     for ``average_observable``."""
-    return DensityMatrix(functools.reduce(np.kron, [rho.entries] * r), validate=False)
+    return qcore._owning(functools.reduce(np.kron, [rho.entries] * r))
 
 
 class TestTypeInvariants:
@@ -81,7 +83,7 @@ class TestTypeInvariants:
 
 class TestAcceptanceProbability:
     def test_identity_operator_accepts_everything(self):
-        rho = DensityMatrix.pure(PLUS)
+        rho = PureState(PLUS).density()
         assert acceptance_probability(identity(2), rho) == 1.0
 
     def test_maximally_mixed_half(self):
@@ -120,7 +122,7 @@ class TestTensorPower:
     """The test oracle above, on powers known by hand."""
 
     def test_pure_product(self):
-        rho = DensityMatrix.pure(KET0)
+        rho = PureState(KET0).density()
         sq = tensor_power(rho, 2)
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
@@ -244,13 +246,13 @@ class TestProjectRenormalize:
 
     def test_plus_collapses_to_zero(self):
         # oracle: 2x2 hand computation, |0><0| |+><+| |0><0| = (1/2)|0><0|
-        rho = DensityMatrix.pure(PLUS)
+        rho = PureState(PLUS).density()
         m = np.outer(KET0, KET0).astype(complex)
         out = project_renormalize(rho, m)
         assert np.allclose(out.entries, np.outer(KET0, KET0))
 
     def test_vanishing_projection_raises(self):
-        rho = DensityMatrix.pure(KET0)
+        rho = PureState(KET0).density()
         m = np.outer(KET1, KET1).astype(complex)
         with pytest.raises(VanishingProjectionError):
             project_renormalize(rho, m)
@@ -536,7 +538,7 @@ class TestCallerTolerances:
 
     def test_project_renormalize_validates_with_caller_tolerances(self):
         a = rotated_diag([-1e-10, 0.5 + 5e-11, 0.5 + 5e-11, 0.0], 12)
-        rho = DensityMatrix(a, validate=False)
+        rho = DensityMatrix(a)
         project_renormalize(rho, np.eye(4))
         with pytest.raises(ValueError, match="not PSD"):
             project_renormalize(rho, np.eye(4), with_overrides(psd=1e-12))
@@ -550,40 +552,40 @@ class TestCallerTolerances:
 
 class TestAcceptanceRange:
     def test_above_one_raises(self):
-        e = MeasurementOperator(2.0 * np.eye(2, dtype=complex), validate=False)
+        e = unchecked_operator(2.0 * np.eye(2))
         with pytest.raises(ValueError, match="outside"):
-            acceptance_probability(e, DensityMatrix.pure(KET0))
+            acceptance_probability(e, PureState(KET0).density())
 
     def test_below_zero_raises(self):
-        e = MeasurementOperator(-0.5 * np.eye(2, dtype=complex), validate=False)
+        e = unchecked_operator(-0.5 * np.eye(2))
         with pytest.raises(ValueError, match="outside"):
-            acceptance_probability(e, DensityMatrix.pure(KET0))
+            acceptance_probability(e, PureState(KET0).density())
 
     def test_nan_raises(self):
-        e = MeasurementOperator(np.full((2, 2), np.nan, dtype=complex), validate=False)
+        e = unchecked_operator(np.full((2, 2), np.nan))
         with pytest.raises(ValueError, match="outside"):
-            acceptance_probability(e, DensityMatrix.pure(KET0))
+            acceptance_probability(e, PureState(KET0).density())
 
     @pytest.mark.parametrize("value, clamped", [(1.0 + 5e-10, 1.0), (-5e-10, 0.0), (0.25, 0.25)])
     def test_within_slack_is_clamped(self, value, clamped):
-        e = MeasurementOperator(value * np.eye(2, dtype=complex), validate=False)
-        assert acceptance_probability(e, DensityMatrix.pure(KET0)) == clamped
+        e = unchecked_operator(value * np.eye(2))
+        assert acceptance_probability(e, PureState(KET0).density()) == clamped
 
 
 def _half_plus() -> DensityMatrix:
-    return DensityMatrix.pure([1, 1])
+    return PureState([1, 1]).density()
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: DensityMatrix(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
-    (lambda: DensityMatrix.pure([0, 0]), "zero state vector"),
+    (lambda: PureState([0, 0]).density(), "zero state vector"),
     (lambda: MeasurementOperator(np.array([[0, 1], [0, 0]])), "not Hermitian: defect 1.000e+00"),
     (lambda: PureState(np.zeros(2)), "zero state vector"),
     (lambda: Observable((), np.eye(2), ()), "need one column block per eigenvalue"),
     (lambda: Observable((0.0, 1.0), np.eye(2), ((0, 1), (0, 2))),
      "blocks must partition the columns in order"),
     (lambda: acceptance_probability(
-        MeasurementOperator(np.array([[0, 1j], [0, 0]]), validate=False), _half_plus()),
+        unchecked_operator([[0, 1j], [0, 0]]), _half_plus()),
      "trace has imaginary part 5.000e-01"),
     (lambda: average_observable(MeasurementOperator(np.eye(2)), 0), "need r >= 1"),
     (lambda: band_projector(average_observable(MeasurementOperator(np.eye(2)), 1), 0.5, -0.1),

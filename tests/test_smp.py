@@ -745,17 +745,6 @@ class TestRefereeInterface:
         with pytest.raises(TypeError, match="needs a density matrix message"):
             referee.accept_probability(0, 0)
 
-    def test_operator_list_names_the_missing_operators(self):
-        # operators[b] measures Bob's message b, so a family is whole when it
-        # holds one operator per message
-        e = MeasurementOperator(np.eye(2, dtype=complex))
-        referee = OperatorReferee([e, e])
-        with pytest.raises(ValueError, match="holds 2 operators, not 2\\^2"):
-            referee.operator_list(2)
-        with pytest.raises(ValueError, match="holds 2 operators, not 2\\^0"):
-            referee.operator_list(0)
-        assert referee.operator_list(1) == [e, e]
-
     def test_quantum_is_not_a_field(self):
         assert "quantum" not in {f.name for f in fields(SmpProtocol)}
         assert not _one_bit_protocol(_XorDistributionReferee()).quantum

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import smplab.transforms as transforms
 from smplab import cli
-from smplab.config import DEFAULT
+from smplab.config import DEFAULT, with_overrides
 from smplab.errors import (
     DimensionCapError,
     EnumerationCapError,
@@ -60,12 +60,13 @@ from smplab.transforms import (
     paper_copies,
     reconstruct_estimates,
 )
+from unchecked import unchecked_operator
 
 DIAG = np.diag
 
 
 def identity(dim: int) -> MeasurementOperator:
-    return MeasurementOperator(np.eye(dim, dtype=complex), validate=False)
+    return unchecked_operator(np.eye(dim))
 
 
 def proj(bits) -> MeasurementOperator:
@@ -169,7 +170,7 @@ class TestLearnStateMessage:
         # index reads 1/2 on the mixed hypothesis and gets corrected to 1.0;
         # the projection onto the all-accept space then predicts the second
         # index exactly, so it is skipped.
-        rho = DensityMatrix.pure([1, 0])
+        rho = PureState([1, 0]).density()
         ops = [proj([1, 0]), proj([0, 1])]
         rec, diag = learn_state_message(rho, ops, delta=0.1, r=2)
         assert diag.estimates_before[0] == pytest.approx(0.5, abs=1e-12)
@@ -288,7 +289,7 @@ class TestReconstruct:
                 assert trace <= eta + 1e-6
 
     def test_mismatched_family_detected(self):
-        rho = DensityMatrix.pure([1, 0])
+        rho = PureState([1, 0]).density()
         ops = [proj([1, 0]), proj([0, 1])]
         rec, _ = learn_state_message(rho, ops, delta=0.1, r=2)
         wrong = [identity(2), identity(2)]
@@ -330,7 +331,7 @@ class TestRecordEncoding:
             bad_count_bound(2, delta)
         try:
             learned, _ = learn_state_message(
-                DensityMatrix.pure([1, 0]), [proj([1, 0]), proj([0, 1])], delta, r=2
+                PureState([1, 0]).density(), [proj([1, 0]), proj([0, 1])], delta, r=2
             )
         except ValueError as err:
             assert f"delta {delta!r} is too small" in str(err)
@@ -558,6 +559,26 @@ class TestDerandomizeAlice:
         with pytest.raises(ValueError, match=r"at Bob message 001\); increase s"):
             derandomize_alice(dataclasses.replace(p, bob_cost=Cost(bits=3)), s=1)
 
+    def test_refuses_candidates_past_the_term_budget(self):
+        # each candidate costs s * c_B * 2^c_B referee calls: 12 * 6 * 64 =
+        # 4,608 at n = 2 with two repetitions, over a budget of 1,000, so the
+        # refusal comes before Alice's strategy is called at all
+        p = equality_code(2, reps=2)
+        calls = []
+
+        def alice(x, coin):
+            calls.append(x)
+            return p.alice_strategy(x, coin)
+
+        tol = with_overrides(DEFAULT, enum_cap=1000)
+        with pytest.raises(EnumerationCapError, match=r"12 \* 6 \* 2\^6 referee calls"):
+            derandomize_alice(dataclasses.replace(p, alice_strategy=alice), s=12, tol=tol)
+        assert calls == []
+        # the budget holds exactly s * c_B * 2^c_B terms
+        derandomize_alice(equality_code(2), s=12, tol=with_overrides(DEFAULT, enum_cap=288))
+        with pytest.raises(EnumerationCapError):
+            derandomize_alice(equality_code(2), s=12, tol=with_overrides(DEFAULT, enum_cap=287))
+
     def test_rejects_public_coin_and_quantum(self):
         from smplab.protocols import equality_public, toy_quantum_equality
 
@@ -707,7 +728,7 @@ class TestCompileQcToCc:
         # predicted everywhere and records ().  Padded with ones they differ;
         # padded with zeros, or not at all, both would be the int 0
         zero, half = proj([1, 0]), MeasurementOperator(np.eye(2, dtype=complex) / 2)
-        p = _canonical([DensityMatrix.pure([0, 1]), maximally_mixed(1)], [0, 1], [zero, half])
+        p = _canonical([PureState([0, 1]).density(), maximally_mixed(1)], [0, 1], [zero, half])
         result = compile_qc_to_cc(p, delta=0.1)
         assert result.records[0].entries == ((0, 0.0),)
         assert (result.records[0].to_int(), result.records[0].encoded_bit_length) == (0, 11)
@@ -760,7 +781,7 @@ class TestCompileQcToCc:
 
     def test_one_operator_family_sends_zero_bob_bits(self):
         # c = 0: every record entry is an estimate with no index bits
-        states = [DensityMatrix.pure([1, 0]), DensityMatrix.pure([0, 1])]
+        states = [PureState([1, 0]).density(), PureState([0, 1]).density()]
         p = SmpProtocol(
             name="one-operator",
             alice_strategy=lambda x, _c: states[x],
@@ -779,25 +800,37 @@ class TestCompileQcToCc:
         )
         assert worst <= 0.1
 
-    def test_stored_replay_error_holds_no_walk_frames(self):
-        # a foreign record's replay error is stored and raised on every read,
-        # each time with the read's own traceback: it must neither keep the
-        # walk's frames (and their hypotheses) alive nor grow
+    def test_forged_message_raises_its_error_on_every_read(self):
+        # a replay that fails is not stored: each read walks the forged record
+        # again and raises an error of its own, with the same text
         p = toy_quantum_equality(1)
         compiled = compile_qc_to_cc(p, delta=0.1, r=3).protocol
         other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
-        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
-        frames = []
+        foreign, _ = learn_state_message(PureState([1, 0]).density(), other, 0.1, r=3)
+        msg = _compiled_message(foreign, compiled)
+        errors = []
         for _ in range(2):
-            with pytest.raises(ReplayMismatchError) as err:
-                compiled.referee.accept_probability(_compiled_message(foreign, compiled), 0)
-            frames.append([f.name for f in err.traceback])
-        assert frames[0] == frames[1]
-        assert "_grouped_walk" not in frames[0]
+            with pytest.raises(ReplayMismatchError, match="vanishes on replay") as err:
+                compiled.referee.accept_probability(msg, 0)
+            errors.append(err.value)
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
 
     def test_rejects_non_canonical_protocols(self):
         with pytest.raises(ValueError, match="canonical"):
             compile_qc_to_cc(equality_code(2), delta=0.1)
+
+    @pytest.mark.parametrize("count, bits", [(4, 3), (4, 1), (2, 2)])
+    def test_operator_family_must_hold_one_operator_per_bob_message(self, count, bits):
+        # operators[b] measures Bob's message b, so a family is whole when it
+        # holds one operator per message
+        p = toy_quantum_equality(1)
+        p = dataclasses.replace(
+            p, referee=OperatorReferee(p.referee.operators[:count]), bob_cost=Cost(bits=bits)
+        )
+        with pytest.raises(ValueError) as err:
+            compile_qc_to_cc(p, delta=0.1, r=2)
+        assert str(err.value) == f"referee family holds {count} operators, not 2^{bits}"
 
     @pytest.mark.parametrize("changes, match", [
         ({"alice_inputs": None}, "explicit Alice input set"),
@@ -883,7 +916,7 @@ class TestSharedObservables:
         with pytest.raises(ReplayMismatchError, match="already-predicted"):
             compile_qc_to_cc(toy_quantum_equality(1), 0.1, r=3)
         with pytest.raises(ReplayMismatchError, match="already-predicted"):
-            learn_round_trip(DensityMatrix.pure([1, 0]), [proj([1, 0]), proj([0, 1])], 0.1, 2)
+            learn_round_trip(PureState([1, 0]).density(), [proj([1, 0]), proj([0, 1])], 0.1, 2)
 
     def test_some_instance_corrects(self):
         # the comparison above must cover correction steps, not only skips
@@ -898,7 +931,7 @@ class TestCheckLearnInputs:
     def test_returns_resolved_shape(self):
         ops = [proj([1, 0]), proj([0, 1])]
         assert transforms._check_learn_inputs(
-            [DensityMatrix.pure([1, 0])], ops, 0.1, None, DEFAULT
+            [PureState([1, 0]).density()], ops, 0.1, None, DEFAULT
         ) == (1, 1, default_copies(1, 0.1))
 
     @pytest.mark.parametrize("delta, r, ops, match", [
@@ -909,7 +942,7 @@ class TestCheckLearnInputs:
     ])
     def test_first_fault_wins_as_in_the_learner(self, delta, r, ops, match):
         # r = 13 would also exceed the dimension cap; the earlier fault is reported
-        rho = DensityMatrix.pure([1, 0])
+        rho = PureState([1, 0]).density()
         for fn, state in ((transforms._check_learn_inputs, [rho]),
                           (learn_state_message, rho), (learn_round_trip, rho)):
             with pytest.raises(ValueError, match=match) as err:
@@ -919,7 +952,7 @@ class TestCheckLearnInputs:
     def test_cap(self):
         ops = [proj([1, 0]), proj([0, 1])]
         with pytest.raises(DimensionCapError, match="r\\*q = 13"):
-            transforms._check_learn_inputs([DensityMatrix.pure([1, 0])], ops, 0.1, 13, DEFAULT)
+            transforms._check_learn_inputs([PureState([1, 0]).density()], ops, 0.1, 13, DEFAULT)
 
 
 # The per-state loops the compiler ran before it grouped states by decision
@@ -989,7 +1022,7 @@ def _per_record_replay(record, observables, tol=DEFAULT):
 
 def _per_state_compile(p, delta, r):
     """Records, diagnostics, replayed estimates and compiled protocol, one state at a time."""
-    operators = p.referee.operator_list(p.bob_cost.bits)
+    operators = p.referee.operators
     q = operators[0].num_qubits
     r = default_copies(q, delta) if r is None else r
     observables = [average_observable(e, r) for e in operators]
@@ -1181,10 +1214,10 @@ class TestGroupedWalk:
         p = toy_quantum_equality(2)
         result = compile_qc_to_cc(p, delta=0.1, r=4)
         assert ((0, 0.0), (1, 1.0)) in {rec.entries for rec in result.records.values()}
-        observables = [average_observable(e, 4) for e in p.referee.operator_list(2)]
+        observables = [average_observable(e, 4) for e in p.referee.operators]
         diverging = LearnRecord(q=2, c=2, r=4, delta=0.1, entries=((0, 0.0), (1, 0.5)))
         other = [MeasurementOperator(DIAG([0.8, 0.2, 0.2, 0.2]).astype(complex))] * 4
-        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0, 0, 0]), other, 0.1, r=4)
+        foreign, _ = learn_state_message(PureState([1, 0, 0, 0]).density(), other, 0.1, r=4)
         assert foreign.entries == ((0, 0.8),)
         referee = result.protocol.referee
         for record in (diverging, foreign):
@@ -1226,7 +1259,7 @@ class TestGroupedWalk:
         assert _assert_matches_per_state(p, 0.1, 2) is None
 
     @pytest.mark.parametrize("bad, match", [
-        (DensityMatrix.pure([1, 0, 0, 0]), "state dimension 4 != operator dimension 2"),
+        (PureState([1, 0, 0, 0]).density(), "state dimension 4 != operator dimension 2"),
         (PureState(np.array([1, 0], dtype=complex)), "density matrices, got PureState"),
     ], ids=["wrong-size", "pure-state"])
     @pytest.mark.parametrize("at", range(3))
@@ -1235,7 +1268,7 @@ class TestGroupedWalk:
         # 0), yet an invalid state at any input wins, before any spectral build
         operators = [proj([1, 0]), proj([0, 1])]
         vanishing = DensityMatrix(DIAG([0.3, 0.7]).astype(complex))
-        states = [vanishing, DensityMatrix.pure([1, 0]), DensityMatrix.pure([0, 1])]
+        states = [vanishing, PureState([1, 0]).density(), PureState([0, 1]).density()]
         states[at] = bad
         builds = []
 
@@ -1258,7 +1291,7 @@ class TestGroupedWalk:
         # against E = diag(0.8, 0.2) the state |0> records 0.8 at index 0,
         # which toy-q1's |0><0| family cannot reach on three copies
         other = [MeasurementOperator(DIAG([0.8, 0.2]).astype(complex))] * 4
-        foreign, _ = learn_state_message(DensityMatrix.pure([1, 0]), other, 0.1, r=3)
+        foreign, _ = learn_state_message(PureState([1, 0]).density(), other, 0.1, r=3)
         assert foreign.entries == ((0, 0.8),)
         with pytest.raises(ReplayMismatchError, match="vanishes on replay"):
             referee.accept_probability(_compiled_message(foreign, result.protocol), 0)
@@ -1281,7 +1314,7 @@ class TestGroupedWalk:
         # 0.695 disagrees with its record by 0.28, above 7 delta / 8 = 0.2625
         # (the sender's guarantee) but below delta - delta/16 = 0.28125
         ops = [MeasurementOperator(DIAG([1.0, 0.39]).astype(complex))] * 2
-        rho = DensityMatrix.pure([1, 0])
+        rho = PureState([1, 0]).density()
         record, diags, estimates = learn_round_trip(rho, ops, 0.3, 2)
         assert record.entries == ((0, 0.975),)
         assert diags.estimates_before[0] == pytest.approx(0.695, abs=1e-12)
