@@ -23,6 +23,7 @@ from .config import DEFAULT, Tolerances
 from .errors import EnumerationCapError, PromiseViolationError
 from .qcore import MeasurementOperator, PureState
 from .smp import (
+    ArrayStrategy,
     CoinSpace,
     Cost,
     FunctionTable,
@@ -59,6 +60,13 @@ def _parity(v: int) -> int:
     return v.bit_count() & 1
 
 
+def _parities(v: np.ndarray) -> np.ndarray:
+    """:func:`_parity` of every entry of ``v``, nonnegative int64s."""
+    for shift in (1, 2, 4, 8, 16, 32):  # afterwards bit 0 is the parity of all 64 bits
+        v = v ^ v >> shift
+    return v & 1
+
+
 def _log2_exact(n: int) -> int:
     k = n.bit_length() - 1
     if n <= 0 or (1 << k) != n:
@@ -93,32 +101,39 @@ def equality_public(n: int, k: int = 1) -> SmpProtocol:
     mask_max = 1 << n
     size = 1 << (n * k)
 
-    def decode(v: int) -> tuple[int, ...]:
-        return tuple((v >> (n * t)) & (mask_max - 1) for t in range(k))
-
     def sampler(rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(int(rng.integers(0, mask_max)) for _ in range(k))
 
     def outcomes():
+        # outcome v holds mask t in bits n*t .. n*t + n - 1 of v, so the
+        # first mask varies fastest
         p = 1.0 / size
-        for v in range(size):
-            yield decode(v), p
+        for masks in itertools.product(range(mask_max), repeat=k):
+            yield masks[::-1], p
 
     coin = CoinSpace(sampler=sampler, size=size, outcomes=outcomes)
 
     def send(value: int, masks: tuple[int, ...]) -> dict[int, float]:
-        # pack's loop, inline: this is exact-enum's hottest call
         msg = 0
         for m in masks:
             msg = msg << 1 | _parity(value & m)
         return {msg: 1.0}
 
+    def send_arrays(values: list, coins: list) -> tuple[np.ndarray, np.ndarray]:
+        masks = np.array(coins, dtype=np.int64).reshape(len(coins), k, 1)
+        x = np.array(values, dtype=np.int64)
+        msg = np.zeros((len(coins), len(values)), dtype=np.int64)
+        for t in range(k):  # send's packing, the first mask most significant
+            msg = msg << 1 | _parities(masks[:, t] & x)
+        return msg[:, None, :], np.ones(msg.shape)[:, None, :]
+
+    strategy = ArrayStrategy(fn=send, slots=1, arrays=send_arrays)
     inputs = tuple(range(2**n)) if n <= 10 else None
     return SmpProtocol(
         name=f"eq-public(n={n},k={k})",
-        alice_strategy=lambda x, coin_v: send(x, coin_v),
-        bob_strategy=lambda y, coin_v: send(y, coin_v),
-        referee=TableReferee(fn=lambda a, b: 1.0 if a == b else 0.0),
+        alice_strategy=strategy,
+        bob_strategy=strategy,
+        referee=TableReferee(fn=lambda a, b: (a == b) * 1.0, vectorized=True),
         alice_cost=Cost(bits=k),
         bob_cost=Cost(bits=k),
         coin=coin,
@@ -160,25 +175,49 @@ def equality_code(n: int, code: LinearCode | None = None, reps: int = 1) -> SmpP
         g = encode(code, y).reshape(rows, cols).tolist()
         return repeated([i << cols | pack(g[i], 1) for i in range(rows)], b_rep_bits)
 
+    def repeated_arrays(lines: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """``repeated`` of every input's row of ``lines`` at once, [1, slot, input]."""
+        ids = lines
+        for _ in range(reps - 1):  # product's order: the first pick most significant
+            ids = (ids[:, :, None] << width | lines[:, None, :]).reshape(len(lines), -1)
+        p = (1.0 / lines.shape[1]) ** reps
+        return ids.T[None], np.full((1, ids.shape[1], len(lines)), p)
+
+    def grids(values: list) -> np.ndarray:
+        g = np.array([encode(code, v) for v in values], dtype=np.int64)
+        return g.reshape(len(values), rows, cols)
+
+    def alice_arrays(xs: list, _coins: list) -> tuple[np.ndarray, np.ndarray]:
+        bits = (grids(xs) << np.arange(rows - 1, -1, -1)[:, None]).sum(axis=1)
+        return repeated_arrays(np.arange(cols) << rows | bits, a_rep_bits)
+
+    def bob_arrays(ys: list, _coins: list) -> tuple[np.ndarray, np.ndarray]:
+        bits = (grids(ys) << np.arange(cols - 1, -1, -1)).sum(axis=2)
+        return repeated_arrays(np.arange(rows) << cols | bits, b_rep_bits)
+
     a_mask, b_mask = (1 << a_rep_bits) - 1, (1 << b_rep_bits) - 1
 
-    def accept(a: int, b: int) -> float:
+    def accept(a, b):
+        """1.0 or 0.0 for two messages, elementwise for two id arrays."""
+        miss = 0
         for _ in range(reps):
             a_seg, b_seg = a & a_mask, b & b_mask
             j, i = a_seg >> rows, b_seg >> cols
             # Alice's bit at row i against Bob's at column j
-            if (a_seg >> (rows - 1 - i) ^ b_seg >> (cols - 1 - j)) & 1:
-                return 0.0
-            a >>= a_rep_bits
-            b >>= b_rep_bits
-        return 1.0
+            miss |= a_seg >> (rows - 1 - i) ^ b_seg >> (cols - 1 - j)
+            a, b = a >> a_rep_bits, b >> b_rep_bits
+        return 1.0 - (miss & 1)
 
+    alice, bob = alice_dist, bob_dist
+    if reps * max(a_rep_bits, b_rep_bits) < 63:  # the ids fit an int64
+        alice = ArrayStrategy(fn=alice_dist, slots=cols**reps, arrays=alice_arrays)
+        bob = ArrayStrategy(fn=bob_dist, slots=rows**reps, arrays=bob_arrays)
     inputs = tuple(range(2**n)) if n <= 10 else None
     return SmpProtocol(
         name=f"eq-code(n={n},reps={reps})",
-        alice_strategy=alice_dist,
-        bob_strategy=bob_dist,
-        referee=TableReferee(fn=accept),
+        alice_strategy=alice,
+        bob_strategy=bob,
+        referee=TableReferee(fn=accept, vectorized=True),
         alice_cost=Cost(bits=reps * a_rep_bits),
         bob_cost=Cost(bits=reps * b_rep_bits),
         alice_inputs=inputs,

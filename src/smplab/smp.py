@@ -10,6 +10,15 @@ format (:func:`bitstring`).  Public randomness, when present, is an explicit
 coin space visible to all three parties.  Evaluation is either exact (full
 enumeration of coin and message supports, within a term budget) or Monte
 Carlo with per-trial keyed generators.
+
+A classical strategy may also declare its laws as arrays
+(:class:`ArrayStrategy`), and a :class:`TableReferee` may take arrays of
+message ids (``vectorized``).  When both strategies and the referee do (in
+this package ``equality_public`` and ``equality_code``), exact enumeration
+reads the arrays block by block, validating each array once, and calls no
+strategy or referee per (coin, input); otherwise it calls the strategies as
+before.  The callables stay the sampled path, the quantum path and the oracle
+the arrays are tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .qcore import (
 from .rng import derive_seed, trial_rngs
 
 __all__ = [
+    "ArrayStrategy",
     "CoinSpace",
     "Cost",
     "SmpProtocol",
@@ -79,8 +89,13 @@ def validate_distribution(dist: Distribution, length: int, tol: Tolerances = DEF
     """Refuse a law that is not a mapping, a message not an int in [0, 2^length), bad weights."""
     if type(dist) is not dict and not isinstance(dist, Mapping):  # spares a dict the slow ABC test
         raise ValueError(f"a classical message law must be a mapping, got {type(dist).__name__}")
+    _validate_items(dist.items(), length, tol)
+
+
+def _validate_items(items: Iterable[tuple[int, float]], length: int, tol: Tolerances) -> None:
+    """:func:`validate_distribution`'s checks of a law's (message, probability) pairs."""
     total = 0.0
-    for msg, p in dist.items():
+    for msg, p in items:
         if type(msg) is not int or msg < 0 or msg.bit_length() > length:
             raise ValueError(f"message {msg!r} is not an int in [0, 2^{length})")
         if not p >= 0.0:  # refuses NaN too
@@ -170,12 +185,41 @@ class Referee:
 
 @dataclass(frozen=True)
 class TableReferee(Referee):
-    """Classical referee: acceptance probability per message pair."""
+    """Classical referee: acceptance probability per message pair.
+
+    ``vectorized`` declares that ``fn`` also maps broadcast int64 arrays of
+    message ids to the array of its answers, elementwise.
+    """
 
     fn: Callable[[int, int], float]
+    vectorized: bool = False
 
     def accept_probability(self, a: int, b: int, coin=None) -> float:
         return self.fn(a, b)
+
+
+@dataclass(frozen=True)
+class ArrayStrategy:
+    """A classical strategy that also declares its laws as arrays.
+
+    Calling it runs ``fn(v, coin)``, the strategy itself.
+    ``arrays(inputs, coins)`` gives the laws ``fn(v, coin)`` of every ``v``
+    in ``inputs`` and ``coin`` in ``coins`` (a list of coin values; ``[None]``
+    for a private coin) as (int64 message ids, probabilities), each of shape
+    [coin, slot, input]: slot s holds the s-th message of the law, in its
+    insertion order.  Every law has ``slots`` >= 1 messages.
+    """
+
+    fn: Callable[[object, object], Distribution]
+    slots: int
+    arrays: Callable[[list, list], tuple[np.ndarray, np.ndarray]]
+
+    def __post_init__(self):
+        if self.slots < 1:
+            raise ValueError(f"a declared law needs at least one slot, got {self.slots}")
+
+    def __call__(self, v, coin) -> Distribution:
+        return self.fn(v, coin)
 
 
 @dataclass(frozen=True)
@@ -293,6 +337,44 @@ class RelationTable:
 _BLOCK_TERMS = 1 << 14
 
 
+def _over_cap(cap: int, x, y) -> EnumerationCapError:
+    return EnumerationCapError(f"term count exceeds budget {cap} at ({x!r}, {y!r})")
+
+
+def _finite(acc: np.ndarray) -> np.ndarray:
+    if not np.isfinite(acc).all():
+        raise ValueError("referee returned a non-finite acceptance probability")
+    return acc
+
+
+def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarray,
+                accept: Callable) -> np.ndarray:
+    """``total`` (1 x pairs) plus the terms ``((cp * pa) * pb) * acc`` of a run of coins.
+
+    ``cp`` holds the coins' weights and ``pa``, ``pb`` are [coin, slot, input];
+    ``accept(rows, rc)`` gives the referee's answers of the (coin, Alice slot)
+    rows ``rows``, whose coins are ``rc``, as [row, Bob slot, x, y].  The terms
+    are added in the order coin, Alice slot, Bob slot, about ``_BLOCK_TERMS``
+    at a time by ``np.add.accumulate`` from the running sum, so every entry is
+    the scalar loop's sum over the same terms.
+    """
+    n, ma, nx = pa.shape
+    mb, ny = pb.shape[1:]
+    cpa = (cp[:, None, None] * pa).reshape(n * ma, nx)
+    row_coin = np.repeat(np.arange(n), ma)
+    step = max(1, _BLOCK_TERMS // (mb * nx * ny))
+    for r in range(0, n * ma, step):
+        rows = slice(r, r + step)
+        rc = row_coin[rows]
+        block = cpa[rows, None, :, None] * pb[rc][:, :, None, :]
+        block *= accept(rows, rc)
+        seq = block.reshape(-1, nx * ny)
+        seq[0] += total[0]
+        np.add.accumulate(seq, axis=0, out=seq)
+        total = seq[-1:].copy()
+    return total
+
+
 class _Side:
     """One party's supports over the pending coins, flat in (coin, input) order."""
 
@@ -363,8 +445,7 @@ class _Tabulation:
     ``add_coin`` runs both strategies once per input, validates every
     distribution and calls the referee once per distinct (Alice message, Bob
     message) pair of the coin; ``flush`` adds the pending coins' terms to the
-    sums in numpy, in the order coin, Alice message, Bob message, so every
-    sum equals the scalar loop over the same terms.
+    sums by :func:`_accumulate`.
     """
 
     def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances):
@@ -386,9 +467,7 @@ class _Tabulation:
         over = np.argwhere(self.terms + la.T @ lb > self.cap)
         if len(over):
             i, j = over[0]
-            raise EnumerationCapError(
-                f"term count exceeds budget {self.cap} at ({self.xs[i]!r}, {self.ys[j]!r})"
-            )
+            raise _over_cap(self.cap, self.xs[i], self.ys[j])
 
     def add_coin(self, coin, cp: float) -> None:
         a_msgs, wa = self.alice.add(coin)
@@ -406,35 +485,22 @@ class _Tabulation:
     def flush(self) -> None:
         if not self.cp:
             return
-        n, nx, ny = len(self.cp), len(self.xs), len(self.ys)
         la, pa, ia = self.alice.padded()
         lb, pb, ib = self.bob.padded()
-        ma, mb = pa.shape[1], pb.shape[1]
         # the referee's answers, coin by coin, each a row-major na x nb table;
         # a padded slot has probability 0 and reads message 0's answer, so
         # while every answer is finite its term is a zero, which leaves the
         # sum unchanged
-        table = np.array(self.acc, dtype=float)
-        if not np.isfinite(table).all():
-            raise ValueError("referee returned a non-finite acceptance probability")
+        table = _finite(np.array(self.acc, dtype=float))
         na, nb = np.array(self.alice.distinct), np.array(self.bob.distinct)
         offset = np.cumsum(na * nb) - na * nb
-        # rows are (coin, Alice slot): per row and x, the weight cp * pa and
-        # the start of the Alice message's row in the referee table
-        cpa = (np.array(self.cp)[:, None, None] * pa).reshape(n * ma, nx)
-        start = (offset[:, None, None] + ia * nb[:, None, None]).reshape(n * ma, nx)
-        row_coin = np.repeat(np.arange(n), ma)
-        step = max(1, _BLOCK_TERMS // (mb * nx * ny))
-        total = self.total
-        for r in range(0, n * ma, step):
-            rc = row_coin[r : r + step]
-            block = cpa[r : r + step, None, :, None] * pb[rc][:, :, None, :]
-            block *= table[start[r : r + step, None, :, None] + ib[rc][:, :, None, :]]
-            seq = block.reshape(-1, nx * ny)
-            seq[0] += total[0]
-            np.add.accumulate(seq, axis=0, out=seq)
-            total = seq[-1:].copy()
-        self.total = total
+        # per (coin, Alice slot) row and x, the start of the Alice message's
+        # row in the referee table
+        start = (offset[:, None, None] + ia * nb[:, None, None]).reshape(-1, len(self.xs))
+        self.total = _accumulate(
+            self.total, np.array(self.cp), pa, pb,
+            lambda rows, rc: table[start[rows, None, :, None] + ib[rc][:, :, None, :]],
+        )
         self.terms += la.T @ lb
         self.terms_max = int(self.terms.max())
         self.alice.clear()
@@ -443,34 +509,111 @@ class _Tabulation:
         self.bound = 0
 
 
+def _declared_block(
+    strategy: ArrayStrategy, inputs: list, coins: list, bits: int, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """``strategy``'s declared (ids, probs) at ``coins``, each [coin, slot, input].
+
+    Every law is checked as :func:`validate_distribution` checks it, in
+    numpy; the first one that fails, in (coin, input) order, raises that
+    function's error.
+    """
+    ids, probs = (np.asarray(a) for a in strategy.arrays(inputs, coins))
+    shape = (len(coins), strategy.slots, len(inputs))
+    if ids.shape != shape or probs.shape != shape:
+        raise ValueError(f"declared arrays of shapes {ids.shape} and {probs.shape}, "
+                         f"expected {shape}")
+    if ids.dtype != np.int64:
+        raise ValueError(f"declared message ids must be int64, got {ids.dtype}")
+    # one row per (coin, input) law, its messages in slot order
+    law_ids = ids.transpose(0, 2, 1).reshape(-1, strategy.slots)
+    law_probs = probs.transpose(0, 2, 1).reshape(-1, strategy.slots)
+    bad = law_ids < 0
+    if bits < 63:  # past that every int64 id is below 2^bits
+        bad |= law_ids >= 1 << bits
+    bad |= ~(law_probs >= 0.0)  # refuses NaN too
+    # summed slot by slot, as validate_distribution adds
+    sums = np.add.accumulate(law_probs, axis=1)[:, -1]
+    for r in np.flatnonzero(bad.any(axis=1) | (np.abs(sums - 1.0) > tol.distribution)):
+        _validate_items(zip(law_ids[r].tolist(), law_probs[r].tolist()), bits, tol)
+    return ids, probs
+
+
+def _declared_sums(
+    p: SmpProtocol, xs: list, ys: list, terms: Iterable[tuple[object, float]], tol: Tolerances
+) -> np.ndarray:
+    """The sums of :func:`acceptance_table` from the declared arrays, a block of coins at a time.
+
+    The term cap is checked before any array is built: every pair has the
+    same count, coins times Alice's slots times Bob's.
+    """
+    alice, bob, fn = p.alice_strategy, p.bob_strategy, p.referee.fn
+    size = 1 if p.coin is None else p.coin.size
+    if size * alice.slots * bob.slots > tol.enum_cap:
+        raise _over_cap(tol.enum_cap, xs[0], ys[0])
+    nx, ny = len(xs), len(ys)
+    total = np.zeros((1, nx * ny))
+    terms = iter(terms)
+    step = max(1, _BLOCK_TERMS // (alice.slots * nx + bob.slots * ny))
+    while chunk := list(itertools.islice(terms, step)):
+        block = [coin for coin, _ in chunk]
+        cp = np.array([w for _, w in chunk])
+        ia, pa = _declared_block(alice, xs, block, p.alice_cost.bits, tol)
+        ib, pb = _declared_block(bob, ys, block, p.bob_cost.bits, tol)
+        ia = ia.reshape(-1, nx)
+        total = _accumulate(
+            total, cp, pa, pb,
+            lambda rows, rc: _finite(fn(ia[rows, None, :, None], ib[rc][:, :, None, :])),
+        )
+    return total
+
+
 def acceptance_table(
     p: SmpProtocol, xs: Iterable, ys: Iterable, tol: Tolerances = DEFAULT
 ) -> np.ndarray:
     """Exact acceptance probability of every pair in ``xs`` x ``ys``.
 
-    Each strategy runs once per (input, coin) and each distribution is
-    validated once; the referee runs once per distinct (Alice message, Bob
-    message) pair of a coin.  Entry (i, j) sums the terms of (xs[i], ys[j])
-    in the order coin, Alice message, Bob message, each term
+    When both strategies are :class:`ArrayStrategy` and the referee a
+    vectorized :class:`TableReferee` (``equality_public`` and
+    ``equality_code``), the laws are read from the declared arrays a block of
+    coins at a time, each array validated once, and the referee's ``fn`` is
+    evaluated on the arrays of message-id pairs the block's terms hold; no
+    strategy or referee is called per (coin, input).  Otherwise each strategy
+    runs once per (input, coin) and each distribution is validated once; the
+    referee runs once per distinct (Alice message, Bob message) pair of a
+    coin.  Either way entry (i, j) sums the terms of (xs[i], ys[j]) in the
+    order coin, Alice message, Bob message, each term
     ``((cp * pa) * pb) * acc`` with ``pa = 1.0`` for a quantum payload, so
     it is bit for bit the plain loop over those terms.  Memory is bounded by
     a fixed block of terms, not by pairs times coins.
 
     Raises :class:`EnumerationCapError` when :func:`coin_terms` refuses the
     coin or some pair's term count would exceed ``tol.enum_cap``, and ValueError
-    when an entry lies outside [0, 1] by more than ``tol.distribution``;
-    entries within that slack are clamped to [0, 1].
+    when a law is malformed or an entry lies outside [0, 1] by more than
+    ``tol.distribution``; entries within that slack are clamped to [0, 1].
     """
     xs, ys = list(xs), list(ys)
     terms = coin_terms(p, tol)
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
 
-    run = _Tabulation(p, xs, ys, tol)
-    for coin, cp in terms:
-        run.add_coin(coin, cp)
-    run.flush()
-    total = run.total.reshape(len(xs), len(ys))
+    # read as attributes, which a wrapper that copies the strategy's (as
+    # functools.wraps does) still carries
+    declared = (
+        not p.quantum
+        and hasattr(p.alice_strategy, "arrays")
+        and hasattr(p.bob_strategy, "arrays")
+        and getattr(p.referee, "vectorized", False)
+    )
+    if declared:
+        total = _declared_sums(p, xs, ys, terms, tol)
+    else:
+        run = _Tabulation(p, xs, ys, tol)
+        for coin, cp in terms:
+            run.add_coin(coin, cp)
+        run.flush()
+        total = run.total
+    total = total.reshape(len(xs), len(ys))
     slack = tol.distribution
     outside = np.argwhere(~((total >= -slack) & (total <= 1.0 + slack)))
     if len(outside):

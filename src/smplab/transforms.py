@@ -557,7 +557,8 @@ def derandomize_alice(
     result is ``p`` with only Alice's strategy and cost, the referee and the
     name replaced.  Raises :class:`EnumerationCapError`, before any strategy
     call, when a candidate's s * c_B * 2^c_B referee calls exceed
-    ``tol.enum_cap``.
+    ``tol.enum_cap``, and ValueError, also before any strategy call, when
+    Bob's message has 0 bits, since the multiset would then be empty.
     """
     if p.coin is not None:
         raise ValueError("only private-coin protocols can be derandomized this way")
@@ -570,6 +571,8 @@ def derandomize_alice(
 
     c_a = p.alice_cost.bits
     c_b = p.bob_cost.bits
+    if c_b == 0:
+        raise ValueError("Bob's message has 0 bits, so the multiset of s * c_B messages is empty")
     multiplicity = s * c_b
     if multiplicity << c_b > tol.enum_cap:
         raise EnumerationCapError(

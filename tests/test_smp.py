@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smplab.codes import cyclic_mask_code
 from smplab.config import DEFAULT, with_overrides
 from smplab import protocols
 from smplab.errors import EnumerationCapError
@@ -26,6 +27,7 @@ from smplab.protocols import (
 from smplab.qcore import MeasurementOperator, PureState
 from smplab.rng import derive_seed, trial_rng, trial_rngs
 from smplab.smp import (
+    ArrayStrategy,
     CoinSpace,
     Cost,
     FunctionTable,
@@ -211,7 +213,10 @@ class TestAcceptanceTable:
                 assert table[i, j] == want
                 assert exact_acceptance(p, x, y) == want
 
-    @pytest.mark.parametrize("case", ["ragged supports", "toy_quantum_equality(2)"])
+    @pytest.mark.parametrize("case", [
+        "ragged supports", "toy_quantum_equality(2)", "equality_public(3,2)",
+        "equality_code(3,reps=2)",
+    ])
     def test_inputs_in_given_order_with_repeats(self, case):
         p = _BIT_IDENTITY_CASES[case]()
         xs, ys = (2, 0, 2), (1, 1, 0)
@@ -330,6 +335,215 @@ class TestCoinTerms:
     def test_an_over_cap_coin_is_refused_before_the_empty_return(self):
         with pytest.raises(EnumerationCapError, match="size 2097152"):
             acceptance_table(equality_public(3, 7), [], [0])
+
+
+def _callables(p: SmpProtocol) -> SmpProtocol:
+    """``p`` with its strategies as plain callables, so it tabulates on the callable path."""
+    return replace(p, alice_strategy=p.alice_strategy.fn, bob_strategy=p.bob_strategy.fn)
+
+
+def _declared_laws(strategy, inputs: list, coins: list) -> list[list]:
+    """``strategy``'s declared laws as (message, probability) lists, [coin][input]."""
+    ids, probs = strategy.arrays(inputs, coins)
+    assert ids.shape == probs.shape == (len(coins), strategy.slots, len(inputs))
+    ids, probs = ids.transpose(0, 2, 1).tolist(), probs.transpose(0, 2, 1).tolist()
+    return [[list(zip(i, p)) for i, p in zip(ci, cp)] for ci, cp in zip(ids, probs)]
+
+
+def _one_law_protocol(ids, probs) -> SmpProtocol:
+    """Private coin, one Alice input, 2-bit messages; Alice declares one law as given."""
+    law = dict(zip(ids, probs))
+    alice = ArrayStrategy(
+        fn=lambda x, c: law,
+        slots=len(ids),
+        arrays=lambda xs, coins: (np.array(ids)[None, :, None], np.array(probs)[None, :, None]),
+    )
+    bob = ArrayStrategy(
+        fn=lambda y, c: {0: 1.0},
+        slots=1,
+        arrays=lambda ys, coins: (np.zeros((1, 1, len(ys)), dtype=np.int64),
+                                  np.ones((1, 1, len(ys)))),
+    )
+    return SmpProtocol(
+        name="one-law",
+        alice_strategy=alice,
+        bob_strategy=bob,
+        referee=TableReferee(fn=lambda a, b: (a == b) * 1.0, vectorized=True),
+        alice_cost=Cost(bits=2),
+        bob_cost=Cost(bits=2),
+    )
+
+
+class TestDeclaredArrays:
+    """equality_public and equality_code tabulate from arrays; their callables are the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_public_arrays_are_the_callables_laws(self, n, k):
+        p = equality_public(n, k)
+        inputs = list(range(2**n))
+        coins = [coin for coin, _ in p.coin.outcomes()]
+        for side in (p.alice_strategy, p.bob_strategy):
+            declared = _declared_laws(side, inputs, coins)
+            for coin, row in zip(coins, declared):
+                assert row == [list(side(v, coin).items()) for v in inputs]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_code_arrays_are_the_callables_laws(self, n, reps):
+        p = equality_code(n, reps=reps)
+        inputs = list(range(2**n))
+        for side in (p.alice_strategy, p.bob_strategy):
+            (declared,) = _declared_laws(side, inputs, [None])
+            assert declared == [list(side(v, None).items()) for v in inputs]
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_code_arrays_follow_a_grid_of_odd_width(self, reps):
+        # a 2 x 3 grid: column indices take 2 bits and do not fill them
+        p = equality_code(3, cyclic_mask_code(3, 6), reps=reps)
+        inputs = list(range(8))
+        for side in (p.alice_strategy, p.bob_strategy):
+            (declared,) = _declared_laws(side, inputs, [None])
+            assert declared == [list(side(v, None).items()) for v in inputs]
+        table = acceptance_table(p, inputs, inputs)
+        assert table.tolist() == [
+            [reference_exact_acceptance(p, x, y) for y in inputs] for x in inputs
+        ]
+
+    def test_a_code_too_wide_for_int64_ids_stays_on_callables(self):
+        # 11 repetitions of 6-bit columns: 66-bit messages
+        p = equality_code(4, reps=11)
+        assert not hasattr(p.alice_strategy, "arrays")
+        assert not hasattr(p.bob_strategy, "arrays")
+
+    @pytest.mark.parametrize("n, reps", [(1, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    def test_code_referee_on_arrays_is_its_scalar_answer(self, n, reps):
+        p = equality_code(n, reps=reps)
+        inputs = list(range(2**n))
+        a = np.unique(p.alice_strategy.arrays(inputs, [None])[0])
+        b = np.unique(p.bob_strategy.arrays(inputs, [None])[0])
+        got = p.referee.fn(a[:, None], b[None, :])
+        assert got.tolist() == [[p.referee.fn(x, y) for y in b.tolist()] for x in a.tolist()]
+
+    @pytest.mark.parametrize("make", [
+        lambda: equality_public(1, 3),
+        lambda: equality_public(2, 3),
+        lambda: equality_public(3, 2),
+        lambda: equality_public(4, 1),
+        lambda: equality_code(2, reps=2),
+        lambda: equality_code(3, reps=2),
+        lambda: equality_code(4),
+    ], ids=["pub(1,3)", "pub(2,3)", "pub(3,2)", "pub(4,1)", "code(2,2)", "code(3,2)", "code(4,1)"])
+    def test_declared_table_is_the_scalar_loop(self, make):
+        p = make()
+        xs, ys = p.alice_inputs, p.bob_inputs
+        table = acceptance_table(p, xs, ys)
+        assert table.tolist() == [[reference_exact_acceptance(p, x, y) for y in ys] for x in xs]
+        assert table.tobytes() == acceptance_table(_callables(p), xs, ys).tobytes()
+
+    def test_derandomized_eq_code_carries_no_stale_law(self):
+        p = equality_code(3)
+        compiled, _ = derandomize_alice(p, s=24, seed=2026)
+        assert not hasattr(compiled.alice_strategy, "arrays")
+        xs, ys = compiled.alice_inputs, compiled.bob_inputs
+        table = acceptance_table(compiled, xs, ys)
+        assert table.tolist() == [
+            [reference_exact_acceptance(compiled, x, y) for y in ys] for x in xs
+        ]
+
+    def test_no_strategy_or_referee_call_per_coin_and_input(self):
+        p = equality_public(3, 2)
+        calls = {"strategy": 0, "referee": 0}
+
+        def strategy(v, coin):
+            calls["strategy"] += 1
+            return p.alice_strategy(v, coin)
+
+        def referee(a, b):
+            calls["referee"] += 1
+            return p.referee.fn(a, b)
+
+        counted = replace(
+            p,
+            alice_strategy=replace(p.alice_strategy, fn=strategy),
+            bob_strategy=replace(p.bob_strategy, fn=strategy),
+            referee=replace(p.referee, fn=referee),
+        )
+        table = acceptance_table(counted, range(8), range(8))
+        # 64 coins x 64 pairs = 4,096 terms: one block, one referee call
+        assert calls == {"strategy": 0, "referee": 1}
+        assert table.tobytes() == acceptance_table(_callables(p), range(8), range(8)).tobytes()
+
+    @pytest.mark.parametrize("ids, probs, message", [
+        ([0, 1], [1.5, -0.5], r"probability -0\.5 of 1 is not >= 0"),
+        ([0, 1], [0.5, float("nan")], "probability nan of 1 is not >= 0"),
+        ([0, 1], [0.5, float("inf")], "distribution sums to inf, not 1"),
+        ([-1, 1], [0.5, 0.5], r"message -1 is not an int in \[0, 2\^2\)"),
+        ([0, 4], [0.5, 0.5], r"message 4 is not an int in \[0, 2\^2\)"),
+        ([0, 3], [0.5, 0.5 + 2e-12], "distribution sums to 1.000000000002, not 1"),
+    ], ids=["negative", "nan", "inf", "id-below-0", "id-at-2^bits", "sum-off"])
+    def test_a_malformed_declaration_raises_the_callable_paths_error(self, ids, probs, message):
+        p = _one_law_protocol(ids, probs)
+        with pytest.raises(ValueError, match=message) as declared:
+            acceptance_table(p, (0,), (0,))
+        with pytest.raises(ValueError) as called:
+            acceptance_table(_callables(p), (0,), (0,))
+        assert str(declared.value) == str(called.value)
+
+    def test_a_sum_within_tolerance_passes(self):
+        p = _one_law_protocol([0, 3], [0.5, 0.5 + 0.5e-12])
+        assert acceptance_table(p, (0,), (0,)).tolist() == [[0.5]]
+
+    def test_a_declaration_of_the_wrong_shape_raises(self):
+        p = _one_law_protocol([0, 1], [0.5, 0.5])
+        short = replace(p, alice_strategy=replace(p.alice_strategy, slots=3))
+        with pytest.raises(ValueError, match=r"expected \(1, 3, 1\)"):
+            acceptance_table(short, (0,), (0,))
+        with pytest.raises(ValueError, match="at least one slot"):
+            replace(p.alice_strategy, slots=0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64, np.int32])
+    def test_declared_ids_must_be_int64(self, dtype):
+        p = _one_law_protocol([0, 1], [0.5, 0.5])
+        arrays = p.alice_strategy.arrays
+
+        def cast(xs, coins):
+            ids, probs = arrays(xs, coins)
+            return ids.astype(dtype), probs
+
+        p = replace(p, alice_strategy=replace(p.alice_strategy, arrays=cast))
+        with pytest.raises(ValueError, match=f"must be int64, got {np.dtype(dtype)}"):
+            acceptance_table(p, (0,), (0,))
+
+    def test_the_term_cap_raises_the_callable_paths_error_before_any_array(self):
+        # eq-code(3, reps=2): 16 Alice messages times 4 Bob messages per pair
+        p = equality_code(3, reps=2)
+        tol = with_overrides(DEFAULT, enum_cap=63)
+        with pytest.raises(EnumerationCapError) as declared:
+            acceptance_table(p, (5, 2), (1, 6), tol)
+        with pytest.raises(EnumerationCapError) as called:
+            acceptance_table(_callables(p), (5, 2), (1, 6), tol)
+        assert str(declared.value) == str(called.value) == (
+            "term count exceeds budget 63 at (5, 1)")
+        acceptance_table(p, (5, 2), (1, 6), with_overrides(DEFAULT, enum_cap=64))
+
+        def unbuilt(values, coins):
+            raise AssertionError("built an array past the cap")
+
+        p = equality_code(4, reps=6)
+        p = replace(p, alice_strategy=replace(p.alice_strategy, arrays=unbuilt))
+        with pytest.raises(EnumerationCapError, match="exceeds budget 1048576 at \\(1, 2\\)"):
+            acceptance_table(p, (1,), (2,))
+
+    def test_eq_public_memory_stays_in_blocks(self):
+        p = equality_public(4, 3)
+        tracemalloc.start()
+        try:
+            acceptance_table(p, range(16), range(16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def sampled_acceptance(p: SmpProtocol, x, y, trials: int, seed: int) -> tuple[float, float]:

@@ -579,6 +579,29 @@ class TestDerandomizeAlice:
         with pytest.raises(EnumerationCapError):
             derandomize_alice(equality_code(2), s=12, tol=with_overrides(DEFAULT, enum_cap=287))
 
+    def test_refuses_a_zero_bit_bob_before_any_strategy_call(self):
+        # s * c_B = 3 * 0 draws: an empty multiset, whose average response
+        # would divide by zero
+        calls = []
+
+        def alice(x, coin):
+            calls.append(x)
+            return {0: 0.5, 1: 0.5}
+
+        p = SmpProtocol(
+            name="fair-bit",
+            alice_strategy=alice,
+            bob_strategy=lambda y, c: {0: 1.0},
+            referee=TableReferee(fn=lambda a, b: float(a)),
+            alice_cost=Cost(bits=1),
+            bob_cost=Cost(bits=0),
+            alice_inputs=(0,),
+            bob_inputs=(0,),
+        )
+        with pytest.raises(ValueError, match="Bob's message has 0 bits"):
+            derandomize_alice(p, s=3)
+        assert calls == []
+
     def test_rejects_public_coin_and_quantum(self):
         from smplab.protocols import equality_public, toy_quantum_equality
 
