@@ -11,14 +11,18 @@ coin space visible to all three parties.  Evaluation is either exact (full
 enumeration of coin and message supports, within a term budget) or Monte
 Carlo with per-trial keyed generators.
 
-A classical strategy may also declare its laws as arrays
-(:class:`ArrayStrategy`), and a :class:`TableReferee` may take arrays of
-message ids (``vectorized``).  When both strategies and the referee do (in
-this package ``equality_public`` and ``equality_code``), exact enumeration
-reads the arrays block by block, validating each array once, and calls no
-strategy or referee per (coin, input); otherwise it calls the strategies as
-before.  The callables stay the sampled path, the quantum path and the oracle
-the arrays are tested against.
+Exact evaluation is one driver, :func:`acceptance_table`: a loop over the
+coin's law, fed by one of two producers.  A classical strategy may declare
+its laws as arrays (:class:`ArrayStrategy`), and a :class:`TableReferee` may
+take arrays of message ids (``vectorized``).  When both strategies and the
+referee do (in this package ``equality_public`` and ``equality_code``), the
+declared producer reads the arrays a block of coins at a time, validating
+each array once, and calls no strategy or referee per (coin, input);
+otherwise the callable producer runs the strategies once per (coin, input)
+and the referee once per distinct message pair of a coin.  The loop alone
+checks the coin's law and the term cap, sizes the blocks and sums the terms.
+The callables stay the sampled path, the quantum path and the oracle the
+arrays are tested against.
 """
 
 from __future__ import annotations
@@ -127,6 +131,8 @@ class CoinSpace:
 
 def subset_coin(n: int, k: int) -> CoinSpace:
     """Uniform random size-k subset of range(n), as a sorted tuple."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n = {n}, got k = {k}")
     count = math.comb(n, k)
 
     def sampler(rng: np.random.Generator) -> tuple[int, ...]:
@@ -331,20 +337,11 @@ class RelationTable:
         return [pair for pair, w in self.mu.items() if w]
 
 
-# Terms one numpy step of ``acceptance_table`` holds in an array (at least one
-# (coin, Alice message) row of them), so its memory does not grow with pairs
-# times coins.
+# About this many entries (message ids, probabilities and referee answers)
+# make one block of ``acceptance_table``, and this many terms one numpy step
+# of it (at least one (coin, Alice message) row), so its memory does not grow
+# with pairs times coins.
 _BLOCK_TERMS = 1 << 14
-
-
-def _over_cap(cap: int, x, y) -> EnumerationCapError:
-    return EnumerationCapError(f"term count exceeds budget {cap} at ({x!r}, {y!r})")
-
-
-def _finite(acc: np.ndarray) -> np.ndarray:
-    if not np.isfinite(acc).all():
-        raise ValueError("referee returned a non-finite acceptance probability")
-    return acc
 
 
 def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarray,
@@ -356,7 +353,9 @@ def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarra
     rows ``rows``, whose coins are ``rc``, as [row, Bob slot, x, y].  The terms
     are added in the order coin, Alice slot, Bob slot, about ``_BLOCK_TERMS``
     at a time by ``np.add.accumulate`` from the running sum, so every entry is
-    the scalar loop's sum over the same terms.
+    the scalar loop's sum over the same terms.  A padded slot has probability
+    0, so while every answer is finite its term is a zero, which leaves the
+    sum unchanged.
     """
     n, ma, nx = pa.shape
     mb, ny = pb.shape[1:]
@@ -367,7 +366,10 @@ def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarra
         rows = slice(r, r + step)
         rc = row_coin[rows]
         block = cpa[rows, None, :, None] * pb[rc][:, :, None, :]
-        block *= accept(rows, rc)
+        acc = accept(rows, rc)
+        if not np.isfinite(acc).all():
+            raise ValueError("referee returned a non-finite acceptance probability")
+        block *= acc
         seq = block.reshape(-1, nx * ny)
         seq[0] += total[0]
         np.add.accumulate(seq, axis=0, out=seq)
@@ -375,138 +377,89 @@ def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarra
     return total
 
 
-class _Side:
-    """One party's supports over the pending coins, flat in (coin, input) order."""
+def _called_laws(strategy, inputs: list, coin, bits: int, quantum: bool, tol: Tolerances):
+    """One side's distinct messages at ``coin``, and its laws there: per input
+    the support size, the ids (indices into the distinct messages) and the
+    probabilities.
 
-    def __init__(self, strategy, inputs: list, bits: int, tol: Tolerances, quantum: bool):
-        self.strategy, self.inputs, self.bits, self.tol = strategy, inputs, bits, tol
-        self.quantum = quantum
-        self.clear()
-
-    def clear(self) -> None:
-        self.sizes: list[int] = []
-        self.probs: list = []
-        self.ids: list[int] = []
-        self.distinct: list[int] = []
-
-    def add(self, coin) -> tuple[list, int]:
-        """Run the strategy once per input at ``coin`` and validate each distribution.
-
-        Returns the coin's distinct messages (indexed by the stored ids) and
-        its largest support.  A quantum side sends one payload per input, so
-        its message ids are the input positions, each with probability 1.0.
-        """
-        sizes, probs, idx = self.sizes, self.probs, self.ids
-        if self.quantum:
-            msgs = [self.strategy(v, coin) for v in self.inputs]
-            idx += range(len(msgs))
-            probs += [1.0] * len(msgs)
-            sizes += [1] * len(msgs)
-            self.distinct.append(len(msgs))
-            return msgs, 1
-        ids: dict = {}
-        widest = 1
-        for v in self.inputs:
-            dist = self.strategy(v, coin)
-            validate_distribution(dist, self.bits, self.tol)
-            for msg, pr in dist.items():
-                idx.append(ids.setdefault(msg, len(ids)))
-                probs.append(pr)
-            sizes.append(len(dist))
-            if len(dist) > widest:
-                widest = len(dist)
-        self.distinct.append(len(ids))
-        return list(ids), widest
-
-    def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-coin counts and (coin, slot, input) probability and message-id arrays.
-
-        Slots past an input's support get probability 0 and message id 0.
-        """
-        coins, k = len(self.distinct), len(self.inputs)
-        sizes = np.array(self.sizes)
-        width = int(sizes.max())
-        prob = np.zeros((len(sizes), width))
-        idx = np.zeros((len(sizes), width), dtype=np.int64)
-        row = np.repeat(np.arange(len(sizes)), sizes)
-        col = np.arange(len(self.ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        prob[row, col] = self.probs
-        idx[row, col] = self.ids
-        return (
-            sizes.reshape(coins, k),
-            prob.reshape(coins, k, width).transpose(0, 2, 1),
-            idx.reshape(coins, k, width).transpose(0, 2, 1),
-        )
+    Each law is validated; a quantum side sends one payload per input, so its
+    ids are the input positions, each with probability 1.0.
+    """
+    if quantum:
+        msgs = [strategy(v, coin) for v in inputs]
+        return msgs, ([1] * len(msgs), list(range(len(msgs))), [1.0] * len(msgs))
+    seen: dict = {}
+    sizes, ids, probs = [], [], []
+    for v in inputs:
+        dist = strategy(v, coin)
+        validate_distribution(dist, bits, tol)
+        for msg, pr in dist.items():
+            ids.append(seen.setdefault(msg, len(seen)))
+            probs.append(pr)
+        sizes.append(len(dist))
+    return list(seen), (sizes, ids, probs)
 
 
-class _Tabulation:
-    """Running sums of one ``acceptance_table`` call, fed one coin at a time.
+def _padded(laws: Sequence[tuple[list, list, list]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coin laws of ``k`` inputs, each (sizes, ids, probs) flat in input order,
+    as [coin, slot, input] id and probability arrays.
 
-    ``add_coin`` runs both strategies once per input, validates every
-    distribution and calls the referee once per distinct (Alice message, Bob
-    message) pair of the coin; ``flush`` adds the pending coins' terms to the
-    sums by :func:`_accumulate`.
+    Slots past an input's support get probability 0 and message id 0.
+    """
+    sizes, ids, probs = (list(itertools.chain.from_iterable(part)) for part in zip(*laws))
+    sizes = np.array(sizes)
+    width = int(sizes.max())
+    idx = np.zeros((len(sizes), width), dtype=np.int64)
+    prob = np.zeros((len(sizes), width))
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    col = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx[row, col] = ids
+    prob[row, col] = probs
+    return (idx.reshape(-1, k, width).transpose(0, 2, 1),
+            prob.reshape(-1, k, width).transpose(0, 2, 1))
+
+
+class _Called:
+    """:func:`acceptance_table`'s producer for callable strategies, fed one coin at a time.
+
+    ``add`` runs each strategy once per input at the coin, validates each law,
+    hands the support sizes to ``tally``, then calls the referee once per
+    distinct (Alice message, Bob message) pair of the coin and drops the
+    messages; it returns the entries the pending coins hold.  ``block`` hands
+    over the pending coins' arrays, their ids local to each coin, and answers
+    by lookup in the coins' tables of referee answers.
     """
 
-    def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances):
-        self.xs, self.ys, self.cap = xs, ys, tol.enum_cap
-        self.alice = _Side(p.alice_strategy, xs, p.alice_cost.bits, tol, p.quantum)
-        self.bob = _Side(p.bob_strategy, ys, p.bob_cost.bits, tol, False)
-        self.accept = p.referee.accept_probability
-        self.total = np.zeros((1, len(xs) * len(ys)))
-        self.terms = np.zeros((len(xs), len(ys)), dtype=np.int64)
-        self.terms_max = 0
-        self.cp: list[float] = []
-        self.acc: list[float] = []
-        self.bound = 0  # sum over pending coins of their largest per-pair term count
+    def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances, tally: Callable):
+        self.p, self.xs, self.ys, self.tol, self.tally = p, xs, ys, tol, tally
+        self.pending: list = []  # per coin: both sides' laws, message counts and answers
+        self.held = 0
 
-    def _check_cap(self) -> None:
-        """Raise when some pair's term count, pending coins included, passes the cap."""
-        la = np.array(self.alice.sizes).reshape(-1, len(self.xs))
-        lb = np.array(self.bob.sizes).reshape(-1, len(self.ys))
-        over = np.argwhere(self.terms + la.T @ lb > self.cap)
-        if len(over):
-            i, j = over[0]
-            raise _over_cap(self.cap, self.xs[i], self.ys[j])
+    def add(self, coin) -> int:
+        p = self.p
+        a_msgs, alice = _called_laws(p.alice_strategy, self.xs, coin, p.alice_cost.bits,
+                                     p.quantum, self.tol)
+        b_msgs, bob = _called_laws(p.bob_strategy, self.ys, coin, p.bob_cost.bits,
+                                   False, self.tol)
+        self.tally(alice[0], bob[0])
+        accept = p.referee.accept_probability
+        answers = [accept(a, b, coin) for a in a_msgs for b in b_msgs]
+        self.pending.append((alice, bob, len(a_msgs), len(b_msgs), answers))
+        self.held += len(answers) + len(alice[1]) + len(bob[1])
+        return self.held
 
-    def add_coin(self, coin, cp: float) -> None:
-        a_msgs, wa = self.alice.add(coin)
-        b_msgs, wb = self.bob.add(coin)
-        self.bound += wa * wb
-        near_cap = self.terms_max + self.bound > self.cap
-        if near_cap:
-            self._check_cap()
-        accept = self.accept
-        self.acc += [accept(a, b, coin) for a in a_msgs for b in b_msgs]
-        self.cp.append(cp)
-        if near_cap or len(self.acc) + len(self.alice.ids) + len(self.bob.ids) >= _BLOCK_TERMS:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self.cp:
-            return
-        la, pa, ia = self.alice.padded()
-        lb, pb, ib = self.bob.padded()
-        # the referee's answers, coin by coin, each a row-major na x nb table;
-        # a padded slot has probability 0 and reads message 0's answer, so
-        # while every answer is finite its term is a zero, which leaves the
-        # sum unchanged
-        table = _finite(np.array(self.acc, dtype=float))
-        na, nb = np.array(self.alice.distinct), np.array(self.bob.distinct)
-        offset = np.cumsum(na * nb) - na * nb
+    def block(self) -> tuple[np.ndarray, np.ndarray, Callable]:
+        alice, bob, na, nb, answers = zip(*self.pending)
+        self.pending, self.held = [], 0
+        ia, pa = _padded(alice, len(self.xs))
+        ib, pb = _padded(bob, len(self.ys))
+        table = np.array(list(itertools.chain.from_iterable(answers)), dtype=float)
         # per (coin, Alice slot) row and x, the start of the Alice message's
-        # row in the referee table
+        # row in its coin's row-major table; a padded slot reads message 0's
+        na, nb = np.array(na), np.array(nb)
+        offset = np.cumsum(na * nb) - na * nb
         start = (offset[:, None, None] + ia * nb[:, None, None]).reshape(-1, len(self.xs))
-        self.total = _accumulate(
-            self.total, np.array(self.cp), pa, pb,
-            lambda rows, rc: table[start[rows, None, :, None] + ib[rc][:, :, None, :]],
-        )
-        self.terms += la.T @ lb
-        self.terms_max = int(self.terms.max())
-        self.alice.clear()
-        self.bob.clear()
-        self.cp, self.acc = [], []
-        self.bound = 0
+        return pa, pb, lambda rows, rc: table[start[rows, None, :, None] + ib[rc][:, :, None, :]]
 
 
 def _declared_block(
@@ -539,33 +492,34 @@ def _declared_block(
     return ids, probs
 
 
-def _declared_sums(
-    p: SmpProtocol, xs: list, ys: list, terms: Iterable[tuple[object, float]], tol: Tolerances
-) -> np.ndarray:
-    """The sums of :func:`acceptance_table` from the declared arrays, a block of coins at a time.
+class _Declared:
+    """:func:`acceptance_table`'s producer for declared arrays, read a block of coins at a time.
 
-    The term cap is checked before any array is built: every pair has the
-    same count, coins times Alice's slots times Bob's.
+    Every declared law has its strategy's slots, so every pair's term count,
+    coins times Alice's slots times Bob's, goes to ``tally`` before any
+    array is built.  ``add`` only queues the coin; ``block`` reads and
+    validates the queued coins' arrays, and answers by the referee's
+    vectorized ``fn`` on the id arrays.
     """
-    alice, bob, fn = p.alice_strategy, p.bob_strategy, p.referee.fn
-    size = 1 if p.coin is None else p.coin.size
-    if size * alice.slots * bob.slots > tol.enum_cap:
-        raise _over_cap(tol.enum_cap, xs[0], ys[0])
-    nx, ny = len(xs), len(ys)
-    total = np.zeros((1, nx * ny))
-    terms = iter(terms)
-    step = max(1, _BLOCK_TERMS // (alice.slots * nx + bob.slots * ny))
-    while chunk := list(itertools.islice(terms, step)):
-        block = [coin for coin, _ in chunk]
-        cp = np.array([w for _, w in chunk])
-        ia, pa = _declared_block(alice, xs, block, p.alice_cost.bits, tol)
-        ib, pb = _declared_block(bob, ys, block, p.bob_cost.bits, tol)
-        ia = ia.reshape(-1, nx)
-        total = _accumulate(
-            total, cp, pa, pb,
-            lambda rows, rc: _finite(fn(ia[rows, None, :, None], ib[rc][:, :, None, :])),
-        )
-    return total
+
+    def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances, tally: Callable):
+        self.p, self.xs, self.ys, self.tol = p, xs, ys, tol
+        alice, bob = p.alice_strategy, p.bob_strategy
+        size = 1 if p.coin is None else p.coin.size
+        tally([size * alice.slots] * len(xs), [bob.slots] * len(ys))
+        self.per_coin = alice.slots * len(xs) + bob.slots * len(ys)
+        self.coins: list = []
+
+    def add(self, coin) -> int:
+        self.coins.append(coin)
+        return len(self.coins) * self.per_coin
+
+    def block(self) -> tuple[np.ndarray, np.ndarray, Callable]:
+        p, coins, self.coins = self.p, self.coins, []
+        ia, pa = _declared_block(p.alice_strategy, self.xs, coins, p.alice_cost.bits, self.tol)
+        ib, pb = _declared_block(p.bob_strategy, self.ys, coins, p.bob_cost.bits, self.tol)
+        ia, fn = ia.reshape(-1, len(self.xs)), p.referee.fn
+        return pa, pb, lambda rows, rc: fn(ia[rows, None, :, None], ib[rc][:, :, None, :])
 
 
 def acceptance_table(
@@ -573,29 +527,42 @@ def acceptance_table(
 ) -> np.ndarray:
     """Exact acceptance probability of every pair in ``xs`` x ``ys``.
 
-    When both strategies are :class:`ArrayStrategy` and the referee a
-    vectorized :class:`TableReferee` (``equality_public`` and
-    ``equality_code``), the laws are read from the declared arrays a block of
-    coins at a time, each array validated once, and the referee's ``fn`` is
-    evaluated on the arrays of message-id pairs the block's terms hold; no
-    strategy or referee is called per (coin, input).  Otherwise each strategy
-    runs once per (input, coin) and each distribution is validated once; the
-    referee runs once per distinct (Alice message, Bob message) pair of a
-    coin.  Either way entry (i, j) sums the terms of (xs[i], ys[j]) in the
-    order coin, Alice message, Bob message, each term
-    ``((cp * pa) * pb) * acc`` with ``pa = 1.0`` for a quantum payload, so
-    it is bit for bit the plain loop over those terms.  Memory is bounded by
-    a fixed block of terms, not by pairs times coins.
+    One loop walks the coin's law, checking it (weights >= 0 that, summed in
+    the order given, make 1 within ``tol.distribution``, and ``coin.size``
+    outcomes), and feeds each coin to a producer: :class:`_Declared` when
+    both strategies are :class:`ArrayStrategy` and the referee a vectorized
+    :class:`TableReferee`, :class:`_Called` otherwise.  A producer reports
+    its laws' support sizes before the referee answers them, so the loop
+    counts each pair's terms and refuses, at the first coin that passes the
+    cap, the first such pair in row-major order.  The loop takes coins until
+    the producer holds about ``_BLOCK_TERMS`` entries, then adds the block's
+    terms: entry (i, j) sums the terms of (xs[i], ys[j]) in the order coin,
+    Alice message, Bob message, each term ``((cp * pa) * pb) * acc`` with
+    ``pa = 1.0`` for a quantum payload, so it is bit for bit the plain loop
+    over those terms.  Memory is bounded by a fixed block of terms, not by
+    pairs times coins.
 
     Raises :class:`EnumerationCapError` when :func:`coin_terms` refuses the
     coin or some pair's term count would exceed ``tol.enum_cap``, and ValueError
-    when a law is malformed or an entry lies outside [0, 1] by more than
-    ``tol.distribution``; entries within that slack are clamped to [0, 1].
+    when the coin's law or a message law is malformed or an entry lies outside
+    [0, 1] by more than ``tol.distribution``; entries within that slack are
+    clamped to [0, 1].
     """
     xs, ys = list(xs), list(ys)
     terms = coin_terms(p, tol)
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
+    cap, size = tol.enum_cap, 1 if p.coin is None else p.coin.size
+    count = np.zeros((len(xs), len(ys)), dtype=np.int64)  # each pair's terms so far
+
+    def tally(la: list, lb: list) -> None:
+        """Count laws of support sizes ``la`` (per x) and ``lb`` (per y) for every pair."""
+        # every law holds a message, so a size past the cap passes it at every
+        # pair it is in; clipped there, no product wraps in int64
+        count[:] += np.outer([min(v, cap + 1) for v in la], [min(v, cap + 1) for v in lb])
+        if count.max() > cap:
+            i, j = np.argwhere(count > cap)[0]
+            raise EnumerationCapError(f"term count exceeds budget {cap} at ({xs[i]!r}, {ys[j]!r})")
 
     # read as attributes, which a wrapper that copies the strategy's (as
     # functools.wraps does) still carries
@@ -605,14 +572,28 @@ def acceptance_table(
         and hasattr(p.bob_strategy, "arrays")
         and getattr(p.referee, "vectorized", False)
     )
-    if declared:
-        total = _declared_sums(p, xs, ys, terms, tol)
-    else:
-        run = _Tabulation(p, xs, ys, tol)
-        for coin, cp in terms:
-            run.add_coin(coin, cp)
-        run.flush()
-        total = run.total
+    source = (_Declared if declared else _Called)(p, xs, ys, tol, tally)
+    total = np.zeros((1, len(xs) * len(ys)))
+    cps: list = []
+    seen, weight = 0, 0.0
+    for coin, cp in terms:
+        seen += 1
+        if seen > size:
+            raise ValueError(f"coin yields more outcomes than its size {size}")
+        if not cp >= 0.0:  # refuses NaN too
+            raise ValueError(f"coin weight {cp} of {coin!r} is not >= 0")
+        weight += cp
+        cps.append(cp)
+        if source.add(coin) >= _BLOCK_TERMS:
+            total = _accumulate(total, np.array(cps), *source.block())
+            cps = []
+    if seen != size:
+        raise ValueError(f"coin yields {seen} outcomes, not its size {size}")
+    if abs(weight - 1.0) > tol.distribution:
+        raise ValueError(f"coin weights sum to {weight}, not 1")
+    if cps:
+        total = _accumulate(total, np.array(cps), *source.block())
+
     total = total.reshape(len(xs), len(ys))
     slack = tol.distribution
     outside = np.argwhere(~((total >= -slack) & (total <= 1.0 + slack)))

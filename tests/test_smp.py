@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from smplab.codes import cyclic_mask_code
 from smplab.config import DEFAULT, with_overrides
-from smplab import protocols
+from smplab import protocols, smp
 from smplab.errors import EnumerationCapError
 from smplab.protocols import (
     equality_code,
@@ -544,6 +544,118 @@ class TestDeclaredArrays:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+def _with_coin(p: SmpProtocol, outcomes: list, size: int) -> SmpProtocol:
+    return replace(p, coin=CoinSpace(sampler=p.coin.sampler, size=size, outcomes=lambda: outcomes))
+
+
+def _masks(p: SmpProtocol) -> list:
+    return [coin for coin, _ in p.coin.outcomes()]
+
+
+class TestCoinLaw:
+    """The one enumeration loop checks the coin's law, on both producers."""
+
+    def test_weights_that_sum_to_a_half_are_refused(self):
+        p = equality_public(2, 1)
+        half = _with_coin(p, [(m, 0.125) for m in _masks(p)], size=4)
+        for q in (half, _callables(half)):
+            with pytest.raises(ValueError, match="coin weights sum to 0.5, not 1"):
+                exact_acceptance(q, 1, 1)
+
+    @pytest.mark.parametrize("weight", [-0.25, float("nan")])
+    def test_a_negative_or_nan_weight_is_refused(self, weight):
+        p = equality_public(2, 1)
+        masks = _masks(p)
+        bad = _with_coin(p, [(masks[0], weight)] + [(m, 0.25) for m in masks[1:]], size=4)
+        for q in (bad, _callables(bad)):
+            with pytest.raises(ValueError, match=f"coin weight {weight} of \\(0,\\) is not >= 0"):
+                acceptance_table(q, range(4), range(4))
+
+    def test_more_outcomes_than_the_size_cannot_pass_the_cap(self):
+        # the declared producer counts coin.size x 1 x 1 = 1 term per pair up
+        # front; the coin's 4 outcomes would make it 4, past the cap of 3
+        p = equality_public(2, 1)
+        wide = _with_coin(p, [(m, 0.25) for m in _masks(p)], size=1)
+        tol = with_overrides(DEFAULT, enum_cap=3)
+        for q in (wide, _callables(wide)):
+            with pytest.raises(ValueError, match="coin yields more outcomes than its size 1"):
+                acceptance_table(q, range(4), range(4), tol)
+
+    def test_fewer_outcomes_than_the_size_are_refused(self):
+        p = equality_public(2, 1)
+        short = _with_coin(p, [(m, 1 / 3) for m in _masks(p)[:3]], size=4)
+        with pytest.raises(ValueError, match="coin yields 3 outcomes, not its size 4"):
+            acceptance_table(short, range(4), range(4))
+
+    def test_the_largest_subset_coin_sums_to_one_within_tolerance(self):
+        # 12,870 outcomes of 1/12,870, summed in order, miss 1 by 3e-13
+        p = replace(constant_accept_protocol(), coin=subset_coin(16, 8))
+        assert acceptance_table(p, (0,), (0, 1)).tolist() == [
+            [reference_exact_acceptance(p, 0, y) for y in (0, 1)]]
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (3, -1), (-1, 0)])
+def test_subset_coin_refuses_a_size_outside_0_to_n(n, k):
+    with pytest.raises(ValueError, match=f"need 0 <= k <= n = {n}, got k = {k}"):
+        subset_coin(n, k)
+
+
+def test_subset_coin_takes_the_empty_and_the_full_subset():
+    assert list(subset_coin(3, 0).outcomes()) == [((), 1.0)]
+    assert list(subset_coin(3, 3).outcomes()) == [((0, 1, 2), 1.0)]
+
+
+def test_the_cap_names_the_first_pair_over_it_at_the_first_coin_that_passes():
+    # Bob's input 1 sends 4 messages at coin 0 and input 0 at coin 1: after
+    # coin 0 the counts are (1, 4), so (0, 1) passes the cap of 3 first
+    wide = {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
+    p = SmpProtocol(
+        name="cap-race",
+        alice_strategy=lambda x, coin: {0: 1.0},
+        bob_strategy=lambda y, coin: wide if (y == 1) == (coin == 0) else {0: 1.0},
+        referee=TableReferee(fn=lambda a, b: 1.0),
+        alice_cost=Cost(bits=1),
+        bob_cost=Cost(bits=2),
+        coin=uniform_int_coin(2),
+    )
+    with pytest.raises(EnumerationCapError) as err:
+        acceptance_table(p, (0,), (0, 1), with_overrides(DEFAULT, enum_cap=3))
+    assert str(err.value) == "term count exceeds budget 3 at (0, 1)"
+
+
+@pytest.mark.parametrize("bits", [32, 40, 70])
+def test_declared_slots_whose_product_passes_int64_are_refused_before_any_array(bits):
+    p = equality_code(3, reps=2)
+
+    def unbuilt(values, coins):
+        raise AssertionError("built an array past the cap")
+
+    wide = replace(
+        p,
+        alice_strategy=replace(p.alice_strategy, slots=1 << bits, arrays=unbuilt),
+        bob_strategy=replace(p.bob_strategy, slots=1 << bits, arrays=unbuilt),
+    )
+    with pytest.raises(EnumerationCapError, match=r"exceeds budget 1048576 at \(5, 1\)"):
+        acceptance_table(wide, (5, 2), (1, 6))
+
+
+_BLOCK_CASES = {
+    **_BIT_IDENTITY_CASES,
+    "callable equality_public(3,2)": lambda: _callables(equality_public(3, 2)),
+    "callable equality_code(3,reps=2)": lambda: _callables(equality_code(3, reps=2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_every_block_size_gives_the_scalar_loop(case, monkeypatch):
+    p = _BLOCK_CASES[case]()
+    xs, ys = p.alice_inputs, p.bob_inputs
+    want = [[reference_exact_acceptance(p, x, y) for y in ys] for x in xs]
+    for terms in (1, 3, 7, 64):
+        monkeypatch.setattr(smp, "_BLOCK_TERMS", terms)
+        assert acceptance_table(p, xs, ys).tolist() == want, terms
 
 
 def sampled_acceptance(p: SmpProtocol, x, y, trials: int, seed: int) -> tuple[float, float]:
