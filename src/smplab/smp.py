@@ -20,7 +20,7 @@ declared producer reads the arrays a block of coins at a time, validating
 each array once, and calls no strategy or referee per (coin, input);
 otherwise the callable producer runs the strategies once per (coin, input)
 and the referee once per distinct message pair of a coin.  The loop alone
-checks the coin's law and the term cap, sizes the blocks and sums the terms.
+counts the term cap, sizes the blocks and sums the terms.
 The callables stay the sampled path, the quantum path and the oracle the
 arrays are tested against.
 """
@@ -152,6 +152,9 @@ def coin_terms(p: SmpProtocol, tol: Tolerances = DEFAULT) -> Iterable[tuple[obje
     A private-coin protocol has the one term (None, 1.0).  Raises
     :class:`EnumerationCapError` when the coin has more than ``tol.enum_cap``
     outcomes; this is the one place that decides whether a coin is enumerated.
+    A public coin's law is checked as it is read: ValueError at an outcome
+    past ``coin.size`` or a weight below 0 or NaN, and at its end at fewer
+    outcomes or weights whose sum in order misses 1 by more than ``tol.distribution``.
     """
     if p.coin is None:
         return [(None, 1.0)]
@@ -160,7 +163,24 @@ def coin_terms(p: SmpProtocol, tol: Tolerances = DEFAULT) -> Iterable[tuple[obje
         # a size of thousands of digits, past int-to-str's limit, is named by its bit length
         shown = size if size.bit_length() <= 10_000 else f"2^{size.bit_length() - 1} or more"
         raise EnumerationCapError(f"coin space of size {shown} exceeds term budget {tol.enum_cap}")
-    return p.coin.outcomes()
+    return _checked_law(p.coin.outcomes(), size, tol)
+
+
+def _checked_law(outcomes: Iterable, size: int, tol: Tolerances) -> Iterator[tuple[object, float]]:
+    """``outcomes``, each checked before it is yielded, as :func:`coin_terms` says."""
+    seen, weight = 0, 0.0
+    for coin, cp in outcomes:
+        seen += 1
+        if seen > size:
+            raise ValueError(f"coin yields more outcomes than its size {size}")
+        if not cp >= 0.0:  # refuses NaN too
+            raise ValueError(f"coin weight {cp} of {coin!r} is not >= 0")
+        weight += cp
+        yield coin, cp
+    if seen != size:
+        raise ValueError(f"coin yields {seen} outcomes, not its size {size}")
+    if abs(weight - 1.0) > tol.distribution:
+        raise ValueError(f"coin weights sum to {weight}, not 1")
 
 
 @dataclass(frozen=True)
@@ -527,9 +547,8 @@ def acceptance_table(
 ) -> np.ndarray:
     """Exact acceptance probability of every pair in ``xs`` x ``ys``.
 
-    One loop walks the coin's law, checking it (weights >= 0 that, summed in
-    the order given, make 1 within ``tol.distribution``, and ``coin.size``
-    outcomes), and feeds each coin to a producer: :class:`_Declared` when
+    One loop walks the coin's law, checked as :func:`coin_terms` reads it,
+    and feeds each coin to a producer: :class:`_Declared` when
     both strategies are :class:`ArrayStrategy` and the referee a vectorized
     :class:`TableReferee`, :class:`_Called` otherwise.  A producer reports
     its laws' support sizes before the referee answers them, so the loop
@@ -552,7 +571,7 @@ def acceptance_table(
     terms = coin_terms(p, tol)
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
-    cap, size = tol.enum_cap, 1 if p.coin is None else p.coin.size
+    cap = tol.enum_cap
     count = np.zeros((len(xs), len(ys)), dtype=np.int64)  # each pair's terms so far
 
     def tally(la: list, lb: list) -> None:
@@ -575,22 +594,11 @@ def acceptance_table(
     source = (_Declared if declared else _Called)(p, xs, ys, tol, tally)
     total = np.zeros((1, len(xs) * len(ys)))
     cps: list = []
-    seen, weight = 0, 0.0
     for coin, cp in terms:
-        seen += 1
-        if seen > size:
-            raise ValueError(f"coin yields more outcomes than its size {size}")
-        if not cp >= 0.0:  # refuses NaN too
-            raise ValueError(f"coin weight {cp} of {coin!r} is not >= 0")
-        weight += cp
         cps.append(cp)
         if source.add(coin) >= _BLOCK_TERMS:
             total = _accumulate(total, np.array(cps), *source.block())
             cps = []
-    if seen != size:
-        raise ValueError(f"coin yields {seen} outcomes, not its size {size}")
-    if abs(weight - 1.0) > tol.distribution:
-        raise ValueError(f"coin weights sum to {weight}, not 1")
     if cps:
         total = _accumulate(total, np.array(cps), *source.block())
 

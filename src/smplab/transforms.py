@@ -5,13 +5,18 @@ Three ways to shrink what Alice must send:
 * ``derandomize_alice``: replace a randomized classical message by a verified
   deterministic multiset of messages whose empirical referee response is
   within 1/10 of the true expectation for every possible Bob message.  The
-  multiset is sent as one int, its first draw most significant.
+  multiset is sent as one int, its first draw most significant.  The referee
+  is asked once per (input, support message, Bob message); the candidate
+  checks and the new referee read those rows.
 * ``learn_state_message``: replace a quantum state by a short deterministic
   record.  The sender walks Bob's measurement operators in index order while
   maintaining a hypothesis state (starting maximally mixed).  Indices whose
   averaged observable already predicts the true acceptance within ``delta``
   are skipped; for the rest the sender records the truncated acceptance and
-  projects the hypothesis onto the matching eigenvalue band.
+  projects the hypothesis onto the matching eigenvalue band.  The walk logs
+  each step's estimate and each correction's band trace, and the receiver
+  is one check of a record against such a log: the sender's, for a record
+  it made, or the log of a replay walk correcting at the record's indices.
 * ``compile_qc_to_cc``: apply the state-learning message inside a protocol,
   turning a quantum-classical protocol into a classical one whose worst-case
   error is at most ``delta`` worse.  A deterministic message is in particular
@@ -262,37 +267,14 @@ def _check_learn_inputs(
 _REPLAY_SLACK = 1e-9  # so that a correction exactly on the replay's bound replays
 
 
-class _Trail:
-    """One state's decisions along the sender's walk."""
-
-    __slots__ = ("entries", "traces", "margins", "flagged", "estimates", "trues")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, [])
-
-    def result(self, c: int, q: int, r: int, delta: float) -> tuple[LearnRecord, LearnDiagnostics]:
-        record = LearnRecord(q=q, c=c, r=r, delta=delta, entries=tuple(self.entries))
-        diags = LearnDiagnostics(
-            bad_count=len(self.entries),
-            projection_traces=tuple(self.traces),
-            band_edge_margins=tuple(self.margins),
-            flagged_steps=tuple(self.flagged),
-            estimates_before=tuple(self.estimates),
-            true_probabilities=tuple(self.trues),
-        )
-        return record, diags
-
-
 def _grouped_walk(
     qubits: int,
     count: int,
     observables: Sequence[Observable],
     decide: Callable[[int, int, float], float | None],
-    record: Callable[[list[int], int, float, float], None],
     delta: float,
     tol: Tolerances,
-) -> dict[int, Exception]:
+) -> tuple[list[list[tuple]], dict[int, Exception]]:
     """Walk ``count`` members against one family, grouped by correction prefix.
 
     Every member starts from the maximally mixed state on ``qubits``.
@@ -306,13 +288,15 @@ def _grouped_walk(
     the one each member's own walk would compute, bit for bit.
 
     ``decide(i, b, estimate)`` returns None when member ``i`` skips index
-    ``b`` and the truncated value when it corrects there.
-    ``record(movers, b, p_tilde, trace)`` takes each correction before its
-    projection, and must raise when the trace vanishes (is at most
-    ``tol.zero_projection``).  Either may raise the error that ends its
-    members' walks.  Returns each failed member's error; groups never depend
-    on which members they hold, so the others walk on as they would alone.
+    ``b`` and the truncated value when it corrects there, or raises the
+    ValueError that ends its walk.  Returns each member's step log, per step
+    ``(estimate, p_tilde, trace)`` (``None, None`` on a skip) with the band
+    trace taken before the projection, and each failed member's error; a
+    correction is logged before its trace is checked, and a trace at most
+    ``tol.zero_projection`` raises :class:`VanishingProjectionError`.  Groups
+    never depend on which members they hold, so the others walk on alone.
     """
+    logs: list[list[tuple]] = [[] for _ in range(count)]
     errors: dict[int, Exception] = {}
     # the groups of the current step, (hypothesis, members), each dropped
     # once split into the next
@@ -334,6 +318,7 @@ def _grouped_walk(
                     errors[i] = err
                     continue
                 if p_tilde is None:
+                    logs[i].append((estimate, None, None))
                     stay.append(i)
                 else:
                     moves.setdefault(p_tilde, []).append(i)
@@ -344,7 +329,10 @@ def _grouped_walk(
                     if p_tilde not in bands:
                         bands[p_tilde] = band_projector(f, p_tilde, delta / 2.0, tol)
                     trace = float(np.sum(bands[p_tilde] * hypothesis.entries.T).real)
-                    record(movers, b, p_tilde, trace)
+                    for i in movers:
+                        logs[i].append((estimate, p_tilde, trace))
+                    if trace <= tol.zero_projection:
+                        raise VanishingProjectionError(step=b, trace=trace)
                     projected = project_renormalize(hypothesis, bands[p_tilde], tol)
                 except (ValueError, VanishingProjectionError) as err:
                     errors.update(dict.fromkeys(movers, err))
@@ -353,7 +341,7 @@ def _grouped_walk(
         # a hypothesis no group holds must not outlive its step into the
         # next step's dense F
         hypothesis = projected = None
-    return errors
+    return logs, errors
 
 
 def _learn_states(
@@ -368,91 +356,84 @@ def _learn_states(
 
     ``shape`` is ``(c, q, r)`` as :func:`_check_learn_inputs` returns it.
     Every state makes its own ``acceptance_probability`` calls along
-    :func:`_grouped_walk`.  Raises the error of the first state, in the order
-    given, whose own walk fails; a vanishing projection at an r below the
-    paper's (:func:`paper_copies`) carries a note naming both.
+    :func:`_grouped_walk`, and its record and diagnostics are read from its
+    step log.  Raises the error of the first state, in the order given,
+    whose own walk fails; a vanishing projection at an r below the paper's
+    (:func:`paper_copies`) carries a note naming both.
     """
     c, q, r = shape
-    trails = [_Trail() for _ in states]
+    trues: list[list[float]] = [[] for _ in states]
 
     def decide(i: int, b: int, estimate: float) -> float | None:
         p_true = acceptance_probability(operators[b], states[i], tol)
-        trails[i].estimates.append(estimate)
-        trails[i].trues.append(p_true)
+        trues[i].append(p_true)
         return None if abs(estimate - p_true) <= delta else _truncate(p_true, delta)
 
-    def record(movers, b, p_tilde, trace) -> None:
-        if trace <= tol.zero_projection:
-            raise VanishingProjectionError(step=b, trace=trace)
-        margin = band_edge_margin(observables[b], p_tilde, delta / 2.0)
-        for i in movers:
-            trail = trails[i]
-            trail.entries.append((b, p_tilde))
-            trail.traces.append(trace)
-            trail.margins.append(margin)
-            if margin < tol.band_edge_flag:
-                trail.flagged.append(b)
-
-    errors = _grouped_walk(r * q, len(states), observables, decide, record, delta, tol)
+    logs, errors = _grouped_walk(r * q, len(states), observables, decide, delta, tol)
     if errors:
         err = errors[min(errors)]
         if isinstance(err, VanishingProjectionError) and r < paper_copies(q, delta):
             err.add_note(f"r = {r} is below the paper's r = {paper_copies(q, delta)}")
         raise err
-    return [trail.result(c, q, r, delta) for trail in trails]
+    learned = []
+    for log, true in zip(logs, trues):
+        fixes = [(b, p) for b, (_, p, _) in enumerate(log) if p is not None]
+        margins = [band_edge_margin(observables[b], p, delta / 2.0) for b, p in fixes]
+        diags = LearnDiagnostics(
+            bad_count=len(fixes),
+            projection_traces=tuple(trace for _, p, trace in log if p is not None),
+            band_edge_margins=tuple(margins),
+            flagged_steps=tuple(b for (b, _), m in zip(fixes, margins) if m < tol.band_edge_flag),
+            estimates_before=tuple(estimate for estimate, _, _ in log),
+            true_probabilities=tuple(true),
+        )
+        learned.append((LearnRecord(q=q, c=c, r=r, delta=delta, entries=fixes), diags))
+    return learned
 
 
-def _receiver(rec: LearnRecord, count: int, tol: Tolerances):
-    """The receiver's checks on ``rec`` over ``count`` indices: ``decide`` and
-    ``record`` for a walk, and the estimates array they fill."""
+def _receive(rec: LearnRecord, estimates: Sequence[float], traces, tol: Tolerances) -> np.ndarray:
+    """The receiver's estimates for ``rec``, one per index of ``estimates``.
+
+    ``estimates[b]`` is the expectation before step b of a walk correcting at
+    ``rec``'s indices and ``traces`` those corrections' band traces, in order.
+    Raises :class:`ReplayMismatchError` at the first index, in order, whose
+    recorded correction the walk would have predicted or whose projection
+    vanishes: both mean the record belongs to a different family.
+    """
     delta = rec.delta
     # the sender corrects an estimate more than delta from the truth and
     # records a value within delta/8 of the truth, so a genuine correction
     # disagrees by more than delta - delta/8 with its recorded value
     predicted = delta - delta / 8.0 - _REPLAY_SLACK
-    corrected = dict(rec.entries)
-    out = np.empty(count)
-
-    def decide(_, b: int, estimate: float) -> float | None:
+    corrected, traces = dict(rec.entries), iter(traces)
+    out = np.empty(len(estimates))
+    for b, estimate in enumerate(estimates):
         if b not in corrected:
             out[b] = min(1.0, max(0.0, estimate))
-            return None
+            continue
         if abs(estimate - corrected[b]) <= predicted:
             raise ReplayMismatchError(
                 f"recorded index {b} replays as already-predicted; "
                 "record does not match this operator family"
             )
-        return corrected[b]
-
-    def record(_, b, p_tilde, trace) -> None:
-        if trace <= tol.zero_projection:
+        if next(traces) <= tol.zero_projection:
             raise ReplayMismatchError(f"projection at recorded index {b} vanishes on replay")
-        out[b] = p_tilde
-
-    return decide, record, out
+        out[b] = corrected[b]
+    return out
 
 
 def _replay_record(
     rec: LearnRecord, observables: Sequence[Observable], tol: Tolerances
 ) -> np.ndarray:
-    """The receiver's estimates for ``rec``, from its own walk."""
-    decide, record, out = _receiver(rec, len(observables), tol)
-    errors = _grouped_walk(rec.r * rec.q, 1, observables, decide, record, rec.delta, tol)
+    """The receiver's estimates for ``rec`` from its own walk, which corrects at
+    every recorded index and raises its own error only if its log passes."""
+    corrected = dict(rec.entries)
+    (log,), errors = _grouped_walk(
+        rec.r * rec.q, 1, observables, lambda _, b, __: corrected.get(b), rec.delta, tol
+    )
+    out = _receive(rec, [step[0] for step in log], [t for _, p, t in log if p is not None], tol)
     if errors:
         raise errors[0]
-    return out
-
-
-def _replay_sent(record: LearnRecord, diags: LearnDiagnostics, tol: Tolerances) -> np.ndarray:
-    """The receiver's estimates for a record the sender made, its checks fed
-    the sender's own numbers: the replay of that record would take the same
-    expectations and band traces, bit for bit, so it makes no kernel call."""
-    decide, check, out = _receiver(record, len(diags.estimates_before), tol)
-    traces = iter(diags.projection_traces)
-    for b, estimate in enumerate(diags.estimates_before):
-        p_tilde = decide(0, b, estimate)
-        if p_tilde is not None:
-            check([0], b, p_tilde, next(traces))
     return out
 
 
@@ -510,7 +491,7 @@ def learn_round_trip(
     """:func:`learn_state_message` then :func:`reconstruct_estimates`, bit for
     bit; the receiver's checks read the sender's numbers, with no kernel call."""
     record, diags = learn_state_message(rho, operators, delta, r, tol)
-    return record, diags, _replay_sent(record, diags, tol)
+    return record, diags, _receive(record, diags.estimates_before, diags.projection_traces, tol)
 
 
 @dataclass(frozen=True)
@@ -539,6 +520,12 @@ class DeterministicMessageTable:
 _MAX_ATTEMPTS = 1000
 
 
+def _check_message(msg: int, bits: int) -> None:
+    """Refuse, as a compiled referee does, a message not an int in [0, 2^bits)."""
+    if type(msg) is not int or msg < 0 or msg.bit_length() > bits:
+        raise ValueError(f"message {msg!r} is not an int in [0, 2^{bits})")
+
+
 def derandomize_alice(
     p: SmpProtocol,
     s: int,
@@ -549,14 +536,17 @@ def derandomize_alice(
 
     Draws ``s * c_B`` messages from Alice's distribution and accepts the
     multiset only after checking, for every one of the 2^c_B Bob messages,
-    that the average referee response is within 1/10 of the exact expectation;
-    failed candidates are redrawn, up to ``_MAX_ATTEMPTS`` per input
-    (existence is a concentration argument, the check makes it
-    unconditional).  The new referee accepts with the average response over
-    the multiset, so each input pair's acceptance moves by at most 1/10.  The
-    result is ``p`` with only Alice's strategy and cost, the referee and the
-    name replaced.  Raises :class:`EnumerationCapError`, before any strategy
-    call, when a candidate's s * c_B * 2^c_B referee calls exceed
+    that the average referee response is within 1/10 of the exact
+    expectation; failed candidates are redrawn, up to ``_MAX_ATTEMPTS`` per
+    input (existence is a concentration argument, the check makes it
+    unconditional).  Every number is read from one referee row per (input,
+    support message).  The new referee accepts with the average response
+    over the multiset, so each input pair's acceptance moves by at most
+    1/10: a multiset Alice sends is answered from its verified ``empirical``
+    row, any other int below 2^(s * c_B * c_A) is decoded and its row kept.
+    The result is ``p`` with only Alice's strategy and cost, the referee and
+    the name replaced.  Raises :class:`EnumerationCapError`, before any
+    strategy call, when a candidate's s * c_B * 2^c_B terms exceed
     ``tol.enum_cap``, and ValueError, also before any strategy call, when
     Bob's message has 0 bits, since the multiset would then be empty.
     """
@@ -569,21 +559,20 @@ def derandomize_alice(
     if p.alice_inputs is None:
         raise ValueError("needs an explicit Alice input set")
 
-    c_a = p.alice_cost.bits
-    c_b = p.bob_cost.bits
+    c_a, c_b = p.alice_cost.bits, p.bob_cost.bits
     if c_b == 0:
         raise ValueError("Bob's message has 0 bits, so the multiset of s * c_B messages is empty")
     multiplicity = s * c_b
     if multiplicity << c_b > tol.enum_cap:
         raise EnumerationCapError(
-            f"a candidate's {s} * {c_b} * 2^{c_b} referee calls exceed "
-            f"term budget {tol.enum_cap}"
+            f"a candidate's {s} * {c_b} * 2^{c_b} terms exceed term budget {tol.enum_cap}"
         )
     all_b = range(2**c_b)
-    referee = p.referee
+    accept = p.referee.accept_probability
 
-    def exact_response(dist: Mapping[int, float], b: int) -> float:
-        return sum(pa * referee.accept_probability(a, b, None) for a, pa in dist.items())
+    def average(draws: Sequence[int], rows: Mapping[int, list[float]]) -> dict[int, float]:
+        """Per Bob message, the referee's mean response to ``draws``, summed in draw order."""
+        return {b: sum(rows[a][b] for a in draws) / multiplicity for b in all_b}
 
     table: dict[object, tuple[int, ...]] = {}
     all_targets: dict[object, dict[int, float]] = {}
@@ -592,18 +581,13 @@ def derandomize_alice(
     for xi, x in enumerate(p.alice_inputs):
         dist = p.alice_strategy(x, None)
         validate_distribution(dist, c_a, tol)
-        targets = {b: exact_response(dist, b) for b in all_b}
+        rows = {a: [accept(a, b, None) for b in all_b] for a in dist}
+        targets = {b: sum(pa * rows[a][b] for a, pa in dist.items()) for b in all_b}
         chosen = None
         for attempt in range(_MAX_ATTEMPTS):
             rng = trial_rng(derive_seed(seed, xi), attempt)
-            candidate = tuple(
-                sample_from_distribution(dist, rng) for _ in range(multiplicity)
-            )
-            empirical = {
-                b: sum(referee.accept_probability(a, b, None) for a in candidate)
-                / multiplicity
-                for b in all_b
-            }
+            candidate = tuple(sample_from_distribution(dist, rng) for _ in range(multiplicity))
+            empirical = average(candidate, rows)
             devs = {b: abs(empirical[b] - targets[b]) for b in all_b}
             dev = max(devs.values())
             if dev <= 0.1:
@@ -630,20 +614,25 @@ def derandomize_alice(
     )
 
     packed = {x: pack(msgs, c_a) for x, msgs in table.items()}
-    shifts = [c_a * (multiplicity - 1 - i) for i in range(multiplicity)]
+    max_bits = multiplicity * c_a
+    shifts = [c_a * (multiplicity - 1 - i) for i in range(multiplicity)]  # in draw order
     mask = (1 << c_a) - 1
+    responses = {packed[x]: all_empirical[x] for x in table}  # per message, its row
 
     def new_accept(big: int, b: int) -> float:
-        # the draws in the order they were packed, so each sum keeps its order
-        parts = [big >> shift & mask for shift in shifts]
-        return sum(referee.accept_probability(a, b, None) for a in parts) / multiplicity
+        _check_message(big, max_bits)
+        if big not in responses:
+            draws = [big >> shift & mask for shift in shifts]
+            rows = {a: [accept(a, j, None) for j in all_b] for a in set(draws)}
+            responses[big] = average(draws, rows)
+        return responses[big][b]
 
     compiled = replace(
         p,
         name=f"{p.name}+deterministic-alice",
         alice_strategy=lambda x, _coin: {packed[x]: 1.0},
         referee=TableReferee(fn=new_accept),
-        alice_cost=Cost(bits=multiplicity * c_a),
+        alice_cost=Cost(bits=max_bits),
     )
     return compiled, message_table
 
@@ -713,13 +702,11 @@ def compile_qc_to_cc(
     # each message's estimates: for a message Alice sends, from the sender's
     # own numbers, taken now; for any other, from its own walk on its first
     # read, which a failing walk raises on every read
-    replays = {
-        messages[key]: _replay_sent(records[key], diagnostics[key], tol) for key in keys
-    }
+    replays = {messages[key]: _receive(rec, diag.estimates_before, diag.projection_traces, tol)
+               for key, (rec, diag) in zip(keys, learned)}
 
     def reconstruct(msg: int) -> np.ndarray:
-        if type(msg) is not int or msg < 0 or msg.bit_length() > max_bits:
-            raise ValueError(f"message {msg!r} is not an int in [0, 2^{max_bits})")
+        _check_message(msg, max_bits)
         if msg not in replays:
             value, count = msg, slots
             while count and value & ones == ones:

@@ -572,7 +572,7 @@ class TestRejectedInputs:
          "cap exceeded: hidden-matching exhaustive report capped at n <= 8"),
         (["--experiment", "derandomize", "--param", "n=2", "--param", "reps=2", "--seed", "1",
           "--tolerance", "enum_cap=1000"], {}, EXIT_CAP,
-         "cap exceeded: a candidate's 12 * 6 * 2^6 referee calls exceed term budget 1000"),
+         "cap exceeded: a candidate's 12 * 6 * 2^6 terms exceed term budget 1000"),
         (["--experiment", "learn-state", "--param", "mode=file", "--param", "rho={tmp}/absent",
           "--param", "operators={tmp}/absent"], {}, EXIT_CONFIG,
          "config error: matrix file not found: {tmp}/absent"),

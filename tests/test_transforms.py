@@ -47,6 +47,7 @@ from smplab.smp import (
     acceptance_table,
     bitstring,
     exact_acceptance,
+    pack,
 )
 from smplab.transforms import (
     LearnDiagnostics,
@@ -295,6 +296,22 @@ class TestReconstruct:
         wrong = [identity(2), identity(2)]
         with pytest.raises(ReplayMismatchError):
             reconstruct_estimates(rec, wrong)
+
+    def test_first_failure_in_index_order_wins(self):
+        # index 0 records 0.5, which the mixed hypothesis already predicts;
+        # a walk past that check vanishes at index 1, whose band [0.85, 0.95]
+        # holds no eigenvalue of the two-copy observable of |1><1|
+        rec = LearnRecord(q=1, c=1, r=2, delta=0.1, entries=((0, 0.5), (1, 0.9)))
+        ops = [proj([1, 0]), proj([0, 1])]
+        corrected = dict(rec.entries)
+        observables = [average_observable(e, 2) for e in ops]
+        (log,), errors = transforms._grouped_walk(
+            2, 1, observables, lambda _, b, __: corrected.get(b), 0.1, DEFAULT)
+        assert [step[0] for step in log] == [0.5, 0.5]
+        assert isinstance(errors[0], VanishingProjectionError) and errors[0].step == 1
+        with pytest.raises(ReplayMismatchError,
+                           match="recorded index 0 replays as already-predicted"):
+            reconstruct_estimates(rec, ops)
 
     def test_record_field_consistency_checked(self):
         rec = LearnRecord(q=2, c=1, r=2, delta=0.1, entries=())
@@ -560,7 +577,7 @@ class TestDerandomizeAlice:
             derandomize_alice(dataclasses.replace(p, bob_cost=Cost(bits=3)), s=1)
 
     def test_refuses_candidates_past_the_term_budget(self):
-        # each candidate costs s * c_B * 2^c_B referee calls: 12 * 6 * 64 =
+        # each candidate costs s * c_B * 2^c_B terms: 12 * 6 * 64 =
         # 4,608 at n = 2 with two repetitions, over a budget of 1,000, so the
         # refusal comes before Alice's strategy is called at all
         p = equality_code(2, reps=2)
@@ -571,7 +588,7 @@ class TestDerandomizeAlice:
             return p.alice_strategy(x, coin)
 
         tol = with_overrides(DEFAULT, enum_cap=1000)
-        with pytest.raises(EnumerationCapError, match=r"12 \* 6 \* 2\^6 referee calls"):
+        with pytest.raises(EnumerationCapError, match=r"12 \* 6 \* 2\^6 terms"):
             derandomize_alice(dataclasses.replace(p, alice_strategy=alice), s=12, tol=tol)
         assert calls == []
         # the budget holds exactly s * c_B * 2^c_B terms
@@ -601,6 +618,41 @@ class TestDerandomizeAlice:
         with pytest.raises(ValueError, match="Bob's message has 0 bits"):
             derandomize_alice(p, s=3)
         assert calls == []
+
+    def test_asks_the_referee_once_per_support_message_and_bob_message(self):
+        # eq-code(3) at s = 24: 8 inputs of 4 support messages each, and 32
+        # Bob messages; every candidate check and the compiled table read
+        # those rows, so tabulating the compiled protocol asks it nothing
+        p = equality_code(3)
+        calls = []
+        fn = p.referee.fn
+        counted = dataclasses.replace(
+            p, referee=TableReferee(fn=lambda a, b: calls.append((a, b)) or fn(a, b)))
+        compiled, _ = derandomize_alice(counted, s=24, seed=2026)
+        assert len(calls) == 8 * 4 * 32 == 1024
+        calls.clear()
+        acceptance_table(compiled, p.alice_inputs, p.bob_inputs)
+        assert calls == []
+
+    def test_referee_decodes_a_multiset_alice_never_sends(self):
+        # input 0's draws in reverse: the same responses summed in that order
+        p = equality_code(2)
+        compiled, table = derandomize_alice(p, s=12, seed=3)
+        draws = table.messages[0][::-1]
+        msg = pack(draws, p.alice_cost.bits)
+        assert all(msg not in compiled.alice_strategy(x, None) for x in p.alice_inputs)
+        for b in range(2**p.bob_cost.bits):
+            want = sum(p.referee.accept_probability(a, b) for a in draws) / len(draws)
+            assert compiled.referee.accept_probability(msg, b) == want
+
+    @pytest.mark.parametrize("msg", [-1, 1 << 5000, "0"], ids=["negative", "over-long", "str"])
+    def test_referee_refuses_a_message_outside_its_bits(self, msg):
+        # 12 * 3 draws of 3 bits make 108-bit messages; a shift and mask
+        # alone would read -1 as all ones and 2^5000 as zeros
+        compiled, _ = derandomize_alice(equality_code(2), s=12, seed=3)
+        assert compiled.alice_cost.bits == 108
+        with pytest.raises(ValueError, match=r"is not an int in \[0, 2\^108\)"):
+            compiled.referee.accept_probability(msg, 0)
 
     def test_rejects_public_coin_and_quantum(self):
         from smplab.protocols import equality_public, toy_quantum_equality
@@ -796,6 +848,24 @@ class TestCompileQcToCc:
             compile_qc_to_cc(_coin_flipped_toy(), delta=0.1, r=3,
                              tol=dataclasses.replace(DEFAULT, enum_cap=1))
 
+    def test_a_coin_whose_weights_miss_one_is_refused_before_any_strategy_call(
+        self, monkeypatch
+    ):
+        def no_build(*args):
+            raise AssertionError("average_observable called")
+
+        monkeypatch.setattr(transforms, "average_observable", no_build)
+        p, calls = _coin_flipped_toy(), []
+        alice = p.alice_strategy
+        half = dataclasses.replace(
+            p,
+            alice_strategy=lambda x, coin: calls.append(x) or alice(x, coin),
+            coin=dataclasses.replace(p.coin, outcomes=lambda: [(0, 0.25), (1, 0.25)]),
+        )
+        with pytest.raises(ValueError, match="coin weights sum to 0.5, not 1"):
+            compile_qc_to_cc(half, delta=0.1, r=2)
+        assert calls == []
+
     def test_compile_below_the_papers_r_carries_a_note(self):
         # hm-verify at r = 3: the band [0.45, 0.55] holds no multiple of 1/3
         with pytest.raises(VanishingProjectionError) as err:
@@ -859,7 +929,7 @@ class TestCompileQcToCc:
         ({"alice_inputs": None}, "explicit Alice input set"),
         ({"alice_inputs": ()}, "no \\(input, coin\\) pair to compile"),
         ({"coin": CoinSpace(sampler=lambda g: 0, size=0, outcomes=tuple)},
-         "no \\(input, coin\\) pair to compile"),
+         "coin weights sum to 0.0, not 1"),
     ], ids=["no-inputs", "empty-inputs", "empty-coin"])
     def test_rejects_a_protocol_with_no_state_to_compile(self, changes, match):
         # the records' shape comes from checking Alice's states, so a
