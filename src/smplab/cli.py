@@ -20,7 +20,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Iterator
@@ -132,23 +132,18 @@ def _at_most(name: str, value, bound) -> tuple[str, bool, float]:
     return name, value <= bound, bound - value
 
 
-def _pair_table(p, xs, ys, tol: Tolerances) -> dict:
-    """Exact acceptance of every (x, y) in xs x ys, as Python floats keyed by pair."""
-    rows = acceptance_table(p, xs, ys, tol).tolist()
-    return {(x, y): acc for x, row in zip(xs, rows) for y, acc in zip(ys, row)}
-
-
 def _run_eq_public(prm: dict, tol: Tolerances) -> ExperimentResult:
     n = prm["n"]
     if n > 5:
         raise CapExceededError("eq-public exhaustive report capped at n <= 5")
     p = equality_public(n, prm["k"])
     f = equality_function(n)
-    table = _pair_table(p, f.alice_inputs, f.bob_inputs, tol)
+    # equality's inputs are their own positions in the table
+    table = acceptance_table(p, f.alice_inputs, f.bob_inputs, tol).tolist()
     rows = []
     worst = 0.0
     for x, y in f.domain:
-        acc = table[x, y]
+        acc = table[x][y]
         err = abs(f(x, y) - acc)
         worst = max(worst, err)
         rows.append([x, y, f(x, y), repr(acc), repr(err)])
@@ -171,7 +166,7 @@ def _run_eq_code(prm: dict, tol: Tolerances) -> ExperimentResult:
     f = equality_function(n)
     enumerable = (code.grid_cols**reps) * (code.grid_rows**reps) <= tol.enum_cap
     if enumerable:
-        table = _pair_table(p, f.alice_inputs, f.bob_inputs, tol)
+        table = acceptance_table(p, f.alice_inputs, f.bob_inputs, tol).tolist()
     rows = []
     worst = 0.0
     cross_gap = 0.0
@@ -180,7 +175,7 @@ def _run_eq_code(prm: dict, tol: Tolerances) -> ExperimentResult:
         worst = max(worst, abs(f(x, y) - closed))
         enum_cell = ""
         if enumerable:
-            enum_acc = table[x, y]
+            enum_acc = table[x][y]
             cross_gap = max(cross_gap, abs(enum_acc - closed))
             enum_cell = repr(enum_acc)
         rows.append([x, y, f(x, y), repr(closed), enum_cell])
@@ -268,15 +263,6 @@ def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
     return ExperimentResult(["x", "k", "valid_mass"], rows, summary, assertions)
 
 
-def _learn_fixture():
-    rho = PureState([1, 0]).density()
-    ops = [
-        MeasurementOperator(np.diag([1.0, 0.0]).astype(complex)),
-        MeasurementOperator(np.diag([0.0, 1.0]).astype(complex)),
-    ]
-    return rho, ops
-
-
 def _load_matrix_file(path: str) -> np.ndarray:
     from .serialize import load_matrix, matrix_from_text
 
@@ -288,31 +274,18 @@ def _load_matrix_file(path: str) -> np.ndarray:
     return matrix_from_text(p.read_text())
 
 
-def _learn_from_files(prm: dict, tol: Tolerances):
-    for key in ("rho", "operators"):
-        if prm[key] is None:
-            raise ConfigError(f"learn-state mode=file requires --param {key}=...")
-    rho = DensityMatrix(_load_matrix_file(prm["rho"]), tol=tol)
-    ops = [
-        MeasurementOperator(_load_matrix_file(p), tol=tol)
-        for p in prm["operators"].split(",")
-    ]
-    return rho, ops
-
-
 def _learn_round_trip(rho, ops, delta: float, r: int | None, tol: Tolerances):
     """Learn ``rho`` against ``ops``, replay the record and measure the claims.
 
-    Returns the record, its diagnostics, the true and the replayed acceptance
-    per operator, the largest deviation between them, the correction-count
+    Returns the record, its diagnostics, the replayed acceptance per
+    operator, its largest deviation from the true one, the correction-count
     bound and the largest projection trace (the Markov step).
     """
     record, diag, estimates = learn_round_trip(rho, ops, delta, r, tol)
-    true = np.array(diag.true_probabilities)
-    dev = float(np.max(np.abs(estimates - true)))
+    dev = float(np.max(np.abs(estimates - np.array(diag.true_probabilities))))
     bound = bad_count_bound(record.r * record.q, delta)
     markov = max(diag.projection_traces, default=0.0)
-    return record, diag, true, estimates, dev, bound, markov
+    return record, diag, estimates, dev, bound, markov
 
 
 def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
@@ -320,17 +293,25 @@ def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
     eta = 1.0 - delta / 4.0
     if mode in ("fixture", "file"):
         if mode == "fixture":
-            rho, ops = _learn_fixture()
+            rho = PureState([1, 0]).density()
+            ops = [MeasurementOperator(np.diag(d).astype(complex)) for d in np.eye(2)]
             r = 2 if prm["r"] is None else prm["r"]
         else:
-            rho, ops = _learn_from_files(prm, tol)
+            for key in ("rho", "operators"):
+                if prm[key] is None:
+                    raise ConfigError(f"learn-state mode=file requires --param {key}=...")
+            rho = DensityMatrix(_load_matrix_file(prm["rho"]), tol=tol)
+            ops = [
+                MeasurementOperator(_load_matrix_file(p), tol=tol)
+                for p in prm["operators"].split(",")
+            ]
             r = prm["r"]
-        record, diag, true, estimates, max_dev, bound, markov_max = _learn_round_trip(
+        record, diag, estimates, max_dev, bound, markov_max = _learn_round_trip(
             rho, ops, delta, r, tol
         )
         corrected = dict(record.entries)
         rows = [
-            [b, repr(float(true[b])), repr(float(estimates[b])),
+            [b, repr(diag.true_probabilities[b]), repr(float(estimates[b])),
              "bad" if b in corrected else "good"]
             for b in range(len(ops))
         ]
@@ -365,7 +346,7 @@ def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
         ops = [random_measurement_operator(2**q, g) for _ in range(2**c)]
         r = default_copies(q, delta, tol) if prm["r"] is None else prm["r"]
         try:
-            _, diag, _, _, dev, bound, markov = _learn_round_trip(rho, ops, delta, r, tol)
+            _, diag, _, dev, bound, markov = _learn_round_trip(rho, ops, delta, r, tol)
         except VanishingProjectionError:
             degenerate += 1
             rows.append([i, q, c, r, "", "", "", "degenerate"])
@@ -397,22 +378,24 @@ _COMPILE_FIXTURES = {
 }
 
 
+def _before_after(p, compiled, tol: Tolerances) -> Iterator[tuple]:
+    """(x, y, before, after, |after - before|) for every input pair of ``p``,
+    with the exact acceptance of ``p`` and of ``compiled``."""
+    xs, ys = p.alice_inputs, p.bob_inputs
+    before = acceptance_table(p, xs, ys, tol).tolist()
+    after = acceptance_table(compiled, xs, ys, tol).tolist()
+    for x, row_before, row_after in zip(xs, before, after):
+        for y, b, a in zip(ys, row_before, row_after):
+            yield x, y, b, a, abs(a - b)
+
+
 def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
     name, delta = prm["fixture"], prm["delta"]
     p = _COMPILE_FIXTURES[name]()
     result = compile_qc_to_cc(p, delta, prm["r"], tol)
-    xs, ys = p.alice_inputs, p.bob_inputs
-    table_before = _pair_table(p, xs, ys, tol)
-    table_after = _pair_table(result.protocol, xs, ys, tol)
-    rows = []
-    worst = 0.0
-    for x in xs:
-        for y in ys:
-            before = table_before[x, y]
-            after = table_after[x, y]
-            inc = abs(after - before)
-            worst = max(worst, inc)
-            rows.append([repr(x), repr(y), repr(before), repr(after), repr(inc)])
+    pairs = list(_before_after(p, result.protocol, tol))
+    rows = [list(map(repr, pair)) for pair in pairs]
+    worst = max((inc for *_, inc in pairs), default=0.0)
     record_bits = {k: rec.encoded_bit_length for k, rec in result.records.items()}
     summary = {
         "fixture": name,
@@ -441,10 +424,7 @@ def _run_derandomize(prm: dict, tol: Tolerances) -> ExperimentResult:
             rows.append([x, bitstring(b, p.bob_cost.bits), repr(target), repr(got),
                          repr(abs(got - target))])
     max_dev = table.max_deviation
-    xs, ys = p.alice_inputs, p.bob_inputs
-    before = _pair_table(p, xs, ys, tol)
-    after = _pair_table(compiled, xs, ys, tol)
-    worst_increase = max(abs(after[x, y] - before[x, y]) for x in xs for y in ys)
+    worst_increase = max(inc for *_, inc in _before_after(p, compiled, tol))
     summary = {
         "s": s,
         "multiset_size": table.multiplicity,
@@ -656,14 +636,7 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult) -> None:
         lines.append(f"margin_{name}={margin!r}")
     (out / f"{stem}_summary.txt").write_text("\n".join(lines) + "\n")
 
-    resolved = {
-        "experiment": cfg.experiment,
-        "params": cfg.params,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "out": str(cfg.out),
-        "tolerance": cfg.tolerance,
-    }
+    resolved = {**asdict(cfg), "out": str(cfg.out)}
     (out / f"{stem}_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
@@ -819,9 +792,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, ok, margin in result.assertions:
         print(f"assert_{name}={'pass' if ok else 'FAIL'} (margin {margin!r})")
     print(f"wall_time_s={time.perf_counter() - started:.3f}")
-    if not result.ok:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return EXIT_OK if result.ok else EXIT_ASSERTION
 
 
 if __name__ == "__main__":

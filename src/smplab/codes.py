@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .smp import check_message
+
 __all__ = [
     "LinearCode",
     "hadamard_code",
@@ -92,8 +94,7 @@ def cyclic_mask_code(k: int, m: int) -> LinearCode:
 
 def encode(code: LinearCode, x: int) -> np.ndarray:
     """Codeword of the n-bit message ``x`` over GF(2)."""
-    if not isinstance(x, (int, np.integer)) or not 0 <= x < 2**code.n:
-        raise ValueError(f"message {x!r} is not an int in [0, 2^{code.n})")
+    check_message(int(x) if isinstance(x, (int, np.integer)) else x, code.n)
     return (code.generator @ int_to_bits(int(x), code.n)) % 2
 
 

@@ -65,6 +65,7 @@ __all__ = [
     "subset_coin",
     "coin_terms",
     "validate_distribution",
+    "check_message",
     "sample_from_distribution",
     "bitstring",
     "pack",
@@ -101,12 +102,23 @@ def _validate_items(items: Iterable[tuple[int, float]], length: int, tol: Tolera
     total = 0.0
     for msg, p in items:
         if type(msg) is not int or msg < 0 or msg.bit_length() > length:
-            raise ValueError(f"message {msg!r} is not an int in [0, 2^{length})")
+            check_message(msg, length)
         if not p >= 0.0:  # refuses NaN too
             raise ValueError(f"probability {p} of {msg!r} is not >= 0")
         total += p
     if abs(total - 1.0) > tol.distribution:
         raise ValueError(f"distribution sums to {total}, not 1")
+
+
+_SHOWN_BITS = 10_000  # a longer int, past int-to-str's limit, is named by its bit length
+
+
+def check_message(msg, bits: int) -> None:
+    """Raise the one ValueError for a message that is not a Python int below 2^bits."""
+    if type(msg) is not int or msg < 0 or msg.bit_length() > bits:
+        big = type(msg) is int and msg.bit_length() > _SHOWN_BITS
+        shown = f"of {msg.bit_length()} bits" if big else repr(msg)
+        raise ValueError(f"message {shown} is not an int in [0, 2^{bits})")
 
 
 def sample_from_distribution(dist: Distribution, rng: np.random.Generator) -> int:
@@ -160,8 +172,7 @@ def coin_terms(p: SmpProtocol, tol: Tolerances = DEFAULT) -> Iterable[tuple[obje
         return [(None, 1.0)]
     size = p.coin.size
     if size > tol.enum_cap:
-        # a size of thousands of digits, past int-to-str's limit, is named by its bit length
-        shown = size if size.bit_length() <= 10_000 else f"2^{size.bit_length() - 1} or more"
+        shown = size if size.bit_length() <= _SHOWN_BITS else f"2^{size.bit_length() - 1} or more"
         raise EnumerationCapError(f"coin space of size {shown} exceeds term budget {tol.enum_cap}")
     return _checked_law(p.coin.outcomes(), size, tol)
 

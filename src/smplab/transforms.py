@@ -60,6 +60,7 @@ from .smp import (
     SmpProtocol,
     TableReferee,
     bitstring,
+    check_message,
     coin_terms,
     pack,
     sample_from_distribution,
@@ -516,14 +517,36 @@ class DeterministicMessageTable:
             object.__setattr__(self, name, dict(getattr(self, name)))
 
 
+def _deterministic_alice(p: SmpProtocol, suffix: str, messages: Mapping, bits: int,
+                         rows: dict, decode: Callable) -> SmpProtocol:
+    """``p`` with only its name, Alice's strategy and cost, and the referee replaced.
+
+    Alice sends ``messages[x]``, or ``messages[(x, coin)]`` under a public
+    coin, as an int of ``bits`` bits.  The referee checks Alice's message
+    against ``bits``, then Bob's against c_B (:func:`check_message`), and
+    answers ``rows[a][b]``.  A message with no row is ``decode``d on its
+    first read and its row kept; a decode that raises keeps nothing.
+    """
+    bob_bits = p.bob_cost.bits
+
+    def accept(a: int, b: int) -> float:
+        check_message(a, bits)
+        check_message(b, bob_bits)
+        if a not in rows:
+            rows[a] = decode(a)
+        return float(rows[a][b])
+
+    return replace(
+        p,
+        name=f"{p.name}+{suffix}",
+        alice_strategy=lambda x, coin: {messages[x if p.coin is None else (x, coin)]: 1.0},
+        referee=TableReferee(fn=accept),
+        alice_cost=Cost(bits=bits),
+    )
+
+
 # candidate multisets drawn per Alice input before derandomize_alice gives up
 _MAX_ATTEMPTS = 1000
-
-
-def _check_message(msg: int, bits: int) -> None:
-    """Refuse, as a compiled referee does, a message not an int in [0, 2^bits)."""
-    if type(msg) is not int or msg < 0 or msg.bit_length() > bits:
-        raise ValueError(f"message {msg!r} is not an int in [0, 2^{bits})")
 
 
 def derandomize_alice(
@@ -543,12 +566,11 @@ def derandomize_alice(
     support message).  The new referee accepts with the average response
     over the multiset, so each input pair's acceptance moves by at most
     1/10: a multiset Alice sends is answered from its verified ``empirical``
-    row, any other int below 2^(s * c_B * c_A) is decoded and its row kept.
-    The result is ``p`` with only Alice's strategy and cost, the referee and
-    the name replaced.  Raises :class:`EnumerationCapError`, before any
-    strategy call, when a candidate's s * c_B * 2^c_B terms exceed
-    ``tol.enum_cap``, and ValueError, also before any strategy call, when
-    Bob's message has 0 bits, since the multiset would then be empty.
+    row, any other int below 2^(s * c_B * c_A) is decoded and its row kept
+    (:func:`_deterministic_alice`).  Raises :class:`EnumerationCapError`,
+    before any strategy call, when a candidate's s * c_B * 2^c_B terms
+    exceed ``tol.enum_cap``, and ValueError, also before any strategy call,
+    when Bob's message has 0 bits, since the multiset would then be empty.
     """
     if p.coin is not None:
         raise ValueError("only private-coin protocols can be derandomized this way")
@@ -583,7 +605,6 @@ def derandomize_alice(
         validate_distribution(dist, c_a, tol)
         rows = {a: [accept(a, b, None) for b in all_b] for a in dist}
         targets = {b: sum(pa * rows[a][b] for a, pa in dist.items()) for b in all_b}
-        chosen = None
         for attempt in range(_MAX_ATTEMPTS):
             rng = trial_rng(derive_seed(seed, xi), attempt)
             candidate = tuple(sample_from_distribution(dist, rng) for _ in range(multiplicity))
@@ -591,17 +612,16 @@ def derandomize_alice(
             devs = {b: abs(empirical[b] - targets[b]) for b in all_b}
             dev = max(devs.values())
             if dev <= 0.1:
-                chosen = candidate
                 worst_dev = max(worst_dev, dev)
                 break
-        if chosen is None:
+        else:
             bad_b = max(devs, key=devs.get)
             raise ValueError(
                 f"no verified multiset within {_MAX_ATTEMPTS} attempts for input {x!r} "
                 f"(largest deviation {devs[bad_b]:.4f} at Bob message "
                 f"{bitstring(bad_b, c_b)}); increase s"
             )
-        table[x] = chosen
+        table[x] = candidate
         all_targets[x] = targets
         all_empirical[x] = empirical
 
@@ -614,25 +634,15 @@ def derandomize_alice(
     )
 
     packed = {x: pack(msgs, c_a) for x, msgs in table.items()}
-    max_bits = multiplicity * c_a
-    shifts = [c_a * (multiplicity - 1 - i) for i in range(multiplicity)]  # in draw order
     mask = (1 << c_a) - 1
+
+    def decode(big: int) -> dict[int, float]:
+        draws = [big >> c_a * i & mask for i in reversed(range(multiplicity))]  # in draw order
+        return average(draws, {a: [accept(a, b, None) for b in all_b] for a in set(draws)})
+
     responses = {packed[x]: all_empirical[x] for x in table}  # per message, its row
-
-    def new_accept(big: int, b: int) -> float:
-        _check_message(big, max_bits)
-        if big not in responses:
-            draws = [big >> shift & mask for shift in shifts]
-            rows = {a: [accept(a, j, None) for j in all_b] for a in set(draws)}
-            responses[big] = average(draws, rows)
-        return responses[big][b]
-
-    compiled = replace(
-        p,
-        name=f"{p.name}+deterministic-alice",
-        alice_strategy=lambda x, _coin: {packed[x]: 1.0},
-        referee=TableReferee(fn=new_accept),
-        alice_cost=Cost(bits=max_bits),
+    compiled = _deterministic_alice(
+        p, "deterministic-alice", packed, multiplicity * c_a, responses, decode
     )
     return compiled, message_table
 
@@ -660,14 +670,12 @@ def compile_qc_to_cc(
     matrix, Bob a classical message, and the referee holds one measurement
     operator per Bob message.  The compiled Alice deterministically sends the
     record for her state as one int (:meth:`LearnRecord.to_int`), shifted
-    left past all-ones entries up to the longest record; the referee refuses
-    a message that is not an int below 2^max_bits, strips the all-ones
-    entries by masks, reconstructs the estimates and accepts with the
-    estimate for Bob's actual message, so the worst-case error grows by at
-    most ``delta``.  Public-coin protocols are compiled one coin value at a
-    time.  Every (input, coin) state is checked before the first spectral
-    build.  The result is ``p`` with only Alice's strategy and cost, the
-    referee and the name replaced.
+    left past all-ones entries up to the longest record; the referee
+    (:func:`_deterministic_alice`) accepts with the estimate for Bob's actual
+    message, reconstructed from a message Alice never sends by stripping its
+    all-ones entries by masks, so the worst-case error grows by at most
+    ``delta``.  Public-coin protocols are compiled one coin value at a time.
+    Every (input, coin) state is checked before the first spectral build.
     """
     if not p.quantum or not isinstance(p.referee, OperatorReferee):
         raise ValueError("needs a canonical quantum protocol with an operator family")
@@ -699,27 +707,17 @@ def compile_qc_to_cc(
         pad = (slots - len(record.entries)) * width
         messages[key] = record.to_int() << pad | (1 << pad) - 1
 
-    # each message's estimates: for a message Alice sends, from the sender's
-    # own numbers, taken now; for any other, from its own walk on its first
-    # read, which a failing walk raises on every read
+    # the estimates of each message Alice sends, from the sender's own numbers;
+    # any other message is decoded into its own walk when first read
     replays = {messages[key]: _receive(rec, diag.estimates_before, diag.projection_traces, tol)
                for key, (rec, diag) in zip(keys, learned)}
 
-    def reconstruct(msg: int) -> np.ndarray:
-        _check_message(msg, max_bits)
-        if msg not in replays:
-            value, count = msg, slots
-            while count and value & ones == ones:
-                value, count = value >> width, count - 1
-            rec = LearnRecord.from_int(value, count, q=q, c=c, r=r, delta=delta)
-            replays[msg] = _replay_record(rec, observables, tol)
-        return replays[msg]
+    def decode(msg: int) -> np.ndarray:
+        value, count = msg, slots
+        while count and value & ones == ones:
+            value, count = value >> width, count - 1
+        rec = LearnRecord.from_int(value, count, q=q, c=c, r=r, delta=delta)
+        return _replay_record(rec, observables, tol)
 
-    compiled = replace(
-        p,
-        name=f"{p.name}+classical-alice",
-        alice_strategy=lambda x, coin: {messages[x if p.coin is None else (x, coin)]: 1.0},
-        referee=TableReferee(fn=lambda a, b: float(reconstruct(a)[b])),
-        alice_cost=Cost(bits=max_bits),
-    )
+    compiled = _deterministic_alice(p, "classical-alice", messages, max_bits, replays, decode)
     return CompileResult(protocol=compiled, records=records, diagnostics=diagnostics)

@@ -645,107 +645,3 @@ class TestRejectedInputs:
         argv = ["--experiment", "hidden-matching", "--param", f"n={n}", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert calls == {"alice": 2**n, "bob": n - 1}
-
-
-class TestLearnRoundTrip:
-    def test_one_spectral_build_per_operator(self, monkeypatch):
-        import numpy as np
-
-        import smplab.cli as cli
-        import smplab.transforms as transforms
-        from smplab.config import DEFAULT
-        from smplab.qcore import average_observable, random_density, random_measurement_operator
-
-        calls = []
-
-        def counted(e, r, tol=DEFAULT):
-            calls.append(r)
-            return average_observable(e, r, tol)
-
-        monkeypatch.setattr(transforms, "average_observable", counted)
-        g = np.random.default_rng(2)
-        rho = random_density(2, g)
-        ops = [random_measurement_operator(2, g) for _ in range(8)]
-        record, diag, true, estimates, dev, bound, markov = cli._learn_round_trip(
-            rho, ops, 0.1, 6, DEFAULT
-        )
-        assert calls == [6] * len(ops)
-        assert dev <= 0.1
-
-    def test_walk_holds_one_dense_observable_at_a_time(self):
-        # K = 8: eight one-qubit operators on r = 8 copies, d = 256.  Index 0
-        # is corrected (the mixed hypothesis predicts 1/2, the state accepts
-        # surely) and the rest are skipped.  A walk that kept each F cached
-        # would hold eight d x d matrices by its last step; this one holds at
-        # most the hypothesis, one F or band, and the correction's checks.
-        import tracemalloc
-
-        import numpy as np
-
-        import smplab.cli as cli
-        from smplab.config import DEFAULT
-        from smplab.qcore import MeasurementOperator, PureState, random_measurement_operator
-
-        g = np.random.default_rng(8)
-        ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
-        ops += [random_measurement_operator(2, g) for _ in range(7)]
-        tracemalloc.start()
-        try:
-            record, *_ = cli._learn_round_trip(PureState([1, 0]).density(), ops, 0.1, 8, DEFAULT)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert record.entries == ((0, 1.0),)
-        d = 2**8
-        assert peak <= 6 * d * d * 16
-
-    def test_no_stale_hypothesis_outlives_its_step(self, monkeypatch):
-        # the same K = 8 walk: when each dense F is built, the walk holds the
-        # hypotheses of its groups and nothing more.  One hypothesis is d x d,
-        # so a step that kept the one its correction replaced would enter the
-        # next F build holding two (the peak above misses that: the
-        # correction's own checks peak higher)
-        import tracemalloc
-        from functools import cached_property
-
-        import numpy as np
-
-        import smplab.cli as cli
-        from smplab.config import DEFAULT
-        from smplab.qcore import (
-            MeasurementOperator,
-            Observable,
-            PureState,
-            random_measurement_operator,
-        )
-
-        held = []
-        build = Observable.matrix.func
-
-        def traced(f):
-            held.append(tracemalloc.get_traced_memory()[0])
-            return build(f)
-
-        matrix = cached_property(traced)
-        matrix.__set_name__(Observable, "matrix")
-        monkeypatch.setattr(Observable, "matrix", matrix)
-        g = np.random.default_rng(8)
-        ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
-        ops += [random_measurement_operator(2, g) for _ in range(7)]
-        tracemalloc.start()
-        try:
-            record, *_ = cli._learn_round_trip(PureState([1, 0]).density(), ops, 0.1, 8, DEFAULT)
-        finally:
-            tracemalloc.stop()
-        assert record.entries == ((0, 1.0),)
-        d = 2**8
-        assert len(held) == len(ops)
-        assert max(held) <= 1.5 * d * d * 16
-
-    def test_invalid_delta_reported_before_the_cap(self):
-        import smplab.cli as cli
-        from smplab.config import DEFAULT
-
-        rho, ops = cli._learn_fixture()
-        with pytest.raises(ValueError, match="need delta"):
-            cli._learn_round_trip(rho, ops, 0.7, 13, DEFAULT)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -939,6 +940,50 @@ class TestCompileQcToCc:
             compile_qc_to_cc(p, delta=0.1, r=2)
 
 
+def _compiled_referees():
+    """(protocol, its compiled protocol, a message the compiled Alice sends) of
+    both transforms: the learning compiler on toy-q1 at r = 3 (c_B = 2) and
+    derandomized eq-code at n = 2 (c_B = 3)."""
+    quantum, classical = toy_quantum_equality(1), equality_code(2)
+    learned = compile_qc_to_cc(quantum, 0.1, r=3).protocol
+    derandomized, _ = derandomize_alice(classical, s=12, seed=3)
+    return [(p, q, next(iter(q.alice_strategy(q.alice_inputs[0], None))))
+            for p, q in ((quantum, learned), (classical, derandomized))]
+
+
+class TestCompiledReferees:
+    """Both compiled protocols come from one builder and refuse alike."""
+
+    def test_bob_message_outside_its_bits_is_refused(self):
+        # the learning compiler's referee used to index its estimates with
+        # Bob's message unchecked (-1 read index 3's, 4 raised IndexError)
+        # and the derandomized one raised KeyError
+        referees = _compiled_referees()
+        assert [q.bob_cost.bits for _, q, _ in referees] == [2, 3]
+        for _, q, sent in referees:
+            c_b = q.bob_cost.bits
+            for b in (-1, 2**c_b, "0"):
+                with pytest.raises(ValueError) as err:
+                    q.referee.accept_probability(sent, b)
+                assert str(err.value) == f"message {b!r} is not an int in [0, 2^{c_b})"
+            assert 0.0 <= q.referee.accept_probability(sent, 2**c_b - 1) <= 1.0
+
+    def test_over_long_alice_message_is_named_by_its_bit_length(self):
+        # formatting 2^20000 in decimal passes Python's int-to-str limit
+        for _, q, _ in _compiled_referees():
+            with pytest.raises(ValueError) as err:
+                q.referee.accept_probability(1 << 20000, 0)
+            bits = q.alice_cost.bits
+            assert str(err.value) == f"message of 20001 bits is not an int in [0, 2^{bits})"
+
+    def test_only_the_name_alice_and_the_referee_are_replaced(self):
+        replaced = {"name", "alice_strategy", "alice_cost", "referee"}
+        for p, q, _ in _compiled_referees():
+            kept = [f.name for f in dataclasses.fields(p) if f.name not in replaced]
+            assert [getattr(q, k) for k in kept] == [getattr(p, k) for k in kept]
+            assert q.name.startswith(p.name + "+")
+
+
 class TestSharedObservables:
     """``learn_round_trip`` shares one spectral build between the sender and
     the receiver, whose checks read the sender's numbers, bit for bit."""
@@ -1432,3 +1477,77 @@ def test_guards_raise_value_error(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+class TestLearnRoundTrip:
+    def test_one_spectral_build_per_operator(self, monkeypatch):
+        calls = []
+
+        def counted(e, r, tol=DEFAULT):
+            calls.append(r)
+            return average_observable(e, r, tol)
+
+        monkeypatch.setattr(transforms, "average_observable", counted)
+        g = np.random.default_rng(2)
+        rho = random_density(2, g)
+        ops = [random_measurement_operator(2, g) for _ in range(8)]
+        record, diag, estimates = learn_round_trip(rho, ops, 0.1, 6, DEFAULT)
+        assert calls == [6] * len(ops)
+        assert float(np.max(np.abs(estimates - np.array(diag.true_probabilities)))) <= 0.1
+
+    def test_walk_holds_one_dense_observable_at_a_time(self):
+        # K = 8: eight one-qubit operators on r = 8 copies, d = 256.  Index 0
+        # is corrected (the mixed hypothesis predicts 1/2, the state accepts
+        # surely) and the rest are skipped.  A walk that kept each F cached
+        # would hold eight d x d matrices by its last step; this one holds at
+        # most the hypothesis, one F or band, and the correction's checks.
+        g = np.random.default_rng(8)
+        ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
+        ops += [random_measurement_operator(2, g) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            record, *_ = learn_round_trip(PureState([1, 0]).density(), ops, 0.1, 8, DEFAULT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.entries == ((0, 1.0),)
+        d = 2**8
+        assert peak <= 6 * d * d * 16
+
+    def test_no_stale_hypothesis_outlives_its_step(self, monkeypatch):
+        # the same K = 8 walk: when each dense F is built, the walk holds the
+        # hypotheses of its groups and nothing more.  One hypothesis is d x d,
+        # so a step that kept the one its correction replaced would enter the
+        # next F build holding two (the peak above misses that: the
+        # correction's own checks peak higher)
+        held = []
+        build = Observable.matrix.func
+
+        def traced(f):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(f)
+
+        matrix = cached_property(traced)
+        matrix.__set_name__(Observable, "matrix")
+        monkeypatch.setattr(Observable, "matrix", matrix)
+        g = np.random.default_rng(8)
+        ops = [MeasurementOperator(np.diag([1.0, 0.0]).astype(complex))]
+        ops += [random_measurement_operator(2, g) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            record, *_ = learn_round_trip(PureState([1, 0]).density(), ops, 0.1, 8, DEFAULT)
+        finally:
+            tracemalloc.stop()
+        assert record.entries == ((0, 1.0),)
+        d = 2**8
+        assert len(held) == len(ops)
+        assert max(held) <= 1.5 * d * d * 16
+
+    def test_invalid_delta_reported_before_the_cap(self):
+        rho = PureState([1, 0]).density()
+        ops = [
+            MeasurementOperator(np.diag([1.0, 0.0]).astype(complex)),
+            MeasurementOperator(np.diag([0.0, 1.0]).astype(complex)),
+        ]
+        with pytest.raises(ValueError, match="need delta"):
+            learn_round_trip(rho, ops, 0.7, 13, DEFAULT)
