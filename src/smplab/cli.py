@@ -42,6 +42,7 @@ from .oracle import (
     union_bound_check,
 )
 from .protocols import (
+    _MAX_INPUT_BITS,
     equality_code,
     equality_code_acceptance,
     equality_function,
@@ -415,6 +416,8 @@ def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
 
 def _run_derandomize(prm: dict, tol: Tolerances) -> ExperimentResult:
     s = prm["s"]
+    if prm["n"] > _MAX_INPUT_BITS:  # eq-code lists no inputs; refused before its 2^n-row code
+        raise CapExceededError(f"derandomize report capped at n <= {_MAX_INPUT_BITS}")
     p = equality_code(prm["n"], reps=prm["reps"])
     compiled, table = derandomize_alice(p, s=s, seed=prm["seed"], tol=tol)
     rows = []

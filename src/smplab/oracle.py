@@ -14,7 +14,6 @@ Search caps are explicit and errors loud; there are no heuristic fallbacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -75,9 +74,7 @@ def det_complexity_function(
         raise CapExceededError("input sets capped at 2**10")
     rows = {tuple(f(x, y) for y in f.bob_inputs) for x in f.alice_inputs}
     cols = {tuple(f(x, y) for x in f.alice_inputs) for y in f.bob_inputs}
-    c_a = math.ceil(math.log2(len(rows))) if len(rows) > 1 else 0
-    c_b = math.ceil(math.log2(len(cols))) if len(cols) > 1 else 0
-    return c_a, c_b
+    return tuple((len(s) - 1).bit_length() if s else 0 for s in (rows, cols))
 
 
 # Canonical assignments of up to this many items are kept across searches:
@@ -200,15 +197,9 @@ def extract_function(
         if (a, b) in p.referee_map
     }
     f = FunctionTable(tuple(p.alice_map), tuple(p.bob_map), values)
-    err = sum(
-        (w for pair, w in relation.mu.items() if w and values[pair] not in relation.valid[pair]),
-        start=Fraction(0) if _rational_mu(relation) else 0.0,
-    )
+    err = sum(w for pair, w in relation.mu.items()
+              if w and values[pair] not in relation.valid[pair])
     return f, err
-
-
-def _rational_mu(relation: RelationTable) -> bool:
-    return all(isinstance(w, Fraction) for w in relation.mu.values())
 
 
 @dataclass(frozen=True)
@@ -234,10 +225,7 @@ def union_bound_check(
     All three quantities are exact expectations under mu; the inequality is a
     pointwise union bound, so a False report indicates a broken input table.
     """
-    zero = Fraction(0) if _rational_mu(relation) else 0.0
-    rel_err = zero
-    dis_err = zero
-    f_err = zero
+    rel_err = dis_err = f_err = 0
     for (x, y), w in relation.mu.items():
         if not w:
             continue

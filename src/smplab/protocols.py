@@ -75,11 +75,14 @@ def _log2_exact(n: int) -> int:
 
 
 def _index_bits(count: int) -> int:
-    return max(1, (count - 1).bit_length()) if count > 1 else 0
+    return (count - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
 # Equality
+
+# the widest n whose inputs both equality protocols list; past it they are None
+_MAX_INPUT_BITS = 10
 
 # the most coin bits n * k that equality_public accepts; past it, the coin's
 # size alone would be an int of that many bits
@@ -128,7 +131,7 @@ def equality_public(n: int, k: int = 1) -> SmpProtocol:
         return msg[:, None, :], np.ones(msg.shape)[:, None, :]
 
     strategy = ArrayStrategy(fn=send, slots=1, arrays=send_arrays)
-    inputs = tuple(range(2**n)) if n <= 10 else None
+    inputs = tuple(range(2**n)) if n <= _MAX_INPUT_BITS else None
     return SmpProtocol(
         name=f"eq-public(n={n},k={k})",
         alice_strategy=strategy,
@@ -157,44 +160,36 @@ def equality_code(n: int, code: LinearCode | None = None, reps: int = 1) -> SmpP
         raise ValueError("need reps >= 1")
 
     rows, cols = code.grid_rows, code.grid_cols
-    a_rep_bits = _index_bits(cols) + rows  # a column's index, then its bits
-    b_rep_bits = _index_bits(rows) + cols
 
-    def repeated(lines: list[int], width: int) -> dict[int, float]:
-        """Uniform law over ``reps`` independent picks from ``lines``."""
-        p = (1.0 / len(lines)) ** reps
-        return {pack(choice, width): p for choice in itertools.product(lines, repeat=reps)}
+    def side(transpose: bool) -> tuple[ArrayStrategy, int]:
+        """A party and its bits per repetition, in which it sends a uniformly random
+        column of its grid (Bob's is Alice's transposed): its index, then its bits."""
+        height, width = (cols, rows) if transpose else (rows, cols)
+        bits = _index_bits(width) + height
+        p = (1.0 / width) ** reps
 
-    def alice_dist(x, _coin) -> dict[int, float]:
-        g = encode(code, x).reshape(rows, cols).tolist()
-        # column j: its index, then its bits from row 0 down
-        columns = [j << rows | pack((r[j] for r in g), 1) for j in range(cols)]
-        return repeated(columns, a_rep_bits)
+        def law(v, _coin) -> dict[int, float]:
+            g = encode(code, v).reshape(rows, cols)
+            columns = (g if transpose else g.T).tolist()
+            lines = [j << height | pack(c, 1) for j, c in enumerate(columns)]
+            return {pack(choice, bits): p for choice in itertools.product(lines, repeat=reps)}
 
-    def bob_dist(y, _coin) -> dict[int, float]:
-        g = encode(code, y).reshape(rows, cols).tolist()
-        return repeated([i << cols | pack(g[i], 1) for i in range(rows)], b_rep_bits)
+        def arrays(values: list, _coins: list) -> tuple[np.ndarray, np.ndarray]:
+            """``law`` of every value at once, [1, slot, value]."""
+            g = np.array([encode(code, v) for v in values], dtype=np.int64).reshape(-1, rows, cols)
+            columns = g if transpose else g.transpose(0, 2, 1)
+            shifts = np.arange(height - 1, -1, -1)
+            lines = np.arange(width) << height | (columns << shifts).sum(axis=2)
+            ids = lines
+            for _ in range(reps - 1):  # product's order: the first pick most significant
+                ids = (ids[:, :, None] << bits | lines[:, None, :]).reshape(len(values), -1)
+            return ids.T[None], np.full((1, ids.shape[1], len(values)), p)
 
-    def repeated_arrays(lines: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """``repeated`` of every input's row of ``lines`` at once, [1, slot, input]."""
-        ids = lines
-        for _ in range(reps - 1):  # product's order: the first pick most significant
-            ids = (ids[:, :, None] << width | lines[:, None, :]).reshape(len(lines), -1)
-        p = (1.0 / lines.shape[1]) ** reps
-        return ids.T[None], np.full((1, ids.shape[1], len(lines)), p)
+        return ArrayStrategy(fn=law, slots=width**reps, arrays=arrays), bits
 
-    def grids(values: list) -> np.ndarray:
-        g = np.array([encode(code, v) for v in values], dtype=np.int64)
-        return g.reshape(len(values), rows, cols)
-
-    def alice_arrays(xs: list, _coins: list) -> tuple[np.ndarray, np.ndarray]:
-        bits = (grids(xs) << np.arange(rows - 1, -1, -1)[:, None]).sum(axis=1)
-        return repeated_arrays(np.arange(cols) << rows | bits, a_rep_bits)
-
-    def bob_arrays(ys: list, _coins: list) -> tuple[np.ndarray, np.ndarray]:
-        bits = (grids(ys) << np.arange(cols - 1, -1, -1)).sum(axis=2)
-        return repeated_arrays(np.arange(rows) << cols | bits, b_rep_bits)
-
+    (alice, a_rep_bits), (bob, b_rep_bits) = side(False), side(True)
+    if reps * max(a_rep_bits, b_rep_bits) >= 63:  # the ids would overflow an int64
+        alice, bob = alice.fn, bob.fn
     a_mask, b_mask = (1 << a_rep_bits) - 1, (1 << b_rep_bits) - 1
 
     def accept(a, b):
@@ -208,11 +203,7 @@ def equality_code(n: int, code: LinearCode | None = None, reps: int = 1) -> SmpP
             a, b = a >> a_rep_bits, b >> b_rep_bits
         return 1.0 - (miss & 1)
 
-    alice, bob = alice_dist, bob_dist
-    if reps * max(a_rep_bits, b_rep_bits) < 63:  # the ids fit an int64
-        alice = ArrayStrategy(fn=alice_dist, slots=cols**reps, arrays=alice_arrays)
-        bob = ArrayStrategy(fn=bob_dist, slots=rows**reps, arrays=bob_arrays)
-    inputs = tuple(range(2**n)) if n <= 10 else None
+    inputs = tuple(range(2**n)) if n <= _MAX_INPUT_BITS else None
     return SmpProtocol(
         name=f"eq-code(n={n},reps={reps})",
         alice_strategy=alice,
@@ -591,7 +582,8 @@ class HiddenMatchingOutput:
 
 
 def xor_matching(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Perfect matching pairing each i with i XOR k; k = 1 .. n-1."""
+    """Perfect matching pairing each i with i XOR k; k = 1 .. n-1, n a power of two."""
+    _log2_exact(n)
     if not 1 <= k < n:
         raise ValueError(f"matching index {k} outside 1..{n - 1}")
     return tuple(sorted((i, i ^ k) for i in range(n) if i < (i ^ k)))

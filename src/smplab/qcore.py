@@ -40,10 +40,11 @@ __all__ = [
 
 
 def _as_square_complex(entries) -> np.ndarray:
-    """A fresh complex copy of a square matrix, writable until its owner checks it."""
+    """A fresh complex copy of a square 2**k x 2**k matrix, writable until checked."""
     a = np.array(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _num_qubits_of(a.shape[0])
     return a
 
 
@@ -78,10 +79,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
     ]))
 
 
-def _check_finite(a: np.ndarray) -> None:
+def _check_hermitian(a: np.ndarray, tol: Tolerances) -> None:
     # every comparison with NaN is False, so the checks after this one would pass
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+    defect = hermiticity_defect(a)
+    if defect > tol.hermitian:
+        raise ValueError(f"not Hermitian: defect {defect:.3e}")
 
 
 def _cholesky_accepts(a: np.ndarray, shift: float) -> bool:
@@ -111,10 +115,7 @@ def _check_density(a: np.ndarray, tol: Tolerances) -> None:
     ``a`` is a writable array held by the caller alone (see
     :func:`_cholesky_accepts`); it is left unchanged.
     """
-    _check_finite(a)
-    defect = hermiticity_defect(a)
-    if defect > tol.hermitian:
-        raise ValueError(f"not Hermitian: defect {defect:.3e}")
+    _check_hermitian(a, tol)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol.trace_one:
         raise ValueError(f"trace {tr} is not 1")
@@ -124,8 +125,16 @@ def _check_density(a: np.ndarray, tol: Tolerances) -> None:
             raise ValueError(f"not PSD: minimum eigenvalue {lo:.3e}")
 
 
+class _Register:
+    """A register of ``dim`` = 2**num_qubits dimensions."""
+
+    @property
+    def num_qubits(self) -> int:
+        return _num_qubits_of(self.dim)
+
+
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Register):
     """Hermitian, positive semidefinite, trace-one matrix on 2**k dimensions.
 
     Invariants are checked on construction; :func:`_owning` is the one
@@ -137,7 +146,6 @@ class DensityMatrix:
 
     def __post_init__(self, tol: Tolerances):
         a = _as_square_complex(self.entries)
-        _num_qubits_of(a.shape[0])
         _check_density(a, tol)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -145,10 +153,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return _num_qubits_of(self.dim)
 
 
 def _owning(a: np.ndarray) -> DensityMatrix:
@@ -165,7 +169,7 @@ def _owning(a: np.ndarray) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class MeasurementOperator:
+class MeasurementOperator(_Register):
     """Hermitian matrix with spectrum in [0, 1] (one half of a two-outcome test)."""
 
     entries: np.ndarray
@@ -175,11 +179,7 @@ class MeasurementOperator:
         a = _as_square_complex(self.entries)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        _num_qubits_of(a.shape[0])
-        _check_finite(a)
-        defect = hermiticity_defect(a)
-        if defect > tol.hermitian:
-            raise ValueError(f"not Hermitian: defect {defect:.3e}")
+        _check_hermitian(a, tol)
         w = np.linalg.eigvalsh(a)
         if w.min() < -tol.operator_spectrum or w.max() > 1.0 + tol.operator_spectrum:
             raise ValueError(f"eigenvalues [{w.min():.3e}, {w.max():.3e}] not within [0, 1]")
@@ -188,13 +188,9 @@ class MeasurementOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        return _num_qubits_of(self.dim)
-
 
 @dataclass(frozen=True)
-class PureState:
+class PureState(_Register):
     """Unit vector of amplitudes; a light carrier for rank-one quantum messages."""
 
     amplitudes: np.ndarray
@@ -212,10 +208,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return _num_qubits_of(self.dim)
 
     def density(self) -> DensityMatrix:
         """|psi><psi|, a density matrix by construction: the amplitudes are unit."""

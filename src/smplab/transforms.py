@@ -228,7 +228,7 @@ def bad_count_bound(K: int, delta: float) -> int:
 
 def _validated_family(operators: Sequence[MeasurementOperator]) -> tuple[int, int]:
     count = len(operators)
-    c = (count - 1).bit_length() if count > 1 else 0
+    c = (count - 1).bit_length()
     if count < 1 or 2**c != count:
         raise ValueError(f"operator family must have a power-of-two size, got {count}")
     dims = {e.dim for e in operators}

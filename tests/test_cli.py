@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -218,6 +219,20 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == (
             "cap exceeded: coin space of size 2097152 exceeds term budget 1048576\n"
         )
+
+    def test_derandomize_past_the_explicit_inputs_exits_4_before_the_code(
+        self, tmp_path, capsys
+    ):
+        # hadamard_code(40) would have 2^40 generator rows
+        started = time.perf_counter()
+        code = main([
+            "--experiment", "derandomize", "--param", "n=40", "--seed", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == "cap exceeded: derandomize report capped at n <= 10\n"
+        assert not (tmp_path / "out").exists()
 
     def test_eq_public_past_the_coin_bit_limit_exits_4(self, tmp_path, capsys):
         code = main([

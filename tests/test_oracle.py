@@ -317,6 +317,32 @@ class TestExtractFunction:
         assert c_a + c_b <= cost
 
 
+@pytest.mark.parametrize("valid, sums", [
+    ({(0, 0): {0}, (0, 1): {1}, (1, 0): {0}, (1, 1): {1}}, (0.6000000000000001, 0.2, 0.9, 0.7)),
+    ({(x, y): {0, 1} for x in (0, 1) for y in (0, 1)}, (0, 0, 0.9, 0)),
+], ids=["invalid-mass", "no-invalid-mass"])
+def test_float_mu_sums_in_mu_order(valid, sums):
+    # float weights sum bit for bit as from 0.0; an empty sum is the int 0
+    pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
+    relation = RelationTable(
+        {p: frozenset(v) for p, v in valid.items()}, dict(zip(pairs, (0.1, 0.2, 0.3, 0.4)))
+    )
+    constant = DeterministicSmpProtocol({0: 0, 1: 0}, {0: 0, 1: 0}, {(0, 0): 0})
+    _, err = extract_function(constant, relation)
+    p_a = DeterministicSmpProtocol(
+        {0: 0, 1: 1}, {0: 0, 1: 1}, {(a, b): a & b for a in (0, 1) for b in (0, 1)}
+    )
+    xor = FunctionTable((0, 1), (0, 1), {(x, y): x ^ y for x, y in pairs})
+    report = union_bound_check(p_a, xor, relation)
+    got = (err, report.relation_error, report.disagreement_with_f, report.f_invalid_mass)
+    assert got == sums
+    assert [type(v) for v in got] == [type(v) for v in sums]
+
+
+def test_empty_input_sets_cost_nothing():
+    assert det_complexity_function(FunctionTable((), (0, 1), {})) == (0, 0)
+
+
 class TestUnionBound:
     def test_exact_protocol_zero_everywhere(self):
         relation = equality_relation_1bit()

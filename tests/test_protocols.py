@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smplab.codes import encode, hadamard_code
+from smplab.codes import cyclic_mask_code, encode, hadamard_code
 from smplab.errors import PromiseViolationError
 from smplab.protocols import (
     MatchingInstance,
@@ -30,7 +30,14 @@ from smplab.protocols import (
 from smplab import protocols
 from smplab.qcore import PureState, acceptance_probability
 from smplab.rng import trial_rng
-from smplab.smp import CoinSpace, TableReferee, exact_acceptance, worst_case_error
+from smplab.smp import (
+    ArrayStrategy,
+    CoinSpace,
+    TableReferee,
+    exact_acceptance,
+    pack,
+    worst_case_error,
+)
 from smplab.transforms import compile_qc_to_cc
 
 
@@ -322,6 +329,74 @@ class TestEqualityMessages:
                     assert p.referee.accept_probability(_as_int(a), _as_int(b)) == want
 
 
+def _twin_equality_code_sides(code, reps):
+    """Alice's and Bob's laws and declared arrays, each party written out on
+    its own: the oracle for the one grid-line side that builds both."""
+    rows, cols = code.grid_rows, code.grid_cols
+    a_rep_bits = (max(1, (cols - 1).bit_length()) if cols > 1 else 0) + rows
+    b_rep_bits = (max(1, (rows - 1).bit_length()) if rows > 1 else 0) + cols
+
+    def repeated(lines, width):
+        p = (1.0 / len(lines)) ** reps
+        return {pack(choice, width): p for choice in itertools.product(lines, repeat=reps)}
+
+    def alice_dist(x, _coin):
+        g = encode(code, x).reshape(rows, cols).tolist()
+        columns = [j << rows | pack((r[j] for r in g), 1) for j in range(cols)]
+        return repeated(columns, a_rep_bits)
+
+    def bob_dist(y, _coin):
+        g = encode(code, y).reshape(rows, cols).tolist()
+        return repeated([i << cols | pack(g[i], 1) for i in range(rows)], b_rep_bits)
+
+    def repeated_arrays(lines, width):
+        ids = lines
+        for _ in range(reps - 1):
+            ids = (ids[:, :, None] << width | lines[:, None, :]).reshape(len(lines), -1)
+        p = (1.0 / lines.shape[1]) ** reps
+        return ids.T[None], np.full((1, ids.shape[1], len(lines)), p)
+
+    def grids(values):
+        g = np.array([encode(code, v) for v in values], dtype=np.int64)
+        return g.reshape(len(values), rows, cols)
+
+    def alice_arrays(xs, _coins):
+        bits = (grids(xs) << np.arange(rows - 1, -1, -1)[:, None]).sum(axis=1)
+        return repeated_arrays(np.arange(cols) << rows | bits, a_rep_bits)
+
+    def bob_arrays(ys, _coins):
+        bits = (grids(ys) << np.arange(cols - 1, -1, -1)).sum(axis=2)
+        return repeated_arrays(np.arange(rows) << cols | bits, b_rep_bits)
+
+    return (alice_dist, alice_arrays), (bob_dist, bob_arrays)
+
+
+class TestEqualityCodeSides:
+    @pytest.mark.parametrize("code, reps", [
+        *((hadamard_code(n), reps) for n in range(1, 6) for reps in (1, 2, 3)),
+        *((cyclic_mask_code(3, 6), reps) for reps in (1, 2)),
+    ])
+    def test_laws_and_arrays_equal_the_per_party_builds(self, code, reps):
+        p = equality_code(code.n, code, reps)
+        inputs = list(range(2**code.n))
+        sides = _twin_equality_code_sides(code, reps)
+        for strategy, (law, arrays) in zip((p.alice_strategy, p.bob_strategy), sides):
+            assert isinstance(strategy, ArrayStrategy)
+            for v in inputs:
+                # same messages, same weights, in the same order
+                assert list(strategy(v, None).items()) == list(law(v, None).items())
+            for got, want in zip(strategy.arrays(inputs, [None]), arrays(inputs, [None])):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, reps", [(4, 11), (3, 13)], ids=["both-wide", "bob-wide"])
+    def test_parties_stay_callables_past_int64(self, n, reps):
+        # at (3, 13) Alice's 13 * 4 bits fit an int64 and Bob's 13 * 5 do not
+        p = equality_code(n, reps=reps)
+        for strategy in (p.alice_strategy, p.bob_strategy):
+            assert callable(strategy) and not isinstance(strategy, ArrayStrategy)
+
+
 class TestMatchingBounds:
     def test_default_edges_sent_fits_the_subset(self):
         # n=4: ceil(4^(1/3)) = 2 edges, but a 3-vertex subset holds only one
@@ -552,11 +627,12 @@ class TestToyFixtures:
      "w must have one bit per edge"),
     (lambda: xor_matching(4, 4), "matching index 4 outside 1..3"),
     (lambda: xor_matching(4, 0), "matching index 0 outside 1..3"),
+    (lambda: xor_matching(6, 2), "6 is not a power of two"),
     (lambda: hidden_matching_relation(2), "need n >= 4"),
     (lambda: toy_quantum_equality(3), "toy fixtures cover q in {1, 2}"),
 ], ids=["not-power-of-two", "public-n", "public-k", "code-width", "code-reps",
         "odd-n", "short-x", "not-a-partition", "short-w", "xor-index-high",
-        "xor-index-low", "hidden-matching-n", "toy-q"])
+        "xor-index-low", "xor-not-power-of-two", "hidden-matching-n", "toy-q"])
 def test_guards_raise_value_error(call, message):
     with pytest.raises(ValueError) as err:
         call()

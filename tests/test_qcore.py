@@ -456,6 +456,27 @@ class TestNonFiniteEntries:
             DensityMatrix(a)
 
 
+@pytest.mark.parametrize("register", [DensityMatrix, MeasurementOperator])
+@pytest.mark.parametrize("entries, message", [
+    (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (np.full((3, 3), np.nan), "dimension 3 is not a power of two"),
+    (np.array([[0.5, 1.0], [np.inf, 0.5]]), "matrix has non-finite entries"),
+    (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian: defect 1.000e+00"),
+], ids=["not-square", "wrong-size", "non-finite", "not-hermitian"])
+def test_checked_registers_refuse_in_order(register, entries, message):
+    # the wrong-size and non-finite matrices fail the later checks too, so
+    # their texts pin the order of the checks
+    with pytest.raises(ValueError) as err:
+        register(entries)
+    assert str(err.value) == message
+
+
+def test_every_register_counts_its_qubits():
+    assert DensityMatrix(np.eye(4) / 4).num_qubits == 2
+    assert MeasurementOperator(np.eye(8)).num_qubits == 3
+    assert PureState(np.ones(2)).num_qubits == 1
+
+
 def rotated_diag(diag, seed: int) -> np.ndarray:
     """U diag(...) U^dagger for a Haar-ish U: a Hermitian matrix with a known spectrum."""
     rng = np.random.default_rng(seed)
