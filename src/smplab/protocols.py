@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -347,6 +347,93 @@ def _matching_bob(log_n: int, slots: int):
     return bob, Cost(bits=_index_bits(slots + 1) + slots * (2 * log_n + 1))
 
 
+def _bit_tuple(v) -> bool:
+    return type(v) is tuple and all(type(b) is int and 0 <= b <= 1 for b in v)
+
+
+# a matching batch takes pairs up to this n; past it a block's trials, fewer
+# than 64 under smp's cell bound, run slower than one at a time (at n = 16,384
+# both matching protocols did)
+_BATCH_MAX_N = 4096
+
+
+def _matching_arrays(n: int, x, y):
+    """Alice's bits and Bob's edge endpoints and w-bits as int arrays: (x, i, j, w).
+
+    Only for a pair a :class:`MatchingInstance` gives at n <= ``_BATCH_MAX_N``:
+    x a tuple of n bits, y a tuple (matching, w) of a tuple of int pairs in
+    range(n) and one bit per edge, every entry an int.  Any other pair gets
+    None, and the per-trial path alone decides what it does.
+    """
+    if n > _BATCH_MAX_N:
+        return None
+    if not (_bit_tuple(x) and len(x) == n and type(y) is tuple and len(y) == 2):
+        return None
+    matching, w = y
+    if not (_bit_tuple(w) and type(matching) is tuple and len(matching) == len(w)):
+        return None
+    for e in matching:
+        if not (type(e) is tuple and len(e) == 2
+                and all(type(v) is int and 0 <= v < n for v in e)):
+            return None
+    ends = np.array(matching, dtype=np.intp).reshape(-1, 2)
+    return np.array(x, dtype=np.int64), ends[:, 0], ends[:, 1], np.array(w, dtype=np.int64)
+
+
+def _subset_mask(draws, n: int, k: int) -> np.ndarray:
+    """The [trial, n] membership mask of each trial's ``subset_coin(n, k)``
+    subset, drawn as its sampler draws it."""
+    mask = np.zeros((draws.count, n), dtype=bool)
+    mask[draws.rows[:, None], draws.choice(n, k)] = True
+    return mask
+
+
+def _sampled_parts(p: SmpProtocol) -> tuple:
+    """What one trial of ``p`` reads: its coin, strategies, referee and costs."""
+    return p.coin, p.alice_strategy, p.bob_strategy, p.referee, p.alice_cost, p.bob_cost
+
+
+def _declare_batch(p: SmpProtocol, n: int, runner) -> SmpProtocol:
+    """``p`` with ``runner(x, y)``, a pair's block runner over n-wide arrays
+    or None, as its batch.  The batch takes a pair only for a protocol whose
+    sampled parts are ``p``'s own, so one made by replacing any of them runs
+    per trial."""
+    parts = _sampled_parts(p)
+
+    def batch(q: SmpProtocol, x, y):
+        if not all(a is b for a, b in zip(_sampled_parts(q), parts)):
+            return None
+        run = runner(x, y)
+        return None if run is None else (n, run)
+
+    return replace(p, batch=batch)
+
+
+def _sent_slots(mask: np.ndarray, i: np.ndarray, j: np.ndarray, slots: int):
+    """Bob's message per trial of a [trial, n] subset mask, as arrays: the
+    matching position of the edge in each of its ``slots`` slots, and which
+    slots hold one.  His edges are the first ``slots`` edges inside the
+    subset, so an edge's slot is its rank among the inside edges, a cumsum."""
+    inside = mask[:, i] & mask[:, j]
+    rank = np.cumsum(inside, axis=1, dtype=np.int32)
+    trial, edge = np.nonzero(inside & (rank <= slots))
+    slot = rank[trial, edge] - 1
+    position = np.zeros((len(mask), slots), dtype=np.intp)
+    held = np.zeros((len(mask), slots), dtype=bool)
+    position[trial, slot] = edge
+    held[trial, slot] = True
+    return position, held
+
+
+def _majority_outputs(agree: np.ndarray, total: np.ndarray, draws):
+    """:func:`_majority_output` per trial of ``total`` recovered bits, ``agree``
+    of them agreeing, each tie drawing its fair coin; and which trials abstained."""
+    out = (2 * agree > total).astype(np.int64)
+    tie = np.flatnonzero(2 * agree == total)
+    out[tie] = draws.integers(2, tie)
+    return out, total == 0
+
+
 def _check_subset_size(n: int, subset_size: int) -> None:
     if not 1 <= subset_size <= n:
         raise ValueError(f"need 1 <= subset_size <= n = {n}, got {subset_size}")
@@ -504,8 +591,65 @@ def matching_qc(
         amp[idx] = signs(tuple(x))[idx]
         return PureState(amp)
 
+    # with 1/sqrt(s) a power of two every square and partial sum of the
+    # amplitudes is exact, so every subset's state has the same norm
+    one_norm = math.frexp(inv_sqrt)[0] == 0.5
+
+    def runner(x, y):
+        arrays = _matching_arrays(n, x, y)
+        if arrays is None:
+            return None
+        bits, i, j, w = arrays
+        same = bits[i] == bits[j]
+        outcomes: dict = {}
+
+        def edge_outcomes(subset: tuple[int, ...]) -> tuple[float, float, float]:
+            """The referee's (mass, even-parity probability with equal signs,
+            with opposite signs) of an edge inside ``subset``, read off
+            Alice's state there by ``_edge_measurement``: every amplitude on
+            the subset is the same value up to sign."""
+            a = alice(x, subset).amplitudes[subset[0]]
+            key = abs(float(a.real))
+            if key not in outcomes:
+                mass, plus, minus = _edge_measurement(np.array([a, a]), 0, 1)
+                _, plus_x, minus_x = _edge_measurement(np.array([a, -a]), 0, 1)
+                outcomes[key] = (mass, plus / (plus + minus), plus_x / (plus_x + minus_x))
+            return outcomes[key]
+
+        def run(draws):
+            mask = _subset_mask(draws, n, subset_size)
+            position, held = _sent_slots(mask, i, j, edges_sent)
+            if one_norm:
+                states = [edge_outcomes(tuple(np.flatnonzero(mask[0]).tolist()))] * draws.count
+            else:
+                states = [edge_outcomes(tuple(np.flatnonzero(m).tolist())) for m in mask]
+            mass, even_same, even_opposite = np.array(states).T
+            p_even = np.where(same[position], even_same[:, None], even_opposite[:, None])
+            wbit = w[position]
+            used = ~held
+            agree = np.zeros(draws.count, dtype=np.int64)
+            total = np.zeros(draws.count, dtype=np.int64)
+            for _ in range(copies):
+                rows = np.flatnonzero(~used.all(axis=1))
+                if not len(rows):
+                    break
+                u = draws.random(rows)
+                open_ = ~used[rows]
+                # the referee's acc += p over the unused edges, in slot order
+                acc = np.cumsum(np.where(open_, mass[rows, None], 0.0), axis=1)
+                hit = open_ & (u[:, None] < acc)
+                got = hit.any(axis=1)
+                rows, slot = rows[got], hit.argmax(axis=1)[got]
+                parity = np.where(draws.random(rows) < p_even[rows, slot], 0, 1)
+                agree[rows] += parity == wbit[rows, slot]
+                total[rows] += 1
+                used[rows, slot] = True
+            return _majority_outputs(agree, total, draws)
+
+        return run
+
     bob, bob_cost = _matching_bob(log_n, edges_sent)
-    return SmpProtocol(
+    return _declare_batch(SmpProtocol(
         name=f"matching-qc(n={n})",
         alice_strategy=alice,
         bob_strategy=bob,
@@ -513,7 +657,7 @@ def matching_qc(
         alice_cost=Cost(qubits=copies * log_n),
         bob_cost=bob_cost,
         coin=coin,
-    )
+    ), n, runner)
 
 
 class _MatchingClassicalReferee(Referee):
@@ -556,8 +700,22 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
     def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> dict[int, float]:
         return {pack((x[i] for i in subset), 1): 1.0}
 
+    def runner(x, y):
+        arrays = _matching_arrays(n, x, y)
+        if arrays is None:
+            return None
+        bits, i, j, w = arrays
+        agrees = (bits[i] ^ bits[j]) == w
+
+        def run(draws):
+            position, held = _sent_slots(_subset_mask(draws, n, subset_size), i, j, slots)
+            agree = np.count_nonzero(held & agrees[position], axis=1)
+            return _majority_outputs(agree, np.count_nonzero(held, axis=1), draws)
+
+        return run
+
     bob, bob_cost = _matching_bob(log_n, slots)
-    return SmpProtocol(
+    return _declare_batch(SmpProtocol(
         name=f"matching-classical(n={n})",
         alice_strategy=alice,
         bob_strategy=bob,
@@ -565,7 +723,7 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
         alice_cost=Cost(bits=subset_size),
         bob_cost=bob_cost,
         coin=coin,
-    )
+    ), n, runner)
 
 
 # ---------------------------------------------------------------------------

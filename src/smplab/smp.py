@@ -23,6 +23,12 @@ and the referee once per distinct message pair of a coin.  The loop alone
 counts the term cap, sizes the blocks and sums the terms.
 The callables stay the sampled path, the quantum path and the oracle the
 arrays are tested against.
+
+Monte Carlo, :func:`empirical_success`, runs a protocol's declared
+``batch`` when it has one: a block of trials at a time as arrays, replayed
+from the per-trial streams by :class:`~smplab.rng.TrialDraws`, so every draw
+and every output is the per-trial path's.  Every other protocol, and every
+pair its batch declines, runs one trial at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .qcore import (
     PureState,
     acceptance_probability,
 )
-from .rng import derive_seed, trial_rngs
+from .rng import TrialDraws, derive_seed, trial_rngs
 
 __all__ = [
     "ArrayStrategy",
@@ -121,12 +127,22 @@ def check_message(msg, bits: int) -> None:
         raise ValueError(f"message {shown} is not an int in [0, 2^{bits})")
 
 
-def sample_from_distribution(dist: Distribution, rng: np.random.Generator) -> int:
+def sample_from_distribution(dist: Distribution, rng: np.random.Generator, size: int | None = None):
+    """One message of ``dist``, or with ``size`` a tuple of ``size`` messages.
+
+    Each draw is one ``rng.random()`` looked up in the cdf ``rng.choice(p=...)``
+    builds (a cumsum divided by its last entry), so it is that ``choice``'s
+    draw, and ``size`` messages are the same as ``size`` calls in turn.  A
+    one-message law draws nothing.
+    """
     keys = list(dist)
     if len(keys) == 1:
-        return keys[0]
+        return keys[0] if size is None else (keys[0],) * size
     probs = np.fromiter(dist.values(), dtype=float)
-    return keys[rng.choice(len(keys), p=probs / probs.sum())]
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(size), side="right")
+    return keys[idx] if size is None else tuple(keys[i] for i in idx.tolist())
 
 
 @dataclass(frozen=True)
@@ -286,6 +302,17 @@ class SmpProtocol:
     ``bob_strategy(y, coin)`` returns a message distribution; the
     :class:`Referee` maps the two messages to an output.  ``coin`` is None in
     private-coin protocols.
+
+    ``batch(q, x, y)``, when declared, gives ``(width, run)`` for the pair's
+    trials under protocol ``q``, the one being run, or None to leave the pair
+    to the per-trial path.  ``run`` takes the :class:`~smplab.rng.TrialDraws`
+    of a block of trials and returns their outputs (ints) and whether each
+    abstained, as arrays: each trial's output and abstention are exactly
+    what one per-trial evaluation gives on that trial's generator, so a
+    batch declines every pair on which that evaluation could raise, and
+    every ``q`` whose coin, strategies, referee or costs are not the ones it
+    reproduces (a ``dataclasses.replace`` keeps the field).  ``width`` is
+    the size of one trial's arrays, which sets the block size.
     """
 
     name: str
@@ -297,6 +324,7 @@ class SmpProtocol:
     coin: CoinSpace | None = None
     alice_inputs: tuple | None = None
     bob_inputs: tuple | None = None
+    batch: Callable[[SmpProtocol, object, object], tuple[int, Callable] | None] | None = None
 
     def __post_init__(self):
         if not isinstance(self.referee, Referee):
@@ -678,6 +706,13 @@ def protocol_cost(p: SmpProtocol) -> tuple[int, int, int]:
     return a, b, a + b
 
 
+# a block of a declared batch in empirical_success holds at most _TRIAL_BLOCK
+# trials and _BLOCK_CELLS cells of trials times the batch's width, which
+# bounds its arrays' memory at every width
+_TRIAL_BLOCK = 512
+_BLOCK_CELLS = 1 << 18
+
+
 @dataclass(frozen=True)
 class SuccessReport:
     successes: int
@@ -701,8 +736,13 @@ def empirical_success(
 
     Each pair gets its own derived seed; each trial its own keyed generator.
     Every classical law is validated against ``tol``, as in :func:`acceptance_table`.
+    A pair the protocol's ``batch`` takes runs through it a block of trials
+    at a time, with the same draws and outputs.  Raises TypeError for a
+    ``trials_per_pair`` or ``seed`` that is not an int.
     """
     pair_list = list(pairs)
+    if isinstance(trials_per_pair, bool) or not isinstance(trials_per_pair, (int, np.integer)):
+        raise TypeError(f"trials_per_pair must be an int, got {type(trials_per_pair).__name__}")
     if trials_per_pair < 1:
         raise ValueError(f"need trials_per_pair >= 1, got {trials_per_pair}")
     if not pair_list:
@@ -713,12 +753,22 @@ def empirical_success(
     for i, (x, y) in enumerate(pair_list):
         want = f(x, y)
         pair_seed = derive_seed(seed, i)
+        declared = None if p.batch is None else p.batch(p, x, y)
         hits = 0
-        for rng in trial_rngs(pair_seed, trials_per_pair):
-            info: dict = {}
-            out = _sample_output_once(p, x, y, rng, tol, info=info)
-            hits += 1 if out == want else 0
-            abstained += info.get("abstained", 0)
+        if declared is None:
+            for rng in trial_rngs(pair_seed, trials_per_pair):
+                info: dict = {}
+                out = _sample_output_once(p, x, y, rng, tol, info=info)
+                hits += 1 if out == want else 0
+                abstained += info.get("abstained", 0)
+        else:
+            width, run = declared
+            block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // width))
+            for start in range(0, trials_per_pair, block):
+                count = min(block, trials_per_pair - start)
+                outs, abstains = run(TrialDraws(pair_seed, start, count))
+                hits += outs.tolist().count(want)
+                abstained += int(np.count_nonzero(abstains))
         successes += hits
         per_pair.append(hits / trials_per_pair)
     total = len(pair_list) * trials_per_pair

@@ -557,20 +557,22 @@ def derandomize_alice(
 ) -> tuple[SmpProtocol, DeterministicMessageTable]:
     """Replace a randomized classical Alice with a verified deterministic one.
 
-    Draws ``s * c_B`` messages from Alice's distribution and accepts the
-    multiset only after checking, for every one of the 2^c_B Bob messages,
-    that the average referee response is within 1/10 of the exact
-    expectation; failed candidates are redrawn, up to ``_MAX_ATTEMPTS`` per
-    input (existence is a concentration argument, the check makes it
-    unconditional).  Every number is read from one referee row per (input,
-    support message).  The new referee accepts with the average response
-    over the multiset, so each input pair's acceptance moves by at most
-    1/10: a multiset Alice sends is answered from its verified ``empirical``
-    row, any other int below 2^(s * c_B * c_A) is decoded and its row kept
-    (:func:`_deterministic_alice`).  Raises :class:`EnumerationCapError`,
-    before any strategy call, when a candidate's s * c_B * 2^c_B terms
-    exceed ``tol.enum_cap``, and ValueError, also before any strategy call,
-    when Bob's message has 0 bits, since the multiset would then be empty.
+    Draws ``s * c_B`` messages from Alice's distribution, with one
+    ``rng.random(s * c_B)`` per candidate (:func:`sample_from_distribution`
+    with ``size``), and accepts the multiset only after checking, for every
+    one of the 2^c_B Bob messages, that the average referee response is
+    within 1/10 of the exact expectation; failed candidates are redrawn, up
+    to ``_MAX_ATTEMPTS`` per input (existence is a concentration argument,
+    the check makes it unconditional).  Every number is read from one referee
+    row per (input, support message).  The new referee accepts with the
+    average response over the multiset, so each input pair's acceptance
+    moves by at most 1/10: a multiset Alice sends is answered from its
+    verified ``empirical`` row, any other int below 2^(s * c_B * c_A) is
+    decoded and its row kept (:func:`_deterministic_alice`).  Raises
+    :class:`EnumerationCapError`, before any strategy call, when a
+    candidate's s * c_B * 2^c_B terms exceed ``tol.enum_cap``, and
+    ValueError, also before any strategy call, when Bob's message has 0
+    bits, since the multiset would then be empty.
     """
     if p.coin is not None:
         raise ValueError("only private-coin protocols can be derandomized this way")
@@ -607,7 +609,7 @@ def derandomize_alice(
         targets = {b: sum(pa * rows[a][b] for a, pa in dist.items()) for b in all_b}
         for attempt in range(_MAX_ATTEMPTS):
             rng = trial_rng(derive_seed(seed, xi), attempt)
-            candidate = tuple(sample_from_distribution(dist, rng) for _ in range(multiplicity))
+            candidate = sample_from_distribution(dist, rng, multiplicity)
             empirical = average(candidate, rows)
             devs = {b: abs(empirical[b] - targets[b]) for b in all_b}
             dev = max(devs.values())

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 import tracemalloc
@@ -25,7 +26,7 @@ from smplab.protocols import (
     toy_quantum_equality,
 )
 from smplab.qcore import MeasurementOperator, PureState
-from smplab.rng import derive_seed, trial_rng, trial_rngs
+from smplab.rng import TrialDraws, derive_seed, trial_rng, trial_rngs
 from smplab.smp import (
     ArrayStrategy,
     CoinSpace,
@@ -1005,6 +1006,176 @@ def test_empirical_success_equals_per_trial_generators_on_matching(make, n):
     f = lambda x, y: values[(x, y)]  # noqa: E731
     got = empirical_success(make(), f, pairs, trials_per_pair=60, seed=31)
     assert got == _per_trial_reference(make(), f, pairs, 60, seed=31)
+
+
+_BATCHED = [
+    (make, n)
+    for n in (8, 16, 32, 64, 128)
+    for make in (
+        lambda n: matching_qc(n),
+        lambda n: matching_classical(n),
+        lambda n: matching_qc(n, subset_size=2),
+        lambda n: matching_classical(n, subset_size=2),
+        lambda n: matching_qc(n, copies=4, edges_sent=1),  # copies > edges_sent
+        lambda n: matching_qc(n, subset_size=n // 2, copies=5, edges_sent=2),
+    )
+]
+
+
+@pytest.mark.parametrize("seed", [7, -4, 2**70])
+@pytest.mark.parametrize("make, n", _BATCHED)
+def test_batch_equals_per_trial_outputs_and_abstentions(make, n, seed):
+    p = make(n)
+    g = trial_rng(seed, n)
+    for inst in [random_promise_instance(n, g) for _ in range(2)]:
+        x, y = inst.x, inst.bob_input
+        width, run = p.batch(p, x, y)
+        assert width == n
+        outs, abstains = run(TrialDraws(seed, 3, 40))
+        want_outs, want_abstains = [], []
+        for t in range(3, 43):
+            info: dict = {}
+            want_outs.append(_sample_output_once(p, x, y, trial_rng(seed, t), info=info))
+            want_abstains.append(info.get("abstained", 0) == 1)
+        assert outs.tolist() == want_outs
+        assert abstains.tolist() == want_abstains
+
+
+@pytest.mark.parametrize("seed", [7, -4, 2**70])
+@pytest.mark.parametrize("make", [matching_qc, matching_classical])
+def test_empirical_success_in_blocks_equals_per_trial_generators(make, seed):
+    # 2 * _TRIAL_BLOCK + 5 trials: two full blocks and a short one
+    trials = 2 * smp._TRIAL_BLOCK + 5
+    g = trial_rng(seed, 0)
+    fixture = [random_promise_instance(16, g) for _ in range(2)]
+    values = {(inst.x, inst.bob_input): matching_value(inst) for inst in fixture}
+    f = lambda x, y: values[(x, y)]  # noqa: E731
+    got = empirical_success(make(16), f, list(values), trials_per_pair=trials, seed=seed)
+    assert got == _per_trial_reference(make(16), f, list(values), trials, seed=seed)
+
+
+def _off_domain_pairs(n: int):
+    inst = random_promise_instance(n, trial_rng(3, 0))
+    x, (matching, w) = inst.x, inst.bob_input
+    flipped = (matching[0][::-1],) + matching[1:]  # still ints in range(n), so batched
+    return {
+        "x-list": (list(x), inst.bob_input),
+        "x-bool": (tuple(bool(b) for b in x), inst.bob_input),
+        "w-list": (x, (matching, list(w))),
+        "short-w": (x, (matching, w[:-1])),
+        "edge-list": (x, (tuple(list(e) for e in matching), w)),
+        "vertex-n": (x, (((0, n),) + matching[1:], w)),
+        "flipped-edge": (x, (flipped, w)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_off_domain_pairs(16)))
+@pytest.mark.parametrize("make", [matching_qc, matching_classical])
+def test_batch_leaves_other_pairs_to_the_per_trial_path(make, name):
+    x, y = _off_domain_pairs(16)[name]
+    p = make(16)
+    assert (p.batch(p, x, y) is None) == (name != "flipped-edge")
+    f = lambda x, y: 1  # noqa: E731
+    try:
+        want = _per_trial_reference(p, f, [(x, y)], 30, seed=5)
+    except Exception as e:  # the per-trial path's own error, raised the same way
+        with pytest.raises(type(e)):
+            empirical_success(p, f, [(x, y)], trials_per_pair=30, seed=5)
+    else:
+        assert empirical_success(p, f, [(x, y)], trials_per_pair=30, seed=5) == want
+
+
+def _fixed_coin(coin: CoinSpace) -> CoinSpace:
+    """One subset of ``coin``'s, drawn once and then always sampled."""
+    subset = coin.sampler(trial_rng(0, 0))
+    return CoinSpace(sampler=lambda rng: subset, size=1, outcomes=lambda: [(subset, 1.0)])
+
+
+_REPLACED_PARTS = {
+    "coin": lambda p: replace(p, coin=_fixed_coin(p.coin)),
+    "alice": lambda p: replace(p, alice_strategy=lambda x, c: p.alice_strategy(x, c)),
+    "bob": lambda p: replace(p, bob_strategy=lambda y, c: p.bob_strategy(y, c)),
+    "referee": lambda p: replace(p, referee=copy.copy(p.referee)),
+    "bob_cost": lambda p: replace(p, bob_cost=Cost(bits=p.bob_cost.bits)),
+}
+
+
+@pytest.mark.parametrize("part", list(_REPLACED_PARTS))
+@pytest.mark.parametrize("make", [matching_qc, matching_classical])
+def test_a_replaced_part_runs_per_trial(make, part):
+    p = make(16)
+    q = _REPLACED_PARTS[part](p)
+    inst = random_promise_instance(16, trial_rng(9, 0))
+    pair = (inst.x, inst.bob_input)
+    assert p.batch(p, *pair) is not None
+    assert q.batch is p.batch and q.batch(q, *pair) is None
+    f = lambda x, y: matching_value(inst)  # noqa: E731
+    got = empirical_success(q, f, [pair], trials_per_pair=50, seed=4)
+    assert got == _per_trial_reference(q, f, [pair], 50, seed=4)
+    # a name or input list, which no trial reads, keeps the batch
+    r = replace(p, name="renamed", alice_inputs=(inst.x,))
+    assert r.batch(r, *pair) is not None
+
+
+def test_the_one_coin_matching_runs_per_trial():
+    p = _one_coin_matching()
+    x, y = p.alice_inputs[0], p.bob_inputs[0]
+    assert p.batch(p, x, y) is None
+    f = lambda x, y: 1  # noqa: E731
+    got = empirical_success(p, f, [(x, y)], trials_per_pair=40, seed=2)
+    assert got == _per_trial_reference(p, f, [(x, y)], 40, seed=2)
+
+
+class _CountedDraws(TrialDraws):
+    counts: list = []
+
+    def __init__(self, seed, start, count):
+        super().__init__(seed, start, count)
+        self.counts.append(count)
+
+
+@pytest.mark.parametrize("n, block", [(16, 512), (64, 512), (1024, 256), (4096, 64)])
+def test_blocks_shrink_as_the_arrays_widen(monkeypatch, n, block):
+    monkeypatch.setattr(smp, "TrialDraws", _CountedDraws)
+    monkeypatch.setattr(_CountedDraws, "counts", [])
+    inst = random_promise_instance(n, trial_rng(5, n))
+    pair = (inst.x, inst.bob_input)
+    f = lambda x, y: matching_value(inst)  # noqa: E731
+    trials = block + 7
+    got = empirical_success(matching_classical(n), f, [pair], trials_per_pair=trials, seed=6)
+    assert _CountedDraws.counts == [block, 7]
+    assert got == _per_trial_reference(matching_classical(n), f, [pair], trials, seed=6)
+
+
+@pytest.mark.parametrize("make", [matching_qc, matching_classical])
+def test_batch_memory_is_bounded_at_the_widest_batched_n(make):
+    # 512 trials of n = 4096 in 64-trial blocks: a few MB, where one
+    # 512-trial block of that width held over 10 MB; one n wider, every pair
+    # runs per trial
+    n = protocols._BATCH_MAX_N
+    inst = random_promise_instance(n, trial_rng(8, n))
+    pair = (inst.x, inst.bob_input)
+    p = make(n)
+    tracemalloc.start()
+    empirical_success(p, lambda x, y: 1, [pair], trials_per_pair=512, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    wider = random_promise_instance(2 * n, trial_rng(8, 2 * n))
+    assert make(2 * n).batch(make(2 * n), wider.x, wider.bob_input) is None
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"trials_per_pair": True}, "trials_per_pair must be an int, got bool"),
+    ({"trials_per_pair": 2.0}, "trials_per_pair must be an int, got float"),
+    ({"seed": "3"}, "seed must be an int, got str"),
+    ({"seed": None}, "seed must be an int, got NoneType"),
+    ({"seed": 1.5}, "seed must be an int, got float"),
+])
+def test_empirical_success_refuses_untyped_counts_and_seeds(kwargs, error):
+    args = {"trials_per_pair": 2, "seed": 3, **kwargs}
+    with pytest.raises(TypeError, match=error):
+        empirical_success(equality_public(2, 1), lambda x, y: 1, [(0, 0)], **args)
 
 
 def test_empirical_success_equals_per_trial_generators_on_sampled_messages():

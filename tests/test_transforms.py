@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import smplab.transforms as transforms
-from smplab import cli
+from smplab import cli, protocols
 from smplab.config import DEFAULT, with_overrides
 from smplab.errors import (
     DimensionCapError,
@@ -38,7 +38,7 @@ from smplab.qcore import (
     random_density,
     random_measurement_operator,
 )
-from smplab.rng import trial_rng
+from smplab.rng import derive_seed, trial_rng
 from smplab.smp import (
     CoinSpace,
     Cost,
@@ -49,6 +49,7 @@ from smplab.smp import (
     bitstring,
     exact_acceptance,
     pack,
+    sample_from_distribution,
 )
 from smplab.transforms import (
     LearnDiagnostics,
@@ -711,6 +712,63 @@ class TestDerandomizeProperties:
             for y in ys:
                 want = sum(pb * table.empirical[x][b] for b, pb in p.bob_strategy(y, None).items())
                 assert after[x, y] == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=39)
+        .filter(lambda w: sum(w) > 0),
+        m=st.integers(1, 200),
+        seed=st.integers(-(1 << 70), 1 << 70),
+    )
+    def test_one_sized_draw_equals_sequential_draws(self, weights, m, seed):
+        dist = {3 * i + 1: w for i, w in enumerate(weights)}
+        sized, sequential, oracle = trial_rng(seed, 0), trial_rng(seed, 0), trial_rng(seed, 0)
+        got = sample_from_distribution(dist, sized, m)
+        assert got == tuple(sample_from_distribution(dist, sequential) for _ in range(m))
+        # each draw is numpy's own choice over the normalized weights, which
+        # a one-message law skips
+        keys, probs = list(dist), np.array(weights)
+        if len(keys) > 1:
+            want = [keys[oracle.choice(len(keys), p=probs / probs.sum())] for _ in range(m)]
+            assert got == tuple(want)
+        # all generators stand at the same place in the stream afterwards
+        after = sized.random()
+        assert sequential.random() == after == oracle.random()
+
+    @pytest.mark.parametrize("p, s, seed", [
+        (equality_code(2), 12, 3),
+        (equality_code(3), 24, 2026),
+        (equality_code(3), 24, 7),
+    ])
+    def test_candidates_are_the_sequential_draws(self, p, s, seed):
+        # the multiset each input keeps, redrawn one message at a time
+        _, table = derandomize_alice(p, s=s, seed=seed)
+        m = s * p.bob_cost.bits
+        for xi, x in enumerate(p.alice_inputs):
+            dist = p.alice_strategy(x, None)
+            attempts = (
+                tuple(sample_from_distribution(dist, g) for _ in range(m))
+                for g in (trial_rng(derive_seed(seed, xi), a) for a in range(1000))
+            )
+            assert table.messages[x] in attempts
+
+    def test_one_message_law_draws_nothing(self):
+        g = trial_rng(4, 0)
+        assert sample_from_distribution({6: 1.0}, g, 5) == (6,) * 5
+        assert g.random() == trial_rng(4, 0).random()
+
+    @pytest.mark.parametrize("seed", ["3", None, 1.5, True])
+    def test_refuses_a_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            derandomize_alice(equality_code(2), s=12, seed=seed)
+
+    def test_a_declared_batch_declines_the_derandomized_protocol(self):
+        def runner(x, y):
+            raise AssertionError("the old batch ran for the new Alice")
+
+        p = protocols._declare_batch(equality_code(2), 4, runner)
+        q = derandomize_alice(p, s=12, seed=3)[0]
+        assert q.batch(q, p.alice_inputs[0], p.bob_inputs[0]) is None
 
 
 def _padded(record: LearnRecord, max_bits: int) -> int:
