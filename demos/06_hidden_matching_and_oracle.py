@@ -13,8 +13,6 @@ union-bound inequality exactly, and split multi-bit outputs into Boolean
 functions through a code.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from smplab.codes import cyclic_mask_code
@@ -55,7 +53,7 @@ valid = {
     or frozenset([0])
     for p in pairs
 }
-toy = RelationTable(valid, {p: Fraction(1, len(pairs)) for p in pairs})
+toy = RelationTable(valid, dict.fromkeys(pairs, 1))
 cost, proto = search_relation_protocol(toy)
 print(f"cheapest deterministic protocol solving the relation: {cost} bits")
 

@@ -235,7 +235,7 @@ def _run_matching(prm: dict, tol: Tolerances, quantum: bool) -> ExperimentResult
 
 
 def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
-    protocol, relation = hidden_matching_relation(prm["n"], tol)
+    protocol, relation = hidden_matching_relation(prm["n"])
     if relation is None:
         raise CapExceededError("hidden-matching exhaustive report capped at n <= 8")
     laws = {}
@@ -464,8 +464,6 @@ def _chain_valid_sets(seed: int, count: int) -> Iterator[dict[tuple, frozenset]]
 
 
 def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
-    from fractions import Fraction
-
     seed, chain_instances = prm["seed"], prm["instances"]
     rows = []
     assertions = []
@@ -482,9 +480,9 @@ def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
         assertions.append((f"equality_n{n}_search_agrees", ok, 0.0))
 
     violations = 0
-    w = Fraction(1, len(_CHAIN_PAIRS))
+    mu = dict.fromkeys(_CHAIN_PAIRS, 1)
     for valid in _chain_valid_sets(seed, chain_instances):
-        relation = RelationTable(valid, {p: w for p in _CHAIN_PAIRS}, tol)
+        relation = RelationTable(valid, mu)
         found = search_relation_protocol(relation, tol=tol)
         if found is None:
             continue

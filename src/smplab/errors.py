@@ -14,15 +14,15 @@ class EnumerationCapError(CapExceededError):
 
 
 class VanishingProjectionError(ArithmeticError):
-    """A projection left (numerically) zero trace, so it cannot be renormalized."""
+    """A projection left (numerically) zero trace, so it cannot be renormalized;
+    an empty band (lo, hi) is named with the observable's ``nearest`` eigenvalue."""
 
-    def __init__(self, step: int, trace: float):
-        self.step = step
-        self.trace = trace
-        super().__init__(
-            f"projection at step {step} has trace {trace:.3e}; "
-            "degenerate instance, cannot renormalize"
-        )
+    def __init__(self, step: int, trace: float, band: tuple | None = None, nearest=None):
+        self.step, self.trace, self.band, self.nearest = step, trace, band, nearest
+        reason = "degenerate instance, cannot renormalize" if band is None else (
+            f"band [{band[0]:.6g}, {band[1]:.6g}] holds no eigenvalue of F, "
+            f"the nearest being {nearest:.6g}")
+        super().__init__(f"projection at step {step} has trace {trace:.3e}; {reason}")
 
 
 class PromiseViolationError(ValueError):

@@ -169,11 +169,9 @@ def exhaustive_function_search(
     becomes a relation with singleton valid sets and uniform weight on its
     domain.  None when the cost exceeds ``tol.relation_bits_cap``.
     """
-    weight = Fraction(1, len(f.domain))
     relation = RelationTable(
         valid={pair: frozenset([f(*pair)]) for pair in f.domain},
-        mu={pair: weight for pair in f.domain},
-        tol=tol,
+        mu=dict.fromkeys(f.domain, 1),
     )
     found = search_relation_protocol(relation, tol)
     return None if found is None else found[0]
@@ -181,14 +179,14 @@ def exhaustive_function_search(
 
 def extract_function(
     p: DeterministicSmpProtocol, relation: RelationTable
-) -> tuple[FunctionTable, Fraction | float]:
+) -> tuple[FunctionTable, Fraction]:
     """The function a deterministic protocol computes, and its invalidity mass.
 
     A deterministic protocol computes some function with error zero by
-    definition; the returned weight is the mu-probability that this function's
-    value is not a valid relation output.  The function is partial where the
-    referee leaves a message pair undefined, as the search does for cells
-    holding only pairs of weight zero.
+    definition; the returned mass is the mu-probability, an exact ``Fraction``,
+    that this function's value is not a valid relation output.  The function
+    is partial where the referee leaves a message pair undefined, as the
+    search does for cells holding only pairs of weight zero.
     """
     values = {
         (x, y): p.referee_map[(a, b)]
@@ -199,16 +197,16 @@ def extract_function(
     f = FunctionTable(tuple(p.alice_map), tuple(p.bob_map), values)
     err = sum(w for pair, w in relation.mu.items()
               if w and values[pair] not in relation.valid[pair])
-    return f, err
+    return f, Fraction(err, relation.total)
 
 
 @dataclass(frozen=True)
 class UnionBoundReport:
     """Exact distributional errors entering the union-bound inequality."""
 
-    relation_error: Fraction | float
-    disagreement_with_f: Fraction | float
-    f_invalid_mass: Fraction | float
+    relation_error: Fraction
+    disagreement_with_f: Fraction
+    f_invalid_mass: Fraction
 
     @property
     def holds(self) -> bool:
@@ -222,8 +220,9 @@ def union_bound_check(
 ) -> UnionBoundReport:
     """Verify err(p_a solves the relation) <= err(p_a != f) + err(f invalid).
 
-    All three quantities are exact expectations under mu; the inequality is a
-    pointwise union bound, so a False report indicates a broken input table.
+    All three quantities are exact expectations under mu, summed as integer
+    weights over ``relation.total``; the inequality is a pointwise union
+    bound, so a False report indicates a broken input table.
     """
     rel_err = dis_err = f_err = 0
     for (x, y), w in relation.mu.items():
@@ -236,7 +235,7 @@ def union_bound_check(
             dis_err += w
         if f(x, y) not in relation.valid[(x, y)]:
             f_err += w
-    return UnionBoundReport(rel_err, dis_err, f_err)
+    return UnionBoundReport(*(Fraction(w, relation.total) for w in (rel_err, dis_err, f_err)))
 
 
 # the least relative distance booleanize accepts: a constant, so that the

@@ -14,12 +14,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from .codes import LinearCode, encode, hadamard_code
-from .config import DEFAULT, Tolerances
 from .errors import EnumerationCapError, PromiseViolationError
 from .qcore import MeasurementOperator, PureState
 from .smp import (
@@ -790,16 +788,13 @@ class _HiddenMatchingReferee(Referee):
         return outs[idx]
 
 
-def hidden_matching_relation(
-    n: int, tol: Tolerances = DEFAULT
-) -> tuple[SmpProtocol, RelationTable]:
+def hidden_matching_relation(n: int) -> tuple[SmpProtocol, RelationTable]:
     """Relational protocol: output any (i, j, x_i xor x_j) with (i, j) in Bob's matching.
 
     Alice sends one sign superposition (log n qubits); Bob names his matching
     (log n bits); the referee's edge measurement yields a uniformly random
-    edge whose parity it then extracts with certainty.  The relation's
-    uniform input distribution is checked against ``tol``.  Above n = 8 both
-    input sets and the relation are None.
+    edge whose parity it then extracts with certainty.  The relation weighs
+    every input pair 1.  Above n = 8 both input sets and the relation are None.
     """
     log_n = _log2_exact(n)
     if n < 4:
@@ -826,8 +821,7 @@ def hidden_matching_relation(
                     HiddenMatchingOutput(i, j, ((x >> i) & 1) ^ ((x >> j) & 1))
                     for i, j in xor_matching(n, k)
                 )
-        weight = Fraction(1, len(xs) * len(ks))
-        relation = RelationTable(valid, {pair: weight for pair in valid}, tol)
+        relation = RelationTable(valid, dict.fromkeys(valid, 1))
     return protocol, relation
 
 

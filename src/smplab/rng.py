@@ -65,7 +65,8 @@ _HALF = np.uint64(32)
 _DOUBLE_SHIFT = np.uint64(11)
 # numpy's choice without replacement shuffles the tail of the whole
 # population, not Floyd's picks, when it has more than this many members and
-# more than 1/_TAIL_FRACTION of them are drawn
+# more than 1/_TAIL_FRACTION of them are drawn; ``TrialDraws.choice`` refuses
+# those shapes
 _FLOYD_POPULATION = 10_000
 _TAIL_FRACTION = 50
 
@@ -161,15 +162,20 @@ class TrialDraws:
         return self._bounded(bound - 1, rows).astype(np.int64)
 
     def choice(self, n: int, k: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """``Generator.choice(n, size=k, replace=False)`` per row, as [row, k] int64."""
+        """``Generator.choice(n, size=k, replace=False)`` per row, as [row, k] int64.
+
+        Only the shapes numpy draws by Floyd's method are drawn: more than
+        1/``_TAIL_FRACTION`` of a population of more than
+        ``_FLOYD_POPULATION`` members raises ValueError.
+        """
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n = {n}, got k = {k}")
-        rows = self.rows if rows is None else rows
         if n > _FLOYD_POPULATION and k > n // _TAIL_FRACTION:
-            order = np.tile(np.arange(n, dtype=np.int64), (len(rows), 1))
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                _swap(order, i, self._bounded(i, rows))
-            return order[:, n - k :]
+            raise ValueError(
+                f"k = {k} of n = {n} is a tail shuffle in numpy; need n <= "
+                f"{_FLOYD_POPULATION} or k <= n // {_TAIL_FRACTION} = {n // _TAIL_FRACTION}"
+            )
+        rows = self.rows if rows is None else rows
         picks = np.empty((len(rows), k), dtype=np.int64)
         member = np.zeros((len(rows), n), dtype=bool)
         at = np.arange(len(rows))
@@ -178,17 +184,10 @@ class TrialDraws:
             pick = np.where(member[at, val], j, val)
             member[at, pick] = True
             picks[:, t] = pick
-        for i in range(k - 1, 0, -1):
-            _swap(picks, i, self._bounded(i, rows))
+        for i in range(k - 1, 0, -1):  # shuffle: swap column i with each row's j
+            j = self._bounded(i, rows)
+            picks[:, i], picks[at, j] = picks[at, j], picks[:, i].copy()
         return picks
-
-
-def _swap(a: np.ndarray, i: int, j: np.ndarray) -> None:
-    """Swap column i of each row of ``a`` with that row's column ``j[row]``."""
-    at = np.arange(len(a))
-    held = a[:, i].copy()
-    a[:, i] = a[at, j]
-    a[at, j] = held
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -370,26 +369,28 @@ class FunctionTable:
 class RelationTable:
     """Nonempty valid-output sets per input pair, plus an input distribution.
 
-    ``mu`` must be nonnegative and sum to 1 within ``tol.distribution``.
+    ``mu`` holds integer weights: each an ``int`` >= 0 (not a bool), at least
+    one positive, and mu(pair) = ``mu[pair] / total``.
     """
 
     valid: Mapping[tuple, frozenset]
-    mu: Mapping[tuple, Fraction | float]
-    tol: InitVar[Tolerances] = DEFAULT
+    mu: Mapping[tuple, int]
+    total: int = field(init=False)
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         valid = {k: frozenset(v) for k, v in self.valid.items()}
         mu = dict(self.mu)
         for pair, weight in mu.items():
-            if not weight >= 0:  # refuses NaN too
-                raise ValueError(f"weight {weight} of mu at {pair} is not >= 0")
+            if type(weight) is not int or weight < 0:
+                raise ValueError(f"weight {weight!r} of mu at {pair} is not an int >= 0")
             if weight and not valid.get(pair):
                 raise ValueError(f"empty valid set on the support of mu at {pair}")
         total = sum(mu.values())
-        if abs(float(total) - 1.0) > tol.distribution:
-            raise ValueError(f"mu sums to {total}, not 1")
+        if not total:
+            raise ValueError(f"mu has no positive weight among its pairs {list(mu)}")
         object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "total", total)
 
     @property
     def support(self) -> list[tuple]:

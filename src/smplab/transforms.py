@@ -294,7 +294,8 @@ def _grouped_walk(
     ``(estimate, p_tilde, trace)`` (``None, None`` on a skip) with the band
     trace taken before the projection, and each failed member's error; a
     correction is logged before its trace is checked, and a trace at most
-    ``tol.zero_projection`` raises :class:`VanishingProjectionError`.  Groups
+    ``tol.zero_projection`` raises :class:`VanishingProjectionError`, which
+    names the band and F's nearest eigenvalue when the band holds none.  Groups
     never depend on which members they hold, so the others walk on alone.
     """
     logs: list[list[tuple]] = [[] for _ in range(count)]
@@ -333,7 +334,11 @@ def _grouped_walk(
                     for i in movers:
                         logs[i].append((estimate, p_tilde, trace))
                     if trace <= tol.zero_projection:
-                        raise VanishingProjectionError(step=b, trace=trace)
+                        if bands[p_tilde].any():
+                            raise VanishingProjectionError(step=b, trace=trace)
+                        nearest = min(f.eigenvalues, key=lambda v: abs(v - p_tilde))
+                        band = (p_tilde - delta / 2.0, p_tilde + delta / 2.0)
+                        raise VanishingProjectionError(b, trace, band, nearest)
                     projected = project_renormalize(hypothesis, bands[p_tilde], tol)
                 except (ValueError, VanishingProjectionError) as err:
                     errors.update(dict.fromkeys(movers, err))

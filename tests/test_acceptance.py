@@ -7,7 +7,6 @@ lines as they complete.
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -301,8 +300,7 @@ def _chain_instance(seed: int, index: int):
         or frozenset([0])
         for p in pairs
     }
-    w = Fraction(1, len(pairs))
-    relation = RelationTable(valid, {p: w for p in pairs})
+    relation = RelationTable(valid, dict.fromkeys(pairs, 1))
     from smplab.oracle import DeterministicSmpProtocol
 
     p_a = DeterministicSmpProtocol(

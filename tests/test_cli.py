@@ -162,16 +162,22 @@ class TestMainExitCodes:
         assert summary["T"] == "1"
         assert float(summary["max_deviation"]) == pytest.approx(0.025, abs=1e-12)
 
-    @pytest.mark.parametrize("argv, r", [
-        (["--experiment", "compile", "--param", "fixture=hm-verify", "--param", "r=3"], 3),
-        (["--experiment", "learn-state", "--param", "mode=file", "--param", "r=2"], 2),
-    ], ids=["compile-hm-verify-r3", "learn-state-file-r2"])
+    @pytest.mark.parametrize("argv, r, band", [
+        (["--experiment", "compile", "--param", "fixture=hm-verify", "--param", "r=3"], 3,
+         "band [0.45, 0.55] holds no eigenvalue of F, the nearest being 0.333333"),
+        (["--experiment", "learn-state", "--param", "mode=file", "--param", "r=2"], 2,
+         "band [0.25, 0.35] holds no eigenvalue of F, the nearest being 0.5"),
+        (["--experiment", "compile", "--param", "fixture=hm-verify", "--param", "r=1"], 1,
+         "band [0.45, 0.55] holds no eigenvalue of F, the nearest being 0"),
+    ], ids=["compile-hm-verify-r3", "learn-state-file-r2", "compile-hm-verify-r1"])
     def test_vanishing_projection_below_the_papers_r_names_both(
-        self, tmp_path, capsys, argv, r
+        self, tmp_path, capsys, argv, r, band
     ):
         # hm-verify at odd r, and diag(0.3, 0.7) against |0><0| at r = 2, put
-        # the first correction's band in a gap of the r-copy spectrum; the
-        # paper's r at q <= 2 and delta 0.1 is ceil(8 ln 2 / 0.01) = 555
+        # the first correction's band in a gap of the r-copy spectrum, whose
+        # eigenvalues are the multiples of 1/r: the error names the band and
+        # its nearest eigenvalue (at r = 1 the lower of 0 and 1, which tie).
+        # The paper's r at q <= 2 and delta 0.1 is ceil(8 ln 2 / 0.01) = 555
         import numpy as np
 
         from smplab.serialize import save_matrix
@@ -185,8 +191,7 @@ class TestMainExitCodes:
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ASSERTION
         assert capsys.readouterr().err == (
             "check failed: VanishingProjectionError: projection at step 0 has trace "
-            "0.000e+00; degenerate instance, cannot renormalize; "
-            f"r = {r} is below the paper's r = 555\n"
+            f"0.000e+00; {band}; r = {r} is below the paper's r = 555\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -627,8 +632,8 @@ class TestRejectedInputs:
     def test_hidden_matching_validates_and_weights_bobs_law(
         self, tmp_path, capsys, monkeypatch, law, code, report
     ):
-        def relation(n, tol):
-            protocol, rel = hidden_matching_relation(n, tol)
+        def relation(n):
+            protocol, rel = hidden_matching_relation(n)
             return replace(protocol, bob_strategy=lambda k, _c: law(k)), rel
 
         monkeypatch.setattr(cli, "hidden_matching_relation", relation)
@@ -648,8 +653,8 @@ class TestRejectedInputs:
                 return strategy(inp, coin)
             return call
 
-        def relation(n, tol):
-            protocol, rel = hidden_matching_relation(n, tol)
+        def relation(n):
+            protocol, rel = hidden_matching_relation(n)
             return replace(
                 protocol,
                 alice_strategy=counted("alice", protocol.alice_strategy),

@@ -44,7 +44,8 @@ GOLDEN = {
             "compile_config.json": "88b27567e0cfe2ea19a6918263bbfec7cd9956e3224807bbc8c9c010db3201a2",
         },
     ),
-    # r = 2 because at r = 3 the first input's correction vanishes and the run exits 3
+    # r = 2 because at odd r the first input's band [0.45, 0.55] holds no
+    # eigenvalue k/r of F, so its correction is empty and the run exits 3
     "compile-hm-verify-r2": (
         ["--experiment", "compile", "--param", "fixture=hm-verify", "--param", "r=2"],
         {
@@ -150,6 +151,14 @@ GOLDEN = {
             "oracle-suite_rows.csv": "27c482b5230e435ecf40b8fad5d41623c116c7e25202288e9ebc488266654fdb",
             "oracle-suite_summary.txt": "de5ce379230514e32c18d9778127534467b3c4307b5d280257f4e8420a7a5a92",
             "oracle-suite_config.json": "e92ba1cfe1419a9a8ecd8dd381c95af99d610cafaa769089040a3fedb104951b",
+        },
+    ),
+    "oracle-suite-300": (
+        ["--experiment", "oracle-suite", "--param", "instances=300", "--seed", "5"],
+        {
+            "oracle-suite_rows.csv": "644ac4c1cc761541219b4513cfa8dd71e916b7cefa492bc3927b76033effef77",
+            "oracle-suite_summary.txt": "6cfb315715b4935b2ab54581da3685defc6732aee9dd8d25f1c3f21c13d02253",
+            "oracle-suite_config.json": "f69b77716215cceb625db2622e2360a2bab60d1c10b19d7dd89a4f432678572b",
         },
     ),
 }

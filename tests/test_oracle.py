@@ -85,25 +85,22 @@ OUTPUTS = (0, 1, 2, 9, 10)
 
 @st.composite
 def relations(draw):
-    """Random relations on |X|, |Y| <= 4 with Fraction weights, some zero."""
+    """Random relations on |X|, |Y| <= 4 with integer weights, some zero."""
     nx = draw(st.integers(1, 4))
     ny = draw(st.integers(1, 4))
     pairs = [(x, y) for x in range(nx) for y in range(ny)]
     weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
     if not any(weights):
         weights[draw(st.integers(0, len(pairs) - 1))] = 1
-    total = sum(weights)
     valid = {
         pair: frozenset(draw(st.sets(st.sampled_from(OUTPUTS), min_size=1 if w else 0)))
         for pair, w in zip(pairs, weights)
     }
-    mu = {pair: Fraction(w, total) for pair, w in zip(pairs, weights)}
-    return RelationTable(valid, mu)
+    return RelationTable(valid, dict(zip(pairs, weights)))
 
 
 def uniform_mu(pairs):
-    w = Fraction(1, len(pairs))
-    return {pair: w for pair in pairs}
+    return dict.fromkeys(pairs, 1)
 
 
 def equality_relation_1bit() -> RelationTable:
@@ -293,8 +290,8 @@ class TestExtractFunction:
         # weight-zero pair, so the search leaves it off the referee
         pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
         valid = {(x, y): frozenset([x ^ y]) for x, y in pairs}
-        mu = {p: Fraction(1, 3) for p in pairs}
-        mu[(1, 1)] = Fraction(0)
+        mu = dict.fromkeys(pairs, 1)
+        mu[(1, 1)] = 0
         relation = RelationTable(valid, mu)
         cost, proto = search_relation_protocol(relation)
         assert cost == 2 and (1, 1) not in proto.referee_map
@@ -304,7 +301,7 @@ class TestExtractFunction:
         assert union_bound_check(proto, f, relation).holds
 
     def test_weight_zero_pair_outside_the_valid_table(self):
-        relation = RelationTable({(0, 0): frozenset([0])}, {(0, 0): Fraction(1), (1, 0): Fraction(0)})
+        relation = RelationTable({(0, 0): frozenset([0])}, {(0, 0): 1, (1, 0): 0})
         _, proto = search_relation_protocol(relation)
         f, err = extract_function(proto, relation)
         assert err == 0 and f.domain == [(0, 0)]
@@ -318,14 +315,15 @@ class TestExtractFunction:
 
 
 @pytest.mark.parametrize("valid, sums", [
-    ({(0, 0): {0}, (0, 1): {1}, (1, 0): {0}, (1, 1): {1}}, (0.6000000000000001, 0.2, 0.9, 0.7)),
-    ({(x, y): {0, 1} for x in (0, 1) for y in (0, 1)}, (0, 0, 0.9, 0)),
+    ({(0, 0): {0}, (0, 1): {1}, (1, 0): {0}, (1, 1): {1}},
+     (Fraction(3, 5), Fraction(1, 5), Fraction(9, 10), Fraction(7, 10))),
+    ({(x, y): {0, 1} for x in (0, 1) for y in (0, 1)}, (0, 0, Fraction(9, 10), 0)),
 ], ids=["invalid-mass", "no-invalid-mass"])
-def test_float_mu_sums_in_mu_order(valid, sums):
-    # float weights sum bit for bit as from 0.0; an empty sum is the int 0
+def test_integer_mu_sums_are_fractions_of_the_total(valid, sums):
+    # weights 1..4 over a total of 10; an empty sum is the Fraction 0 too
     pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
     relation = RelationTable(
-        {p: frozenset(v) for p, v in valid.items()}, dict(zip(pairs, (0.1, 0.2, 0.3, 0.4)))
+        {p: frozenset(v) for p, v in valid.items()}, dict(zip(pairs, (1, 2, 3, 4)))
     )
     constant = DeterministicSmpProtocol({0: 0, 1: 0}, {0: 0, 1: 0}, {(0, 0): 0})
     _, err = extract_function(constant, relation)
@@ -336,7 +334,7 @@ def test_float_mu_sums_in_mu_order(valid, sums):
     report = union_bound_check(p_a, xor, relation)
     got = (err, report.relation_error, report.disagreement_with_f, report.f_invalid_mass)
     assert got == sums
-    assert [type(v) for v in got] == [type(v) for v in sums]
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_empty_input_sets_cost_nothing():
@@ -418,6 +416,57 @@ class TestUnionBound:
         report = union_bound_check(p_a, f, relation)
         assert report.f_invalid_mass == err
         assert report.holds
+
+
+def random_protocol(data, xs, ys) -> DeterministicSmpProtocol:
+    """A drawn deterministic protocol, not a search output, whose referee
+    answers every message pair, so the function it computes is total."""
+    c_a, c_b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    return DeterministicSmpProtocol(
+        alice_map={x: data.draw(st.integers(0, 2**c_a - 1)) for x in xs},
+        bob_map={y: data.draw(st.integers(0, 2**c_b - 1)) for y in ys},
+        referee_map={
+            (a, b): data.draw(st.sampled_from(OUTPUTS))
+            for a in range(2**c_a) for b in range(2**c_b)
+        },
+    )
+
+
+def test_union_bound_terms_are_exact_sums_on_random_protocols():
+    # neither protocol comes from the search, so every term can be above 0;
+    # each must equal the Fraction sum of mu over the pairs it counts
+    all_positive = []
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(relation=relations(), data=st.data())
+    def check(relation, data):
+        xs = sorted({x for x, _ in relation.valid})
+        ys = sorted({y for _, y in relation.valid})
+        p_f, p_a = random_protocol(data, xs, ys), random_protocol(data, xs, ys)
+        f, err = extract_function(p_f, relation)
+        report = union_bound_check(p_a, f, relation)
+
+        def mass(counted) -> Fraction:
+            return sum((Fraction(w) for (x, y), w in relation.mu.items() if counted(x, y)),
+                       Fraction(0)) / sum(relation.mu.values())
+
+        def invalid(out, x, y) -> bool:
+            return out not in relation.valid[(x, y)]
+
+        expected = (
+            mass(lambda x, y: invalid(p_a.output(x, y), x, y)),
+            mass(lambda x, y: p_a.output(x, y) != p_f.output(x, y)),
+            mass(lambda x, y: invalid(p_f.output(x, y), x, y)),
+        )
+        got = (report.relation_error, report.disagreement_with_f, report.f_invalid_mass)
+        assert got == expected
+        assert err == expected[2]
+        assert all(type(v) is Fraction for v in (err, *got))
+        assert report.holds
+        all_positive.append(all(v > 0 for v in got))
+
+    check()
+    assert any(all_positive)
 
 
 class TestChainDraws:

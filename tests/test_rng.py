@@ -74,15 +74,21 @@ def test_draws_replay_each_trials_generator(seed, start, count, width, ops):
 
 @pytest.mark.parametrize("n, k", [
     (20_000, 400),  # Floyd's method: k <= n // 50
-    (20_000, 401),  # tail shuffle of the population
+    (20_000, 401),  # tail shuffle of the population: refused
     (10_000, 400),  # Floyd's method at any k up to 10,000 members
-    (10_001, 400),  # tail shuffle
-    (10_001, 10_001),  # tail shuffle, k = n
+    (10_001, 400),  # tail shuffle: refused
+    (10_001, 10_001),  # tail shuffle, k = n: refused
     (10_001, 1),
     (10_001, 0),
     (64, 64),  # Floyd's method, k = n
 ])
 def test_choice_takes_numpys_branch(n, k):
+    # the replica draws numpy's Floyd branch and refuses its tail shuffle, so
+    # no caller gets picks that differ from the Generator's
+    if n > 10_000 and k > n // 50:
+        with pytest.raises(ValueError, match=f"k = {k} of n = {n} is a tail shuffle"):
+            TrialDraws(2**70, 3, 2).choice(n, k)
+        return
     ops = [(("random", None), 0), (("choice", (n, k)), 0), (("integers", _WIDE), 1),
            (("random", None), 0)]
     _assert_replays(2**70, 3, 2, 4, ops)

@@ -852,24 +852,32 @@ class TestTables:
 
     def test_relation_table_requires_nonempty_valid_sets(self):
         with pytest.raises(ValueError, match="empty valid set"):
-            RelationTable({(0, 0): frozenset()}, {(0, 0): 1.0})
+            RelationTable({(0, 0): frozenset()}, {(0, 0): 1})
 
-    def test_relation_table_mu_must_normalize(self):
-        with pytest.raises(ValueError, match="sums"):
-            RelationTable({(0, 0): frozenset({1})}, {(0, 0): 0.25})
+    @pytest.mark.parametrize("weight", [0.5, True, Fraction(1, 2), np.int64(1), -1])
+    def test_relation_table_refuses_a_weight_that_is_not_an_int_at_least_0(self, weight):
+        # mu holds integer weights: no float, bool, Fraction or numpy integer,
+        # however equal to one, and nothing negative
+        valid = {(0, 0): frozenset({0}), (0, 1): frozenset({1})}
+        with pytest.raises(ValueError, match=re.escape(
+            f"weight {weight!r} of mu at (0, 1) is not an int >= 0"
+        )):
+            RelationTable(valid, {(0, 0): 1, (0, 1): weight})
 
-    def test_relation_table_checks_mu_with_the_callers_tolerance(self):
-        import smplab.cli as cli
-
-        args = cli.build_parser().parse_args(
-            ["--experiment", "oracle-suite", "--tolerance", "distribution=1e-3"]
-        )
-        loose = cli._config_from_args(args).resolved_tolerances()
-        valid = {(0, 0): frozenset({1}), (0, 1): frozenset({0})}
-        mu = {(0, 0): 0.5, (0, 1): 0.5005}
-        with pytest.raises(ValueError, match="sums"):
+    @pytest.mark.parametrize("mu", [{(0, 0): 0, (0, 1): 0}, {}])
+    def test_relation_table_refuses_weights_that_are_all_zero(self, mu):
+        valid = {(0, 0): frozenset({0}), (0, 1): frozenset({1})}
+        with pytest.raises(ValueError, match=re.escape(
+            f"mu has no positive weight among its pairs {list(mu)}"
+        )):
             RelationTable(valid, mu)
-        assert RelationTable(valid, mu, loose).mu == mu
+
+    def test_relation_table_keeps_weights_and_their_total(self):
+        valid = {(0, 0): frozenset({0}), (0, 1): frozenset({1}), (1, 0): frozenset()}
+        table = RelationTable(valid, {(0, 0): 3, (0, 1): 1, (1, 0): 0})
+        assert table.mu == {(0, 0): 3, (0, 1): 1, (1, 0): 0}
+        assert table.total == 4
+        assert table.support == [(0, 0), (0, 1)]
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sums"):
@@ -903,13 +911,13 @@ class TestTables:
             validate_distribution(dist, 1)
 
     @pytest.mark.parametrize("mu", [
-        {(0, 0): 1.5, (0, 1): -0.5, (1, 0): 0.0, (1, 1): 0.0},
+        {(0, 0): 3, (0, 1): -1, (1, 0): 0, (1, 1): 0},
         {(0, 0): float("nan"), (0, 1): float("nan"), (1, 0): float("nan"), (1, 1): float("nan")},
         {(0, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2), (1, 0): 0, (1, 1): 0},
     ])
     def test_relation_table_refuses_negative_and_nan_weights(self, mu):
         valid = {pair: frozenset({0}) for pair in mu}
-        with pytest.raises(ValueError, match=r"at \(0, [01]\) is not >= 0"):
+        with pytest.raises(ValueError, match=r"at \(0, [01]\) is not an int >= 0"):
             RelationTable(valid, mu)
 
 

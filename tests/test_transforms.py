@@ -203,6 +203,15 @@ class TestLearnStateMessage:
             learn_state_message(rho, ops, delta=0.1, r=2)
         assert err.value.step == 0
 
+    def test_empty_band_is_named_with_the_nearest_eigenvalue(self):
+        # the band [0.25, 0.35] around 0.3 selects none of {0, 1/2, 1}
+        rho = DensityMatrix(DIAG([0.3, 0.7]).astype(complex))
+        ops = [proj([1, 0]), proj([1, 0])]
+        with pytest.raises(VanishingProjectionError, match="holds no eigenvalue") as err:
+            learn_state_message(rho, ops, delta=0.1, r=2)
+        assert err.value.band == pytest.approx((0.25, 0.35), abs=1e-15)
+        assert err.value.nearest == pytest.approx(0.5, abs=1e-15)
+
     def test_vanishing_projection_below_the_papers_r_carries_a_note(self):
         # the paper's r at q = 1 and delta 0.1 is ceil(8 ln 2 / 0.01) = 555
         rho = DensityMatrix(DIAG([0.3, 0.7]).astype(complex))
@@ -1172,6 +1181,12 @@ def _per_state_learn(rho, operators, observables, delta, r, tol=DEFAULT):
         band = band_projector(f, p_tilde, delta / 2.0, tol)
         margin = band_edge_margin(f, p_tilde, delta / 2.0)
         trace = float(np.sum(band * hypothesis.entries.T).real)
+        lo, hi = p_tilde - delta / 2.0, p_tilde + delta / 2.0
+        if trace <= tol.zero_projection and not any(
+            lo - tol.band_pad <= v <= hi + tol.band_pad for v in f.eigenvalues
+        ):
+            nearest = min(f.eigenvalues, key=lambda v: abs(v - p_tilde))
+            raise VanishingProjectionError(b, trace, (lo, hi), nearest)
         if trace <= tol.zero_projection:
             raise VanishingProjectionError(step=b, trace=trace)
         hypothesis = project_renormalize(hypothesis, band, tol)
