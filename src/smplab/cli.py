@@ -63,8 +63,9 @@ from .qcore import (
     random_density,
     random_measurement_operator,
 )
-from .rng import derive_seed, trial_rng, trial_rngs
+from .rng import TrialDraws, derive_seed, trial_rng
 from .smp import (
+    _TRIAL_BLOCK,
     RelationTable,
     acceptance_table,
     bitstring,
@@ -453,14 +454,18 @@ def _chain_valid_sets(seed: int, count: int) -> Iterator[dict[tuple, frozenset]]
 
     Relation i is keyed ``(seed, i)``.  Pair p gets the outputs z < 4 whose
     bit is set in row p of one 6 x 4 draw of bits ({0} for an all-zero row),
-    the bits that six per-pair ``integers(0, 2, size=4)`` calls would draw.
+    the bits that ``trial_rng(seed, i).integers(0, 2, size=(6, 4))`` draws.
+    The relations are drawn at most ``smp._TRIAL_BLOCK`` at a time by
+    :class:`~smplab.rng.TrialDraws`, one ``integers(2)`` per bit.
     """
-    for g in trial_rngs(seed, count):
-        rows = g.integers(0, 2, size=(len(_CHAIN_PAIRS), 4)).tolist()
-        yield {
-            p: frozenset(z for z, b in enumerate(row) if b) or frozenset([0])
-            for p, row in zip(_CHAIN_PAIRS, rows)
-        }
+    # the valid set of a pair whose 4 bits, bit z for output z, read v
+    sets = [frozenset(z for z in range(4) if v >> z & 1) or frozenset([0]) for v in range(16)]
+    weights = 1 << np.arange(4)
+    for start in range(0, count, _TRIAL_BLOCK):
+        draws = TrialDraws(seed, start, min(_TRIAL_BLOCK, count - start))
+        bits = np.stack([draws.integers(2) for _ in range(len(_CHAIN_PAIRS) * 4)], axis=1)
+        for row in (bits.reshape(-1, len(_CHAIN_PAIRS), 4) @ weights).tolist():
+            yield dict(zip(_CHAIN_PAIRS, map(sets.__getitem__, row)))
 
 
 def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:

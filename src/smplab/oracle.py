@@ -77,9 +77,10 @@ def det_complexity_function(
     return tuple((len(s) - 1).bit_length() if s else 0 for s in (rows, cols))
 
 
-# Canonical assignments of up to this many items are kept across searches:
-# Bell(8) = 4,140 of them.  Larger shapes (up to relation_xy_cap items) are
-# enumerated lazily and never held as a list.
+# The canonical assignments of up to this many items are kept across
+# searches, one tuple per (items, cost): Bell(8) = 4,140 of them in all.
+# Larger shapes (up to relation_xy_cap items) are enumerated lazily and never
+# held as a list.
 _LATTICE_MAX_ITEMS = 8
 _lattice: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
@@ -99,15 +100,36 @@ def _assignments(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
     return rec(0, 0, [])
 
 
-def _partitions(n: int, max_blocks: int) -> Iterable[tuple[int, ...]]:
-    """``_assignments(n, max_blocks)``, built once per shape when n is small."""
-    key = (n, min(max_blocks, n))
-    if n > _LATTICE_MAX_ITEMS:
-        return _assignments(*key)
-    found = _lattice.get(key)
+def _partitions(n: int, cost: int) -> Iterable[tuple[int, ...]]:
+    """The assignments of ``_assignments(n, 2**cost)`` that cost exactly
+    ``cost`` bits, in its order; built once per (n, cost) when n is small,
+    else enumerated lazily.
+
+    An assignment into k blocks costs ``(k - 1).bit_length()`` bits, and its
+    largest block index is k - 1.
+    """
+    found = _lattice.get((n, cost))
     if found is None:
-        found = _lattice[key] = tuple(_assignments(*key))
+        found = (a for a in _assignments(n, 2**cost) if max(a).bit_length() == cost)
+        if n <= _LATTICE_MAX_ITEMS:
+            found = _lattice[(n, cost)] = tuple(found)
     return found
+
+
+def _plan(nx: int, ny: int, cap: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Each (total, Alice assignment, Bob assignment) of at most ``cap`` total
+    bits once, at its exact cost, by total and then Alice's cost.
+
+    This is the order in which a walk over every total, every split of it
+    and every assignment within each side's share first meets each pair, so
+    the first pair that works is the one that walk finds first.
+    """
+    top_a, top_b = (nx - 1).bit_length(), (ny - 1).bit_length()
+    for total in range(min(cap, top_a + top_b) + 1):
+        for c_a in range(max(0, total - top_b), min(total, top_a) + 1):
+            for a_assign in _partitions(nx, c_a):
+                for b_assign in _partitions(ny, total - c_a):
+                    yield total, a_assign, b_assign
 
 
 def search_relation_protocol(
@@ -115,7 +137,11 @@ def search_relation_protocol(
 ) -> tuple[int, DeterministicSmpProtocol] | None:
     """Cheapest deterministic protocol answering validly on the support of mu.
 
-    Exhausts message-map partitions per total cost; the referee is then forced
+    Walks the exact-cost plan of :func:`_plan`: each pair of Alice's and
+    Bob's message-map partitions is tried once, at its own total cost
+    ``(blocks_a - 1).bit_length() + (blocks_b - 1).bit_length()``, cheapest
+    total first and, within a total, cheapest Alice first, so the first pair
+    that works is the cheapest protocol.  The referee is then forced
     (any cell intersecting the support must pick from the intersection of its
     valid sets, and takes the least output by ``repr``).  Valid sets are
     bitmasks over the outputs in ``repr`` order, so that pick is the lowest
@@ -135,28 +161,24 @@ def search_relation_protocol(
         (xi[x], yi[y], sum(bit[z] for z in relation.valid[(x, y)])) for x, y in support
     ]
 
-    for total in range(tol.relation_bits_cap + 1):
-        for c_a in range(total + 1):
-            c_b = total - c_a
-            for a_assign in _partitions(len(xs), 2**c_a):
-                for b_assign in _partitions(len(ys), 2**c_b):
-                    cells: dict[tuple[int, int], int] = {}
-                    for i, j, mask in pairs:
-                        cell = (a_assign[i], b_assign[j])
-                        mask &= cells.get(cell, mask)
-                        if not mask:
-                            break
-                        cells[cell] = mask
-                    else:
-                        proto = DeterministicSmpProtocol(
-                            alice_map=dict(zip(xs, a_assign)),
-                            bob_map=dict(zip(ys, b_assign)),
-                            referee_map={
-                                cell: outputs[(mask & -mask).bit_length() - 1]
-                                for cell, mask in cells.items()
-                            },
-                        )
-                        return total, proto
+    for total, a_assign, b_assign in _plan(len(xs), len(ys), tol.relation_bits_cap):
+        cells: dict[tuple[int, int], int] = {}
+        for i, j, mask in pairs:
+            cell = (a_assign[i], b_assign[j])
+            mask &= cells.get(cell, mask)
+            if not mask:
+                break
+            cells[cell] = mask
+        else:
+            proto = DeterministicSmpProtocol(
+                alice_map=dict(zip(xs, a_assign)),
+                bob_map=dict(zip(ys, b_assign)),
+                referee_map={
+                    cell: outputs[(mask & -mask).bit_length() - 1]
+                    for cell, mask in cells.items()
+                },
+            )
+            return total, proto
     return None
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smplab.cli as cli
 import smplab.oracle as oracle
+import smplab.smp as smp
 from smplab.cli import _chain_valid_sets
 from smplab.codes import LinearCode, cyclic_mask_code
 from smplab.config import DEFAULT, with_overrides
@@ -22,7 +25,7 @@ from smplab.oracle import (
     union_bound_check,
 )
 from smplab.protocols import equality_function, xor_matching
-from smplab.rng import trial_rng
+from smplab.rng import TrialDraws, trial_rng
 from smplab.smp import FunctionTable, RelationTable
 
 
@@ -59,23 +62,27 @@ def feasible_referee(xs, ys, a_assign, b_assign, valid: Mapping, support):
     return {cell: sorted(options, key=repr)[0] for cell, options in cells.items()}
 
 
+def reference_walk(nx: int, ny: int, max_bits: int) -> Iterator[tuple]:
+    """(total, Alice assignment, Bob assignment) for every total, every split
+    of it and every assignment within each side's share, repeats included."""
+    for total in range(max_bits + 1):
+        for c_a in range(total + 1):
+            for a_assign in partitions_into(range(nx), 2**c_a):
+                for b_assign in partitions_into(range(ny), 2 ** (total - c_a)):
+                    yield total, tuple(a_assign), tuple(b_assign)
+
+
 def reference_search(relation: RelationTable, max_bits: int = DEFAULT.relation_bits_cap):
     xs = sorted({x for x, _ in relation.valid}, key=repr)
     ys = sorted({y for _, y in relation.valid}, key=repr)
-    for total in range(max_bits + 1):
-        for c_a in range(total + 1):
-            c_b = total - c_a
-            for a_assign in partitions_into(xs, 2**c_a):
-                for b_assign in partitions_into(ys, 2**c_b):
-                    referee = feasible_referee(xs, ys, a_assign, b_assign,
-                                               relation.valid, relation.support)
-                    if referee is None:
-                        continue
-                    return total, DeterministicSmpProtocol(
-                        alice_map=dict(zip(xs, a_assign)),
-                        bob_map=dict(zip(ys, b_assign)),
-                        referee_map=referee,
-                    )
+    for total, a_assign, b_assign in reference_walk(len(xs), len(ys), max_bits):
+        referee = feasible_referee(xs, ys, a_assign, b_assign, relation.valid, relation.support)
+        if referee is not None:
+            return total, DeterministicSmpProtocol(
+                alice_map=dict(zip(xs, a_assign)),
+                bob_map=dict(zip(ys, b_assign)),
+                referee_map=referee,
+            )
     return None
 
 
@@ -85,9 +92,13 @@ OUTPUTS = (0, 1, 2, 9, 10)
 
 @st.composite
 def relations(draw):
-    """Random relations on |X|, |Y| <= 4 with integer weights, some zero."""
-    nx = draw(st.integers(1, 4))
+    """Random relations on |X| <= 6, |Y| <= 4 with integer weights, some zero.
+
+    Alice's side reaches 5 and 6 items, whose injective maps need 3 bits.
+    """
+    nx = draw(st.integers(1, 6))
     ny = draw(st.integers(1, 4))
+    assert nx * ny <= DEFAULT.relation_xy_cap
     pairs = [(x, y) for x in range(nx) for y in range(ny)]
     weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
     if not any(weights):
@@ -237,7 +248,7 @@ class TestDetComplexityRelation:
         found = search_relation_protocol(r)
         assert found == reference_search(r)
         assert found[0] == 1
-        assert set(oracle._lattice) == {(1, 1)}
+        assert set(oracle._lattice) == {(1, 0)}
 
     def test_small_shapes_share_one_lattice(self, monkeypatch):
         monkeypatch.setattr(oracle, "_lattice", {})
@@ -247,6 +258,12 @@ class TestDetComplexityRelation:
         search_relation_protocol(equality_relation_1bit())
         assert all(oracle._lattice[key] is kept[key] for key in kept)
 
+    def test_equals_the_reference_on_the_suites_relations(self):
+        pairs = [(x, y) for x in (0, 1, 2) for y in (0, 1)]
+        for valid in islice(_chain_valid_sets(2026, 3000), 300):
+            r = RelationTable(valid, uniform_mu(pairs))
+            assert search_relation_protocol(r) == reference_search(r)
+
     def test_cap_exceeded_reported(self):
         pairs = [(x, y) for x in range(7) for y in range(6)]
         r = RelationTable(
@@ -254,6 +271,35 @@ class TestDetComplexityRelation:
         )
         with pytest.raises(CapExceededError):
             search_relation_protocol(r)
+
+
+# (|X|, |Y|, bits cap) of plans: the suite's shape, a cap below the top cost,
+# 3-bit Alice maps and a side past the lattice's item limit
+PLAN_SHAPES = [(3, 2, 6), (1, 1, 0), (4, 3, 3), (6, 4, 6), (5, 1, 2), (2, 7, 6), (9, 1, 6)]
+
+
+class TestPlan:
+    @staticmethod
+    def cost(assign: tuple) -> int:
+        return (len(set(assign)) - 1).bit_length()
+
+    @pytest.mark.parametrize("nx, ny, cap", PLAN_SHAPES)
+    def test_each_pair_once_at_its_exact_cost(self, nx, ny, cap):
+        plan = list(oracle._plan(nx, ny, cap))
+        assert len({(a, b) for _, a, b in plan}) == len(plan)
+        assert all(total == self.cost(a) + self.cost(b) <= cap for total, a, b in plan)
+
+    @pytest.mark.parametrize("nx, ny, cap", PLAN_SHAPES)
+    def test_plan_is_the_reference_walks_first_occurrences(self, nx, ny, cap):
+        first = {}
+        for total, a, b in reference_walk(nx, ny, cap):
+            first.setdefault((a, b), total)
+        assert [(total, a, b) for (a, b), total in first.items()] == list(
+            oracle._plan(nx, ny, cap))
+
+    def test_suite_shape_holds_ten_candidates_where_the_walk_held_182(self):
+        assert len(list(oracle._plan(3, 2, 6))) == 10
+        assert len(list(reference_walk(3, 2, 6))) == 182
 
 
 @pytest.mark.parametrize("xs, ys", [(range(1025), (0,)), ((0,), range(1025))],
@@ -480,6 +526,34 @@ class TestChainDraws:
             or frozenset([0])
             for p in pairs
         }
+
+    @staticmethod
+    def per_relation_draws(seed: int, i: int) -> dict:
+        # one integers(0, 2, size=(6, 4)) call per relation on its own generator
+        rows = trial_rng(seed, i).integers(0, 2, size=(6, 4))
+        pairs = [(x, y) for x in (0, 1, 2) for y in (0, 1)]
+        return {
+            p: frozenset(int(z) for z in np.flatnonzero(row)) or frozenset([0])
+            for p, row in zip(pairs, rows)
+        }
+
+    @pytest.mark.parametrize("seed", [2026, 7])
+    @pytest.mark.parametrize("count", [511, 512, 513, 1100])
+    def test_blocks_equal_per_relation_generators(self, seed, count):
+        drawn = list(_chain_valid_sets(seed, count))
+        assert drawn == [self.per_relation_draws(seed, i) for i in range(count)]
+
+    def test_no_block_exceeds_the_trial_block(self, monkeypatch):
+        counts = []
+
+        class CountedDraws(TrialDraws):
+            def __init__(self, seed, start, count):
+                super().__init__(seed, start, count)
+                counts.append(count)
+
+        monkeypatch.setattr(cli, "TrialDraws", CountedDraws)
+        assert len(list(_chain_valid_sets(2026, 3000))) == 3000
+        assert sum(counts) == 3000 and max(counts) <= smp._TRIAL_BLOCK
 
     def test_one_call_equals_per_pair_calls_on_the_suites_relations(self):
         drawn = list(_chain_valid_sets(2026, 3000))
