@@ -42,7 +42,7 @@ from .oracle import (
     union_bound_check,
 )
 from .protocols import (
-    _MAX_INPUT_BITS,
+    MAX_INPUT_BITS,
     equality_code,
     equality_code_acceptance,
     equality_function,
@@ -65,7 +65,6 @@ from .qcore import (
 )
 from .rng import TrialDraws, derive_seed, trial_rng
 from .smp import (
-    _TRIAL_BLOCK,
     RelationTable,
     acceptance_table,
     bitstring,
@@ -417,8 +416,8 @@ def _run_compile(prm: dict, tol: Tolerances) -> ExperimentResult:
 
 def _run_derandomize(prm: dict, tol: Tolerances) -> ExperimentResult:
     s = prm["s"]
-    if prm["n"] > _MAX_INPUT_BITS:  # eq-code lists no inputs; refused before its 2^n-row code
-        raise CapExceededError(f"derandomize report capped at n <= {_MAX_INPUT_BITS}")
+    if prm["n"] > MAX_INPUT_BITS:  # eq-code lists no inputs; refused before its 2^n-row code
+        raise CapExceededError(f"derandomize report capped at n <= {MAX_INPUT_BITS}")
     p = equality_code(prm["n"], reps=prm["reps"])
     compiled, table = derandomize_alice(p, s=s, seed=prm["seed"], tol=tol)
     rows = []
@@ -455,15 +454,15 @@ def _chain_valid_sets(seed: int, count: int) -> Iterator[dict[tuple, frozenset]]
     Relation i is keyed ``(seed, i)``.  Pair p gets the outputs z < 4 whose
     bit is set in row p of one 6 x 4 draw of bits ({0} for an all-zero row),
     the bits that ``trial_rng(seed, i).integers(0, 2, size=(6, 4))`` draws.
-    The relations are drawn at most ``smp._TRIAL_BLOCK`` at a time by
-    :class:`~smplab.rng.TrialDraws`, one ``integers(2)`` per bit.
+    The relations are drawn in :meth:`~smplab.rng.TrialDraws.blocks`, one
+    ``integers(2)`` per bit.
     """
     # the valid set of a pair whose 4 bits, bit z for output z, read v
     sets = [frozenset(z for z in range(4) if v >> z & 1) or frozenset([0]) for v in range(16)]
     weights = 1 << np.arange(4)
-    for start in range(0, count, _TRIAL_BLOCK):
-        draws = TrialDraws(seed, start, min(_TRIAL_BLOCK, count - start))
-        bits = np.stack([draws.integers(2) for _ in range(len(_CHAIN_PAIRS) * 4)], axis=1)
+    width = len(_CHAIN_PAIRS) * 4
+    for draws in TrialDraws.blocks(seed, count, width):
+        bits = np.stack([draws.integers(2) for _ in range(width)], axis=1)
         for row in (bits.reshape(-1, len(_CHAIN_PAIRS), 4) @ weights).tolist():
             yield dict(zip(_CHAIN_PAIRS, map(sets.__getitem__, row)))
 

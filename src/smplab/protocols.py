@@ -80,7 +80,7 @@ def _index_bits(count: int) -> int:
 # Equality
 
 # the widest n whose inputs both equality protocols list; past it they are None
-_MAX_INPUT_BITS = 10
+MAX_INPUT_BITS = 10
 
 # the most coin bits n * k that equality_public accepts; past it, the coin's
 # size alone would be an int of that many bits
@@ -129,7 +129,7 @@ def equality_public(n: int, k: int = 1) -> SmpProtocol:
         return msg[:, None, :], np.ones(msg.shape)[:, None, :]
 
     strategy = ArrayStrategy(fn=send, slots=1, arrays=send_arrays)
-    inputs = tuple(range(2**n)) if n <= _MAX_INPUT_BITS else None
+    inputs = tuple(range(2**n)) if n <= MAX_INPUT_BITS else None
     return SmpProtocol(
         name=f"eq-public(n={n},k={k})",
         alice_strategy=strategy,
@@ -201,7 +201,7 @@ def equality_code(n: int, code: LinearCode | None = None, reps: int = 1) -> SmpP
             a, b = a >> a_rep_bits, b >> b_rep_bits
         return 1.0 - (miss & 1)
 
-    inputs = tuple(range(2**n)) if n <= _MAX_INPUT_BITS else None
+    inputs = tuple(range(2**n)) if n <= MAX_INPUT_BITS else None
     return SmpProtocol(
         name=f"eq-code(n={n},reps={reps})",
         alice_strategy=alice,
@@ -515,7 +515,7 @@ class _MatchingQcReferee(Referee):
                 if p_even < 1.0:
                     walk(copy + 1, used | {idx},
                          agreements + (int(wbit == 1),), weight * p * (1.0 - p_even))
-            walk(copy + 1, used, agreements, weight * max(0.0, residual))
+            walk(copy + 1, used, agreements, weight * residual)
 
         walk(0, frozenset(), (), 1.0)
         return dist

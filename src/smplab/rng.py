@@ -24,38 +24,11 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekeyed(seed: int):
-    """One Philox and a function that puts it in the state a fresh
-    ``trial_rng(seed, index)`` starts in (key (seed, index), counter 0, empty
-    buffer) and returns it."""
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    # a fresh Philox's state: counter 0, buffer_pos 4 (empty), has_uint32 0;
-    # setting it copies it in, so only the key ever changes here
-    fresh = bits.state
-    key = fresh["state"]["key"]
-    key[0] = seed & _MASK64
-
-    def at(index: int) -> np.random.Philox:
-        key[1] = index & _MASK64
-        bits.state = fresh
-        return bits
-
-    return bits, at
-
-
-def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """Generators for trials 0 .. count-1 of ``seed``, each drawing as ``trial_rng``.
-
-    One Philox is re-keyed in place per trial, without building a generator
-    per trial.  The same Generator object is yielded every time, so each one
-    is valid only until the next is requested.
-    """
-    bits, at = _rekeyed(seed)
-    gen = np.random.Generator(bits)
-    for index in range(count):
-        at(index)
-        yield gen
-
+# a block of TrialDraws.blocks holds at most _TRIAL_BLOCK trials and
+# _BLOCK_CELLS cells of trials times the caller's width, which bounds the
+# caller's arrays' memory at every width
+_TRIAL_BLOCK = 512
+_BLOCK_CELLS = 1 << 18
 
 # raw 64-bit words first fetched per trial of a TrialDraws; a row that runs
 # out is fetched again at twice the width
@@ -75,14 +48,14 @@ class TrialDraws:
     """The draws of trials ``start .. start + count - 1`` of ``seed``, as arrays.
 
     Row t replays the stream of ``trial_rng(seed, start + t)``, rebuilding
-    each draw from the raw words of the Philox :func:`trial_rngs` re-keys
-    (``random_raw``) as numpy's ``Generator`` builds it: a 32-bit draw is a
+    each draw from the raw words (``random_raw``) of one Philox re-keyed per
+    trial, as numpy's ``Generator`` builds it: a 32-bit draw is a
     word's low half, and the high half is kept for the next one; ``random()``
     is a word's top 53 bits times 2^-53; ``integers(0, b)`` is Lemire's
     method on 32 bits, drawing nothing when b is 1; ``choice(n, k,
-    replace=False)`` is Floyd's method followed by a shuffle of the k picks,
-    or, past 10,000 members when more than one in 50 is drawn, a shuffle of
-    the population's last k places.
+    replace=False)`` is Floyd's method followed by a shuffle of the k picks;
+    the shapes numpy draws by shuffling the population's tail instead (past
+    10,000 members, more than one in 50 drawn) raise ValueError.
 
     Each method draws once for each trial in ``rows`` (distinct trial
     positions; every trial when None) and returns the values in that order,
@@ -95,7 +68,12 @@ class TrialDraws:
     def __init__(self, seed: int, start: int, count: int):
         self.start, self.count = start, count
         self.rows = np.arange(count)
-        self._at = _rekeyed(seed)[1]
+        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        # a fresh Philox's state: counter 0, buffer_pos 4 (empty), has_uint32
+        # 0; setting it copies it in, so only the key ever changes here
+        self._fresh = self._bits.state
+        self._key = self._fresh["state"]["key"]
+        self._key[0] = seed & _MASK64
         self._words = np.empty((count, _ROW_WORDS), dtype=np.uint64)
         self._fetched = np.zeros(count, dtype=np.intp)  # words held per row
         self._pos = np.zeros(count, dtype=np.intp)  # each row's next word
@@ -103,13 +81,24 @@ class TrialDraws:
         self._high = np.zeros(count, dtype=np.uint64)
         self._fetch(self.rows, _ROW_WORDS)
 
+    @classmethod
+    def blocks(cls, seed: int, count: int, width: int) -> Iterator[TrialDraws]:
+        """The draws of trials 0 .. count-1 of ``seed``, in order, one block at
+        a time: at most ``_TRIAL_BLOCK`` trials and ``_BLOCK_CELLS`` cells of
+        trials times ``width``, and at least one trial."""
+        block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // width))
+        for start in range(0, count, block):
+            yield cls(seed, start, min(block, count - start))
+
     def _fetch(self, rows: np.ndarray, width: int) -> None:
         if width > self._words.shape[1]:
             wider = np.empty((self.count, width), dtype=np.uint64)
             wider[:, : self._words.shape[1]] = self._words
             self._words = wider
         for r in rows.tolist():
-            self._words[r, :width] = self._at(self.start + r).random_raw(width)
+            self._key[1] = (self.start + r) & _MASK64
+            self._bits.state = self._fresh
+            self._words[r, :width] = self._bits.random_raw(width)
         self._fetched[rows] = width
 
     def _take(self, rows: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from .qcore import (
     PureState,
     acceptance_probability,
 )
-from .rng import TrialDraws, derive_seed, trial_rngs
+from .rng import TrialDraws, derive_seed, trial_rng
 
 __all__ = [
     "ArrayStrategy",
@@ -707,13 +707,6 @@ def protocol_cost(p: SmpProtocol) -> tuple[int, int, int]:
     return a, b, a + b
 
 
-# a block of a declared batch in empirical_success holds at most _TRIAL_BLOCK
-# trials and _BLOCK_CELLS cells of trials times the batch's width, which
-# bounds its arrays' memory at every width
-_TRIAL_BLOCK = 512
-_BLOCK_CELLS = 1 << 18
-
-
 @dataclass(frozen=True)
 class SuccessReport:
     successes: int
@@ -757,17 +750,15 @@ def empirical_success(
         declared = None if p.batch is None else p.batch(p, x, y)
         hits = 0
         if declared is None:
-            for rng in trial_rngs(pair_seed, trials_per_pair):
+            for t in range(trials_per_pair):
                 info: dict = {}
-                out = _sample_output_once(p, x, y, rng, tol, info=info)
+                out = _sample_output_once(p, x, y, trial_rng(pair_seed, t), tol, info=info)
                 hits += 1 if out == want else 0
                 abstained += info.get("abstained", 0)
         else:
             width, run = declared
-            block = max(1, min(_TRIAL_BLOCK, _BLOCK_CELLS // width))
-            for start in range(0, trials_per_pair, block):
-                count = min(block, trials_per_pair - start)
-                outs, abstains = run(TrialDraws(pair_seed, start, count))
+            for draws in TrialDraws.blocks(pair_seed, trials_per_pair, width):
+                outs, abstains = run(draws)
                 hits += outs.tolist().count(want)
                 abstained += int(np.count_nonzero(abstains))
         successes += hits

@@ -70,3 +70,21 @@ def test_every_export_is_reached_outside_the_tests(name):
                 used.add(ref)
     exported = getattr(importlib.import_module(f"smplab.{name}"), "__all__", ())
     assert [n for n in exported if n not in used] == []
+
+
+def _private_imports(path):
+    """(module, name) of each ``_``-prefixed name ``path`` imports from another smplab module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 or (node.module or "").split(".")[0] == "smplab":
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.module, alias.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    # each limit and helper has one owning module; a caller that needs one
+    # uses a public name, so the owner can change its private ones freely
+    found = {path.name: list(_private_imports(path)) for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import smplab.cli as cli
 import smplab.oracle as oracle
-import smplab.smp as smp
+import smplab.rng as rng
 from smplab.cli import _chain_valid_sets
 from smplab.codes import LinearCode, cyclic_mask_code
 from smplab.config import DEFAULT, with_overrides
@@ -553,7 +553,7 @@ class TestChainDraws:
 
         monkeypatch.setattr(cli, "TrialDraws", CountedDraws)
         assert len(list(_chain_valid_sets(2026, 3000))) == 3000
-        assert sum(counts) == 3000 and max(counts) <= smp._TRIAL_BLOCK
+        assert sum(counts) == 3000 and max(counts) <= rng._TRIAL_BLOCK
 
     def test_one_call_equals_per_pair_calls_on_the_suites_relations(self):
         drawn = list(_chain_valid_sets(2026, 3000))

@@ -8,12 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from smplab.codes import cyclic_mask_code
 from smplab.config import DEFAULT, with_overrides
-from smplab import protocols, smp
+from smplab import protocols, rng, smp
 from smplab.errors import EnumerationCapError
 from smplab.protocols import (
     equality_code,
@@ -26,7 +24,7 @@ from smplab.protocols import (
     toy_quantum_equality,
 )
 from smplab.qcore import MeasurementOperator, PureState
-from smplab.rng import TrialDraws, derive_seed, trial_rng, trial_rngs
+from smplab.rng import TrialDraws, derive_seed, trial_rng
 from smplab.smp import (
     ArrayStrategy,
     CoinSpace,
@@ -949,34 +947,6 @@ def test_uniform_int_coin_enumerates_exactly():
     assert abs(sum(p for _, p in pairs) - 1.0) <= 1e-12
 
 
-# Draws of every kind the library makes, plus a float32 draw that leaves half
-# of a 64-bit output in the Philox buffer for the next trial to (not) use.
-_DRAWS = {
-    "random": lambda g: g.random(),
-    "random32": lambda g: float(g.random(dtype=np.float32)),
-    "integers": lambda g: int(g.integers(0, 7)),
-    "wide": lambda g: int(g.integers(0, 1 << 62)),
-    "choice": lambda g: g.choice(64, size=16, replace=False).tolist(),
-    "permutation": lambda g: g.permutation(10).tolist(),
-}
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(-(1 << 70), 1 << 70),
-    count=st.integers(0, 6),
-    ops=st.lists(st.sampled_from(sorted(_DRAWS)), max_size=8),
-)
-@example(seed=-1, count=3, ops=["random32", "choice", "random"])
-@example(seed=(1 << 64) + 5, count=3, ops=["choice", "integers", "permutation"])
-def test_trial_rngs_draw_as_fresh_trial_rngs(seed, count, ops):
-    def draw_all(g):
-        return [_DRAWS[op](g) for op in ops]
-
-    got = [draw_all(g) for g in trial_rngs(seed, count)]
-    assert got == [draw_all(trial_rng(seed, t)) for t in range(count)]
-
-
 def _per_trial_reference(p, f, pairs, trials_per_pair, seed) -> SuccessReport:
     """``empirical_success`` with a fresh ``trial_rng`` per trial: the stream it keeps."""
     successes = abstained = 0
@@ -1053,7 +1023,7 @@ def test_batch_equals_per_trial_outputs_and_abstentions(make, n, seed):
 @pytest.mark.parametrize("make", [matching_qc, matching_classical])
 def test_empirical_success_in_blocks_equals_per_trial_generators(make, seed):
     # 2 * _TRIAL_BLOCK + 5 trials: two full blocks and a short one
-    trials = 2 * smp._TRIAL_BLOCK + 5
+    trials = 2 * rng._TRIAL_BLOCK + 5
     g = trial_rng(seed, 0)
     fixture = [random_promise_instance(16, g) for _ in range(2)]
     values = {(inst.x, inst.bob_input): matching_value(inst) for inst in fixture}
@@ -1170,7 +1140,8 @@ def test_batch_memory_is_bounded_at_the_widest_batched_n(make):
     tracemalloc.stop()
     assert peak < 4 << 20, peak
     wider = random_promise_instance(2 * n, trial_rng(8, 2 * n))
-    assert make(2 * n).batch(make(2 * n), wider.x, wider.bob_input) is None
+    q = make(2 * n)
+    assert q.batch(q, wider.x, wider.bob_input) is None
 
 
 @pytest.mark.parametrize("kwargs, error", [

@@ -324,6 +324,22 @@ class TestReconstruct:
                            match="recorded index 0 replays as already-predicted"):
             reconstruct_estimates(rec, ops)
 
+    def test_a_nonempty_band_whose_trace_vanishes_is_a_degenerate_instance(self):
+        # at r = 1 the band around 1.0 of |1><1| holds eigenvalue 1, but after
+        # the projection onto |0> at index 0 it has trace 0
+        ops = [proj([1, 0]), proj([0, 1])]
+        observables = [average_observable(e, 1) for e in ops]
+        (log,), errors = transforms._grouped_walk(
+            1, 1, observables, lambda *_: 1.0, 0.1, DEFAULT)
+        assert [step[2] for step in log] == [0.5, 0.0]
+        assert isinstance(errors[0], VanishingProjectionError)
+        assert str(errors[0]) == (
+            "projection at step 1 has trace 0.000e+00; degenerate instance, cannot renormalize")
+        rec = LearnRecord(q=1, c=1, r=1, delta=0.1, entries=((0, 1.0), (1, 1.0)))
+        with pytest.raises(ReplayMismatchError,
+                           match="^projection at recorded index 1 vanishes on replay$"):
+            reconstruct_estimates(rec, ops)
+
     def test_record_field_consistency_checked(self):
         rec = LearnRecord(q=2, c=1, r=2, delta=0.1, entries=())
         with pytest.raises(ValueError, match="dimension"):
