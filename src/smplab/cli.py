@@ -8,9 +8,10 @@ the fully resolved configuration.  Identical configuration and seed produce
 bit-identical output files; wall time goes to stdout only.
 
 Exit codes: 0 success, 2 configuration error (including an undeclared
---param key, a --seed or --trials the experiment does not read, and a
-non-positive count), 3 assertion failure or a typed error raised by a broken
-claim, 4 resource cap exceeded.
+--param key, a --seed or --trials the experiment does not read, a
+learn-state param its mode does not read, and a non-positive count), 3
+assertion failure or a typed error raised by a broken claim, 4 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -291,6 +292,10 @@ def _learn_round_trip(rho, ops, delta: float, r: int | None, tol: Tolerances):
 
 def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
     mode, delta = prm["mode"], prm["delta"]
+    reads = {"file": ("rho", "operators"), "random": ("instances",)}.get(mode, ())
+    for key in ("rho", "operators", "instances"):
+        if prm[key] is not None and key not in reads:
+            raise ConfigError(f"learn-state mode={mode} does not read --param {key}")
     eta = 1.0 - delta / 4.0
     if mode in ("fixture", "file"):
         if mode == "fixture":
@@ -333,7 +338,7 @@ def _run_learn_state(prm: dict, tol: Tolerances) -> ExperimentResult:
             ["b", "p_true", "p_reconstructed", "status"], rows, summary, assertions
         )
 
-    seed, instances = prm["seed"], prm["instances"]
+    seed, instances = prm["seed"], 50 if prm["instances"] is None else prm["instances"]
     rows = []
     assertions = []
     worst_dev = 0.0
@@ -487,10 +492,7 @@ def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
     mu = dict.fromkeys(_CHAIN_PAIRS, 1)
     for valid in _chain_valid_sets(seed, chain_instances):
         relation = RelationTable(valid, mu)
-        found = search_relation_protocol(relation, tol=tol)
-        if found is None:
-            continue
-        cost, proto = found
+        _, proto = search_relation_protocol(relation, tol=tol)
         f, err = extract_function(proto, relation)
         report = union_bound_check(proto, f, relation)
         if not report.holds or err != report.f_invalid_mass:
@@ -565,7 +567,7 @@ _TABLE = {
     "learn-state": (_run_learn_state, {
         "mode": (_choice("fixture", "file", "random"), "fixture"), "delta": (float, 0.1),
         "r": (_opt_int, None), "rho": (str, None), "operators": (str, None),
-        "instances": (_pos_int, 50),
+        "instances": (_pos_int, None),  # mode=random runs 50 when it is unset
     }, lambda prm: _SEED if prm["mode"] == "random" else {}),
     "derandomize": (_run_derandomize, {
         "n": (_int, 2), "reps": (_int, 1), "s": (_int, 12),

@@ -65,6 +65,11 @@ def _parities(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an int or a numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _log2_exact(n: int) -> int:
     k = n.bit_length() - 1
     if n <= 0 or (1 << k) != n:
@@ -243,10 +248,17 @@ class MatchingInstance:
     w: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(int(b) & 1 for b in self.x))
+        for field in ("x", "w"):
+            bits = tuple(getattr(self, field))
+            for pos, b in enumerate(bits):
+                if not (_is_int(b) and b in (0, 1)):
+                    raise ValueError(f"{field}[{pos}] is {b!r}, not a bit 0 or 1")
+            object.__setattr__(self, field, tuple(map(int, bits)))
+        for pos, (i, j) in enumerate(self.matching):
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"matching[{pos}] is ({i!r}, {j!r}), not a pair of ints")
         edges = tuple(tuple(sorted((int(i), int(j)))) for i, j in self.matching)
         object.__setattr__(self, "matching", edges)
-        object.__setattr__(self, "w", tuple(int(b) & 1 for b in self.w))
         if self.n % 2 != 0 or len(self.x) != self.n:
             raise ValueError("need an even n and a length-n string")
         touched = [v for e in edges for v in e]
@@ -287,6 +299,8 @@ def random_promise_instance(
     n: int, rng: np.random.Generator, value: int | None = None
 ) -> MatchingInstance:
     """Instance satisfying the promise, with the target value drawn if not given."""
+    if not (value is None or _is_int(value) and value in (0, 1)):
+        raise ValueError(f"value must be None, 0 or 1, got {value!r}")
     if value is None:
         value = int(rng.integers(0, 2))
     x = tuple(int(b) for b in rng.integers(0, 2, size=n))
@@ -319,30 +333,6 @@ def _decode_edges(v: int, slots: int, log_n: int) -> list[tuple[int, int, int]]:
         e = (v >> shift) & edge
         out.append((e >> (log_n + 1), (e >> 1) & low, e & 1))
     return out
-
-
-def _available_edges(
-    matching: tuple[tuple[int, int], ...],
-    w: tuple[int, ...],
-    subset: tuple[int, ...],
-    limit: int,
-) -> list[tuple[int, int, int]]:
-    """The first ``limit`` edges of the matching inside ``subset``, with their w-bits."""
-    inside = set(subset)
-    edges = ((i, j, w[t]) for t, (i, j) in enumerate(matching) if i in inside and j in inside)
-    return list(itertools.islice(edges, limit))
-
-
-def _matching_bob(log_n: int, slots: int):
-    """Bob in both matching protocols, and his cost: the first ``slots`` edges
-    of his matching inside the coin's subset, with their w-bits."""
-
-    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
-        matching, w = by
-        edges = _available_edges(matching, w, subset, slots)
-        return {_encode_edges(edges, slots, log_n): 1.0}
-
-    return bob, Cost(bits=_index_bits(slots + 1) + slots * (2 * log_n + 1))
 
 
 def _bit_tuple(v) -> bool:
@@ -407,6 +397,34 @@ def _declare_batch(p: SmpProtocol, n: int, runner) -> SmpProtocol:
     return replace(p, batch=batch)
 
 
+def _matching_protocol(kind: str, n: int, subset_size: int, slots: int,
+                       alice, alice_cost: Cost, referee: Referee, runner) -> SmpProtocol:
+    """A matching protocol whose Bob sends the first ``slots`` edges of his
+    matching inside the coin's subset, with their w-bits, and whose batch
+    hands a pair's arrays to ``runner(x, bits, i, j, w)``."""
+    log_n = _log2_exact(n)
+
+    def bob(by: tuple, subset: tuple[int, ...]) -> dict[int, float]:
+        matching, w = by
+        inside = set(subset)
+        edges = [(i, j, w[t]) for t, (i, j) in enumerate(matching) if i in inside and j in inside]
+        return {_encode_edges(edges[:slots], slots, log_n): 1.0}
+
+    def pair_runner(x, y):
+        arrays = _matching_arrays(n, x, y)
+        return None if arrays is None else runner(x, *arrays)
+
+    return _declare_batch(SmpProtocol(
+        name=f"matching-{kind}(n={n})",
+        alice_strategy=alice,
+        bob_strategy=bob,
+        referee=referee,
+        alice_cost=alice_cost,
+        bob_cost=Cost(bits=_index_bits(slots + 1) + slots * (2 * log_n + 1)),
+        coin=subset_coin(n, subset_size),
+    ), n, pair_runner)
+
+
 def _sent_slots(mask: np.ndarray, i: np.ndarray, j: np.ndarray, slots: int):
     """Bob's message per trial of a [trial, n] subset mask, as arrays: the
     matching position of the edge in each of its ``slots`` slots, and which
@@ -440,17 +458,12 @@ def _check_subset_size(n: int, subset_size: int) -> None:
 
 
 def _majority_output(agreements: list[int], rng: np.random.Generator | None):
-    """1 when most recovered bits agree, 0 when most disagree; fair coin on ties."""
-    if agreements:
-        agree = sum(agreements)
-        disagree = len(agreements) - agree
-        if agree > disagree:
-            return 1
-        if disagree > agree:
-            return 0
-    if rng is None:
-        return None
-    return int(rng.integers(0, 2))
+    """1 when most recovered bits agree, 0 when most disagree; on a tie or no
+    bits a fair coin from ``rng``, or None without one."""
+    agree = sum(agreements)
+    if 2 * agree != len(agreements):
+        return int(2 * agree > len(agreements))
+    return None if rng is None else int(rng.integers(0, 2))
 
 
 # paths of the matching referee's exact walk at or below this weight are pruned
@@ -575,7 +588,6 @@ def matching_qc(
             f"need edges_sent <= subset_size // 2 = {subset_size // 2}, got {edges_sent}"
         )
 
-    coin = subset_coin(n, subset_size)
     inv_sqrt = 1.0 / math.sqrt(subset_size)
 
     @functools.lru_cache(maxsize=1)
@@ -593,11 +605,7 @@ def matching_qc(
     # amplitudes is exact, so every subset's state has the same norm
     one_norm = math.frexp(inv_sqrt)[0] == 0.5
 
-    def runner(x, y):
-        arrays = _matching_arrays(n, x, y)
-        if arrays is None:
-            return None
-        bits, i, j, w = arrays
+    def runner(x, bits, i, j, w):
         same = bits[i] == bits[j]
         outcomes: dict = {}
 
@@ -646,16 +654,13 @@ def matching_qc(
 
         return run
 
-    bob, bob_cost = _matching_bob(log_n, edges_sent)
-    return _declare_batch(SmpProtocol(
-        name=f"matching-qc(n={n})",
-        alice_strategy=alice,
-        bob_strategy=bob,
-        referee=_MatchingQcReferee(n, edges_sent, copies),
+    return _matching_protocol(
+        "qc", n, subset_size, edges_sent,
+        alice=alice,
         alice_cost=Cost(qubits=copies * log_n),
-        bob_cost=bob_cost,
-        coin=coin,
-    ), n, runner)
+        referee=_MatchingQcReferee(n, edges_sent, copies),
+        runner=runner,
+    )
 
 
 class _MatchingClassicalReferee(Referee):
@@ -688,21 +693,16 @@ class _MatchingClassicalReferee(Referee):
 
 def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
     """Classical analogue: Alice sends her bits on the random subset directly."""
-    log_n = _log2_exact(n)
+    _log2_exact(n)
     if subset_size is None:
         subset_size = 2 * math.ceil(math.sqrt(n))
     _check_subset_size(n, subset_size)
-    coin = subset_coin(n, subset_size)
     slots = subset_size // 2
 
     def alice(x: tuple[int, ...], subset: tuple[int, ...]) -> dict[int, float]:
         return {pack((x[i] for i in subset), 1): 1.0}
 
-    def runner(x, y):
-        arrays = _matching_arrays(n, x, y)
-        if arrays is None:
-            return None
-        bits, i, j, w = arrays
+    def runner(x, bits, i, j, w):
         agrees = (bits[i] ^ bits[j]) == w
 
         def run(draws):
@@ -712,16 +712,13 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
 
         return run
 
-    bob, bob_cost = _matching_bob(log_n, slots)
-    return _declare_batch(SmpProtocol(
-        name=f"matching-classical(n={n})",
-        alice_strategy=alice,
-        bob_strategy=bob,
-        referee=_MatchingClassicalReferee(n, slots),
+    return _matching_protocol(
+        "classical", n, subset_size, slots,
+        alice=alice,
         alice_cost=Cost(bits=subset_size),
-        bob_cost=bob_cost,
-        coin=coin,
-    ), n, runner)
+        referee=_MatchingClassicalReferee(n, slots),
+        runner=runner,
+    )
 
 
 # ---------------------------------------------------------------------------

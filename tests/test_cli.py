@@ -450,6 +450,43 @@ class TestFlagsRead:
                 assert row[-1] == "ok"
                 learn_round_trip(rho, ops, 0.1, 1)
 
+    @pytest.mark.parametrize("mode, param", [
+        ("fixture", "rho"), ("fixture", "operators"), ("fixture", "instances"),
+        ("random", "rho"), ("random", "operators"), ("file", "instances"),
+    ])
+    def test_learn_state_refuses_a_param_its_mode_does_not_read(
+        self, tmp_path, capsys, mode, param
+    ):
+        import numpy as np
+
+        from smplab.serialize import save_matrix
+
+        save_matrix(tmp_path / "m.qmat", np.diag([1.0, 0.0]).astype(complex))
+        m = tmp_path / "m.qmat"
+        given = {"rho": m, "operators": f"{m},{m}", "instances": 50}
+        argv = ["--experiment", "learn-state", "--param", f"mode={mode}",
+                "--param", f"{param}={given[param]}"]
+        if mode == "file":
+            argv += ["--param", f"rho={m}", "--param", f"operators={m},{m}"]
+        if mode == "random":
+            argv += ["--seed", "1"]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: learn-state mode={mode} does not read --param {param}\n")
+        assert not out.exists()
+
+    def test_learn_state_random_runs_50_instances_by_default(self, tmp_path):
+        code = main([
+            "--experiment", "learn-state", "--param", "mode=random", "--param", "r=1",
+            "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        assert read_summary(tmp_path / "learn-state_summary.txt")["instances"] == "50"
+        assert len((tmp_path / "learn-state_rows.csv").read_text().splitlines()) == 51
+        assert "instances" not in json.loads(
+            (tmp_path / "learn-state_config.json").read_text())["params"]
+
     def test_learn_state_reads_seed_in_random_mode(self, tmp_path):
         code = main([
             "--experiment", "learn-state", "--param", "mode=random",

@@ -625,15 +625,42 @@ class TestToyFixtures:
      "matching does not partition the vertex set"),
     (lambda: MatchingInstance(4, (0, 0, 0, 0), ((0, 1), (2, 3)), (0,)),
      "w must have one bit per edge"),
+    (lambda: MatchingInstance(6, (2, 3, 0, 5, 1, 1), ((0, 1), (2, 3), (4, 5)), (7, 0, 2)),
+     "x[0] is 2, not a bit 0 or 1"),
+    (lambda: MatchingInstance(4, (0, 1, 0, 1), ((0, 1), (2, 3)), (1, 7)),
+     "w[1] is 7, not a bit 0 or 1"),
+    (lambda: MatchingInstance(4, (0, 1, True, 1), ((0, 1), (2, 3)), (1, 1)),
+     "x[2] is True, not a bit 0 or 1"),
+    (lambda: MatchingInstance(4, (0, 1, 0, 1), ((0, 1), (2, 3)), (1.0, 1)),
+     "w[0] is 1.0, not a bit 0 or 1"),
+    (lambda: MatchingInstance(4, (0, 1, 0, 1), ((0, 1.7), (2, 3)), (1, 1)),
+     "matching[0] is (0, 1.7), not a pair of ints"),
+    (lambda: MatchingInstance(4, (0, 1, 0, 1), ((0, 1), (2.0, 3)), (1, 1)),
+     "matching[1] is (2.0, 3), not a pair of ints"),
+    (lambda: random_promise_instance(12, np.random.default_rng(0), value=5),
+     "value must be None, 0 or 1, got 5"),
+    (lambda: random_promise_instance(12, np.random.default_rng(0), value=True),
+     "value must be None, 0 or 1, got True"),
+    (lambda: random_promise_instance(12, np.random.default_rng(0), value=1.0),
+     "value must be None, 0 or 1, got 1.0"),
     (lambda: xor_matching(4, 4), "matching index 4 outside 1..3"),
     (lambda: xor_matching(4, 0), "matching index 0 outside 1..3"),
     (lambda: xor_matching(6, 2), "6 is not a power of two"),
     (lambda: hidden_matching_relation(2), "need n >= 4"),
     (lambda: toy_quantum_equality(3), "toy fixtures cover q in {1, 2}"),
 ], ids=["not-power-of-two", "public-n", "public-k", "code-width", "code-reps",
-        "odd-n", "short-x", "not-a-partition", "short-w", "xor-index-high",
+        "odd-n", "short-x", "not-a-partition", "short-w", "x-not-a-bit", "w-not-a-bit",
+        "bool-bit", "float-bit", "float-endpoint", "integral-float-endpoint",
+        "value-5", "value-bool", "value-float", "xor-index-high",
         "xor-index-low", "xor-not-power-of-two", "hidden-matching-n", "toy-q"])
 def test_guards_raise_value_error(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_matching_instance_stores_numpy_integers_as_ints():
+    inst = MatchingInstance(4, np.array([0, 1, 1, 0]), np.array([[1, 0], [2, 3]]),
+                            np.array([1, 1]))
+    assert inst == MatchingInstance(4, (0, 1, 1, 0), ((0, 1), (2, 3)), (1, 1))
+    assert all(type(v) is int for v in inst.x + inst.w + sum(inst.matching, ()))

@@ -340,6 +340,27 @@ class TestReconstruct:
                            match="^projection at recorded index 1 vanishes on replay$"):
             reconstruct_estimates(rec, ops)
 
+    def test_the_replay_walks_own_error_is_raised_once_the_record_checks_out(
+        self, monkeypatch
+    ):
+        # the record's one correction replays as a genuine one, so the receiver
+        # accepts it, and the walk's own failure at that step is what is raised
+        g = trial_rng(2026, 1)
+        rho = random_density(2, g)
+        ops = [random_measurement_operator(2, g) for _ in range(4)]
+        rec, _ = learn_state_message(rho, ops, 0.1, 3)
+        ((b, value),) = rec.entries
+        assert b == 3 and value == pytest.approx(0.4125, abs=1e-12)
+        failure = ValueError("cannot renormalize")
+
+        def fail(*_):
+            raise failure
+
+        monkeypatch.setattr(transforms, "project_renormalize", fail)
+        with pytest.raises(ValueError) as err:
+            reconstruct_estimates(rec, ops)
+        assert err.value is failure
+
     def test_record_field_consistency_checked(self):
         rec = LearnRecord(q=2, c=1, r=2, delta=0.1, entries=())
         with pytest.raises(ValueError, match="dimension"):
