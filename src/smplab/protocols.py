@@ -368,14 +368,6 @@ def _matching_arrays(n: int, x, y):
     return np.array(x, dtype=np.int64), ends[:, 0], ends[:, 1], np.array(w, dtype=np.int64)
 
 
-def _subset_mask(draws, n: int, k: int) -> np.ndarray:
-    """The [trial, n] membership mask of each trial's ``subset_coin(n, k)``
-    subset, drawn as its sampler draws it."""
-    mask = np.zeros((draws.count, n), dtype=bool)
-    mask[draws.rows[:, None], draws.choice(n, k)] = True
-    return mask
-
-
 def _sampled_parts(p: SmpProtocol) -> tuple:
     """What one trial of ``p`` reads: its coin, strategies, referee and costs."""
     return p.coin, p.alice_strategy, p.bob_strategy, p.referee, p.alice_cost, p.bob_cost
@@ -623,7 +615,7 @@ def matching_qc(
             return outcomes[key]
 
         def run(draws):
-            mask = _subset_mask(draws, n, subset_size)
+            mask = draws.subset(n, subset_size)
             position, held = _sent_slots(mask, i, j, edges_sent)
             if one_norm:
                 states = [edge_outcomes(tuple(np.flatnonzero(mask[0]).tolist()))] * draws.count
@@ -706,7 +698,7 @@ def matching_classical(n: int, subset_size: int | None = None) -> SmpProtocol:
         agrees = (bits[i] ^ bits[j]) == w
 
         def run(draws):
-            position, held = _sent_slots(_subset_mask(draws, n, subset_size), i, j, slots)
+            position, held = _sent_slots(draws.subset(n, subset_size), i, j, slots)
             agree = np.count_nonzero(held & agrees[position], axis=1)
             return _majority_outputs(agree, np.count_nonzero(held, axis=1), draws)
 

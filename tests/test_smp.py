@@ -994,6 +994,8 @@ _BATCHED = [
         lambda n: matching_classical(n),
         lambda n: matching_qc(n, subset_size=2),
         lambda n: matching_classical(n, subset_size=2),
+        lambda n: matching_classical(n, subset_size=n),  # Floyd's first top is 0
+        lambda n: matching_classical(n, subset_size=n - 1),
         lambda n: matching_qc(n, copies=4, edges_sent=1),  # copies > edges_sent
         lambda n: matching_qc(n, subset_size=n // 2, copies=5, edges_sent=2),
     )
@@ -1125,20 +1127,27 @@ def test_blocks_shrink_as_the_arrays_widen(monkeypatch, n, block):
     assert got == _per_trial_reference(matching_classical(n), f, [pair], trials, seed=6)
 
 
-@pytest.mark.parametrize("make", [matching_qc, matching_classical])
-def test_batch_memory_is_bounded_at_the_widest_batched_n(make):
+@pytest.mark.parametrize("make, subset_size, bound", [
+    (matching_qc, None, 4 << 20),
+    (matching_classical, None, 4 << 20),
+    # a subset of every index, or of half of them: about 2 * subset_size
+    # draws per trial, decoded in chunks of columns
+    (matching_classical, protocols._BATCH_MAX_N, 8 << 20),
+    (matching_classical, protocols._BATCH_MAX_N // 2, 8 << 20),
+])
+def test_batch_memory_is_bounded_at_the_widest_batched_n(make, subset_size, bound):
     # 512 trials of n = 4096 in 64-trial blocks: a few MB, where one
     # 512-trial block of that width held over 10 MB; one n wider, every pair
     # runs per trial
     n = protocols._BATCH_MAX_N
     inst = random_promise_instance(n, trial_rng(8, n))
     pair = (inst.x, inst.bob_input)
-    p = make(n)
+    p = make(n, subset_size=subset_size)
     tracemalloc.start()
     empirical_success(p, lambda x, y: 1, [pair], trials_per_pair=512, seed=1)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 4 << 20, peak
+    assert peak < bound, peak
     wider = random_promise_instance(2 * n, trial_rng(8, 2 * n))
     q = make(2 * n)
     assert q.batch(q, wider.x, wider.bob_input) is None
