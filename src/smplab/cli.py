@@ -268,12 +268,15 @@ def _run_hidden_matching(prm: dict, tol: Tolerances) -> ExperimentResult:
 def _load_matrix_file(path: str) -> np.ndarray:
     from .serialize import load_matrix, matrix_from_text
 
+    if not path:
+        raise ConfigError("empty matrix file path")
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"matrix file not found: {path}")
-    if p.suffix == ".qmat":
-        return load_matrix(p)
-    return matrix_from_text(p.read_text())
+    try:
+        return load_matrix(p) if p.suffix == ".qmat" else matrix_from_text(p.read_text())
+    except OSError as ex:
+        raise ConfigError(f"cannot read matrix file: {ex}") from None
 
 
 def _learn_round_trip(rho, ops, delta: float, r: int | None, tol: Tolerances):

@@ -11,16 +11,16 @@ coin space visible to all three parties.  Evaluation is either exact (full
 enumeration of coin and message supports, within a term budget) or Monte
 Carlo with per-trial keyed generators.
 
-Exact evaluation is one driver, :func:`acceptance_table`: a loop over the
-coin's law, fed by one of two producers.  A classical strategy may declare
-its laws as arrays (:class:`ArrayStrategy`), and a :class:`TableReferee` may
-take arrays of message ids (``vectorized``).  When both strategies and the
-referee do (in this package ``equality_public`` and ``equality_code``), the
-declared producer reads the arrays a block of coins at a time, validating
-each array once, and calls no strategy or referee per (coin, input);
-otherwise the callable producer runs the strategies once per (coin, input)
-and the referee once per distinct message pair of a coin.  The loop alone
-counts the term cap, sizes the blocks and sums the terms.
+Exact evaluation, :func:`acceptance_table`, sums the coin's law on one of
+two paths.  A classical strategy may declare its laws as arrays
+(:class:`ArrayStrategy`), and a :class:`TableReferee` may take arrays of
+message ids (``vectorized``).  When both strategies and the referee do (in
+this package ``equality_public`` and ``equality_code``), the declared path
+reads the arrays a block of coins at a time, validating each array once,
+and calls no strategy or referee per (coin, input).  Every other protocol
+takes the callable path, a plain loop over the coins: each strategy runs
+once per (coin, input) and the referee once per distinct message pair of a
+coin.  Both count the term cap alike and add the terms in the same order.
 The callables stay the sampled path, the quantum path and the oracle the
 arrays are tested against.
 
@@ -398,35 +398,34 @@ class RelationTable:
 
 
 # About this many entries (message ids, probabilities and referee answers)
-# make one block of ``acceptance_table``, and this many terms one numpy step
-# of it (at least one (coin, Alice message) row), so its memory does not grow
+# make one block of the declared path, and this many terms one numpy step of
+# it (at least one (coin, Alice message) row), so its memory does not grow
 # with pairs times coins.
 _BLOCK_TERMS = 1 << 14
 
 
-def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarray,
-                accept: Callable) -> np.ndarray:
-    """``total`` (1 x pairs) plus the terms ``((cp * pa) * pb) * acc`` of a run of coins.
+def _accumulate(total: np.ndarray, cp: np.ndarray, ia: np.ndarray, pa: np.ndarray,
+                ib: np.ndarray, pb: np.ndarray, fn: Callable) -> np.ndarray:
+    """``total`` (1 x pairs) plus the terms ``((cp * pa) * pb) * acc`` of a block of coins.
 
-    ``cp`` holds the coins' weights and ``pa``, ``pb`` are [coin, slot, input];
-    ``accept(rows, rc)`` gives the referee's answers of the (coin, Alice slot)
-    rows ``rows``, whose coins are ``rc``, as [row, Bob slot, x, y].  The terms
-    are added in the order coin, Alice slot, Bob slot, about ``_BLOCK_TERMS``
-    at a time by ``np.add.accumulate`` from the running sum, so every entry is
-    the scalar loop's sum over the same terms.  A padded slot has probability
-    0, so while every answer is finite its term is a zero, which leaves the
-    sum unchanged.
+    ``cp`` holds the coins' weights; ``ia``, ``pa`` and ``ib``, ``pb`` are
+    the two sides' declared [coin, slot, input] ids and probabilities, and
+    ``fn`` the vectorized referee that answers the ids.  The terms are added
+    in the order coin, Alice slot, Bob slot, about ``_BLOCK_TERMS`` at a time
+    by ``np.add.accumulate`` from the running sum, so every entry is the
+    scalar loop's sum over the same terms.
     """
     n, ma, nx = pa.shape
     mb, ny = pb.shape[1:]
     cpa = (cp[:, None, None] * pa).reshape(n * ma, nx)
+    ia = ia.reshape(n * ma, nx)
     row_coin = np.repeat(np.arange(n), ma)
     step = max(1, _BLOCK_TERMS // (mb * nx * ny))
     for r in range(0, n * ma, step):
         rows = slice(r, r + step)
         rc = row_coin[rows]
         block = cpa[rows, None, :, None] * pb[rc][:, :, None, :]
-        acc = accept(rows, rc)
+        acc = fn(ia[rows, None, :, None], ib[rc][:, :, None, :])
         if not np.isfinite(acc).all():
             raise ValueError("referee returned a non-finite acceptance probability")
         block *= acc
@@ -435,91 +434,6 @@ def _accumulate(total: np.ndarray, cp: np.ndarray, pa: np.ndarray, pb: np.ndarra
         np.add.accumulate(seq, axis=0, out=seq)
         total = seq[-1:].copy()
     return total
-
-
-def _called_laws(strategy, inputs: list, coin, bits: int, quantum: bool, tol: Tolerances):
-    """One side's distinct messages at ``coin``, and its laws there: per input
-    the support size, the ids (indices into the distinct messages) and the
-    probabilities.
-
-    Each law is validated; a quantum side sends one payload per input, so its
-    ids are the input positions, each with probability 1.0.
-    """
-    if quantum:
-        msgs = [strategy(v, coin) for v in inputs]
-        return msgs, ([1] * len(msgs), list(range(len(msgs))), [1.0] * len(msgs))
-    seen: dict = {}
-    sizes, ids, probs = [], [], []
-    for v in inputs:
-        dist = strategy(v, coin)
-        validate_distribution(dist, bits, tol)
-        for msg, pr in dist.items():
-            ids.append(seen.setdefault(msg, len(seen)))
-            probs.append(pr)
-        sizes.append(len(dist))
-    return list(seen), (sizes, ids, probs)
-
-
-def _padded(laws: Sequence[tuple[list, list, list]], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coin laws of ``k`` inputs, each (sizes, ids, probs) flat in input order,
-    as [coin, slot, input] id and probability arrays.
-
-    Slots past an input's support get probability 0 and message id 0.
-    """
-    sizes, ids, probs = (list(itertools.chain.from_iterable(part)) for part in zip(*laws))
-    sizes = np.array(sizes)
-    width = int(sizes.max())
-    idx = np.zeros((len(sizes), width), dtype=np.int64)
-    prob = np.zeros((len(sizes), width))
-    row = np.repeat(np.arange(len(sizes)), sizes)
-    col = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    idx[row, col] = ids
-    prob[row, col] = probs
-    return (idx.reshape(-1, k, width).transpose(0, 2, 1),
-            prob.reshape(-1, k, width).transpose(0, 2, 1))
-
-
-class _Called:
-    """:func:`acceptance_table`'s producer for callable strategies, fed one coin at a time.
-
-    ``add`` runs each strategy once per input at the coin, validates each law,
-    hands the support sizes to ``tally``, then calls the referee once per
-    distinct (Alice message, Bob message) pair of the coin and drops the
-    messages; it returns the entries the pending coins hold.  ``block`` hands
-    over the pending coins' arrays, their ids local to each coin, and answers
-    by lookup in the coins' tables of referee answers.
-    """
-
-    def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances, tally: Callable):
-        self.p, self.xs, self.ys, self.tol, self.tally = p, xs, ys, tol, tally
-        self.pending: list = []  # per coin: both sides' laws, message counts and answers
-        self.held = 0
-
-    def add(self, coin) -> int:
-        p = self.p
-        a_msgs, alice = _called_laws(p.alice_strategy, self.xs, coin, p.alice_cost.bits,
-                                     p.quantum, self.tol)
-        b_msgs, bob = _called_laws(p.bob_strategy, self.ys, coin, p.bob_cost.bits,
-                                   False, self.tol)
-        self.tally(alice[0], bob[0])
-        accept = p.referee.accept_probability
-        answers = [accept(a, b, coin) for a in a_msgs for b in b_msgs]
-        self.pending.append((alice, bob, len(a_msgs), len(b_msgs), answers))
-        self.held += len(answers) + len(alice[1]) + len(bob[1])
-        return self.held
-
-    def block(self) -> tuple[np.ndarray, np.ndarray, Callable]:
-        alice, bob, na, nb, answers = zip(*self.pending)
-        self.pending, self.held = [], 0
-        ia, pa = _padded(alice, len(self.xs))
-        ib, pb = _padded(bob, len(self.ys))
-        table = np.array(list(itertools.chain.from_iterable(answers)), dtype=float)
-        # per (coin, Alice slot) row and x, the start of the Alice message's
-        # row in its coin's row-major table; a padded slot reads message 0's
-        na, nb = np.array(na), np.array(nb)
-        offset = np.cumsum(na * nb) - na * nb
-        start = (offset[:, None, None] + ia * nb[:, None, None]).reshape(-1, len(self.xs))
-        return pa, pb, lambda rows, rc: table[start[rows, None, :, None] + ib[rc][:, :, None, :]]
 
 
 def _declared_block(
@@ -552,34 +466,79 @@ def _declared_block(
     return ids, probs
 
 
-class _Declared:
-    """:func:`acceptance_table`'s producer for declared arrays, read a block of coins at a time.
+def _declared_table(p: SmpProtocol, xs: list, ys: list, terms: Iterable,
+                    tol: Tolerances, tally: Callable) -> np.ndarray:
+    """:func:`acceptance_table` for declared arrays, a block of coins at a time.
 
     Every declared law has its strategy's slots, so every pair's term count,
     coins times Alice's slots times Bob's, goes to ``tally`` before any
-    array is built.  ``add`` only queues the coin; ``block`` reads and
-    validates the queued coins' arrays, and answers by the referee's
-    vectorized ``fn`` on the id arrays.
+    array is built.  A block takes coins until they hold about
+    ``_BLOCK_TERMS`` ids and probabilities; its arrays are read and
+    validated at once, and the referee's vectorized ``fn`` answers them.
     """
+    alice, bob = p.alice_strategy, p.bob_strategy
+    size = 1 if p.coin is None else p.coin.size
+    tally([size * alice.slots] * len(xs), [bob.slots] * len(ys))
+    per_block = -(-_BLOCK_TERMS // (alice.slots * len(xs) + bob.slots * len(ys)))
+    total = np.zeros((1, len(xs) * len(ys)))
+    terms = iter(terms)
+    while block := list(itertools.islice(terms, per_block)):
+        coins = [coin for coin, _ in block]
+        ia, pa = _declared_block(alice, xs, coins, p.alice_cost.bits, tol)
+        ib, pb = _declared_block(bob, ys, coins, p.bob_cost.bits, tol)
+        weights = np.array([cp for _, cp in block])
+        total = _accumulate(total, weights, ia, pa, ib, pb, p.referee.fn)
+    return total.reshape(len(xs), len(ys))
 
-    def __init__(self, p: SmpProtocol, xs: list, ys: list, tol: Tolerances, tally: Callable):
-        self.p, self.xs, self.ys, self.tol = p, xs, ys, tol
-        alice, bob = p.alice_strategy, p.bob_strategy
-        size = 1 if p.coin is None else p.coin.size
-        tally([size * alice.slots] * len(xs), [bob.slots] * len(ys))
-        self.per_coin = alice.slots * len(xs) + bob.slots * len(ys)
-        self.coins: list = []
 
-    def add(self, coin) -> int:
-        self.coins.append(coin)
-        return len(self.coins) * self.per_coin
+def _called_laws(strategy, inputs: list, coin, bits: int, quantum: bool, tol: Tolerances):
+    """One side's distinct messages at ``coin``, and per input its law as
+    (id, probability) pairs, each id an index into the distinct messages.
 
-    def block(self) -> tuple[np.ndarray, np.ndarray, Callable]:
-        p, coins, self.coins = self.p, self.coins, []
-        ia, pa = _declared_block(p.alice_strategy, self.xs, coins, p.alice_cost.bits, self.tol)
-        ib, pb = _declared_block(p.bob_strategy, self.ys, coins, p.bob_cost.bits, self.tol)
-        ia, fn = ia.reshape(-1, len(self.xs)), p.referee.fn
-        return pa, pb, lambda rows, rc: fn(ia[rows, None, :, None], ib[rc][:, :, None, :])
+    Each law is validated; a quantum side sends one payload per input, so its
+    ids are the input positions, each with probability 1.0.
+    """
+    if quantum:
+        msgs = [strategy(v, coin) for v in inputs]
+        return msgs, [[(i, 1.0)] for i in range(len(msgs))]
+    seen: dict = {}
+    laws = []
+    for v in inputs:
+        dist = strategy(v, coin)
+        validate_distribution(dist, bits, tol)
+        laws.append([(seen.setdefault(msg, len(seen)), float(pr)) for msg, pr in dist.items()])
+    return list(seen), laws
+
+
+def _called_table(p: SmpProtocol, xs: list, ys: list, terms: Iterable,
+                  tol: Tolerances, tally: Callable) -> np.ndarray:
+    """:func:`acceptance_table` for callable strategies, one coin at a time.
+
+    At each coin every strategy runs once per input, each law is validated
+    (Alice's before Bob's) and its support size goes to ``tally``, then the
+    referee answers each distinct (Alice message, Bob message) pair once and
+    each answer must be finite.
+    """
+    total = [[0.0] * len(ys) for _ in xs]
+    accept = p.referee.accept_probability
+    for coin, cp in terms:
+        a_msgs, alice = _called_laws(p.alice_strategy, xs, coin, p.alice_cost.bits,
+                                     p.quantum, tol)
+        b_msgs, bob = _called_laws(p.bob_strategy, ys, coin, p.bob_cost.bits, False, tol)
+        tally([len(law) for law in alice], [len(law) for law in bob])
+        answers = [[float(accept(a, b, coin)) for b in b_msgs] for a in a_msgs]
+        if not all(math.isfinite(v) for row in answers for v in row):
+            raise ValueError("referee returned a non-finite acceptance probability")
+        cp = float(cp)
+        for row, la in zip(total, alice):
+            for j, lb in enumerate(bob):
+                s = row[j]
+                for a, pa in la:
+                    cpa, acc = cp * pa, answers[a]
+                    for b, pb in lb:
+                        s += cpa * pb * acc[b]
+                row[j] = s
+    return np.array(total)
 
 
 def acceptance_table(
@@ -587,25 +546,23 @@ def acceptance_table(
 ) -> np.ndarray:
     """Exact acceptance probability of every pair in ``xs`` x ``ys``.
 
-    One loop walks the coin's law, checked as :func:`coin_terms` reads it,
-    and feeds each coin to a producer: :class:`_Declared` when
-    both strategies are :class:`ArrayStrategy` and the referee a vectorized
-    :class:`TableReferee`, :class:`_Called` otherwise.  A producer reports
-    its laws' support sizes before the referee answers them, so the loop
-    counts each pair's terms and refuses, at the first coin that passes the
-    cap, the first such pair in row-major order.  The loop takes coins until
-    the producer holds about ``_BLOCK_TERMS`` entries, then adds the block's
-    terms: entry (i, j) sums the terms of (xs[i], ys[j]) in the order coin,
-    Alice message, Bob message, each term ``((cp * pa) * pb) * acc`` with
-    ``pa = 1.0`` for a quantum payload, so it is bit for bit the plain loop
-    over those terms.  Memory is bounded by a fixed block of terms, not by
-    pairs times coins.
+    Entry (i, j) sums, over the coin's law checked as :func:`coin_terms`
+    reads it, the terms ``((cp * pa) * pb) * acc`` of (xs[i], ys[j]) in the
+    order coin, Alice message, Bob message, with ``pa = 1.0`` for a quantum
+    payload, so it is bit for bit the plain loop over those terms.  Two paths
+    compute it: :func:`_declared_table` when both strategies are
+    :class:`ArrayStrategy` and the referee a vectorized :class:`TableReferee`,
+    in blocks of coins whose memory does not grow with pairs times coins;
+    :func:`_called_table` otherwise, one coin at a time.  Each path reports
+    its laws' support sizes before the referee answers them, so each pair's
+    terms are counted and, at the first coin that passes the cap, the first
+    such pair in row-major order is refused.
 
     Raises :class:`EnumerationCapError` when :func:`coin_terms` refuses the
     coin or some pair's term count would exceed ``tol.enum_cap``, and ValueError
-    when the coin's law or a message law is malformed or an entry lies outside
-    [0, 1] by more than ``tol.distribution``; entries within that slack are
-    clamped to [0, 1].
+    when the coin's law or a message law is malformed, a referee answer is
+    not finite, or an entry lies outside [0, 1] by more than
+    ``tol.distribution``; entries within that slack are clamped to [0, 1].
     """
     xs, ys = list(xs), list(ys)
     terms = coin_terms(p, tol)
@@ -631,18 +588,7 @@ def acceptance_table(
         and hasattr(p.bob_strategy, "arrays")
         and getattr(p.referee, "vectorized", False)
     )
-    source = (_Declared if declared else _Called)(p, xs, ys, tol, tally)
-    total = np.zeros((1, len(xs) * len(ys)))
-    cps: list = []
-    for coin, cp in terms:
-        cps.append(cp)
-        if source.add(coin) >= _BLOCK_TERMS:
-            total = _accumulate(total, np.array(cps), *source.block())
-            cps = []
-    if cps:
-        total = _accumulate(total, np.array(cps), *source.block())
-
-    total = total.reshape(len(xs), len(ys))
+    total = (_declared_table if declared else _called_table)(p, xs, ys, terms, tol, tally)
     slack = tol.distribution
     outside = np.argwhere(~((total >= -slack) & (total <= 1.0 + slack)))
     if len(outside):

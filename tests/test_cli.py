@@ -594,6 +594,22 @@ class TestRejectedInputs:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho, operators, message", [
+        ("{tmp}", "{tmp}/e.txt", "config error: cannot read matrix file: [Errno 21] "
+         "Is a directory: '{tmp}'"),
+        ("{tmp}/e.txt", "", "config error: empty matrix file path"),
+        ("{tmp}/e.txt", "{tmp}/e.txt,", "config error: empty matrix file path"),
+    ], ids=["directory", "empty-operators", "trailing-comma"])
+    def test_unreadable_matrix_path_exits_2(self, tmp_path, capsys, rho, operators, message):
+        (tmp_path / "e.txt").write_text("qmat v1 dim=1\n1,0\n")
+        out = tmp_path / "out"
+        argv = ["--experiment", "learn-state", "--param", "mode=file",
+                "--param", f"rho={rho.format(tmp=tmp_path)}",
+                "--param", f"operators={operators.format(tmp=tmp_path)}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(message.format(tmp=tmp_path))
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, message", [
         ('{"experiment": "derandomize", "seed": "abc"}',
          "config file key 'seed' must be an integer, got 'abc'"),

@@ -272,6 +272,64 @@ class TestAcceptanceTable:
         acceptance_table(counted_p, range(4), range(4))
         assert calls == {"alice": 4 * 16, "bob": 4 * 16}
 
+    def test_the_callable_path_asks_the_referee_once_per_distinct_pair_of_a_coin(self):
+        # equality_public's inputs share messages at every coin: at coin
+        # (0, 0) all four send 0, so that coin makes one referee call
+        p = _callables(equality_public(2, 2))
+        strategy_calls, referee_calls = {}, {}
+
+        def counted(side, strategy):
+            def run(v, coin):
+                key = (side, coin, v)
+                strategy_calls[key] = strategy_calls.get(key, 0) + 1
+                return strategy(v, coin)
+            return run
+
+        def accept(a, b, coin):
+            referee_calls[coin, a, b] = referee_calls.get((coin, a, b), 0) + 1
+            return p.referee.accept_probability(a, b, coin)
+
+        counted_p = replace(
+            p,
+            alice_strategy=counted("alice", p.alice_strategy),
+            bob_strategy=counted("bob", p.bob_strategy),
+            referee=_CoinReferee(accept),
+        )
+        table = acceptance_table(counted_p, range(4), range(4))
+        assert table.tobytes() == acceptance_table(p, range(4), range(4)).tobytes()
+        coins = [coin for coin, _ in p.coin.outcomes()]
+        assert strategy_calls == {
+            (side, coin, v): 1 for side in ("alice", "bob") for coin in coins for v in range(4)}
+        want = {}
+        for coin in coins:
+            alice = {a for x in range(4) for a in p.alice_strategy(x, coin)}
+            bob = {b for y in range(4) for b in p.bob_strategy(y, coin)}
+            want.update({(coin, a, b): 1 for a in alice for b in bob})
+        assert referee_calls == want
+        assert len(want) < 16 * 16
+
+    def test_a_non_finite_answer_is_refused_at_its_own_coin(self):
+        # the referee's answer at coin 0 is NaN: no strategy runs at coin 1
+        runs = []
+
+        def strategy(v, coin):
+            runs.append(coin)
+            return {0: 1.0}
+
+        p = SmpProtocol(
+            name="nan-at-coin-0",
+            alice_strategy=strategy,
+            bob_strategy=strategy,
+            referee=_CoinReferee(lambda a, b, coin: float("nan") if coin == 0 else 1.0),
+            alice_cost=Cost(bits=1),
+            bob_cost=Cost(bits=1),
+            coin=uniform_int_coin(3),
+        )
+        with pytest.raises(ValueError, match="^referee returned a non-finite acceptance "
+                           "probability$"):
+            acceptance_table(p, (0, 1), (0,))
+        assert runs == [0, 0, 0]
+
 
 class TestCoinTerms:
     def test_private_coin_is_one_term(self):
@@ -554,7 +612,7 @@ def _masks(p: SmpProtocol) -> list:
 
 
 class TestCoinLaw:
-    """The one enumeration loop checks the coin's law, on both producers."""
+    """Both paths of ``acceptance_table`` check the coin's law as they read it."""
 
     def test_weights_that_sum_to_a_half_are_refused(self):
         p = equality_public(2, 1)
@@ -573,8 +631,9 @@ class TestCoinLaw:
                 acceptance_table(q, range(4), range(4))
 
     def test_more_outcomes_than_the_size_cannot_pass_the_cap(self):
-        # the declared producer counts coin.size x 1 x 1 = 1 term per pair up
-        # front; the coin's 4 outcomes would make it 4, past the cap of 3
+        # the declared path counts coin.size x 1 x 1 = 1 term per pair up
+        # front, and the callable path 1 term per pair at each coin it reads;
+        # the coin's 4 outcomes would make it 4, past the cap of 3
         p = equality_public(2, 1)
         wide = _with_coin(p, [(m, 0.25) for m in _masks(p)], size=1)
         tol = with_overrides(DEFAULT, enum_cap=3)
@@ -640,6 +699,8 @@ def test_declared_slots_whose_product_passes_int64_are_refused_before_any_array(
         acceptance_table(wide, (5, 2), (1, 6))
 
 
+# _BLOCK_TERMS sizes only the declared path's blocks; the callable path adds
+# one coin at a time whatever it is, and its two cases keep checking that
 _BLOCK_CASES = {
     **_BIT_IDENTITY_CASES,
     "callable equality_public(3,2)": lambda: _callables(equality_public(3, 2)),
