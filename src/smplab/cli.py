@@ -462,21 +462,23 @@ def _chain_valid_sets(seed: int, count: int) -> Iterator[dict[tuple, frozenset]]
     Relation i is keyed ``(seed, i)``.  Pair p gets the outputs z < 4 whose
     bit is set in row p of one 6 x 4 draw of bits ({0} for an all-zero row),
     the bits that ``trial_rng(seed, i).integers(0, 2, size=(6, 4))`` draws.
-    The relations are drawn in :meth:`~smplab.rng.TrialDraws.blocks`, one
-    ``integers(2)`` per bit.
+    The relations are drawn in :meth:`~smplab.rng.TrialDraws.blocks`, each
+    block's bits in one :meth:`~smplab.rng.TrialDraws.bits` read.
     """
     # the valid set of a pair whose 4 bits, bit z for output z, read v
     sets = [frozenset(z for z in range(4) if v >> z & 1) or frozenset([0]) for v in range(16)]
     weights = 1 << np.arange(4)
     width = len(_CHAIN_PAIRS) * 4
     for draws in TrialDraws.blocks(seed, count, width):
-        bits = np.stack([draws.integers(2) for _ in range(width)], axis=1)
-        for row in (bits.reshape(-1, len(_CHAIN_PAIRS), 4) @ weights).tolist():
+        for row in (draws.bits(width).reshape(-1, len(_CHAIN_PAIRS), 4) @ weights).tolist():
             yield dict(zip(_CHAIN_PAIRS, map(sets.__getitem__, row)))
 
 
 def _run_oracle_suite(prm: dict, tol: Tolerances) -> ExperimentResult:
     seed, chain_instances = prm["seed"], prm["instances"]
+    if tol.relation_bits_cap < 4:  # below it, a search here comes back empty
+        raise CapExceededError(f"oracle-suite needs relation_bits_cap >= 4 (the n = 2 "
+                               f"Equality search), got {tol.relation_bits_cap}")
     rows = []
     assertions = []
 

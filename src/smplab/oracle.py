@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -132,6 +133,21 @@ def _plan(nx: int, ny: int, cap: int) -> Iterator[tuple[int, tuple[int, ...], tu
                     yield total, a_assign, b_assign
 
 
+@lru_cache(maxsize=32)
+def _setup(ids: tuple, pairs: tuple, xy_cap: int, bits_cap: int):
+    """A pair set's inputs in ``repr`` order, each pair's (row, column) and its
+    plan (held up to ``_LATTICE_MAX_ITEMS`` inputs, 877 candidates, else ()).
+    Keyed by the pairs' ids, which the cache keeps alive, so 1 and True differ."""
+    xs = tuple(sorted({x for x, _ in pairs}, key=repr))
+    ys = tuple(sorted({y for _, y in pairs}, key=repr))
+    nx, ny = len(xs), len(ys)
+    if nx * ny > xy_cap:
+        raise CapExceededError(f"|X|*|Y| capped at {xy_cap}")
+    xi, yi = {x: i for i, x in enumerate(xs)}, {y: j for j, y in enumerate(ys)}
+    at = {(x, y): (xi[x], yi[y]) for x, y in pairs}
+    return xs, ys, at, tuple(_plan(nx, ny, bits_cap)) if nx + ny <= _LATTICE_MAX_ITEMS else ()
+
+
 def search_relation_protocol(
     relation: RelationTable, tol: Tolerances = DEFAULT
 ) -> tuple[int, DeterministicSmpProtocol] | None:
@@ -148,20 +164,19 @@ def search_relation_protocol(
     set bit of the AND of the cell's masks.  Returns None when nothing within
     ``tol.relation_bits_cap`` total bits works.
     """
-    support = relation.support
-    xs = sorted({x for x, _ in relation.valid}, key=repr)
-    ys = sorted({y for _, y in relation.valid}, key=repr)
-    if len(xs) * len(ys) > tol.relation_xy_cap:
-        raise CapExceededError(f"|X|*|Y| capped at {tol.relation_xy_cap}")
-    outputs = sorted({z for pair in support for z in relation.valid[pair]}, key=repr)
+    cap, valid, support = tol.relation_bits_cap, relation.valid, relation.support
+    pairs_in = tuple(valid)
+    xs, ys, at, plan = _setup(tuple(map(id, pairs_in)), pairs_in, tol.relation_xy_cap, cap)
+    outputs = sorted({z for pair in support for z in valid[pair]}, key=repr)
     bit = {z: 1 << k for k, z in enumerate(outputs)}
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: j for j, y in enumerate(ys)}
-    pairs = [
-        (xi[x], yi[y], sum(bit[z] for z in relation.valid[(x, y)])) for x, y in support
-    ]
+    pairs = []
+    for pair in support:
+        mask = 0
+        for z in valid[pair]:
+            mask |= bit[z]
+        pairs.append((*at[pair], mask))
 
-    for total, a_assign, b_assign in _plan(len(xs), len(ys), tol.relation_bits_cap):
+    for total, a_assign, b_assign in plan or _plan(len(xs), len(ys), cap):
         cells: dict[tuple[int, int], int] = {}
         for i, j, mask in pairs:
             cell = (a_assign[i], b_assign[j])
@@ -170,15 +185,11 @@ def search_relation_protocol(
                 break
             cells[cell] = mask
         else:
-            proto = DeterministicSmpProtocol(
+            return total, DeterministicSmpProtocol(
                 alice_map=dict(zip(xs, a_assign)),
                 bob_map=dict(zip(ys, b_assign)),
-                referee_map={
-                    cell: outputs[(mask & -mask).bit_length() - 1]
-                    for cell, mask in cells.items()
-                },
+                referee_map={cell: outputs[(m & -m).bit_length() - 1] for cell, m in cells.items()},
             )
-            return total, proto
     return None
 
 
@@ -210,15 +221,15 @@ def extract_function(
     is partial where the referee leaves a message pair undefined, as the
     search does for cells holding only pairs of weight zero.
     """
+    referee, valid = p.referee_map, relation.valid
     values = {
-        (x, y): p.referee_map[(a, b)]
+        (x, y): referee[(a, b)]
         for x, a in p.alice_map.items()
         for y, b in p.bob_map.items()
-        if (a, b) in p.referee_map
+        if (a, b) in referee
     }
     f = FunctionTable(tuple(p.alice_map), tuple(p.bob_map), values)
-    err = sum(w for pair, w in relation.mu.items()
-              if w and values[pair] not in relation.valid[pair])
+    err = sum(w for pair, w in relation.mu.items() if w and values[pair] not in valid[pair])
     return f, Fraction(err, relation.total)
 
 
@@ -246,16 +257,20 @@ def union_bound_check(
     weights over ``relation.total``; the inequality is a pointwise union
     bound, so a False report indicates a broken input table.
     """
+    alice, bob, referee, values = p_a.alice_map, p_a.bob_map, p_a.referee_map, f.values
     rel_err = dis_err = f_err = 0
     for (x, y), w in relation.mu.items():
         if not w:
             continue
-        out = p_a.output(x, y)
-        if out not in relation.valid[(x, y)]:
+        out = referee[(alice[x], bob[y])]
+        # f(x, y) raises FunctionTable's error for a pair outside its domain
+        f_xy = values[(x, y)] if (x, y) in values else f(x, y)
+        ok = relation.valid[(x, y)]
+        if out not in ok:
             rel_err += w
-        if out != f(x, y):
+        if out != f_xy:
             dis_err += w
-        if f(x, y) not in relation.valid[(x, y)]:
+        if f_xy not in ok:
             f_err += w
     return UnionBoundReport(*(Fraction(w, relation.total) for w in (rel_err, dis_err, f_err)))
 

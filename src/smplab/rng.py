@@ -127,18 +127,29 @@ class TrialDraws:
         self._pos[rows] = pos + 1
         return self._words[rows, pos]
 
-    def _uint32(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's next 32-bit draw, as uint64."""
-        has = self._has_high[rows]
-        out = np.empty(len(rows), dtype=np.uint64)
-        held = rows[has]
-        out[has] = self._high[held]
-        fresh = rows[~has]
-        words = self._take(fresh)
-        out[~has] = words & _LOW32
-        self._high[fresh] = words >> _HALF
-        self._has_high[rows] = ~has
-        return out
+    def _ahead(self, rows: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+        """Fetch the words of each row's next ``count`` >= 1 32-bit draws, moving no row;
+        return its kept-half flag, first draw's index in ``view("<u4")`` and next word."""
+        pos, has = self._pos[rows], self._has_high[rows]
+        end = pos + (count - has + 1) // 2
+        short = end > self._fetched[rows]
+        if short.any():
+            self._fetch(rows[short], max(2 * self._words.shape[1], int(end.max())))
+        return has, 2 * pos - has, end
+
+    def _skip(self, rows: np.ndarray, count: int, end: np.ndarray) -> None:
+        """Move ``rows`` past the ``count`` draws that ``_ahead`` fetched."""
+        self._has_high[rows] = (count - self._has_high[rows]) % 2 == 1
+        self._pos[rows] = end
+        self._high[rows] = self._words[rows, end - 1] >> _HALF
+
+    def _draws(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """Each row's next ``count`` >= 1 32-bit draws, as a [row, count] array."""
+        has, start, end = self._ahead(rows, count)
+        u = self._words.view("<u4")[rows[:, None], start[:, None] + np.arange(count)]
+        u[has, 0] = self._high[rows[has]]
+        self._skip(rows, count, end)
+        return u
 
     def _bounded(self, top: int, rows: np.ndarray) -> np.ndarray:
         """Each row's draw in [0, top] (top < 2^32), by Lemire's method on 32 bits."""
@@ -149,7 +160,7 @@ class TrialDraws:
         threshold = _2_32 % span
         at = np.arange(len(rows))
         while len(rows):
-            m = self._uint32(rows) * span
+            m = self._draws(rows, 1)[:, 0] * span
             ok = (m & _LOW32) >= threshold
             out[at[ok]] = m[ok] >> _HALF
             rows, at = rows[~ok], at[~ok]
@@ -166,6 +177,14 @@ class TrialDraws:
             raise ValueError(f"need 1 <= bound <= 2^32, got {bound}")
         rows = self.rows if rows is None else rows
         return self._bounded(bound - 1, rows).astype(np.int64)
+
+    def bits(self, k: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """``Generator.integers(0, 2, size=k)`` per row as a [row, k] array, in one
+        read: bound 2 never rejects, so bit i tops the row's i-th next 32-bit draw."""
+        rows = self.rows if rows is None else rows
+        if not k:
+            return np.zeros((len(rows), 0), dtype=np.int64)
+        return (self._draws(rows, k) >> 31).astype(np.int64)
 
     def subset(self, n: int, k: int, rows: np.ndarray | None = None) -> np.ndarray:
         """The picks of ``Generator.choice(n, size=k, replace=False)`` per row,
@@ -200,16 +219,8 @@ class TrialDraws:
         tops = np.concatenate([np.arange(first, n), np.arange(k - 1, 0, -1)])
         if not (len(tops) and len(rows)):
             return mask
-        # each row's 32-bit draws are its kept high half, if any, then the
-        # halves of its words from pos on
-        pos, has = self._pos[rows], self._has_high[rows]
-        spent = len(tops) - has  # halves read from pos on
-        end = pos + (spent + 1) // 2
-        short = end > self._fetched[rows]
-        if short.any():
-            self._fetch(rows[short], max(2 * self._words.shape[1], int(end.max())))
+        has, start, end = self._ahead(rows, len(tops))
         halves = self._words.view("<u4")
-        start = 2 * pos - has
         rejected = np.zeros(len(rows), dtype=bool)
         step = max(1, _DRAW_CELLS // len(rows))
         for a in range(0, len(tops), step):
@@ -223,10 +234,7 @@ class TrialDraws:
             for t in range(picks.shape[1]):
                 _floyd_step(mask, at, picks[:, t], first + a + t)
         kept = ~rejected
-        done = rows[kept]
-        self._pos[done] = end[kept]
-        self._has_high[done] = spent[kept] % 2 == 1
-        self._high[done] = self._words[done, end[kept] - 1] >> _HALF
+        self._skip(rows[kept], len(tops), end[kept])
         if rejected.any():
             redo, at = rows[rejected], at[rejected]
             mask[at] = False

@@ -213,6 +213,30 @@ class TestMainExitCodes:
         ])
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_oracle_suite_refuses_a_bits_cap_below_its_largest_search(
+        self, tmp_path, capsys, cap
+    ):
+        # the n = 2 Equality cross-check needs 4 bits; a lower cap used to
+        # crash on an empty search (1, 2) or fail that check (3)
+        code = main([
+            "--experiment", "oracle-suite", "--seed", "1", "--param", "instances=5",
+            "--tolerance", f"relation_bits_cap={cap}", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == (
+            "cap exceeded: oracle-suite needs relation_bits_cap >= 4 (the n = 2 Equality"
+            f" search), got {cap}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_suite_runs_at_the_bits_cap_it_needs(self, tmp_path):
+        code = main([
+            "--experiment", "oracle-suite", "--seed", "1", "--param", "instances=5",
+            "--tolerance", "relation_bits_cap=4", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+
     def test_eq_public_over_the_coin_cap_names_the_coin_size(self, tmp_path, capsys):
         # 2^(3 * 7) masks is past the default enum_cap of 2^20; only the
         # refusal is checked, nothing is enumerated

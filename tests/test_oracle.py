@@ -273,6 +273,99 @@ class TestDetComplexityRelation:
             search_relation_protocol(r)
 
 
+# pair sets whose pair objects every search below shares, so that a search
+# after the first on a set reuses its set-up: str and int inputs, 2 and 10
+# ("10" sorts before "2" by repr), several shapes, and two couples of sets
+# whose pairs are equal ((1, 0) == (True, 0)): the inputs of the first
+# couple sort differently by repr, those of the second alike
+SHARED_PAIR_SETS = [
+    [(x, y) for x in (2, 10) for y in ("a", 1)],
+    [(x, y) for x in (0, 1, 2) for y in (0, 1)],
+    [(x, 0) for x in ("b", 3, 10, 2)],
+    [(x, y) for x in (1, 2) for y in (0, 5, 10)],
+    [(1, 0), (2, 0), (1, 9), (2, 9)],
+    [(True, 0), (2, 0), (True, 9), (2, 9)],
+    [("z", 0), (1, 0), ("z", 9), (1, 9)],
+    [("z", 0), (True, 0), ("z", 9), (True, 9)],
+]
+
+
+class TestSetupReuse:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_an_interleaved_stream_equals_the_reference(self, data):
+        # each relation takes a shared pair set in a drawn order and its own
+        # valid sets, weights and bits cap; a set-up keyed on less than its
+        # pair objects and cap hands a later search the wrong inputs or plan
+        stream = data.draw(st.lists(
+            st.tuples(st.integers(0, len(SHARED_PAIR_SETS) - 1), st.integers(1, 6)),
+            min_size=2, max_size=12))
+        for k, cap in stream:
+            pairs = data.draw(st.permutations(SHARED_PAIR_SETS[k]))
+            weights = data.draw(st.lists(st.integers(0, 2), min_size=len(pairs),
+                                         max_size=len(pairs)).filter(any))
+            valid = {p: data.draw(st.frozensets(st.sampled_from((0, 1, 9, 10, "z")), min_size=1))
+                     for p in pairs}
+            r = RelationTable(valid, dict(zip(pairs, weights)))
+            found = search_relation_protocol(r, with_overrides(DEFAULT, relation_bits_cap=cap))
+            expected = reference_search(r, cap)
+            # repr tells 1 from True and shows each map's order
+            assert found == expected and repr(found) == repr(expected)
+
+    def test_equal_pairs_that_print_differently_do_not_share_a_set_up(self):
+        # Alice must separate 1 or True from the other input, 2, which 1
+        # precedes by repr and True follows, or "z", which both follow
+        alices = ({1: 0, 2: 1}, {2: 0, True: 1}, {"z": 0, 1: 1}, {"z": 0, True: 1})
+        for pairs, alice in zip(SHARED_PAIR_SETS[4:], alices):
+            r = RelationTable({(x, y): frozenset([int(x in (2, "z"))]) for x, y in pairs},
+                              uniform_mu(pairs))
+            found = search_relation_protocol(r)
+            assert found == reference_search(r)
+            assert repr(found[1].alice_map) == repr(alice)
+
+    def test_the_suites_relations_build_one_set_up(self):
+        oracle._setup.cache_clear()
+        for valid in islice(_chain_valid_sets(2026, 3000), 300):
+            search_relation_protocol(RelationTable(valid, uniform_mu(cli._CHAIN_PAIRS)))
+        info = oracle._setup.cache_info()
+        assert (info.misses, info.hits) == (1, 299)
+
+    def test_a_large_pair_sets_plan_is_not_held(self):
+        pairs = tuple((x, 0) for x in range(oracle._LATTICE_MAX_ITEMS))
+        xs, ys, at, plan = oracle._setup(tuple(map(id, pairs)), pairs, 36, 6)
+        assert plan == () and at[pairs[-1]] == (len(pairs) - 1, 0)
+        pairs = pairs[1:]
+        assert len(oracle._setup(tuple(map(id, pairs)), pairs, 36, 6)[3]) == 877
+
+
+class TestChainErrors:
+    """The errors the chain raises on malformed inputs, pinned."""
+
+    pairs = [(x, y) for x in (0, 1) for y in ("a", "b")]
+
+    def relation(self) -> RelationTable:
+        return RelationTable({p: frozenset([0]) for p in self.pairs}, uniform_mu(self.pairs))
+
+    def test_union_bound_names_a_support_pair_outside_fs_domain(self):
+        proto = DeterministicSmpProtocol({0: 0, 1: 0}, {"a": 0, "b": 0}, {(0, 0): 0})
+        f = FunctionTable((0, 1), ("a", "b"), {(0, "a"): 0, (0, "b"): 0, (1, "a"): 0})
+        with pytest.raises(ValueError, match=r"^\(1, 'b'\) outside the promise domain$"):
+            union_bound_check(proto, f, self.relation())
+
+    def test_union_bound_raises_key_error_for_a_cell_p_a_leaves_undefined(self):
+        proto = DeterministicSmpProtocol({0: 0, 1: 1}, {"a": 0, "b": 0}, {(0, 0): 0})
+        f = FunctionTable((0, 1), ("a", "b"), dict.fromkeys(self.pairs, 0))
+        with pytest.raises(KeyError) as info:
+            union_bound_check(proto, f, self.relation())
+        assert info.value.args == ((1, 0),)
+
+    def test_extract_function_raises_key_error_naming_an_undefined_support_pair(self):
+        proto = DeterministicSmpProtocol({0: 0, 1: 1}, {"a": 0, "b": 0}, {(0, 0): 0})
+        with pytest.raises(KeyError) as info:
+            extract_function(proto, self.relation())
+        assert info.value.args == ((1, "a"),)
+
+
 # (|X|, |Y|, bits cap) of plans: the suite's shape, a cap below the top cost,
 # 3-bit Alice maps and a side past the lattice's item limit
 PLAN_SHAPES = [(3, 2, 6), (1, 1, 0), (4, 3, 3), (6, 4, 6), (5, 1, 2), (2, 7, 6), (9, 1, 6)]

@@ -20,6 +20,8 @@ def _generator_draw(g: np.random.Generator, op: tuple):
         return g.random()
     if kind == "integers":
         return int(g.integers(0, arg))
+    if kind == "bits":
+        return g.integers(0, 2, size=arg).tolist()
     n, k = arg
     return sorted(g.choice(n, size=k, replace=False).tolist())
 
@@ -30,6 +32,8 @@ def _replica_draw(draws: TrialDraws, op: tuple, rows: np.ndarray) -> list:
         return draws.random(rows).tolist()
     if kind == "integers":
         return draws.integers(arg, rows).tolist()
+    if kind == "bits":
+        return draws.bits(arg, rows).tolist()
     return [np.flatnonzero(member).tolist() for member in draws.subset(*arg, rows)]
 
 
@@ -52,6 +56,7 @@ _op = st.one_of(
               st.one_of(st.sampled_from([1, 2, 3, _WIDE, 1 << 32]), st.integers(1, 1 << 32))),
     st.tuples(st.just("subset"),
               st.integers(0, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))),
+    st.tuples(st.just("bits"), st.integers(0, 90)),
 )
 
 
@@ -76,6 +81,12 @@ _op = st.one_of(
 @example(seed=-9, start=1, count=3, width=3,
          ops=[(("integers", 2), 0), (("subset", (5, 5)), 0), (("subset", (1, 1)), 1),
               (("integers", _WIDE), 0), (("subset", (2, 2)), 3), (("random", None), 0)])
+# bits after an odd number of 32-bit draws on some rows and a random() on
+# all, so those rows' kept high half is not their last word's; 24 and then
+# 90 bits run every row out of its one fetched word
+@example(seed=2026, start=9, count=4, width=1,
+         ops=[(("integers", 3), 1), (("random", None), 0), (("bits", 24), 0),
+              (("bits", 0), 2), (("bits", 1), 3), (("bits", 90), 0), (("integers", _WIDE), 0)])
 def test_draws_replay_each_trials_generator(seed, start, count, width, ops):
     _assert_replays(seed, start, count, width, ops)
 
@@ -148,6 +159,26 @@ def test_rows_that_run_out_are_fetched_again(width):
     assert got == [[int(g.integers(0, _WIDE)) for g in gens] for _ in range(600)]
     assert draws._fetched.max() <= draws._words.shape[1]
     assert (draws._pos <= draws._fetched).all()
+
+
+def test_bits_read_a_kept_high_half_and_refetch_rows_that_run_out():
+    # rows 0 and 2 keep the high half of their first word, then random()
+    # reads each row's next word: a kept half is not its row's last word's
+    with mock.patch.object(rng, "_ROW_WORDS", 2):
+        draws = TrialDraws(8, 0, 3)
+    gens = [trial_rng(8, t) for t in range(3)]
+    assert draws.integers(3, np.array([0, 2])).tolist() == [
+        int(gens[t].integers(0, 3)) for t in (0, 2)]
+    assert draws.random().tolist() == [g.random() for g in gens]
+    assert draws._has_high.tolist() == [True, False, True]
+    got = draws.bits(24)
+    assert got.tolist() == [g.integers(0, 2, size=24).tolist() for g in gens]
+    assert got.dtype == np.int64
+    # the 23 halves from word 2 on keep word 13's high half; the 24 from word
+    # 1 on end at word 12; both end past the 2 words fetched
+    assert draws._pos.tolist() == [14, 13, 14] and draws._fetched.min() >= 14
+    assert draws._has_high.tolist() == [True, False, True]
+    assert draws.random().tolist() == [g.random() for g in gens]
 
 
 def test_bound_one_and_empty_rows_draw_nothing():
